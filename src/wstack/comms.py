@@ -30,6 +30,7 @@ import csv
 import math
 import queue
 import threading
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,6 +59,9 @@ __all__ = [
 REDUCE_KINDS = ("direct", "hybrid_ring", "ring_rdma_like")
 
 RECV_TIMEOUT_S = 120.0
+
+# How often a waiting receive checks whether another rank has failed.
+FAILURE_POLL_S = 0.05
 
 # Wire size of one prepared record: gu f64, gv f64, plane u32, time u32,
 # global index u64, weighted complex value c128.
@@ -169,6 +173,7 @@ class Router:
         self._lock = threading.Lock()
         self._boxes: dict = {}
         self._arrivals: dict = {}
+        self.failure: BaseException | None = None
 
     def _box(self, key):
         with self._lock:
@@ -197,18 +202,32 @@ class Router:
         self._box((src, dst, tag)).put(payload)
         self._arrival((dst, tag)).put(src)
 
+    def fail(self, exc: BaseException):
+        """Mark the run as failed by ``exc``; receives waiting now or later
+        raise instead of waiting for a message that will not come. The
+        first failure is kept."""
+        with self._lock:
+            if self.failure is None:
+                self.failure = exc
+
+    def _get(self, q, timeout, waiting_for):
+        deadline = time.monotonic() + timeout
+        while self.failure is None:
+            try:
+                return q.get(timeout=min(FAILURE_POLL_S, max(0.0, deadline - time.monotonic())))
+            except queue.Empty:
+                if time.monotonic() >= deadline:
+                    raise RuntimeError(f"{waiting_for}: timed out") from None
+        raise RuntimeError(f"{waiting_for}: another rank failed") from self.failure
+
     def recv(self, dst, src, tag, timeout=RECV_TIMEOUT_S):
-        try:
-            return self._box((src, dst, tag)).get(timeout=timeout)
-        except queue.Empty:
-            raise RuntimeError(f"rank {dst} timed out waiting for {tag!r} from rank {src}")
+        return self._get(self._box((src, dst, tag)), timeout,
+                         f"rank {dst} waiting for {tag!r} from rank {src}")
 
     def recv_any(self, dst, tag, timeout=RECV_TIMEOUT_S):
-        try:
-            src = self._arrival((dst, tag)).get(timeout=timeout)
-        except queue.Empty:
-            raise RuntimeError(f"rank {dst} timed out waiting for any {tag!r}")
-        return src, self._box((src, dst, tag)).get(timeout=timeout)
+        waiting_for = f"rank {dst} waiting for any {tag!r}"
+        src = self._get(self._arrival((dst, tag)), timeout, waiting_for)
+        return src, self._get(self._box((src, dst, tag)), timeout, waiting_for)
 
 
 @dataclass
@@ -230,17 +249,18 @@ class RankCtx:
 def run_ranks(topo: Topology, fn, log: MessageLog | None = None, router: Router | None = None):
     """Run ``fn(ctx)`` on one worker thread per rank; return per-rank results.
 
-    The first exception (by rank order) is re-raised after all workers stop.
+    The first rank to raise marks the router as failed, so peers waiting
+    on a receive stop at once; its exception is re-raised after all
+    workers stop.
     """
     router = router or Router(topo, log)
     results = [None] * topo.n_ranks
-    errors = [None] * topo.n_ranks
 
     def work(rank):
         try:
             results[rank] = fn(RankCtx(rank=rank, topo=topo, router=router))
         except BaseException as exc:  # noqa: BLE001 - surfaced below
-            errors[rank] = exc
+            router.fail(exc)
 
     threads = [threading.Thread(target=work, args=(r,), name=f"rank-{r}")
                for r in range(topo.n_ranks)]
@@ -248,9 +268,8 @@ def run_ranks(topo: Topology, fn, log: MessageLog | None = None, router: Router 
         t.start()
     for t in threads:
         t.join()
-    for err in errors:
-        if err is not None:
-            raise err
+    if router.failure is not None:
+        raise router.failure
     return results
 
 

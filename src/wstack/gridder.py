@@ -7,16 +7,36 @@ clipped at mesh edges and at slab boundaries; records whose footprint
 crosses a slab boundary are present on both ranks (halo duplicates from
 the exchange), so every rank computes exactly the rows it owns.
 
+Both kernels are separable, so a record's weights are the outer product
+of 2S+1 weights along u and 2S+1 along v (S the half support). The
+contribution to a cell is ``value * (w_u * w_v)``.
+
+Accumulation order. Records are taken plane by plane, in the order they
+are given (the exchange sorts them by time index, then global index).
+For each plane and each u offset ``a`` in -S..S, the block's
+contributions are summed per cell by an ordered ``np.bincount`` in record
+order, and the block sum is added to the cell; blocks are added in order
+of ``a``. So the sum at every cell has one fixed order, set by the
+global record order alone.
+
 Two accumulation modes:
 
 deterministic
     threads own disjoint row blocks of the slab and each scans all
-    records, so every cell is accumulated by one thread in the global
-    record order; results are bit-identical for any rank or thread count.
+    records. A cell's contributing records, and their order, do not
+    depend on which rank or thread owns its row, so the grid is
+    bit-identical for any rank or thread count.
 concurrent
-    threads own record blocks and scatter-add into the shared slab under
-    a lock, mirroring atomic-update accumulation; the summation order is
-    scheduling-dependent (bounded by ~1e-15 relative reassociation).
+    threads own record blocks, each grids its block into a private slab,
+    and the private slabs are added into the shared one under a lock in
+    scheduling order; the result differs from the deterministic one by
+    reassociation only (~1e-15 relative).
+
+The grid is not bit-identical to a scatter-add that keeps one running
+sum per cell in record order, which associates the sums differently; the
+two agree to rounding. With the Gaussian, ``exp(-du^2/2s^2) * exp(-dv^2/2s^2)`` also
+differs from ``kernel_value(du, dv)`` by rounding; with Kaiser-Bessel the
+factored weight is the same float as ``kernel_value(du, dv)``.
 """
 
 from __future__ import annotations
@@ -42,6 +62,9 @@ __all__ = [
 KERNEL_KINDS = ("gaussian", "kaiser_bessel")
 
 DEFAULT_KB_BETA_PER_SUPPORT = 2.34
+
+# Records per kernel evaluation in ``_accumulate``.
+KERNEL_BLOCK = 16384
 
 
 @dataclass(frozen=True)
@@ -153,33 +176,55 @@ class SectorBatch:
     def __len__(self) -> int:
         return len(self.gu)
 
-    def n_owned(self) -> int:
-        return int((~self.is_halo).sum())
-
 
 def _accumulate(kern, spec, gu, gv, plane, value, out, v_offset, row_lo, row_hi):
-    """Scatter-add contributions for rows [row_lo, row_hi) into ``out``
-    (indexed relative to v_offset). Returns the accumulation count."""
+    """Add the contributions to rows [row_lo, row_hi) into ``out``, whose
+    row 0 is mesh row ``v_offset``, in the order the module docstring
+    states; returns the number of cell updates. ``out`` must be
+    C-contiguous, since each plane is updated through a flat view."""
     S = kern.half_support
-    flo_u = np.floor(gu).astype(np.int64)
-    flo_v = np.floor(gv).astype(np.int64)
-    pl = plane.astype(np.int64)
+    offsets = np.arange(-S, S + 1)
+    n_u = spec.n_u
     count = 0
-    for a in range(-S, S + 1):
-        i = flo_u + a
-        du = gu - i
-        ok_u = (np.abs(du) <= S) & (i >= 0) & (i < spec.n_u)
-        if not ok_u.any():
-            continue
-        for b in range(-S, S + 1):
-            j = flo_v + b
-            dv = gv - j
-            ok = ok_u & (np.abs(dv) <= S) & (j >= row_lo) & (j < row_hi)
-            if not ok.any():
+    for p in np.unique(plane):
+        sel = np.flatnonzero(plane == p)
+        flo_u = np.floor(gu[sel]).astype(np.int64)
+        flo_v = np.floor(gv[sel]).astype(np.int64)
+        i = flo_u[:, None] + offsets
+        j = flo_v[:, None] + offsets
+        ok_u = (i >= 0) & (i < n_u)
+        ok_v = (j >= row_lo) & (j < row_hi)
+        wu, wv = np.empty(i.shape), np.empty(j.shape)
+        # Weights depend on each record alone, so they are evaluated in
+        # blocks of records to bound the kernel's temporaries.
+        for r in range(0, len(sel), KERNEL_BLOCK):
+            rows = slice(r, r + KERNEL_BLOCK)
+            du = gu[sel[rows], None] - i[rows]
+            dv = gv[sel[rows], None] - j[rows]
+            ok_u[rows] &= np.abs(du) <= S
+            ok_v[rows] &= np.abs(dv) <= S
+            # Both kernels factor: k(du, dv) = k(du, 0) * k(0, dv), k(0, 0) = 1.
+            wu[rows] = kernel_value(kern, du, 0.0)
+            wv[rows] = kernel_value(kern, dv, 0.0)
+        row_base = (j - v_offset) * n_u
+        del i, j
+        re, im = value.real[sel, None], value.imag[sel, None]
+        flat = out[p].reshape(-1)
+        for a in range(len(offsets)):
+            if not ok_u[:, a].any():
                 continue
-            kv = kernel_value(kern, du[ok], dv[ok])
-            np.add.at(out, (pl[ok], j[ok] - v_offset, i[ok]), value[ok] * kv)
-            count += int(ok.sum())
+            ok = ok_u[:, a, None] & ok_v
+            cells = (row_base + (flo_u + offsets[a])[:, None])[ok]
+            if not len(cells):
+                continue
+            w = (wu[:, a, None] * wv)[ok]
+            lo = int(cells.min())
+            n_cells = int(cells.max()) + 1 - lo
+            cells -= lo
+            for part, vals in ((flat.real, re), (flat.imag, im)):
+                part[lo:lo + n_cells] += np.bincount(
+                    cells, np.broadcast_to(vals, ok.shape)[ok] * w, n_cells)
+            count += len(cells)
     return count
 
 
@@ -209,7 +254,7 @@ def grid_sector(batch: SectorBatch, kern: KernelSpec, out: ComplexGrid,
         # every record, so per-cell order never depends on thread count.
         blocks = [partition_1d(slab.v_count, threads, t) for t in range(threads)]
 
-        def det_work(t):
+        def work(t):
             b0, bc = blocks[t]
             if bc == 0:
                 return
@@ -218,40 +263,26 @@ def grid_sector(batch: SectorBatch, kern: KernelSpec, out: ComplexGrid,
             counts[t] = _accumulate(kern, spec, batch.gu, batch.gv, batch.plane,
                                     batch.value, block, lo, lo, lo + bc)
             out.data[:, b0:b0 + bc, :] = block
-
-        workers = [threading.Thread(target=det_work, args=(t,)) for t in range(threads)]
     else:
+        # Record-partitioned: each thread grids its record block into a
+        # private slab and adds it to the shared one under a lock, so the
+        # order of the adds depends on scheduling.
         lock = threading.Lock()
         parts = [partition_1d(n, threads, t) for t in range(threads)]
 
-        def conc_work(t):
+        def work(t):
             r0, rc = parts[t]
             if rc == 0:
                 return
             sel = slice(r0, r0 + rc)
-            flo_u = np.floor(batch.gu[sel]).astype(np.int64)
-            flo_v = np.floor(batch.gv[sel]).astype(np.int64)
-            pl = batch.plane[sel].astype(np.int64)
-            c = 0
-            for a in range(-S, S + 1):
-                i = flo_u + a
-                du = batch.gu[sel] - i
-                ok_u = (np.abs(du) <= S) & (i >= 0) & (i < spec.n_u)
-                for b in range(-S, S + 1):
-                    j = flo_v + b
-                    dv = batch.gv[sel] - j
-                    ok = ok_u & (np.abs(dv) <= S) & (j >= slab.v_start) & (j < slab.v_end)
-                    if not ok.any():
-                        continue
-                    kv = kernel_value(kern, du[ok], dv[ok])
-                    contrib = batch.value[sel][ok] * kv
-                    with lock:
-                        np.add.at(out.data, (pl[ok], j[ok] - slab.v_start, i[ok]), contrib)
-                    c += int(ok.sum())
-            counts[t] = c
+            block = np.zeros_like(out.data)
+            counts[t] = _accumulate(kern, spec, batch.gu[sel], batch.gv[sel],
+                                    batch.plane[sel], batch.value[sel], block,
+                                    slab.v_start, slab.v_start, slab.v_end)
+            with lock:
+                out.data += block
 
-        workers = [threading.Thread(target=conc_work, args=(t,)) for t in range(threads)]
-
+    workers = [threading.Thread(target=work, args=(t,)) for t in range(threads)]
     for w in workers:
         w.start()
     for w in workers:

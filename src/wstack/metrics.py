@@ -18,6 +18,7 @@ external counter file or command.
 from __future__ import annotations
 
 import csv
+import shlex
 import subprocess
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -149,8 +150,8 @@ class PlatformCounterMeter:
     """Total joules read from an external counter before and after a run.
 
     The counter is either a file holding one number or a command printing
-    one; only the total is available. Not exercised in CI beyond the
-    file-backed form.
+    one, split into an argument list and run without a shell; only the
+    total is available.
     """
 
     counter_file: Path | None = None
@@ -161,9 +162,9 @@ class PlatformCounterMeter:
         try:
             if self.counter_file is not None:
                 return float(Path(self.counter_file).read_text().strip())
-            if self.counter_command is not None:
-                res = subprocess.run(self.counter_command, shell=True, check=True,
-                                     capture_output=True, text=True)
+            argv = shlex.split(self.counter_command or "")
+            if argv:
+                res = subprocess.run(argv, check=True, capture_output=True, text=True)
                 return float(res.stdout.strip())
         except (OSError, ValueError, subprocess.SubprocessError) as exc:
             raise MeterError(f"counter source unavailable: {exc}") from exc

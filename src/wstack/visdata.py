@@ -176,12 +176,16 @@ class VisChunk:
                         self.time_index[index], self.vis[index], self.weight[index])
 
     def validate(self):
-        if np.any(self.u < 0) or np.any(self.u >= 1) or np.any(self.v < 0) or np.any(self.v >= 1):
+        # Written as "all inside" so that NaN, which fails every
+        # comparison, is rejected with the out-of-range values.
+        if not (np.all((self.u >= 0) & (self.u < 1)) and np.all((self.v >= 0) & (self.v < 1))):
             raise ValueError("u and v must lie in [0, 1)")
-        if np.any(self.w < 0) or np.any(self.w > 1):
+        if not np.all((self.w >= 0) & (self.w <= 1)):
             raise ValueError("w must lie in [0, 1]")
         if not np.all(np.isfinite(self.weight)) or np.any(self.weight < 0):
             raise ValueError("weights must be finite and >= 0")
+        if not np.all(np.isfinite(self.vis)):
+            raise ValueError("visibilities must be finite")
 
     @classmethod
     def from_records(cls, records) -> "VisChunk":

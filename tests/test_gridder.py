@@ -25,9 +25,11 @@ def bessel_i0_series(x, tol=1e-12):
 
 
 def brute_force_grid(chunk, spec, kern):
-    """Independent reference: triple loop, records x footprint cells."""
+    """Independent reference: triple loop, records x footprint cells.
+    Returns the grid and the number of cell updates."""
     grid = np.zeros((spec.n_w, spec.n_v, spec.n_u), dtype=np.complex128)
     S = kern.half_support
+    updates = 0
     for rec in chunk:
         gu = rec.u * spec.n_u
         gv = rec.v * spec.n_v
@@ -44,7 +46,8 @@ def brute_force_grid(chunk, spec, kern):
                 if not 0 <= i < spec.n_u:
                     continue
                 grid[plane, j, i] += value * kernel_value(kern, gu - i, gv - j)
-    return grid
+                updates += 1
+    return grid, updates
 
 
 def batch_for(spec, slab, gu, gv, plane, value, halo=3):
@@ -176,6 +179,47 @@ def test_gridded_mass_matches_kernel_sums():
     assert abs(out.data.sum() - expected) < 1e-10
 
 
+def edge_chunk(n=120, seed=5):
+    """Records spread over all four planes of an n_w=4 mesh, half of them
+    within the half support of a u or v mesh edge, some exactly on a cell
+    or an edge."""
+    rng = np.random.default_rng(seed)
+    u, v = rng.random(n), rng.random(n)
+    near = rng.random(n) * 3.0 / 32.0
+    u[0::4] = near[0::4]
+    u[1::4] = 1.0 - near[1::4] - 1e-9
+    v[2::4] = near[2::4]
+    v[3::4] = 1.0 - near[3::4] - 1e-9
+    u[:8] = [0.0, 0.0, 3 / 32, 0.5, 31 / 32, 16.5 / 32, 0.25, 29 / 32]
+    v[:8] = [0.0, 0.5, 0.0, 3 / 32, 0.25, 0.0, 31 / 32, 29 / 32]
+    return visdata.VisChunk(
+        u=u, v=v, w=(np.arange(n) % 4) / 3.0, time_index=np.arange(n, dtype=np.uint32),
+        vis=(rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))
+             ).astype(np.complex64),
+        weight=rng.random((n, 1)).astype(np.float32))
+
+
+@pytest.mark.parametrize("kern", [KernelSpec.gaussian(3, 1.0), KernelSpec.kaiser_bessel(3)],
+                         ids=["gaussian", "kaiser_bessel"])
+def test_matches_brute_force_with_edge_clipping_on_every_plane(kern):
+    spec = GridSpec(n_u=32, n_v=32, n_w=4, cell_size_lm=1e-3,
+                    w_min_native=0.0, w_max_native=12.0)
+    chunk = edge_chunk()
+    ref, ref_updates = brute_force_grid(chunk, spec, kern)
+    assert all(np.any(ref[p]) for p in range(spec.n_w))
+    # one rank, then two ranks with a slab boundary at row 16
+    for n_ranks in (1, 2):
+        parts = visdata.partition_time_ordered(chunk, n_ranks)
+        slabs, _ = grid_all(parts, spec, kern, Topology(1, n_ranks))
+        assert np.max(np.abs(gather(slabs) - ref)) <= 1e-12
+    batch = batch_for(spec, slab_of(spec, 0, 1), chunk.u * 32, chunk.v * 32,
+                      np.clip(np.floor(chunk.w * 3 + 0.5), 0, 3),
+                      (chunk.vis.astype(np.complex128) * chunk.weight).sum(axis=1))
+    out = ComplexGrid(spec, slab_of(spec, 0, 1))
+    assert grid_sector(batch, kern, out) == ref_updates
+    assert np.max(np.abs(out.data - ref)) <= 1e-12
+
+
 def test_thread_count_independence_deterministic():
     spec = GridSpec(n_u=32, n_v=32, n_w=2, cell_size_lm=1e-3)
     slab = slab_of(spec, 0, 1)
@@ -231,21 +275,25 @@ def test_single_rank_equals_sequential_gridding():
     chunk = make_dataset()
     kern = KernelSpec.gaussian(3, 1.0)
     slabs, _ = grid_all([chunk], spec, kern, Topology(1, 1))
-    ref = brute_force_grid(chunk, spec, kern)
+    ref, _ = brute_force_grid(chunk, spec, kern)
     assert np.max(np.abs(gather(slabs) - ref)) <= 1e-12
 
 
 def test_rank_counts_agree_bitwise_in_deterministic_mode():
-    spec = GridSpec(n_u=64, n_v=64, n_w=4, cell_size_lm=1e-3,
+    # 3000 records on a 32x32x2 mesh: every cell is reached by many
+    # records, several of them through the same (u, v) offset.
+    spec = GridSpec(n_u=32, n_v=32, n_w=2, cell_size_lm=1e-3,
                     w_min_native=0.0, w_max_native=12.0)
-    chunk = make_dataset()
-    kern = KernelSpec.gaussian(3, 1.0)
-    images = {}
-    for n_ranks in (1, 2, 4):
-        parts = visdata.partition_time_ordered(chunk, n_ranks)
-        slabs, _ = grid_all(parts, spec, kern, Topology(1, n_ranks))
-        images[n_ranks] = gather(slabs)
-    assert images[1].tobytes() == images[2].tobytes() == images[4].tobytes()
+    chunk = make_dataset(n=3000)
+    for kern in (KernelSpec.gaussian(3, 1.0), KernelSpec.kaiser_bessel(3)):
+        images = {}
+        for n_ranks in (1, 2, 4):
+            parts = visdata.partition_time_ordered(chunk, n_ranks)
+            for threads in (1, 2):
+                slabs, _ = grid_all(parts, spec, kern,
+                                    Topology(1, n_ranks, threads_per_rank=threads))
+                images[n_ranks, threads] = gather(slabs).tobytes()
+        assert len(set(images.values())) == 1, kern.kind
 
 
 def test_halo_records_counted_once_across_boundary():

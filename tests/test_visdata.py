@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wstack import visdata
+from wstack.comms import prepare_chunk
+from wstack.mesh import GridSpec
 from wstack.visdata import (ChunkSpec, DatasetHeader, FormatError, SkyModel,
                             VisChunk, VisRecord)
 
@@ -57,6 +59,18 @@ def test_count_mismatch_rejected(tmp_path):
     with pytest.raises(ValueError, match="count mismatch"):
         visdata.write_dataset(chunk, bad, tmp_path / "x.rvis")
     del header
+
+
+@pytest.mark.parametrize("column", ["u", "v", "w", "vis"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_values_rejected(tmp_path, column, bad):
+    chunk = small_chunk(5)
+    getattr(chunk, column)[2] = bad
+    with pytest.raises(ValueError, match="must"):
+        visdata.write_dataset(chunk, header_for(chunk, 2, 1, 4), tmp_path / "x.rvis")
+    assert not (tmp_path / "x.rvis").exists()
+    with pytest.raises(ValueError, match="must"):
+        prepare_chunk(chunk, GridSpec(n_u=16, n_v=16, n_w=2, cell_size_lm=1e-3), 0)
 
 
 def test_round_trip_rewrite_identical(tmp_path):
