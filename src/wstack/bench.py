@@ -25,7 +25,7 @@ import numpy as np
 from . import metrics, transform, visdata
 from .comms import ReduceStrategy, Topology, reduce_slabs
 from .gridder import KernelSpec, grid_all, kernel_value
-from .mesh import ComplexGrid, GridSpec, slab_of
+from .mesh import ComplexGrid, GridSpec, partition_1d, slab_of
 from .pipeline import peak_pixel, run_pipeline
 
 __all__ = [
@@ -376,21 +376,31 @@ def verify_pipeline(scale: str = "small", force_fail: bool = False) -> VerifyRep
             "gridded mass vs per-record kernel sums", "relative <= 1e-10",
             f"relative {err:.3e}", err <= 1e-10))
 
-    # fft against the direct DFT, round trip, Parseval
+    # fft against the direct DFT, round trip, Parseval; each through the
+    # distributed transform on one rank and on three (uneven slabs)
+    def slab_fft(a, n_ranks, direction="forward"):
+        fspec = GridSpec(n_u=a.shape[1], n_v=a.shape[0], n_w=1, cell_size_lm=1e-3)
+        slabs = [a[v0:v0 + vc] for v0, vc in
+                 (partition_1d(fspec.n_v, n_ranks, r) for r in range(n_ranks))]
+        out = transform.fft2d_slab(slabs, fspec, Topology(1, n_ranks), direction)
+        return np.concatenate(out, axis=0)
+
+    fft_ranks = (1, 3)
     rng = np.random.default_rng(7)
     small = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    err_dft = _max_abs(transform.fft2d(small), reference_dft2d(small))
-    checks.append(CheckResult("fft vs direct DFT (8x8)", "max abs <= 1e-12",
+    err_dft = max(_max_abs(slab_fft(small, R), reference_dft2d(small)) for R in fft_ranks)
+    checks.append(CheckResult("fft vs direct DFT (8x8, 1 and 3 ranks)", "max abs <= 1e-12",
                               f"max abs {err_dft:.3e}", err_dft <= 1e-12))
     plane = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
-    err_rt = _max_abs(transform.fft2d(transform.fft2d(plane), inverse=True), plane)
-    checks.append(CheckResult("fft inverse(forward) round trip (64x64)",
+    err_rt = max(_max_abs(slab_fft(slab_fft(plane, R), R, "inverse"), plane)
+                 for R in fft_ranks)
+    checks.append(CheckResult("fft inverse(forward) round trip (64x64, 1 and 3 ranks)",
                               "max abs <= 1e-12", f"max abs {err_rt:.3e}",
                               err_rt <= 1e-12))
-    X = transform.fft2d(plane)
-    parseval = abs(np.sum(np.abs(plane) ** 2) - np.sum(np.abs(X) ** 2) / plane.size)
-    parseval /= np.sum(np.abs(plane) ** 2)
-    checks.append(CheckResult("Parseval identity", "relative <= 1e-10",
+    energy = np.sum(np.abs(plane) ** 2)
+    parseval = max(abs(energy - np.sum(np.abs(slab_fft(plane, R)) ** 2) / plane.size)
+                   for R in fft_ranks) / energy
+    checks.append(CheckResult("Parseval identity (1 and 3 ranks)", "relative <= 1e-10",
                               f"relative {parseval:.3e}", parseval <= 1e-10))
 
     # reduce strategies agree and conserve the total

@@ -215,7 +215,7 @@ def cmd_image(args) -> int:
     dataset = Path(args.dataset)
     if not dataset.exists():
         print(f"dataset not found: {dataset}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_IO
     topo = _parse_topology(args.topo or
                            f"{cfg['topo.n_nodes']}x{cfg['topo.ranks_per_node']}",
                            threads=cfg["topo.threads_per_rank"])
@@ -277,7 +277,7 @@ def cmd_bench(args) -> int:
         }
     elif not dataset.exists():
         print(f"dataset not found: {dataset}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_IO
     plan = bench.BenchPlan(
         n_u=cfg["grid.n_u"], n_v=cfg["grid.n_v"], n_w=cfg["grid.n_w"],
         cell_size_lm=cfg["grid.cell_size_lm"], kernel=_kernel_from(cfg),

@@ -31,11 +31,11 @@ import math
 import queue
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import ComplexGrid, GridSpec, partition_1d, slab_of
+from .mesh import ComplexGrid, GridSpec, slab_of
 
 __all__ = [
     "REDUCE_KINDS",
@@ -46,8 +46,6 @@ __all__ = [
     "Router",
     "RankCtx",
     "run_ranks",
-    "ring_segment_bounds",
-    "ring_pass",
     "reduce_slabs",
     "hybrid_reduce",
     "exchange_to_space_order",
@@ -274,67 +272,17 @@ def run_ranks(topo: Topology, fn, log: MessageLog | None = None, router: Router 
 
 
 # ---------------------------------------------------------------------------
-# Ring reduce-scatter
-# ---------------------------------------------------------------------------
-
-def ring_segment_bounds(length: int, parts: int):
-    """Segment boundaries used by the ring: equal ceil-sized segments, the
-    trailing ones possibly short or empty (the padded tail is dropped)."""
-    seg = math.ceil(length / parts) if parts > 1 else length
-    return [(min(j * seg, length), min((j + 1) * seg, length)) for j in range(parts)]
-
-
-def ring_pass(group, arrays, log: MessageLog | None = None, topo: Topology | None = None,
-              phase: str = "reduce"):
-    """Reduce-scatter ring over ``group``: after P-1 steps, member j holds
-    the full sum of segment j.
-
-    ``arrays`` holds one equal-length 1-d array per group member. At step s
-    member i sends its accumulated segment ``(i - 1 - s) mod P`` to member
-    i+1, so every segment visits every member once and finishes on the
-    member with the matching index; P(P-1) segment messages in total.
-    Arrays whose length does not divide by P are zero-padded; the padding
-    never reaches the results. Returns the list of summed segments.
-    """
-    P = len(group)
-    if P < 1 or len(arrays) != P:
-        raise ValueError("group and arrays must be non-empty and the same length")
-    length = len(arrays[0])
-    if any(len(a) != length for a in arrays):
-        raise ValueError("all arrays must have the same length")
-    if P == 1:
-        return [np.asarray(arrays[0]).copy()]
-    seg = math.ceil(length / P)
-    state = []
-    for a in arrays:
-        padded = np.zeros(seg * P, dtype=np.result_type(a, np.complex128))
-        padded[:length] = a
-        state.append([padded[j * seg:(j + 1) * seg].copy() for j in range(P)])
-    for s in range(P - 1):
-        moves = []
-        for idx in range(P):
-            j = (idx - 1 - s) % P
-            moves.append((idx, (idx + 1) % P, j, state[idx][j].copy()))
-        for idx, dst_idx, j, payload in moves:
-            state[dst_idx][j] += payload
-            if log is not None:
-                src, dst = group[idx], group[dst_idx]
-                intra = (topo.node_of(src) == topo.node_of(dst)) if topo else True
-                log.append(Message(phase=phase, src_rank=src, dst_rank=dst,
-                                   intra_node=intra, nbytes=payload.nbytes))
-    bounds = ring_segment_bounds(length, P)
-    return [state[j][j][: hi - lo] for j, (lo, hi) in enumerate(bounds)]
-
-
-# ---------------------------------------------------------------------------
 # Reduce strategies (collective choreographies)
 # ---------------------------------------------------------------------------
 
 def _ring_reduce_scatter_ctx(ctx, group, my_flat, phase):
-    """Message-passing counterpart of :func:`ring_pass`, run by one rank.
+    """One rank's part of a ring reduce-scatter over ``group``.
 
-    Returns (per-segment accumulated buffers, segment length); this rank's
-    own-index segment is the fully summed one afterwards.
+    The flat array is zero-padded to P equal segments. At step s the rank
+    sends its accumulated segment ``(pos - 1 - s) mod P`` to the next group
+    member and adds the one arriving from the previous member, so after
+    P-1 steps segment ``pos`` holds the group's full sum. Returns
+    (per-segment accumulated buffers, segment length).
     """
     P = len(group)
     pos = group.index(ctx.rank)

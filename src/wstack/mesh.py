@@ -60,9 +60,10 @@ def owner_of_index(n: int, parts: int, i: int) -> int:
 class GridSpec:
     """Mesh geometry plus the native w extent the planes represent.
 
-    ``n_u``/``n_v`` must be powers of two (the transform is radix-2) and the
-    field of view implied by ``cell_size_lm`` must keep every image pixel
-    inside the unit direction-cosine disc, corners included. Normalized w
+    ``n_u``/``n_v`` must be powers of two (the checkerboard phase shift
+    needs even sizes, and only powers of two are tested) and the field of
+    view implied by ``cell_size_lm`` must keep every image pixel inside
+    the unit direction-cosine disc, corners included. Normalized w
     spans ``[w_min, w_max] = [0, 1]``; ``w_min_native``/``w_max_native``
     carry the physical w extent that range stands for.
     """

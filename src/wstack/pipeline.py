@@ -82,7 +82,8 @@ def run_pipeline(
     t_begin = time.perf_counter()
     times: dict[str, float] = {}
 
-    # 1. read: parallel tasks each take a contiguous run of observing time
+    # 1. read: one serial read of the whole file, then each rank is given a
+    #    contiguous run of observing time
     t0 = time.perf_counter()
     header, chunk = visdata.read_dataset(dataset_path)
     spec = GridSpec(
@@ -122,14 +123,14 @@ def run_pipeline(
         reduced.append(red)
     times["reduce"] = time.perf_counter() - t0
 
-    # 4. fft: shift sign, inverse transform each w plane over the slabs
+    # 4. fft: shift sign (in place, every plane of a slab at once), then
+    #    inverse transform each w plane over the slabs
     t0 = time.perf_counter()
-    plane_slabs: list[list[np.ndarray]] = []
-    signs = [transform.checker_sign(spec, reduced[r].slab) for r in range(R)]
-    for k in range(spec.n_w):
-        shifted = [reduced[r].data[k] * signs[r] for r in range(R)]
-        plane_slabs.append(transform.fft2d_slab(shifted, spec, topo,
-                                                direction="inverse", log=log))
+    for red in reduced:
+        red.data *= transform.checker_sign(spec, red.slab)
+    plane_slabs = [transform.fft2d_slab([red.data[k] for red in reduced], spec, topo,
+                                        direction="inverse", log=log)
+                   for k in range(spec.n_w)]
     times["fft"] = time.perf_counter() - t0
 
     # 5a. w correction + plane stacking, slab-local

@@ -1,10 +1,10 @@
 """Per-plane 2D FFT over slabs, w-term correction, stacking, image output.
 
-The transform is an internal iterative radix-2 implementation (forward
-kernel ``exp(-2 pi i)``, inverse ``exp(+2 pi i)`` with ``1/(n_u n_v)``
-applied on the inverse only). Distributed planes are transformed as
-row FFTs, a block transpose across ranks, row FFTs again, and a transpose
-back, so the message log captures the transform's traffic.
+A plane is transformed as library FFTs (``np.fft``) along its rows, a
+block transpose across ranks, row FFTs again, and a transpose back, so the
+message log captures the transform's traffic. The forward kernel is
+``exp(-2 pi i)``; the inverse is ``exp(+2 pi i)`` and carries ``1/n`` on
+each axis, ``1/(n_u n_v)`` in all.
 
 The gridded origin sits at cell (0, 0); multiplying the grid by
 ``(-1)^(i+j)`` before the inverse transform lands the phase center on
@@ -18,7 +18,7 @@ min-max stretch.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +31,6 @@ __all__ = [
     "ImageBlock",
     "FinalImage",
     "fft1d",
-    "fft2d",
     "fft2d_slab",
     "checker_sign",
     "apply_w_correction",
@@ -83,48 +82,9 @@ class FinalImage:
                              f"{(self.spec.n_v, self.spec.n_u)}")
 
 
-# ---------------------------------------------------------------------------
-# Radix-2 FFT core
-# ---------------------------------------------------------------------------
-
-def _bit_reversal(n: int) -> np.ndarray:
-    bits = n.bit_length() - 1
-    rev = np.zeros(n, dtype=np.int64)
-    idx = np.arange(n)
-    for b in range(bits):
-        rev = (rev << 1) | ((idx >> b) & 1)
-    return rev
-
-
 def fft1d(a: np.ndarray, inverse: bool = False) -> np.ndarray:
-    """Unnormalized radix-2 transform along the last axis (power-of-two)."""
-    a = np.asarray(a, dtype=np.complex128)
-    n = a.shape[-1]
-    if n & (n - 1) or n < 1:
-        raise ValueError(f"length {n} is not a power of two")
-    if n == 1:
-        return a.copy()
-    x = np.ascontiguousarray(a[..., _bit_reversal(n)])
-    sign = 1.0 if inverse else -1.0
-    m = 2
-    while m <= n:
-        half = m // 2
-        w = np.exp(sign * 2j * np.pi * np.arange(half) / m)
-        y = x.reshape(x.shape[:-1] + (n // m, m))
-        t = y[..., half:] * w
-        y[..., half:] = y[..., :half] - t
-        y[..., :half] += t
-        m *= 2
-    return x
-
-
-def fft2d(plane: np.ndarray, inverse: bool = False) -> np.ndarray:
-    """Whole-array 2D transform; inverse carries the 1/(n_rows n_cols) factor."""
-    out = fft1d(plane, inverse)
-    out = fft1d(out.swapaxes(-1, -2), inverse).swapaxes(-1, -2)
-    if inverse:
-        out = out / (plane.shape[-1] * plane.shape[-2])
-    return np.ascontiguousarray(out)
+    """Library FFT along the last axis; the inverse carries ``1/n``."""
+    return np.fft.ifft(a) if inverse else np.fft.fft(a)
 
 
 def fft2d_slab(slabs, spec: GridSpec, topo: Topology, direction: str = "forward",
@@ -148,7 +108,7 @@ def fft2d_slab(slabs, spec: GridSpec, topo: Topology, direction: str = "forward"
         r = ctx.rank
         v0, vc = rows[r]
         c0, cc = cols[r]
-        a = fft1d(np.ascontiguousarray(slabs[r], dtype=np.complex128), inverse)
+        a = fft1d(slabs[r], inverse)
         for d in range(R):
             if d != r:
                 d0, dc = cols[d]
@@ -170,8 +130,6 @@ def fft2d_slab(slabs, spec: GridSpec, topo: Topology, direction: str = "forward"
             if s != r:
                 s0, sc = cols[s]
                 out[:, s0:s0 + sc] = ctx.recv(s, ("tp_back",)).T
-        if inverse:
-            out /= spec.n_u * spec.n_v
         return out
 
     return run_ranks(topo, fn, log=log)

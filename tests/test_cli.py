@@ -1,0 +1,40 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import wstack
+from wstack.cli import EXIT_CHECK_FAILED, EXIT_IO, EXIT_OK, EXIT_USAGE, main
+
+
+def test_module_entry_point_verify_passes():
+    src = str(Path(wstack.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-m", "wstack", "verify", "small"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_OK, proc.stdout + proc.stderr
+    assert "OK: 11/11 checks passed" in proc.stdout
+
+
+def test_verify_failure_exits_1():
+    assert main(["verify", "small", "--force-fail"]) == EXIT_CHECK_FAILED
+
+
+def test_malformed_topology_exits_2(tmp_path):
+    dataset = tmp_path / "d.rvis"
+    dataset.write_bytes(b"")
+    code = main(["image", "--dataset", str(dataset), "--topo", "2by2",
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv", [
+    ["image", "--dataset", "{tmp}/missing.rvis"],
+    ["bench", "--dataset", "{tmp}/missing.rvis"],
+    ["report", "gp", "--trace", "{tmp}/missing.csv"],
+], ids=["image", "bench", "report"])
+def test_missing_input_exits_3(tmp_path, argv):
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    assert main(argv) == EXIT_IO
