@@ -23,10 +23,10 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics, transform, visdata
-from .comms import ReduceStrategy, Topology, reduce_slabs
-from .gridder import KernelSpec, grid_all, kernel_value
+from .comms import MessageLog, ReduceStrategy, Topology, reduce_slabs
+from .gridder import KernelSpec, kernel_value
 from .mesh import ComplexGrid, GridSpec, partition_1d, slab_of
-from .pipeline import peak_pixel, run_pipeline
+from .pipeline import grid_sectors, peak_pixel, reduce_sectors, run_pipeline
 
 __all__ = [
     "BenchPlan",
@@ -74,11 +74,11 @@ PHASE_COLUMNS = [f"{p}_s" for p in metrics.PHASES] + ["total_s"]
 OPS_COLUMNS = ["records", "grid_updates", "exchange_bytes", "reduce_bytes",
                "fft_bytes", "reduce_messages", "stack_pixels"]
 RAW_COLUMNS = (
-    ["config", "label", "topology", "threads", "strategy", "deterministic",
-     "freq_level", "repeat", "status", "failure_reason", "image_sha256"]
+    ["config", "label", "topology", "strategy", "freq_level", "repeat",
+     "status", "failure_reason", "image_sha256"]
     + PHASE_COLUMNS + ["total_j"] + OPS_COLUMNS
 )
-# Columns that legitimately differ between identical deterministic runs:
+# Columns that legitimately differ between identical runs:
 # wall-clock measurements and anything derived from them.
 TIMING_COLUMNS = PHASE_COLUMNS + ["total_j"]
 
@@ -94,7 +94,7 @@ class PlanResult:
 
 
 def _cell_label(topo: Topology, strategy: ReduceStrategy, freq: str) -> str:
-    return f"{topo.label()}t{topo.threads_per_rank}_{strategy.kind}_{freq}"
+    return f"{topo.label()}_{strategy.kind}_{freq}"
 
 
 def run_plan(plan: BenchPlan) -> PlanResult:
@@ -116,9 +116,7 @@ def run_plan(plan: BenchPlan) -> PlanResult:
         for rep in range(plan.repeats):
             base = {
                 "config": ci, "label": label, "topology": topo.label(),
-                "threads": topo.threads_per_rank, "strategy": strategy.kind,
-                "deterministic": int(strategy.deterministic),
-                "freq_level": freq, "repeat": rep,
+                "strategy": strategy.kind, "freq_level": freq, "repeat": rep,
             }
             try:
                 res = run_pipeline(
@@ -328,7 +326,9 @@ def verify_pipeline(scale: str = "small", force_fail: bool = False) -> VerifyRep
     def run_grid(n_ranks):
         topo = Topology(n_nodes=1, ranks_per_node=n_ranks)
         parts = visdata.partition_time_ordered(chunk, n_ranks)
-        slabs, _ = grid_all(parts, spec, kern, topo)
+        log = MessageLog()
+        slabs, _ = grid_sectors(parts, spec, kern, topo, log)
+        slabs = reduce_sectors(slabs, topo, ReduceStrategy(), log)
         return np.concatenate([s.data for s in slabs], axis=1)
 
     g1 = run_grid(1)
@@ -413,12 +413,11 @@ def verify_pipeline(scale: str = "small", force_fail: bool = False) -> VerifyRep
         partials.append(ComplexGrid(rspec, slab, data))
     outs = {}
     for kind in ("direct", "hybrid_ring", "ring_rdma_like"):
-        red, _ = reduce_slabs(ReduceStrategy(kind, deterministic=True),
-                              partials, 1, topo)
+        red, _ = reduce_slabs(ReduceStrategy(kind), partials, 1, topo)
         outs[kind] = red.data
     same = (outs["direct"].tobytes() == outs["hybrid_ring"].tobytes()
             == outs["ring_rdma_like"].tobytes())
-    checks.append(CheckResult("reduce strategies agree (deterministic)",
+    checks.append(CheckResult("reduce strategies agree",
                               "bit-identical", "identical" if same else "differ", same))
     conservation = abs(outs["direct"].sum() - sum(p.data.sum() for p in partials))
     conservation /= max(abs(outs["direct"].sum()), 1.0)

@@ -4,6 +4,11 @@ Configuration is a flat key-value file (one ``key = value`` per line,
 ``#`` comments); command-line flags override file values and unknown keys
 are rejected. Exit codes: 0 success, 1 verification or acceptance
 failure, 2 usage/config error, 3 I/O error.
+
+The virtual topology (``--topo NODESxRANKS`` for ``image``, ``--topos``
+for ``bench``) is the only parallelism: each rank grids its sector on one
+thread, and every reduce strategy delivers the rank-ordered sum, so the
+image is bit-identical for any topology and strategy.
 """
 
 from __future__ import annotations
@@ -11,8 +16,6 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import bench, metrics, visdata
 from .comms import REDUCE_KINDS, ReduceStrategy, Topology
@@ -34,17 +37,6 @@ class ConfigError(Exception):
     pass
 
 
-def _bool(text):
-    if isinstance(text, bool):
-        return text
-    t = str(text).strip().lower()
-    if t in ("1", "true", "yes", "on"):
-        return True
-    if t in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 # key -> (converter, default, help)
 CONFIG_SCHEMA = {
     "grid.n_u": (int, 256, "mesh cells along u"),
@@ -55,10 +47,8 @@ CONFIG_SCHEMA = {
     "kernel.half_support": (int, 3, "kernel half support in cells"),
     "kernel.shape_param": (float, 0.0, "sigma (gaussian) or beta (kaiser_bessel); 0 = default"),
     "topo.n_nodes": (int, 1, "virtual nodes"),
-    "topo.ranks_per_node": (int, 1, "ranks per virtual node"),
-    "topo.threads_per_rank": (int, 1, "gridding threads inside each rank"),
+    "topo.ranks_per_node": (int, 1, "ranks per virtual node, one gridding thread each"),
     "reduce.kind": (str, "direct", f"reduction strategy, one of {REDUCE_KINDS}"),
-    "reduce.deterministic": (_bool, True, "fixed summation order (bit-reproducible)"),
     "meter.kind": (str, "none", "none | trace_injection | synthetic_model | platform_counters"),
     "meter.trace_path": (str, "", "trace CSV for trace_injection"),
     "meter.trace_label": (str, "", "trace label for trace_injection"),
@@ -136,10 +126,10 @@ def resolve_config(config_path=None, overrides: dict | None = None) -> dict:
     return cfg
 
 
-def _parse_topology(text, threads=1) -> Topology:
+def _parse_topology(text) -> Topology:
     try:
         nodes, ranks = text.lower().split("x")
-        return Topology(int(nodes), int(ranks), threads)
+        return Topology(int(nodes), int(ranks))
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad topology {text!r}, expected NODESxRANKS") from exc
 
@@ -206,8 +196,7 @@ def cmd_image(args) -> int:
         "grid.n_u": args.n_u, "grid.n_v": args.n_v, "grid.n_w": args.n_w,
         "grid.cell_size_lm": args.cell, "kernel.kind": args.kernel,
         "kernel.half_support": args.half_support, "kernel.shape_param": args.shape_param,
-        "reduce.kind": args.strategy, "reduce.deterministic": args.deterministic,
-        "topo.threads_per_rank": args.threads, "run.freq_level": args.freq,
+        "reduce.kind": args.strategy, "run.freq_level": args.freq,
         "run.label": args.label, "run.seed": args.seed,
         "meter.kind": args.meter, "meter.trace_path": args.trace,
         "meter.trace_label": args.trace_label,
@@ -217,9 +206,8 @@ def cmd_image(args) -> int:
         print(f"dataset not found: {dataset}", file=sys.stderr)
         return EXIT_IO
     topo = _parse_topology(args.topo or
-                           f"{cfg['topo.n_nodes']}x{cfg['topo.ranks_per_node']}",
-                           threads=cfg["topo.threads_per_rank"])
-    strategy = ReduceStrategy(cfg["reduce.kind"], cfg["reduce.deterministic"])
+                           f"{cfg['topo.n_nodes']}x{cfg['topo.ranks_per_node']}")
+    strategy = ReduceStrategy(cfg["reduce.kind"])
     res = run_pipeline(
         dataset, cfg["grid.n_u"], cfg["grid.n_v"], cfg["grid.n_w"],
         cfg["grid.cell_size_lm"], kernel=_kernel_from(cfg), topo=topo,
@@ -254,14 +242,11 @@ def cmd_bench(args) -> int:
         "bench.repeats": args.repeats, "bench.output_dir": args.out_dir,
         "bench.topologies": args.topos, "bench.strategies": args.strategies,
         "bench.freq_levels": args.freqs,
-        "reduce.deterministic": args.deterministic,
-        "topo.threads_per_rank": args.threads,
         "meter.kind": args.meter, "run.seed": args.seed,
         "gen.records": args.records, "gen.sources": args.sources,
     })
-    topologies = [_parse_topology(t, cfg["topo.threads_per_rank"])
-                  for t in cfg["bench.topologies"].split(",") if t.strip()]
-    strategies = [ReduceStrategy(s.strip(), cfg["reduce.deterministic"])
+    topologies = [_parse_topology(t) for t in cfg["bench.topologies"].split(",") if t.strip()]
+    strategies = [ReduceStrategy(s.strip())
                   for s in cfg["bench.strategies"].split(",") if s.strip()]
     freqs = [f.strip() for f in cfg["bench.freq_levels"].split(",") if f.strip()]
     synthetic = None
@@ -417,10 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     image.add_argument("--half-support", type=int, dest="half_support")
     image.add_argument("--shape-param", type=float, dest="shape_param")
     image.add_argument("--topo", help="NODESxRANKS, e.g. 2x2")
-    image.add_argument("--threads", type=int)
     image.add_argument("--strategy", choices=REDUCE_KINDS)
-    image.add_argument("--deterministic", action=argparse.BooleanOptionalAction,
-                       default=None)
     image.add_argument("--freq", choices=FREQ_LEVELS)
     image.add_argument("--label")
     image.add_argument("--seed", type=int)
@@ -443,10 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench_p.add_argument("--topos", help="comma list, e.g. 1x1,2x2")
     bench_p.add_argument("--strategies", help="comma list of reduce kinds")
     bench_p.add_argument("--freqs", help="comma list of frequency levels")
-    bench_p.add_argument("--threads", type=int)
     bench_p.add_argument("--repeats", type=int)
-    bench_p.add_argument("--deterministic", action=argparse.BooleanOptionalAction,
-                         default=None)
     bench_p.add_argument("--meter")
     bench_p.add_argument("--out-dir", dest="out_dir")
     bench_p.add_argument("--config")

@@ -17,11 +17,9 @@ are provided:
     their segments directly to peer ranks on other nodes, bypassing the
     node masters; only the message pattern differs from ``hybrid_ring``.
 
-With ``deterministic=True`` every strategy returns the canonical
-rank-ordered sum of the partials (rank 0, 1, ..., R-1), so results are
-bit-identical across strategies; the strategy's message choreography still
-runs and is logged. Without it, the delivered values come from the actual
-accumulation order of the message flow.
+Every strategy runs and logs its message choreography, then delivers the
+canonical sum of the partials in rank order 0, 1, ..., R-1, so all
+strategies return bit-identical data.
 """
 
 from __future__ import annotations
@@ -35,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .gridder import SectorBatch
 from .mesh import ComplexGrid, GridSpec, slab_of
 
 __all__ = [
@@ -68,14 +67,13 @@ PREPARED_RECORD_BYTES = 48
 
 @dataclass(frozen=True)
 class Topology:
-    """Virtual layout: n_nodes x ranks_per_node workers, threads inside each."""
+    """Virtual layout: n_nodes x ranks_per_node single-threaded workers."""
 
     n_nodes: int
     ranks_per_node: int
-    threads_per_rank: int = 1
 
     def __post_init__(self):
-        if self.n_nodes < 1 or self.ranks_per_node < 1 or self.threads_per_rank < 1:
+        if self.n_nodes < 1 or self.ranks_per_node < 1:
             raise ValueError("topology counts must all be >= 1")
 
     @property
@@ -102,7 +100,6 @@ class Topology:
 @dataclass(frozen=True)
 class ReduceStrategy:
     kind: str = "direct"
-    deterministic: bool = True
 
     def __post_init__(self):
         if self.kind not in REDUCE_KINDS:
@@ -389,10 +386,10 @@ def reduce_slabs(strategy: ReduceStrategy, partials, target: int, topo: Topology
     """Sum per-rank partial slabs onto the target rank.
 
     All partials must share the grid spec and slab range. The message
-    choreography of the chosen strategy always runs (and is logged); in
-    deterministic mode the delivered values are the canonical sum over
-    partials in rank order 0..R-1, so every strategy returns bit-identical
-    data. Returns ``(reduced ComplexGrid, MessageLog)``.
+    choreography of the chosen strategy runs (and is logged); the
+    delivered values are the canonical sum over partials in rank order
+    0..R-1, so every strategy returns bit-identical data. Returns
+    ``(reduced ComplexGrid, MessageLog)``.
     """
     R = topo.n_ranks
     if len(partials) != R:
@@ -407,25 +404,21 @@ def reduce_slabs(strategy: ReduceStrategy, partials, target: int, topo: Topology
     log = log if log is not None else MessageLog()
     flats = [p.data.reshape(-1) for p in partials]
 
-    results = run_ranks(
+    run_ranks(
         topo,
         lambda ctx: _reduce_collective(ctx, strategy, flats[ctx.rank], target, phase),
         log=log,
     )
-    reduced = results[target]
-    if strategy.deterministic:
-        reduced = flats[0].astype(np.complex128, copy=True)
-        for r in range(1, R):
-            reduced = reduced + flats[r]
+    reduced = flats[0].copy()
+    for flat in flats[1:]:
+        reduced += flat
     out = ComplexGrid(spec, slab, reduced.reshape(partials[0].data.shape))
     return out, log
 
 
-def hybrid_reduce(partials, target: int, topo: Topology,
-                  log: MessageLog | None = None, deterministic: bool = True):
+def hybrid_reduce(partials, target: int, topo: Topology, log: MessageLog | None = None):
     """Intra-node ring reduce plus inter-node master chain (see module docs)."""
-    strategy = ReduceStrategy("hybrid_ring", deterministic=deterministic)
-    return reduce_slabs(strategy, partials, target, topo, log=log)
+    return reduce_slabs(ReduceStrategy("hybrid_ring"), partials, target, topo, log=log)
 
 
 # ---------------------------------------------------------------------------
@@ -467,11 +460,10 @@ def exchange_to_space_order(per_rank_records, spec: GridSpec, topo: Topology,
     copy also goes to any neighbouring rank whose slab lies within
     ``halo_rows`` of gv, so each rank can grid its sector without further
     communication. Each rank sends exactly one (possibly empty) message to
-    every other rank. Records arrive sorted by (time_index, global index).
-    Returns one :class:`~wstack.gridder.SectorBatch` per rank.
+    every other rank. Records arrive sorted by (time_index, global index):
+    the gridder sums in that order, which no rank count changes. Returns
+    one :class:`~wstack.gridder.SectorBatch` per rank.
     """
-    from .gridder import SectorBatch
-
     R = topo.n_ranks
     if len(per_rank_records) != R:
         raise ValueError(f"expected {R} record partitions, got {len(per_rank_records)}")
@@ -500,14 +492,10 @@ def exchange_to_space_order(per_rank_records, spec: GridSpec, topo: Topology,
         allp = np.concatenate(parts)
         order = np.lexsort((allp["gindex"], allp["time_index"]))
         allp = allp[order]
-        sl = slabs[r]
-        rows = np.floor(allp["gv"]).astype(np.int64)
         return SectorBatch(
-            slab=sl,
+            slab=slabs[r],
             gu=allp["gu"].copy(), gv=allp["gv"].copy(),
             plane=allp["plane"].copy(), value=allp["value"].copy(),
-            time_index=allp["time_index"].copy(), gindex=allp["gindex"].copy(),
-            is_halo=~((rows >= sl.v_start) & (rows < sl.v_end)),
             halo_rows=halo_rows,
         )
 

@@ -17,20 +17,7 @@ For each plane and each u offset ``a`` in -S..S, the block's
 contributions are summed per cell by an ordered ``np.bincount`` in record
 order, and the block sum is added to the cell; blocks are added in order
 of ``a``. So the sum at every cell has one fixed order, set by the
-global record order alone.
-
-Two accumulation modes:
-
-deterministic
-    threads own disjoint row blocks of the slab and each scans all
-    records. A cell's contributing records, and their order, do not
-    depend on which rank or thread owns its row, so the grid is
-    bit-identical for any rank or thread count.
-concurrent
-    threads own record blocks, each grids its block into a private slab,
-    and the private slabs are added into the shared one under a lock in
-    scheduling order; the result differs from the deterministic one by
-    reassociation only (~1e-15 relative).
+global record order alone: the grid is bit-identical for any rank count.
 
 The grid is not bit-identical to a scatter-add that keeps one running
 sum per cell in record order, which associates the sums differently; the
@@ -41,13 +28,11 @@ factored weight is the same float as ``kernel_value(du, dv)``.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .comms import MessageLog, ReduceStrategy, Topology, exchange_to_space_order, reduce_slabs
-from .mesh import ComplexGrid, GridSpec, SlabRange, partition_1d, slab_of
+from .mesh import ComplexGrid, SlabRange
 
 __all__ = [
     "KERNEL_KINDS",
@@ -56,14 +41,13 @@ __all__ = [
     "kernel_value",
     "kernel_footprint_sum",
     "grid_sector",
-    "grid_all",
 ]
 
 KERNEL_KINDS = ("gaussian", "kaiser_bessel")
 
 DEFAULT_KB_BETA_PER_SUPPORT = 2.34
 
-# Records per kernel evaluation in ``_accumulate``.
+# Records per kernel evaluation in ``grid_sector``.
 KERNEL_BLOCK = 16384
 
 
@@ -136,10 +120,10 @@ def kernel_footprint_sum(kern: KernelSpec, gu: float, gv: float) -> float:
 
 @dataclass
 class SectorBatch:
-    """Records prepared for one sector, in (time_index, gindex) order.
+    """Records prepared for one sector, in (time_index, global index) order.
 
-    ``is_halo`` marks duplicated boundary records whose owning row lies in
-    a neighbouring slab; they contribute only the rows this slab owns.
+    Records within ``halo_rows`` of the slab but owned by a neighbouring
+    slab are included; they contribute only the rows this slab owns.
     """
 
     slab: SlabRange
@@ -147,9 +131,6 @@ class SectorBatch:
     gv: np.ndarray
     plane: np.ndarray
     value: np.ndarray
-    time_index: np.ndarray
-    gindex: np.ndarray
-    is_halo: np.ndarray = None
     halo_rows: int = 0
 
     def __post_init__(self):
@@ -157,14 +138,8 @@ class SectorBatch:
         self.gv = np.ascontiguousarray(self.gv, dtype=np.float64)
         self.plane = np.ascontiguousarray(self.plane, dtype=np.uint32)
         self.value = np.ascontiguousarray(self.value, dtype=np.complex128)
-        self.time_index = np.ascontiguousarray(self.time_index, dtype=np.uint32)
-        self.gindex = np.ascontiguousarray(self.gindex, dtype=np.uint64)
-        if self.is_halo is None:
-            rows = np.floor(self.gv).astype(np.int64)
-            self.is_halo = ~((rows >= self.slab.v_start) & (rows < self.slab.v_end))
-        self.is_halo = np.ascontiguousarray(self.is_halo, dtype=bool)
         n = len(self.gu)
-        for arr in (self.gv, self.plane, self.value, self.time_index, self.gindex, self.is_halo):
+        for arr in (self.gv, self.plane, self.value):
             if len(arr) != n:
                 raise ValueError("batch columns must share one length")
         rows = np.floor(self.gv).astype(np.int64)
@@ -177,14 +152,19 @@ class SectorBatch:
         return len(self.gu)
 
 
-def _accumulate(kern, spec, gu, gv, plane, value, out, v_offset, row_lo, row_hi):
-    """Add the contributions to rows [row_lo, row_hi) into ``out``, whose
-    row 0 is mesh row ``v_offset``, in the order the module docstring
-    states; returns the number of cell updates. ``out`` must be
-    C-contiguous, since each plane is updated through a flat view."""
+def grid_sector(batch: SectorBatch, kern: KernelSpec, out: ComplexGrid) -> int:
+    """Accumulate one sector's records into the rows its slab owns, in the
+    order the module docstring states; returns the number of cell updates
+    performed (a deterministic work surrogate)."""
+    slab = out.slab
+    if (slab.v_start, slab.v_count) != (batch.slab.v_start, batch.slab.v_count):
+        raise ValueError("batch and output slab ranges differ")
+    gu, gv, plane, value = batch.gu, batch.gv, batch.plane, batch.value
     S = kern.half_support
+    if np.any(gv + S < slab.v_start) or np.any(gv - S > slab.v_end - 1):
+        raise ValueError("record outside slab+halo")
     offsets = np.arange(-S, S + 1)
-    n_u = spec.n_u
+    n_u = out.spec.n_u
     count = 0
     for p in np.unique(plane):
         sel = np.flatnonzero(plane == p)
@@ -193,7 +173,7 @@ def _accumulate(kern, spec, gu, gv, plane, value, out, v_offset, row_lo, row_hi)
         i = flo_u[:, None] + offsets
         j = flo_v[:, None] + offsets
         ok_u = (i >= 0) & (i < n_u)
-        ok_v = (j >= row_lo) & (j < row_hi)
+        ok_v = (j >= slab.v_start) & (j < slab.v_end)
         wu, wv = np.empty(i.shape), np.empty(j.shape)
         # Weights depend on each record alone, so they are evaluated in
         # blocks of records to bound the kernel's temporaries.
@@ -206,10 +186,11 @@ def _accumulate(kern, spec, gu, gv, plane, value, out, v_offset, row_lo, row_hi)
             # Both kernels factor: k(du, dv) = k(du, 0) * k(0, dv), k(0, 0) = 1.
             wu[rows] = kernel_value(kern, du, 0.0)
             wv[rows] = kernel_value(kern, dv, 0.0)
-        row_base = (j - v_offset) * n_u
+        row_base = (j - slab.v_start) * n_u
         del i, j
         re, im = value.real[sel, None], value.imag[sel, None]
-        flat = out[p].reshape(-1)
+        # ComplexGrid data is C-contiguous, so this is a view.
+        flat = out.data[p].reshape(-1)
         for a in range(len(offsets)):
             if not ok_u[:, a].any():
                 continue
@@ -226,100 +207,3 @@ def _accumulate(kern, spec, gu, gv, plane, value, out, v_offset, row_lo, row_hi)
                     cells, np.broadcast_to(vals, ok.shape)[ok] * w, n_cells)
             count += len(cells)
     return count
-
-
-def grid_sector(batch: SectorBatch, kern: KernelSpec, out: ComplexGrid,
-                threads: int = 1, deterministic: bool = True) -> int:
-    """Accumulate one sector's records into its slab; returns the number of
-    cell updates performed (a deterministic work surrogate)."""
-    slab = out.slab
-    if (slab.v_start, slab.v_count) != (batch.slab.v_start, batch.slab.v_count):
-        raise ValueError("batch and output slab ranges differ")
-    spec = out.spec
-    n = len(batch)
-    if n == 0:
-        return 0
-    S = kern.half_support
-    if np.any(batch.gv + S < slab.v_start) or np.any(batch.gv - S > slab.v_end - 1):
-        raise ValueError("record outside slab+halo")
-    threads = max(1, min(threads, n))
-
-    if threads == 1:
-        return _accumulate(kern, spec, batch.gu, batch.gv, batch.plane, batch.value,
-                           out.data, slab.v_start, slab.v_start, slab.v_end)
-
-    counts = [0] * threads
-    if deterministic:
-        # Row-partitioned: each thread owns a disjoint row block and scans
-        # every record, so per-cell order never depends on thread count.
-        blocks = [partition_1d(slab.v_count, threads, t) for t in range(threads)]
-
-        def work(t):
-            b0, bc = blocks[t]
-            if bc == 0:
-                return
-            lo = slab.v_start + b0
-            block = out.data[:, b0:b0 + bc, :].copy()
-            counts[t] = _accumulate(kern, spec, batch.gu, batch.gv, batch.plane,
-                                    batch.value, block, lo, lo, lo + bc)
-            out.data[:, b0:b0 + bc, :] = block
-    else:
-        # Record-partitioned: each thread grids its record block into a
-        # private slab and adds it to the shared one under a lock, so the
-        # order of the adds depends on scheduling.
-        lock = threading.Lock()
-        parts = [partition_1d(n, threads, t) for t in range(threads)]
-
-        def work(t):
-            r0, rc = parts[t]
-            if rc == 0:
-                return
-            sel = slice(r0, r0 + rc)
-            block = np.zeros_like(out.data)
-            counts[t] = _accumulate(kern, spec, batch.gu[sel], batch.gv[sel],
-                                    batch.plane[sel], batch.value[sel], block,
-                                    slab.v_start, slab.v_start, slab.v_end)
-            with lock:
-                out.data += block
-
-    workers = [threading.Thread(target=work, args=(t,)) for t in range(threads)]
-    for w in workers:
-        w.start()
-    for w in workers:
-        w.join()
-    return sum(counts)
-
-
-def grid_all(per_rank_records, spec: GridSpec, kern: KernelSpec, topo: Topology,
-             strategy: ReduceStrategy | None = None, log: MessageLog | None = None):
-    """Full gridding workflow: redistribute records to sector owners, grid
-    each sector locally, then run the per-sector reduce collective.
-
-    The result is independent of the topology: identical bit-for-bit in
-    deterministic mode, within ~1e-15 relative otherwise. Returns
-    ``(one reduced ComplexGrid slab per rank, MessageLog)``.
-    """
-    strategy = strategy or ReduceStrategy()
-    log = log if log is not None else MessageLog()
-    R = topo.n_ranks
-    batches = exchange_to_space_order(per_rank_records, spec, topo,
-                                      halo_rows=kern.half_support, log=log)
-
-    from .comms import run_ranks
-
-    def fn(ctx):
-        out = ComplexGrid(spec, slab_of(spec, ctx.rank, R))
-        grid_sector(batches[ctx.rank], kern, out,
-                    threads=topo.threads_per_rank,
-                    deterministic=strategy.deterministic)
-        return out
-
-    slabs = run_ranks(topo, fn, log=log)
-
-    reduced = []
-    for t in range(R):
-        partials = [slabs[t] if r == t else ComplexGrid(spec, slabs[t].slab)
-                    for r in range(R)]
-        red, _ = reduce_slabs(strategy, partials, t, topo, log=log)
-        reduced.append(red)
-    return reduced, log

@@ -16,13 +16,14 @@ from pathlib import Path
 
 import numpy as np
 
-from . import metrics, transform, visdata
+from . import comms, metrics, transform, visdata
 from .comms import MessageLog, ReduceStrategy, Topology, run_ranks
 from .gridder import KernelSpec, grid_sector
-from .mesh import ComplexGrid, GridSpec, slab_of
+from .mesh import ComplexGrid, GridSpec, partition_1d, slab_of
 from .transform import FinalImage, ImagePlane
 
-__all__ = ["PipelineResult", "run_pipeline", "peak_pixel"]
+__all__ = ["PipelineResult", "run_pipeline", "grid_sectors", "reduce_sectors",
+           "peak_pixel"]
 
 
 @dataclass
@@ -50,12 +51,42 @@ def _partition_for_ranks(chunk, n_ranks: int):
     n_slices = len(np.unique(chunk.time_index))
     if n_ranks <= n_slices:
         return visdata.partition_time_ordered(chunk, n_ranks)
-    from .mesh import partition_1d
     parts = []
     for r in range(n_ranks):
         lo, count = partition_1d(len(chunk), n_ranks, r)
         parts.append(chunk.rows(slice(lo, lo + count)))
     return parts
+
+
+def grid_sectors(parts, spec: GridSpec, kernel: KernelSpec, topo: Topology,
+                 log: MessageLog):
+    """Move each rank's records to their sector owners, then grid every
+    sector on its rank. Returns ``(one ComplexGrid slab per rank, total
+    cell updates)``."""
+    R = topo.n_ranks
+    batches = comms.exchange_to_space_order(parts, spec, topo,
+                                            halo_rows=kernel.half_support, log=log)
+    updates = [0] * R
+
+    def grid_fn(ctx):
+        out = ComplexGrid(spec, slab_of(spec, ctx.rank, R))
+        updates[ctx.rank] = grid_sector(batches[ctx.rank], kernel, out)
+        return out
+
+    slabs = run_ranks(topo, grid_fn, log=log)
+    return slabs, sum(updates)
+
+
+def reduce_sectors(slabs, topo: Topology, strategy: ReduceStrategy, log: MessageLog):
+    """Per-sector reduce onto each slab's owner: every other rank
+    contributes a zero partial of that slab. Returns the reduced slabs."""
+    reduced = []
+    for target, own in enumerate(slabs):
+        partials = [own if r == target else ComplexGrid(own.spec, own.slab)
+                    for r in range(topo.n_ranks)]
+        red, _ = comms.reduce_slabs(strategy, partials, target, topo, log=log)
+        reduced.append(red)
+    return reduced
 
 
 def run_pipeline(
@@ -76,7 +107,6 @@ def run_pipeline(
 ) -> PipelineResult:
     strategy = strategy or ReduceStrategy()
     log = MessageLog()
-    R = topo.n_ranks
     if meter is not None and hasattr(meter, "start"):
         meter.start()
     t_begin = time.perf_counter()
@@ -90,37 +120,17 @@ def run_pipeline(
         n_u=n_u, n_v=n_v, n_w=n_w, cell_size_lm=cell_size_lm,
         w_min_native=header.w_min_native, w_max_native=header.w_max_native,
     )
-    parts = _partition_for_ranks(chunk, R)
+    parts = _partition_for_ranks(chunk, topo.n_ranks)
     times["read"] = time.perf_counter() - t0
 
     # 2. gridding: records move to their sector owners, sectors convolve
     t0 = time.perf_counter()
-    from .comms import exchange_to_space_order
-
-    batches = exchange_to_space_order(parts, spec, topo,
-                                      halo_rows=kernel.half_support, log=log)
-    grid_updates = [0] * R
-
-    def grid_fn(ctx):
-        out = ComplexGrid(spec, slab_of(spec, ctx.rank, R))
-        grid_updates[ctx.rank] = grid_sector(
-            batches[ctx.rank], kernel, out,
-            threads=topo.threads_per_rank, deterministic=strategy.deterministic)
-        return out
-
-    slabs = run_ranks(topo, grid_fn, log=log)
+    slabs, grid_updates = grid_sectors(parts, spec, kernel, topo, log)
     times["gridding"] = time.perf_counter() - t0
 
     # 3. reduce: per-sector collective summation onto the owner
     t0 = time.perf_counter()
-    from .comms import reduce_slabs
-
-    reduced = []
-    for target in range(R):
-        partials = [slabs[target] if r == target else ComplexGrid(spec, slabs[target].slab)
-                    for r in range(R)]
-        red, _ = reduce_slabs(strategy, partials, target, topo, log=log)
-        reduced.append(red)
+    reduced = reduce_sectors(slabs, topo, strategy, log)
     times["reduce"] = time.perf_counter() - t0
 
     # 4. fft: shift sign (in place, every plane of a slab at once), then
@@ -159,9 +169,8 @@ def run_pipeline(
             "dataset": str(dataset_path),
             "kernel": {"kind": kernel.kind, "half_support": kernel.half_support,
                        "shape_param": kernel.shape_param},
-            "topology": {"n_nodes": topo.n_nodes, "ranks_per_node": topo.ranks_per_node,
-                         "threads_per_rank": topo.threads_per_rank},
-            "strategy": {"kind": strategy.kind, "deterministic": strategy.deterministic},
+            "topology": {"n_nodes": topo.n_nodes, "ranks_per_node": topo.ranks_per_node},
+            "strategy": {"kind": strategy.kind},
             "seed": seed,
         }
         paths = transform.write_image(image, out_dir / "image", provenance, pgm=pgm)
@@ -178,7 +187,7 @@ def run_pipeline(
 
     ops = {
         "records": len(chunk),
-        "grid_updates": int(sum(grid_updates)),
+        "grid_updates": int(grid_updates),
         "exchange_bytes": log.total_bytes(phase="exchange"),
         "reduce_bytes": log.total_bytes(phase="reduce"),
         "fft_bytes": log.total_bytes(phase="fft"),

@@ -38,3 +38,27 @@ def test_malformed_topology_exits_2(tmp_path):
 def test_missing_input_exits_3(tmp_path, argv):
     argv = [a.format(tmp=tmp_path) for a in argv]
     assert main(argv) == EXIT_IO
+
+
+@pytest.mark.parametrize("line", ["topo.threads_per_rank = 2", "reduce.deterministic = false"])
+def test_threads_and_deterministic_config_keys_exit_2(tmp_path, capsys, line):
+    dataset = tmp_path / "d.rvis"
+    dataset.write_bytes(b"")
+    config = tmp_path / "run.cfg"
+    config.write_text(line + "\n")
+    code = main(["image", "--dataset", str(dataset), "--config", str(config),
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == EXIT_USAGE
+    assert "unknown key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["image", "--dataset", "d.rvis", "--threads", "2"],
+    ["image", "--dataset", "d.rvis", "--deterministic"],
+    ["bench", "--threads", "2"],
+    ["bench", "--deterministic"],
+], ids=["image-threads", "image-deterministic", "bench-threads", "bench-deterministic"])
+def test_threads_and_deterministic_flags_exit_2(argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == EXIT_USAGE

@@ -1,8 +1,14 @@
+import math
 import time
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from wstack.comms import Router, Topology, run_ranks
+from wstack import visdata
+from wstack.comms import (REDUCE_KINDS, MessageLog, ReduceStrategy, Router, Topology,
+                          exchange_to_space_order, reduce_slabs, run_ranks)
+from wstack.mesh import ComplexGrid, GridSpec, slab_of
 
 
 def test_failing_rank_stops_waiting_peers_at_once():
@@ -30,3 +36,96 @@ def test_recv_still_times_out():
     router = Router(Topology(1, 2))
     with pytest.raises(RuntimeError, match="timed out"):
         router.recv(0, 1, ("never",), timeout=0.1)
+
+
+# ---------------------------------------------------------------------------
+# reduce message accounting
+# ---------------------------------------------------------------------------
+
+def expected_reduce_traffic(kind, topo, target, length):
+    """``{intra_node: (messages, bytes)}`` of one ``reduce_slabs`` call on
+    complex partials of ``length`` elements, as ``_reduce_collective``
+    sends them. The rings cut the slab into P segments of ceil(L / P)."""
+    N, P, R = topo.n_nodes, topo.ranks_per_node, topo.n_ranks
+    full = 16 * length
+    seg = 16 * math.ceil(length / P)
+    if kind == "direct":
+        # every other rank sends its whole partial to the target
+        return {True: (P - 1, (P - 1) * full), False: (R - P, (R - P) * full)}
+    ring = N * P * (P - 1)  # reduce-scatter: P - 1 steps per rank, every node
+    if kind == "hybrid_ring":
+        gather = N * (P - 1)  # segments to each node master
+        deliver = int(topo.intra_index(target) != 0)  # target's master to target
+        # masters chain the whole node sum across the N nodes
+        return {True: (ring + gather + deliver, (ring + gather) * seg + deliver * full),
+                False: (N - 1, (N - 1) * full)}
+    # ring_rdma_like: each segment owner chains its segment across the nodes,
+    # and the target node's owners deliver theirs to the target
+    return {True: (ring + P - 1, (ring + P - 1) * seg),
+            False: (P * (N - 1), P * (N - 1) * seg)}
+
+
+@pytest.mark.parametrize("kind", REDUCE_KINDS)
+@pytest.mark.parametrize("nodes,ranks", [(1, 1), (1, 2), (2, 1), (2, 2), (4, 2), (1, 3)])
+def test_reduce_message_counts_and_bytes_match_closed_form(kind, nodes, ranks):
+    topo = Topology(nodes, ranks)
+    # 2 planes x 4 rows x 4 columns: 32 elements, not a multiple of 3
+    spec = GridSpec(n_u=4, n_v=8, n_w=2, cell_size_lm=1e-3)
+    slab = slab_of(spec, 0, 2)
+    length = spec.n_w * slab.v_count * spec.n_u
+    rng = np.random.default_rng(nodes * 10 + ranks)
+    partials = [ComplexGrid(spec, slab, rng.standard_normal((2, 4, 4))
+                            + 1j * rng.standard_normal((2, 4, 4)))
+                for _ in range(topo.n_ranks)]
+    canonical = partials[0].data.copy()
+    for p in partials[1:]:
+        canonical += p.data
+    for target in range(topo.n_ranks):
+        log = MessageLog()
+        red, _ = reduce_slabs(ReduceStrategy(kind), partials, target, topo, log=log)
+        assert red.data.tobytes() == canonical.tobytes()
+        got = {intra: (log.count("reduce", intra), log.total_bytes("reduce", intra))
+               for intra in (True, False)}
+        assert got == expected_reduce_traffic(kind, topo, target, length), target
+
+
+# ---------------------------------------------------------------------------
+# exchange ownership
+# ---------------------------------------------------------------------------
+
+# v on and next to slab boundaries as well as anywhere in [0, 1)
+V_VALUES = st.one_of(st.floats(0.0, 1.0, exclude_max=True),
+                     st.integers(0, 63).map(lambda k: k / 64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(records=st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True), V_VALUES,
+                                  st.integers(0, 7)), max_size=60),
+       n_ranks=st.integers(1, 4), half_support=st.integers(1, 4))
+def test_exchange_owns_each_record_once_and_copies_only_within_halo(
+        records, n_ranks, half_support):
+    spec = GridSpec(n_u=16, n_v=16, n_w=1, cell_size_lm=1e-3)
+    n = len(records)
+    u, v, t = (np.array([r[k] for r in records], dtype=float) for k in range(3))
+    # The visibility carries the record's global index, to find it again.
+    chunk = visdata.VisChunk(u=u, v=v, w=np.zeros(n), time_index=t,
+                             vis=np.arange(n).reshape(n, 1), weight=np.ones((n, 1)))
+    cuts = np.linspace(0, n, n_ranks + 1).astype(int)
+    parts = [chunk.rows(slice(cuts[r], cuts[r + 1])) for r in range(n_ranks)]
+    batches = exchange_to_space_order(parts, spec, Topology(1, n_ranks), half_support)
+
+    gv = v * spec.n_v
+    owners = np.zeros(n, dtype=int)
+    for d, batch in enumerate(batches):
+        sl = slab_of(spec, d, n_ranks)
+        ids = batch.value.real.astype(int)
+        assert np.array_equal(batch.gv, gv[ids])
+        # sorted by (time index, global index)
+        keys = list(zip(t[ids], ids))
+        assert keys == sorted(keys) and len(set(ids)) == len(ids)
+        owned = (np.floor(gv[ids]) >= sl.v_start) & (np.floor(gv[ids]) < sl.v_end)
+        owners[ids[owned]] += 1
+        # a copy sits here exactly when the record is within the halo
+        near = (gv + half_support >= sl.v_start) & (gv - half_support <= sl.v_end - 1)
+        assert set(ids) == set(np.flatnonzero(near))
+    assert np.all(owners == 1)

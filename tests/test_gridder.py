@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wstack import gridder, visdata
-from wstack.comms import ReduceStrategy, Topology
-from wstack.gridder import KernelSpec, SectorBatch, grid_all, grid_sector, kernel_value
+from wstack.comms import MessageLog, ReduceStrategy, Topology
+from wstack.gridder import KernelSpec, SectorBatch, grid_sector, kernel_value
 from wstack.mesh import ComplexGrid, GridSpec, slab_of
+from wstack.pipeline import grid_sectors, reduce_sectors
 
 
 def bessel_i0_series(x, tol=1e-12):
@@ -51,11 +52,9 @@ def brute_force_grid(chunk, spec, kern):
 
 
 def batch_for(spec, slab, gu, gv, plane, value, halo=3):
-    n = len(gu)
     return SectorBatch(
         slab=slab, gu=np.asarray(gu, float), gv=np.asarray(gv, float),
         plane=np.asarray(plane, np.uint32), value=np.asarray(value, np.complex128),
-        time_index=np.zeros(n, np.uint32), gindex=np.arange(n, dtype=np.uint64),
         halo_rows=halo)
 
 
@@ -210,47 +209,14 @@ def test_matches_brute_force_with_edge_clipping_on_every_plane(kern):
     # one rank, then two ranks with a slab boundary at row 16
     for n_ranks in (1, 2):
         parts = visdata.partition_time_ordered(chunk, n_ranks)
-        slabs, _ = grid_all(parts, spec, kern, Topology(1, n_ranks))
-        assert np.max(np.abs(gather(slabs) - ref)) <= 1e-12
+        grid = grid_and_reduce(parts, spec, kern, Topology(1, n_ranks))
+        assert np.max(np.abs(grid - ref)) <= 1e-12
     batch = batch_for(spec, slab_of(spec, 0, 1), chunk.u * 32, chunk.v * 32,
                       np.clip(np.floor(chunk.w * 3 + 0.5), 0, 3),
                       (chunk.vis.astype(np.complex128) * chunk.weight).sum(axis=1))
     out = ComplexGrid(spec, slab_of(spec, 0, 1))
     assert grid_sector(batch, kern, out) == ref_updates
     assert np.max(np.abs(out.data - ref)) <= 1e-12
-
-
-def test_thread_count_independence_deterministic():
-    spec = GridSpec(n_u=32, n_v=32, n_w=2, cell_size_lm=1e-3)
-    slab = slab_of(spec, 0, 1)
-    rng = np.random.default_rng(9)
-    n = 200
-    batch = batch_for(spec, slab, rng.uniform(0, 32, n), rng.uniform(0, 32, n),
-                      rng.integers(0, 2, n),
-                      rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    kern = KernelSpec.kaiser_bessel(3)
-    outs = []
-    for threads in (1, 2, 8):
-        out = ComplexGrid(spec, slab)
-        grid_sector(batch, kern, out, threads=threads, deterministic=True)
-        outs.append(out.data.tobytes())
-    assert outs[0] == outs[1] == outs[2]
-
-
-def test_concurrent_mode_close_to_deterministic():
-    spec = GridSpec(n_u=32, n_v=32, n_w=2, cell_size_lm=1e-3)
-    slab = slab_of(spec, 0, 1)
-    rng = np.random.default_rng(10)
-    n = 300
-    batch = batch_for(spec, slab, rng.uniform(0, 32, n), rng.uniform(0, 32, n),
-                      rng.integers(0, 2, n),
-                      rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    kern = KernelSpec.gaussian(3, 1.0)
-    ref = ComplexGrid(spec, slab)
-    grid_sector(batch, kern, ref, threads=1)
-    conc = ComplexGrid(spec, slab)
-    grid_sector(batch, kern, conc, threads=4, deterministic=False)
-    assert np.max(np.abs(ref.data - conc.data)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -269,14 +235,21 @@ def gather(slabs):
     return np.concatenate([s.data for s in slabs], axis=1)
 
 
+def grid_and_reduce(parts, spec, kern, topo):
+    """Pipeline steps 2 and 3 (exchange and grid, then reduce); the full mesh."""
+    log = MessageLog()
+    slabs, _ = grid_sectors(parts, spec, kern, topo, log)
+    return gather(reduce_sectors(slabs, topo, ReduceStrategy(), log))
+
+
 def test_single_rank_equals_sequential_gridding():
     spec = GridSpec(n_u=64, n_v=64, n_w=4, cell_size_lm=1e-3,
                     w_min_native=0.0, w_max_native=12.0)
     chunk = make_dataset()
     kern = KernelSpec.gaussian(3, 1.0)
-    slabs, _ = grid_all([chunk], spec, kern, Topology(1, 1))
+    grid = grid_and_reduce([chunk], spec, kern, Topology(1, 1))
     ref, _ = brute_force_grid(chunk, spec, kern)
-    assert np.max(np.abs(gather(slabs) - ref)) <= 1e-12
+    assert np.max(np.abs(grid - ref)) <= 1e-12
 
 
 def test_rank_counts_agree_bitwise_in_deterministic_mode():
@@ -289,10 +262,7 @@ def test_rank_counts_agree_bitwise_in_deterministic_mode():
         images = {}
         for n_ranks in (1, 2, 4):
             parts = visdata.partition_time_ordered(chunk, n_ranks)
-            for threads in (1, 2):
-                slabs, _ = grid_all(parts, spec, kern,
-                                    Topology(1, n_ranks, threads_per_rank=threads))
-                images[n_ranks, threads] = gather(slabs).tobytes()
+            images[n_ranks] = grid_and_reduce(parts, spec, kern, Topology(1, n_ranks)).tobytes()
         assert len(set(images.values())) == 1, kern.kind
 
 
@@ -310,19 +280,7 @@ def test_halo_records_counted_once_across_boundary():
         vis=(rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))
              ).astype(np.complex64),
         weight=np.ones((n, 1), dtype=np.float32))
-    one, _ = grid_all([chunk], spec, kern, Topology(1, 1))
+    one = grid_and_reduce([chunk], spec, kern, Topology(1, 1))
     parts = visdata.partition_time_ordered(chunk, 2)
-    two, _ = grid_all(parts, spec, kern, Topology(1, 2))
-    assert gather(one).tobytes() == gather(two).tobytes()
-
-
-def test_concurrent_grid_all_within_tolerance():
-    spec = GridSpec(n_u=64, n_v=64, n_w=4, cell_size_lm=1e-3,
-                    w_min_native=0.0, w_max_native=12.0)
-    chunk = make_dataset()
-    kern = KernelSpec.gaussian(3, 1.0)
-    det, _ = grid_all([chunk], spec, kern, Topology(1, 1))
-    parts = visdata.partition_time_ordered(chunk, 4)
-    conc, _ = grid_all(parts, spec, kern, Topology(2, 2, threads_per_rank=2),
-                       ReduceStrategy("hybrid_ring", deterministic=False))
-    assert np.max(np.abs(gather(det) - gather(conc))) <= 1e-12
+    two = grid_and_reduce(parts, spec, kern, Topology(1, 2))
+    assert one.tobytes() == two.tobytes()
