@@ -376,6 +376,15 @@ def verify_pipeline(scale: str = "small", force_fail: bool = False) -> VerifyRep
             "gridded mass vs per-record kernel sums", "relative <= 1e-10",
             f"relative {err:.3e}", err <= 1e-10))
 
+    # Kaiser-Bessel weights (power series of I0) against numpy's I0
+    kb = KernelSpec.kaiser_bessel(half_support=3)
+    x = np.linspace(-3.0, 3.0, 6001)
+    ref = np.i0(kb.shape_param * np.sqrt(1.0 - (x / 3.0) ** 2)) / np.i0(kb.shape_param)
+    err_kb = float(np.max(np.abs(kernel_value(kb, x, 0.0) - ref) / ref))
+    checks.append(CheckResult(
+        f"Kaiser-Bessel kernel vs np.i0 (beta {kb.shape_param:g})", "relative <= 1e-14",
+        f"relative {err_kb:.3e}", err_kb <= 1e-14))
+
     # fft against the direct DFT, round trip, Parseval; each through the
     # distributed transform on one rank and on three (uneven slabs)
     def slab_fft(a, n_ranks, direction="forward"):

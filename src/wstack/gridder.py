@@ -24,11 +24,22 @@ sum per cell in record order, which associates the sums differently; the
 two agree to rounding. With the Gaussian, ``exp(-du^2/2s^2) * exp(-dv^2/2s^2)`` also
 differs from ``kernel_value(du, dv)`` by rounding; with Kaiser-Bessel the
 factored weight is the same float as ``kernel_value(du, dv)``.
+
+Kaiser-Bessel weights come from the power series of I0 in
+``t = 1 - (x/S)^2``: ``I0(beta sqrt(t)) = sum_k c_k t^k`` with ``c_0 = 1``
+and ``c_k = c_{k-1} (beta^2/4) / k^2``. Every term is positive and
+``t <= 1``, so the series is cut at the first ``c_k`` below ``2^-53``
+times the sum so far, where the dropped tail is below rounding. Horner's
+rule evaluates it in place, with no square root or exponential, and the
+result is divided by the same Horner sum at ``t = 1``, so the peak is
+exactly 1.0.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -65,8 +76,13 @@ class KernelSpec:
             raise ValueError(f"kernel kind must be one of {KERNEL_KINDS}, got {self.kind!r}")
         if self.half_support < 1:
             raise ValueError("half_support must be >= 1")
-        if self.shape_param <= 0:
-            raise ValueError("shape_param must be positive")
+        # Written as "inside" so that NaN, which fails every comparison,
+        # is rejected too.
+        if not 0.0 < self.shape_param < math.inf:
+            raise ValueError("shape_param must be positive and finite")
+        if self.kind == "kaiser_bessel" and not math.isfinite(_kb_series(self.shape_param)[1]):
+            raise ValueError(f"Kaiser-Bessel beta {self.shape_param} too large: "
+                             "I0(beta) overflows float64")
 
     @classmethod
     def gaussian(cls, half_support: int = 3, sigma: float = 1.0) -> "KernelSpec":
@@ -84,7 +100,9 @@ def kernel_value(kern: KernelSpec, du, dv):
 
     Gaussian: ``exp(-(du^2 + dv^2) / (2 sigma^2))``.
     Kaiser-Bessel: separable ``I0(beta sqrt(1 - (du/S)^2)) *
-    I0(beta sqrt(1 - (dv/S)^2)) / I0(beta)^2``, zero beyond S.
+    I0(beta sqrt(1 - (dv/S)^2)) / I0(beta)^2``, zero beyond S, with each
+    I0 factor summed as the power series ``sum_k c_k t^k`` in
+    ``t = 1 - (x/S)^2`` (see the module docstring); exact to rounding.
     """
     du = np.asarray(du, dtype=np.float64)
     dv = np.asarray(dv, dtype=np.float64)
@@ -96,13 +114,45 @@ def kernel_value(kern: KernelSpec, du, dv):
     return out if out.ndim else float(out)
 
 
+@lru_cache
+def _kb_series(beta: float) -> tuple[tuple[float, ...], float]:
+    """Coefficients of ``I0(beta sqrt(t))`` in powers of t, highest first,
+    and their Horner sum at ``t = 1`` (``I0(beta)``; inf on overflow)."""
+    q = beta * beta / 4.0
+    coeffs = [1.0]
+    total = c = 1.0
+    k = 0
+    while math.isfinite(total):
+        k += 1
+        c *= q / (k * k)
+        if c < 2.0 ** -53 * total:
+            break
+        coeffs.append(c)
+        total += c
+    coeffs.reverse()
+    # The additions Horner's rule makes at t = 1, in its order, so that
+    # ``_kb_axis`` at x = 0 divides this value by itself.
+    norm = 0.0
+    for ck in coeffs:
+        norm += ck
+    return tuple(coeffs), norm
+
+
 def _kb_axis(kern: KernelSpec, x):
-    S = float(kern.half_support)
-    beta = kern.shape_param
-    inside = np.abs(x) <= S
-    t = np.where(inside, 1.0 - (x / S) ** 2, 0.0)
-    vals = np.i0(beta * np.sqrt(t)) / np.i0(beta)
-    return np.where(inside, vals, 0.0)
+    coeffs, norm = _kb_series(kern.shape_param)
+    t = np.array(x, dtype=np.float64)
+    t /= kern.half_support
+    t *= t
+    np.subtract(1.0, t, out=t)
+    beyond = t < 0.0  # |x| > S
+    np.maximum(t, 0.0, out=t)
+    acc = np.full(t.shape, coeffs[0])
+    for ck in coeffs[1:]:
+        acc *= t
+        acc += ck
+    acc /= norm
+    acc[beyond] = 0.0
+    return acc
 
 
 def kernel_footprint_sum(kern: KernelSpec, gu: float, gv: float) -> float:

@@ -7,6 +7,7 @@ row. Complex mesh data is stored ``(plane, v_row, u_col)``, row-major.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,16 +85,19 @@ class GridSpec:
             raise ValueError(f"n_v must be a power of two >= 2, got {self.n_v}")
         if self.n_w < 1:
             raise ValueError(f"n_w must be >= 1, got {self.n_w}")
-        if self.cell_size_lm <= 0.0:
+        # Checks are written as "all inside" so that NaN, which fails every
+        # comparison, is rejected with the out-of-range values.
+        if not self.cell_size_lm > 0.0:
             raise ValueError("cell_size_lm must be positive")
         half_l = self.n_u * self.cell_size_lm / 2.0
         half_m = self.n_v * self.cell_size_lm / 2.0
         # Per-axis bounds alone do not keep the image corners inside the
         # unit disc, which the w correction requires.
-        if half_l >= 1.0 or half_m >= 1.0 or half_l * half_l + half_m * half_m >= 1.0:
+        if not (half_l < 1.0 and half_m < 1.0 and half_l * half_l + half_m * half_m < 1.0):
             raise ValueError("field of view too wide: corner pixels leave the unit disc")
-        if self.w_min_native > self.w_max_native:
-            raise ValueError("w_min_native must be <= w_max_native")
+        if not -math.inf < self.w_min_native <= self.w_max_native < math.inf:
+            raise ValueError("w_min_native and w_max_native must be finite, "
+                             "with w_min_native <= w_max_native")
 
     @property
     def w_range_native(self) -> float:

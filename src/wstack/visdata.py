@@ -24,6 +24,7 @@ record-level :class:`VisRecord` view exists for single-sample work.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -77,8 +78,11 @@ class DatasetHeader:
             raise ValueError("n_records must be >= 1")
         if self.n_freq < 1 or self.n_corr < 1 or self.n_time_slices < 1:
             raise ValueError("n_freq, n_corr and n_time_slices must be >= 1")
-        if self.w_min_native > self.w_max_native:
-            raise ValueError("w_min_native must be <= w_max_native")
+        # Written as "inside" so that NaN, which fails every comparison,
+        # is rejected too.
+        if not -math.inf < self.w_min_native <= self.w_max_native < math.inf:
+            raise ValueError("w_min_native and w_max_native must be finite, "
+                             "with w_min_native <= w_max_native")
         if len(self.reserved) != 20:
             raise ValueError("reserved block must be exactly 20 bytes")
 
@@ -412,7 +416,7 @@ def generate_synthetic(
         raise ValueError("n_records must be >= 1")
     if n_freq < 1 or n_corr < 1 or n_time_slices < 1:
         raise ValueError("n_freq, n_corr and n_time_slices must be >= 1")
-    if cell_size_lm <= 0:
+    if not cell_size_lm > 0:
         raise ValueError("cell_size_lm must be positive")
     rng = np.random.default_rng(seed)
     u = rng.random(n_records)

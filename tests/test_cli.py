@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import wstack
+from wstack import visdata
 from wstack.cli import EXIT_CHECK_FAILED, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 
 
@@ -15,7 +16,7 @@ def test_module_entry_point_verify_passes():
     proc = subprocess.run([sys.executable, "-m", "wstack", "verify", "small"],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == EXIT_OK, proc.stdout + proc.stderr
-    assert "OK: 11/11 checks passed" in proc.stdout
+    assert "OK: 12/12 checks passed" in proc.stdout
 
 
 def test_verify_failure_exits_1():
@@ -62,3 +63,20 @@ def test_threads_and_deterministic_flags_exit_2(argv):
     with pytest.raises(SystemExit) as info:
         main(argv)
     assert info.value.code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--shape-param", "nan"], "shape_param"),
+    (["--kernel", "kaiser_bessel", "--shape-param", "nan"], "shape_param"),
+    (["--kernel", "kaiser_bessel", "--shape-param", "800"], "overflows"),
+    (["--cell", "nan"], "cell_size_lm"),
+], ids=["gaussian-nan", "kaiser-bessel-nan", "kaiser-bessel-overflow", "cell-nan"])
+def test_non_finite_image_parameters_exit_2(tmp_path, capsys, argv, message):
+    header, chunk = visdata.generate_synthetic(
+        visdata.SkyModel(sources=((0.0, 0.0, 1.0),)), 50, n_freq=1, seed=1)
+    dataset = tmp_path / "d.rvis"
+    visdata.write_dataset(chunk, header, dataset)
+    code = main(["image", "--dataset", str(dataset), "--out-dir", str(tmp_path / "out"),
+                 "--n-u", "16", "--n-v", "16", "--n-w", "2", *argv])
+    assert code == EXIT_USAGE
+    assert message in capsys.readouterr().err

@@ -92,6 +92,26 @@ def test_kaiser_bessel_zero_outside_support():
     assert kernel_value(k, 0.0, -3.01) == 0.0
 
 
+@pytest.mark.parametrize("S", [1, 3, 8])
+@pytest.mark.parametrize("beta, tol", [(1.0, 1e-14), (None, 1e-14), (7.02, 1e-14),
+                                       (40.0, 1e-14), (200.0, 1e-13)])
+def test_kaiser_bessel_against_numpy_i0(S, beta, tol):
+    # Independent oracle: numpy's Chebyshev-based I0 in the closed form.
+    k = KernelSpec.kaiser_bessel(S, beta)
+    beta = k.shape_param
+    x = np.linspace(0.0, S, 4001)
+    x = np.concatenate([-x[::-1], x])
+    ref = np.i0(beta * np.sqrt(1.0 - (x / S) ** 2)) / np.i0(beta)
+    got = kernel_value(k, x, 0.0)
+    assert np.max(np.abs(got - ref) / ref) <= tol
+    assert kernel_value(k, 0, 0) == 1.0
+    assert np.array_equal(kernel_value(k, -x, 0.0), got)
+    assert np.array_equal(kernel_value(k, 0.0, x), got)
+    beyond = np.array([np.nextafter(S, np.inf), S + 1e-9, S + 0.5, 2.0 * S, 1e6])
+    assert not np.any(kernel_value(k, beyond, 0.0))
+    assert not np.any(kernel_value(k, 0.0, -beyond))
+
+
 @settings(max_examples=60)
 @given(du=st.floats(-3, 3), dv=st.floats(-3, 3),
        kind=st.sampled_from(["gaussian", "kaiser_bessel"]))
@@ -110,6 +130,22 @@ def test_kernel_spec_validation():
         KernelSpec(kind="gaussian", half_support=0, shape_param=1.0)
     with pytest.raises(ValueError):
         KernelSpec(kind="gaussian", half_support=2, shape_param=0.0)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "kaiser_bessel"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_shape_param_rejected(kind, bad):
+    with pytest.raises(ValueError, match="finite"):
+        KernelSpec(kind=kind, half_support=3, shape_param=bad)
+
+
+def test_kaiser_bessel_beta_that_overflows_i0_rejected():
+    # I0(beta) passes the largest float64 just above beta = 713.
+    with pytest.raises(ValueError, match="overflows"):
+        KernelSpec.kaiser_bessel(3, 800.0)
+    k = KernelSpec.kaiser_bessel(3, 700.0)
+    w = kernel_value(k, np.linspace(-3.0, 3.0, 61), 0.0)
+    assert np.all(np.isfinite(w)) and w.max() == 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -143,6 +145,19 @@ def test_grid_spec_validation():
     with pytest.raises(ValueError):
         mesh.GridSpec(n_u=64, n_v=64, n_w=1, cell_size_lm=1e-3,
                       w_min_native=2.0, w_max_native=1.0)
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("cell_size_lm", math.nan),
+    ("w_min_native", math.nan), ("w_max_native", math.nan),
+    ("w_min_native", -math.inf), ("w_max_native", math.inf),
+])
+def test_grid_spec_rejects_non_finite(field, bad):
+    kwargs = dict(n_u=64, n_v=64, n_w=2, cell_size_lm=1e-3,
+                  w_min_native=0.0, w_max_native=20.0)
+    kwargs[field] = bad
+    with pytest.raises(ValueError):
+        mesh.GridSpec(**kwargs)
 
 
 def test_plane_w_native_sampling():

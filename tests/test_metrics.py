@@ -1,9 +1,14 @@
+import csv
 import shlex
 import sys
+from pathlib import Path
 
 import pytest
 
+from wstack.cli import EXIT_OK, main
 from wstack.metrics import MeterError, PlatformCounterMeter
+
+TRACES = Path(__file__).resolve().parents[1] / "traces"
 
 
 def test_counter_command_prints_the_reading():
@@ -24,3 +29,43 @@ def test_counter_command_runs_without_a_shell(tmp_path):
 def test_empty_counter_command_is_no_source(cmd):
     with pytest.raises(MeterError, match="no configured source"):
         PlatformCounterMeter(counter_command=cmd).read_counter()
+
+
+def report(tmp_path, kind, trace, *argv):
+    """Rows of ``wstack report <kind>`` on a shipped trace, as written to --out."""
+    out = tmp_path / f"{kind}.csv"
+    assert main(["report", kind, "--trace", str(TRACES / trace), "--out", str(out),
+                 *argv]) == EXIT_OK
+    with open(out, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_multinode_frequency_savings(tmp_path):
+    rows = report(tmp_path, "freq", "multinode.csv")
+    by_level = {}
+    for row in rows:
+        by_level.setdefault(row["freq_level"], []).append(
+            (float(row["energy_saving"]), float(row["perf_degradation"])))
+    assert {len(v) for v in by_level.values()} == {5}  # 2, 4, 8, 16, 32 nodes
+    for saving, slowdown in by_level["medium"]:
+        assert saving == pytest.approx(0.25) and slowdown == pytest.approx(0.045)
+    for saving, slowdown in by_level["low"]:
+        assert saving == pytest.approx(0.30) and slowdown == pytest.approx(0.09)
+
+
+def test_multinode_gpu_greener_and_faster(tmp_path):
+    rows = report(tmp_path, "ratios", "multinode.csv")
+    high = {int(r["n_nodes"]): r for r in rows if r["cpu_freq_level"] == "high"}
+    assert sorted(high) == [4, 8, 16]
+    for row in high.values():
+        assert float(row["energy_ratio_cpu_over_gpu"]) == pytest.approx(6.5)
+    times = [float(high[n]["time_ratio_cpu_over_gpu"]) for n in (4, 8, 16)]
+    assert times == pytest.approx([10.0, 10.35, 10.51], abs=5e-3)
+
+
+def test_table2_green_productivity_against_gpu(tmp_path):
+    rows = report(tmp_path, "gp", "table2_single_node.csv", "--ref", "gpu")
+    gp = {r["label"]: float(r["green_productivity"]) for r in rows}
+    assert gp["gpu"] == 1.0
+    assert gp["hybrid_best"] == pytest.approx(0.5303, abs=5e-5)
+    assert gp["mpi"] == pytest.approx(0.0407, abs=5e-5)

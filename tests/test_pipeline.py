@@ -12,7 +12,7 @@ TOPOLOGIES = [(1, 1), (1, 2), (2, 1), (1, 3), (2, 2)]
 # numpy 2.4.6; another numpy may round the FFT differently.
 GOLDEN_SHA256 = {
     "gaussian": "3d2eb59264a8784d7703f253e5dce5ddaf11a63f1085cec2f9cdff918d0521cf",
-    "kaiser_bessel": "c27aea66fd1f8d40abefb610b1394ff8b7f9dd8b4f9c8e0e0df5f384afcd6dc0",
+    "kaiser_bessel": "64276651ec4d0b0424297dbb10aaf7466daca0961f63a3bdf22ee9e28319329d",
 }
 
 

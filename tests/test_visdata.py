@@ -1,3 +1,4 @@
+import math
 import struct
 
 import numpy as np
@@ -95,6 +96,23 @@ def test_round_trip_property(tmp_path_factory, n, n_chan, seed):
     assert np.array_equal(back.u, chunk.u)
     assert np.array_equal(back.vis, chunk.vis)
     assert np.array_equal(back.weight, chunk.weight)
+
+
+@pytest.mark.parametrize("w0, w1", [(math.nan, 0.0), (0.0, math.nan),
+                                    (-math.inf, 0.0), (0.0, math.inf)])
+def test_non_finite_header_w_extent_rejected(tmp_path, w0, w1):
+    with pytest.raises(ValueError, match="finite"):
+        DatasetHeader(n_records=1, n_freq=1, n_corr=1, n_time_slices=1,
+                      w_min_native=w0, w_max_native=w1)
+    # The same values read from a file's header fields.
+    chunk = small_chunk(2)
+    path = tmp_path / "w.rvis"
+    visdata.write_dataset(chunk, header_for(chunk, 2, 1, 4), path)
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<dd", raw, 28, w0, w1)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="finite"):
+        visdata.read_dataset(path)
 
 
 def test_bad_magic(tmp_path):
