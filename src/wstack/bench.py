@@ -25,7 +25,7 @@ import numpy as np
 from . import metrics, transform, visdata
 from .comms import MessageLog, ReduceStrategy, Topology, reduce_slabs
 from .gridder import KernelSpec, kernel_value
-from .mesh import ComplexGrid, GridSpec, partition_1d, slab_of
+from .mesh import ComplexGrid, GridSpec, partition_1d, pixel_n_block, slab_of
 from .pipeline import grid_sectors, peak_pixel, reduce_sectors, run_pipeline
 
 __all__ = [
@@ -124,6 +124,8 @@ def run_plan(plan: BenchPlan) -> PlanResult:
                     kernel=plan.kernel, topo=topo, strategy=strategy,
                     meter=plan.meter, freq_level=freq, label=label,
                 )
+            except visdata.FormatError:
+                raise  # every cell reads the same malformed dataset
             except Exception as exc:  # cell aborts, plan continues
                 raw_rows.append({**base, "status": "failed",
                                  "failure_reason": f"{type(exc).__name__}: {exc}",
@@ -456,12 +458,11 @@ def verify_pipeline(scale: str = "small", force_fail: bool = False) -> VerifyRep
         f"peak at ({i}, {j}), expected ({want_i}, {want_j})", hit))
 
     # w correction is a pure phase
-    from .transform import ImagePlane, apply_w_correction
-
     pslab = slab_of(spec, 0, 1)
-    data = rng.standard_normal((pslab.v_count, n_u)) + 1j * rng.standard_normal((pslab.v_count, n_u))
+    n_pix = pixel_n_block(spec, pslab.v_start, pslab.v_count)
+    data = rng.standard_normal(n_pix.shape) + 1j * rng.standard_normal(n_pix.shape)
     before = np.abs(data)
-    after = np.abs(apply_w_correction(ImagePlane(spec, pslab, data), n_w - 1, spec).data)
+    after = np.abs(transform.apply_w_correction(np.zeros_like(data), data, n_w - 1, spec, n_pix))
     phase_err = float(np.max(np.abs(after - before) / np.maximum(before, 1e-300)))
     checks.append(CheckResult("w correction preserves magnitudes",
                               "relative <= 1e-14", f"relative {phase_err:.3e}",

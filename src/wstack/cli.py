@@ -3,7 +3,8 @@
 Configuration is a flat key-value file (one ``key = value`` per line,
 ``#`` comments); command-line flags override file values and unknown keys
 are rejected. Exit codes: 0 success, 1 verification or acceptance
-failure, 2 usage/config error, 3 I/O error.
+failure, 2 usage/config error, 3 I/O error (a missing or malformed input
+file).
 
 The virtual topology (``--topo NODESxRANKS`` for ``image``, ``--topos``
 for ``bench``) is the only parallelism: each rank grids its sector on one
@@ -138,7 +139,7 @@ def _kernel_from(cfg) -> KernelSpec:
     kind = cfg["kernel.kind"]
     support = cfg["kernel.half_support"]
     shape = cfg["kernel.shape_param"]
-    if shape <= 0:
+    if shape == 0:
         shape = 1.0 if kind == "gaussian" else DEFAULT_KB_BETA_PER_SUPPORT * support
     return KernelSpec(kind=kind, half_support=support, shape_param=shape)
 

@@ -23,7 +23,7 @@ __all__ = [
     "plane_of_w",
     "owner_rank",
     "pixel_to_lm",
-    "pixel_lm_blocks",
+    "pixel_n_block",
     "full_mesh_bytes",
 ]
 
@@ -204,13 +204,13 @@ def pixel_to_lm(spec: GridSpec, i: int, j: int) -> tuple[float, float]:
     return l, m
 
 
-def pixel_lm_blocks(spec: GridSpec, v_start: int, v_count: int):
-    """(l, m) arrays for a block of image rows, shaped (v_count, n_u)."""
-    cols = np.arange(spec.n_u, dtype=np.float64) - spec.n_u // 2
-    rows = np.arange(v_start, v_start + v_count, dtype=np.float64) - spec.n_v // 2
-    l = np.broadcast_to(cols * spec.cell_size_lm, (v_count, spec.n_u))
-    m = np.broadcast_to((rows * spec.cell_size_lm)[:, None], (v_count, spec.n_u))
-    return l, m
+def pixel_n_block(spec: GridSpec, v_start: int, v_count: int) -> np.ndarray:
+    """``n = sqrt(1 - l^2 - m^2)`` for a block of image rows, shaped
+    ``(v_count, n_u)``, with (l, m) as in :func:`pixel_to_lm`."""
+    cell = spec.cell_size_lm
+    l = (np.arange(spec.n_u, dtype=np.float64) - spec.n_u // 2) * cell
+    m = (np.arange(v_start, v_start + v_count, dtype=np.float64) - spec.n_v // 2) * cell
+    return np.sqrt(1.0 - l * l - (m * m)[:, None])
 
 
 def full_mesh_bytes(spec: GridSpec) -> int:

@@ -19,8 +19,8 @@ import numpy as np
 from . import comms, metrics, transform, visdata
 from .comms import MessageLog, ReduceStrategy, Topology, run_ranks
 from .gridder import KernelSpec, grid_sector
-from .mesh import ComplexGrid, GridSpec, partition_1d, slab_of
-from .transform import FinalImage, ImagePlane
+from .mesh import ComplexGrid, GridSpec, partition_1d, pixel_n_block, slab_of
+from .transform import FinalImage
 
 __all__ = ["PipelineResult", "run_pipeline", "grid_sectors", "reduce_sectors",
            "peak_pixel"]
@@ -143,17 +143,16 @@ def run_pipeline(
                    for k in range(spec.n_w)]
     times["fft"] = time.perf_counter() - t0
 
-    # 5a. w correction + plane stacking, slab-local
+    # 5a. w correction + plane stacking, one pass per slab
     t0 = time.perf_counter()
 
     def stack_fn(ctx):
         slab = reduced[ctx.rank].slab
-        corrected = [
-            transform.apply_w_correction(
-                ImagePlane(spec, slab, plane_slabs[k][ctx.rank]), k, spec)
-            for k in range(spec.n_w)
-        ]
-        return transform.stack_planes(corrected, spec)
+        n = pixel_n_block(spec, slab.v_start, slab.v_count)
+        acc = None
+        for k in range(spec.n_w):
+            acc = transform.apply_w_correction(acc, plane_slabs[k][ctx.rank], k, spec, n)
+        return transform.stack_planes(acc, slab, spec, n)
 
     blocks = run_ranks(topo, stack_fn, log=log)
     times["wcorrect"] = time.perf_counter() - t0

@@ -10,6 +10,15 @@ The gridded origin sits at cell (0, 0); multiplying the grid by
 ``(-1)^(i+j)`` before the inverse transform lands the phase center on
 pixel ``(n_u/2, n_v/2)`` exactly, with no extra communication.
 
+The w correction and stacking are one pass per slab, with n = sqrt(1 -
+l^2 - m^2) computed once: ``acc += plane_k * exp(2 pi i w_k (n - 1))`` for
+k = 0 ... n_w - 1 in order, then ``acc / n_w * n``. Since ``l = (i - n_u/2)
+cell`` negates exactly under ``i -> n_u - i``, columns ``i`` and ``n_u - i``
+hold the same n bits, so the phase is evaluated on columns ``0 ... n_u/2``
+and mirrored. Every step is the floating-point operation of the per-plane
+form (each plane corrected into a copy, the copies summed), so the image
+is bit-identical to it.
+
 Image files are raw little-endian float64 pixels, row-major ``(n_v, n_u)``,
 next to a JSON sidecar and an optional 8-bit PGM preview with a linear
 min-max stretch.
@@ -24,37 +33,21 @@ from pathlib import Path
 import numpy as np
 
 from .comms import MessageLog, Topology, run_ranks
-from .mesh import GridSpec, SlabRange, partition_1d, pixel_lm_blocks
+from .mesh import GridSpec, SlabRange, partition_1d
 
 __all__ = [
-    "ImagePlane",
     "ImageBlock",
     "FinalImage",
     "fft1d",
     "fft2d_slab",
     "checker_sign",
+    "w_phase_factor",
     "apply_w_correction",
     "stack_planes",
     "assemble_image",
     "write_image",
-    "read_image",
     "write_pgm",
 ]
-
-
-@dataclass
-class ImagePlane:
-    """One w plane in image space, restricted to a slab of rows."""
-
-    spec: GridSpec
-    slab: SlabRange
-    data: np.ndarray
-
-    def __post_init__(self):
-        self.data = np.ascontiguousarray(self.data, dtype=np.complex128)
-        if self.data.shape != (self.slab.v_count, self.spec.n_u):
-            raise ValueError(f"plane shape {self.data.shape} != "
-                             f"{(self.slab.v_count, self.spec.n_u)}")
 
 
 @dataclass
@@ -147,40 +140,55 @@ def checker_sign(spec: GridSpec, slab: SlabRange) -> np.ndarray:
 # w correction and stacking
 # ---------------------------------------------------------------------------
 
-def apply_w_correction(plane: ImagePlane, plane_index: int, spec: GridSpec) -> ImagePlane:
-    """Multiply a plane by ``exp(2 pi i w_k (sqrt(1 - l^2 - m^2) - 1))``
-    with w_k the plane's native w; a pure phase, so pixel magnitudes are
-    untouched."""
-    w_k = spec.plane_w_native(plane_index)
-    if w_k == 0.0:
-        return ImagePlane(spec, plane.slab, plane.data.copy())
-    l, m = pixel_lm_blocks(spec, plane.slab.v_start, plane.slab.v_count)
-    n = np.sqrt(1.0 - l * l - m * m)
-    factor = np.exp(2j * np.pi * w_k * (n - 1.0))
-    return ImagePlane(spec, plane.slab, plane.data * factor)
+def w_phase_factor(n: np.ndarray, w: float) -> np.ndarray:
+    """``exp(2 pi i w (n - 1))`` over a slab's ``n``: ``np.exp`` on columns
+    ``0 ... n_u/2``, mirrored onto columns ``n_u/2 + 1 ... n_u - 1``; equal
+    bit for bit to the full-width ``np.exp``."""
+    h = n.shape[1] // 2
+    factor = np.empty(n.shape, dtype=np.complex128)
+    np.exp(2j * np.pi * w * (n[:, :h + 1] - 1.0), out=factor[:, :h + 1])
+    factor[:, h + 1:] = factor[:, h - 1:0:-1]
+    return factor
 
 
-def stack_planes(planes, spec: GridSpec) -> ImageBlock:
-    """Combine corrected planes of one slab into real image rows.
+def apply_w_correction(acc: np.ndarray | None, plane: np.ndarray, plane_index: int,
+                       spec: GridSpec, n: np.ndarray) -> np.ndarray:
+    """Add plane k times ``exp(2 pi i w_k (n - 1))`` into ``acc`` and return
+    the sum; w_k is the plane's native w, ``n`` the slab's
+    :func:`~wstack.mesh.pixel_n_block`.
 
-    The w integral discretizes to ``sqrt(1 - l^2 - m^2) / w_range *
-    sum_k (w_range / n_w) * plane_k``, i.e. the plane mean scaled by the
-    direction-cosine factor (the w range cancels). The imaginary part is
-    dropped and reported as a squared-norm diagnostic.
+    Planes come in order k = 0 ... n_w - 1; plane 0 gets ``acc=None`` and
+    starts the sum, as a copy when w_0 = 0, else as the product. The factor
+    is a pure phase, so each plane's magnitudes are kept.
     """
-    planes = list(planes)
-    if len(planes) != spec.n_w:
-        raise ValueError(f"expected {spec.n_w} planes, got {len(planes)}")
-    slab = planes[0].slab
-    for p in planes:
-        if (p.slab.v_start, p.slab.v_count) != (slab.v_start, slab.v_count):
-            raise ValueError("planes must share a slab")
-    acc = planes[0].data.astype(np.complex128, copy=True)
-    for p in planes[1:]:
-        acc = acc + p.data
+    if plane.shape != n.shape:
+        raise ValueError(f"plane shape {plane.shape} != slab shape {n.shape}")
+    w_k = spec.plane_w_native(plane_index)
+    if w_k != 0.0:
+        # Plane first, into the factor's buffer: numpy's complex multiply
+        # uses FMA and is not commutative in the last bit, and ``plane *
+        # temporary`` may run as ``temporary *= plane``.
+        factor = w_phase_factor(n, w_k)
+        plane = np.multiply(plane, factor, out=factor)
+    elif acc is None:
+        plane = np.array(plane, dtype=np.complex128)
+    return plane if acc is None else np.add(acc, plane, out=acc)
+
+
+def stack_planes(acc: np.ndarray, slab: SlabRange, spec: GridSpec,
+                 n: np.ndarray) -> ImageBlock:
+    """Finish one slab from the :func:`apply_w_correction` sum of its n_w
+    planes: ``acc / n_w * n`` in place, then the real part.
+
+    The w integral discretizes to ``n / w_range * sum_k (w_range / n_w) *
+    plane_k``, i.e. the plane mean scaled by the direction-cosine factor
+    (the w range cancels). The imaginary part is dropped and reported as a
+    squared-norm diagnostic.
+    """
+    if acc.shape != (slab.v_count, spec.n_u):
+        raise ValueError(f"sum shape {acc.shape} != {(slab.v_count, spec.n_u)}")
     acc /= spec.n_w
-    l, m = pixel_lm_blocks(spec, slab.v_start, slab.v_count)
-    acc *= np.sqrt(1.0 - l * l - m * m)
+    acc *= n
     return ImageBlock(
         spec=spec, slab=slab, pixels=np.ascontiguousarray(acc.real),
         imag_sq_sum=float((acc.imag ** 2).sum()),
@@ -230,24 +238,6 @@ def write_image(img: FinalImage, base_path, provenance: dict | None = None,
     if pgm:
         paths["pgm"] = write_pgm(img.pixels, base.with_suffix(".pgm"))
     return paths
-
-
-def read_image(base_path) -> FinalImage:
-    base = Path(base_path)
-    sidecar = json.loads(base.with_suffix(".json").read_text())
-    spec = GridSpec(
-        n_u=sidecar["n_u"], n_v=sidecar["n_v"], n_w=sidecar["n_w"],
-        cell_size_lm=sidecar["cell_size_lm"],
-        w_min_native=sidecar["w_min_native"], w_max_native=sidecar["w_max_native"],
-    )
-    raw = base.with_suffix(".f64").read_bytes()
-    expected = spec.n_u * spec.n_v * 8
-    if len(raw) != expected:
-        raise ValueError(f"image file holds {len(raw)} bytes, expected {expected}")
-    pixels = np.frombuffer(raw, dtype="<f8").reshape(spec.n_v, spec.n_u)
-    return FinalImage(spec=spec, pixels=pixels.copy(),
-                      imag_residual_norm=sidecar["imag_residual_norm"],
-                      real_norm=sidecar["real_norm"])
 
 
 def write_pgm(pixels: np.ndarray, path) -> Path:

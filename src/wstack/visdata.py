@@ -58,8 +58,9 @@ _HEADER_STRUCT = struct.Struct("<4sIQIIIdd20s")
 assert _HEADER_STRUCT.size == HEADER_SIZE
 
 
-class FormatError(Exception):
-    """Raised for malformed dataset or image files."""
+class FormatError(OSError):
+    """Raised for malformed dataset files; an I/O error, as
+    ``gzip.BadGzipFile`` is."""
 
 
 @dataclass

@@ -80,3 +80,31 @@ def test_non_finite_image_parameters_exit_2(tmp_path, capsys, argv, message):
                  "--n-u", "16", "--n-v", "16", "--n-w", "2", *argv])
     assert code == EXIT_USAGE
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["image", "bench"])
+def test_malformed_dataset_exits_3(tmp_path, capsys, command):
+    dataset = tmp_path / "d.rvis"
+    dataset.write_bytes(b"RVIS")
+    code = main([command, "--dataset", str(dataset), "--out-dir", str(tmp_path / "out"),
+                 "--n-u", "16", "--n-v", "16", "--n-w", "2"])
+    assert code == EXIT_IO
+    assert "truncated header" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_negative_shape_param_exits_2(tmp_path, capsys, source):
+    header, chunk = visdata.generate_synthetic(
+        visdata.SkyModel(sources=((0.0, 0.0, 1.0),)), 50, n_freq=1, seed=1)
+    dataset = tmp_path / "d.rvis"
+    visdata.write_dataset(chunk, header, dataset)
+    argv = ["image", "--dataset", str(dataset), "--out-dir", str(tmp_path / "out"),
+            "--n-u", "16", "--n-v", "16", "--n-w", "2", "--kernel", "kaiser_bessel"]
+    if source == "flag":
+        argv += ["--shape-param", "-5"]
+    else:
+        config = tmp_path / "run.cfg"
+        config.write_text("kernel.shape_param = -5\n")
+        argv += ["--config", str(config)]
+    assert main(argv) == EXIT_USAGE
+    assert "shape_param" in capsys.readouterr().err

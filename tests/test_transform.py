@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from wstack.comms import MessageLog, Topology
-from wstack.mesh import GridSpec, partition_1d
-from wstack.transform import fft2d_slab
+from wstack.mesh import GridSpec, partition_1d, pixel_n_block, pixel_to_lm, slab_of
+from wstack.transform import apply_w_correction, fft2d_slab, stack_planes, w_phase_factor
 
 N_V, N_U = 16, 32
 SPEC = GridSpec(n_u=N_U, n_v=N_V, n_w=1, cell_size_lm=1e-3)
@@ -51,3 +53,66 @@ def test_bad_direction_and_slab_count_rejected(plane):
         fft2d_slab([plane], SPEC, Topology(1, 1), "sideways")
     with pytest.raises(ValueError, match="expected 2 slabs"):
         fft2d_slab([plane], SPEC, Topology(1, 2))
+
+
+@pytest.mark.parametrize("n_u", [2, 4, 64, 1024])
+@pytest.mark.parametrize("cell", [1e-3, 7.3e-4])
+@pytest.mark.parametrize("w", [13.7, -4.25])
+@pytest.mark.parametrize("v_start", [2, 3], ids=["even-row", "odd-row"])
+def test_mirrored_phase_factor_equals_full_width_exp(n_u, cell, w, v_start):
+    spec = GridSpec(n_u=n_u, n_v=8, n_w=1, cell_size_lm=cell)
+    n = pixel_n_block(spec, v_start, 3)
+    per_pixel = [[math.sqrt(1.0 - l * l - m * m)
+                  for l, m in (pixel_to_lm(spec, i, j) for i in range(n_u))]
+                 for j in range(v_start, v_start + 3)]
+    assert n.tobytes() == np.array(per_pixel).tobytes()
+    assert w_phase_factor(n, w).tobytes() == np.exp(2j * np.pi * w * (n - 1.0)).tobytes()
+
+
+def per_plane_stack(planes, spec, n):
+    """The per-plane form: each plane corrected into its own copy, then the
+    copies summed in plane order, divided by n_w and scaled by n."""
+    corrected = []
+    for k, plane in enumerate(planes):
+        w_k = spec.plane_w_native(k)
+        if w_k == 0.0:
+            corrected.append(plane.copy())
+        else:
+            factor = np.exp(2j * np.pi * w_k * (n - 1.0))
+            corrected.append(plane * factor)
+    acc = corrected[0].copy()
+    for c in corrected[1:]:
+        acc = acc + c
+    acc /= spec.n_w
+    acc *= n
+    return acc
+
+
+@pytest.mark.parametrize("n_w, w_range", [(4, (0.0, 20.0)), (3, (-10.0, 10.0)), (1, (0.0, 20.0))],
+                         ids=["w-min-0", "w-min-negative", "one-plane"])
+def test_accumulated_stack_is_bit_identical_to_per_plane_form(n_w, w_range):
+    # Slabs of 85 x 256 complex (348 KB) are above numpy's 256 KB threshold
+    # for reusing temporaries, where operand order can change.
+    spec = GridSpec(n_u=256, n_v=256, n_w=n_w, cell_size_lm=1e-3,
+                    w_min_native=w_range[0], w_max_native=w_range[1])
+    slab = slab_of(spec, 1, 3)
+    n = pixel_n_block(spec, slab.v_start, slab.v_count)
+    rng = np.random.default_rng(5)
+    planes = [rng.standard_normal(n.shape) + 1j * rng.standard_normal(n.shape)
+              for _ in range(n_w)]
+    inputs = [p.copy() for p in planes]
+    acc = None
+    for k, plane in enumerate(planes):
+        acc = apply_w_correction(acc, plane, k, spec, n)
+    block = stack_planes(acc, slab, spec, n)
+    ref = per_plane_stack(inputs, spec, n)
+    assert block.pixels.tobytes() == np.ascontiguousarray(ref.real).tobytes()
+    assert block.imag_sq_sum == float((ref.imag ** 2).sum())
+    assert all(p.tobytes() == q.tobytes() for p, q in zip(planes, inputs))
+
+
+def test_w_correction_rejects_plane_of_wrong_shape():
+    spec = GridSpec(n_u=16, n_v=16, n_w=2, cell_size_lm=1e-3, w_max_native=5.0)
+    n = pixel_n_block(spec, 0, 8)
+    with pytest.raises(ValueError, match="plane shape"):
+        apply_w_correction(None, np.zeros((8, 8), dtype=np.complex128), 1, spec, n)
