@@ -422,6 +422,7 @@ def verify_pipeline(scale: str = "small", force_fail: bool = False) -> VerifyRep
     for r in range(topo.n_ranks):
         data = (rng.standard_normal((2, 32, 32)) + 1j * rng.standard_normal((2, 32, 32)))
         partials.append(ComplexGrid(rspec, slab, data))
+    before = [p.data.tobytes() for p in partials]
     outs = {}
     for kind in ("direct", "hybrid_ring", "ring_rdma_like"):
         red, _ = reduce_slabs(ReduceStrategy(kind), partials, 1, topo)
@@ -430,6 +431,9 @@ def verify_pipeline(scale: str = "small", force_fail: bool = False) -> VerifyRep
             == outs["ring_rdma_like"].tobytes())
     checks.append(CheckResult("reduce strategies agree",
                               "bit-identical", "identical" if same else "differ", same))
+    changed = sum(p.data.tobytes() != b for p, b in zip(partials, before))
+    checks.append(CheckResult("reduce leaves partials untouched", "bit-identical",
+                              f"{changed} of {len(partials)} partials changed", changed == 0))
     conservation = abs(outs["direct"].sum() - sum(p.data.sum() for p in partials))
     conservation /= max(abs(outs["direct"].sum()), 1.0)
     checks.append(CheckResult("reduce conservation", "relative <= 1e-12",

@@ -461,6 +461,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except visdata.FormatError as exc:
+        print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_IO
     except (ValueError, metrics.MeterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

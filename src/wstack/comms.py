@@ -19,7 +19,16 @@ are provided:
 
 Every strategy runs and logs its message choreography, then delivers the
 canonical sum of the partials in rank order 0, 1, ..., R-1, so all
-strategies return bit-identical data.
+strategies return bit-identical data. The ranks write that sum, each its
+share of the slab; it is deleted once the choreography carries real
+partials and its result is returned.
+
+Copies: a message costs the one copy :meth:`Router.send` makes, so that no
+rank aliases another's arrays; a payload may be a view. Partials are
+read-only: ring segments are views of them, and only a tail segment cut
+short by the end of the slab (when P does not divide its length) is
+copied into a zero-padded one. Each sum is written into the buffer that
+just arrived.
 """
 
 from __future__ import annotations
@@ -34,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gridder import SectorBatch
-from .mesh import ComplexGrid, GridSpec, slab_of
+from .mesh import ComplexGrid, GridSpec, partition_1d, slab_of
 
 __all__ = [
     "REDUCE_KINDS",
@@ -275,33 +284,58 @@ def run_ranks(topo: Topology, fn, log: MessageLog | None = None, router: Router 
 def _ring_reduce_scatter_ctx(ctx, group, my_flat, phase):
     """One rank's part of a ring reduce-scatter over ``group``.
 
-    The flat array is zero-padded to P equal segments. At step s the rank
-    sends its accumulated segment ``(pos - 1 - s) mod P`` to the next group
-    member and adds the one arriving from the previous member, so after
-    P-1 steps segment ``pos`` holds the group's full sum. Returns
-    (per-segment accumulated buffers, segment length).
+    The flat array is cut into P segments of ``ceil(length / P)``; they are
+    views of ``my_flat``, which is only read. A segment cut short by the end
+    of the array (only when P does not divide the length) is copied into a
+    zero-padded one, so every message has the same size. At step s the
+    rank sends its accumulated segment ``(pos - 1 - s) mod P`` to the next
+    group member, receives segment ``(pos - 2 - s) mod P`` from the
+    previous one and adds its own into that received buffer, so after P-1
+    steps segment ``pos`` holds the group's full sum. Returns (per-segment
+    buffers, segment length).
     """
     P = len(group)
     pos = group.index(ctx.rank)
     length = len(my_flat)
     if P == 1:
-        return [my_flat.copy()], length
+        return [my_flat], length
     seg = math.ceil(length / P)
-    padded = np.zeros(seg * P, dtype=np.complex128)
-    padded[:length] = my_flat
-    segs = [padded[j * seg:(j + 1) * seg].copy() for j in range(P)]
+    segs = []
+    for j in range(P):
+        part = my_flat[j * seg:(j + 1) * seg]
+        if len(part) < seg:
+            padded = np.zeros(seg, dtype=np.complex128)
+            padded[:len(part)] = part
+            part = padded
+        segs.append(part)
     nxt = group[(pos + 1) % P]
     prv = group[(pos - 1) % P]
     for s in range(P - 1):
         ctx.send(nxt, ("ring", s), segs[(pos - 1 - s) % P], phase)
         j = (pos - 2 - s) % P
-        segs[j] = segs[j] + ctx.recv(prv, ("ring", s))
+        incoming = ctx.recv(prv, ("ring", s))
+        segs[j] = np.add(segs[j], incoming, out=incoming)
     return segs, seg
+
+
+def _gather_segments(ctx, group, segs, seg, length, tag):
+    """Assemble the node's P segments into one flat array of ``length``:
+    the rank's own from ``segs``, the others received from their owners
+    under ``tag + (p,)``."""
+    P = len(group)
+    pos = group.index(ctx.rank)
+    if P == 1:
+        return segs[0]
+    buf = np.empty(seg * P, dtype=np.complex128)
+    for p in range(P):
+        buf[p * seg:(p + 1) * seg] = segs[p] if p == pos else ctx.recv(group[p], tag + (p,))
+    return buf[:length]
 
 
 def _reduce_collective(ctx, strategy, my_flat, target, phase):
     """One rank's part of the reduce; returns the summed flat array at the
-    target rank and None elsewhere."""
+    target rank and None elsewhere. ``my_flat`` is only read: every sum is
+    written into a buffer this rank received."""
     topo = ctx.topo
     R = topo.n_ranks
     length = len(my_flat)
@@ -310,10 +344,10 @@ def _reduce_collective(ctx, strategy, my_flat, target, phase):
         if ctx.rank != target:
             ctx.send(target, ("direct",), my_flat, phase)
             return None
-        acc = my_flat.astype(np.complex128, copy=True)
+        acc = my_flat
         for _ in range(R - 1):
             _, payload = ctx.recv_any(("direct",))
-            acc += payload
+            acc = np.add(acc, payload, out=payload)
         return acc
 
     node = topo.node_of(ctx.rank)
@@ -329,20 +363,17 @@ def _reduce_collective(ctx, strategy, my_flat, target, phase):
     if strategy.kind == "hybrid_ring":
         master = group[0]
         if pos != 0:
-            ctx.send(master, ("gather",), segs[pos], phase)
+            ctx.send(master, ("gather", pos), segs[pos], phase)
             if ctx.rank == target:
                 return ctx.recv(topo.master_of(t_node), ("deliver",))
             return None
         # node master: reassemble this node's partial sum
-        buf = np.zeros(seg * P if P > 1 else length, dtype=np.complex128)
-        buf[0:len(segs[0])] = segs[0]
-        for p in range(1, P):
-            buf[p * seg:(p + 1) * seg] = ctx.recv(group[p], ("gather",))
-        node_flat = buf[:length]
+        node_flat = _gather_segments(ctx, group, segs, seg, length, ("gather",))
         if topo.n_nodes > 1:
             k = node_chain.index(node)
             if k > 0:
-                node_flat = ctx.recv(topo.master_of(node_chain[k - 1]), ("chain",)) + node_flat
+                incoming = ctx.recv(topo.master_of(node_chain[k - 1]), ("chain",))
+                node_flat = np.add(incoming, node_flat, out=incoming)
             if k < len(node_chain) - 1:
                 ctx.send(topo.master_of(node_chain[k + 1]), ("chain",), node_flat, phase)
         if node == t_node:
@@ -360,7 +391,8 @@ def _reduce_collective(ctx, strategy, my_flat, target, phase):
         k = node_chain.index(node)
         if k > 0:
             prev_peer = topo.ranks_of_node(node_chain[k - 1])[pos]
-            my_seg = ctx.recv(prev_peer, ("rchain", pos)) + my_seg
+            incoming = ctx.recv(prev_peer, ("rchain", pos))
+            my_seg = np.add(incoming, my_seg, out=incoming)
         if k < len(node_chain) - 1:
             next_peer = topo.ranks_of_node(node_chain[k + 1])[pos]
             ctx.send(next_peer, ("rchain", pos), my_seg, phase)
@@ -368,14 +400,8 @@ def _reduce_collective(ctx, strategy, my_flat, target, phase):
         if ctx.rank != target:
             ctx.send(target, ("rdeliver", pos), my_seg, phase)
             return None
-        buf = np.zeros(seg * P if P > 1 else length, dtype=np.complex128)
-        buf[pos * seg:pos * seg + len(my_seg)] = my_seg
-        for p in range(P):
-            if p == pos:
-                continue
-            part = ctx.recv(group[p], ("rdeliver", p))
-            buf[p * seg:p * seg + len(part)] = part
-        return buf[:length]
+        segs[pos] = my_seg
+        return _gather_segments(ctx, group, segs, seg, length, ("rdeliver",))
     if ctx.rank == target:
         raise AssertionError("target must live on the target node")
     return None
@@ -385,11 +411,14 @@ def reduce_slabs(strategy: ReduceStrategy, partials, target: int, topo: Topology
                  log: MessageLog | None = None, phase: str = "reduce"):
     """Sum per-rank partial slabs onto the target rank.
 
-    All partials must share the grid spec and slab range. The message
-    choreography of the chosen strategy runs (and is logged); the
-    delivered values are the canonical sum over partials in rank order
-    0..R-1, so every strategy returns bit-identical data. Returns
-    ``(reduced ComplexGrid, MessageLog)``.
+    All partials must share the grid spec and slab range; they are only
+    read. The message choreography of the chosen strategy runs (and is
+    logged); each message costs the one copy :meth:`Router.send` makes. The
+    delivered values are then dropped: the returned data is the canonical
+    sum over partials in rank order 0..R-1, written by the ranks, each its
+    :func:`~wstack.mesh.partition_1d` share, so every strategy returns
+    bit-identical data. That sum goes once the choreography carries real
+    partials. Returns ``(reduced ComplexGrid, MessageLog)``.
     """
     R = topo.n_ranks
     if len(partials) != R:
@@ -409,9 +438,18 @@ def reduce_slabs(strategy: ReduceStrategy, partials, target: int, topo: Topology
         lambda ctx: _reduce_collective(ctx, strategy, flats[ctx.rank], target, phase),
         log=log,
     )
-    reduced = flats[0].copy()
-    for flat in flats[1:]:
-        reduced += flat
+    # Allocated only now, after the choreography's buffers are freed.
+    reduced = np.empty(len(flats[0]), dtype=np.complex128)
+
+    def sum_share(ctx):
+        lo, count = partition_1d(len(reduced), R, ctx.rank)
+        share = slice(lo, lo + count)
+        out = reduced[share]
+        out[...] = flats[0][share]
+        for flat in flats[1:]:
+            np.add(out, flat[share], out=out)
+
+    run_ranks(topo, sum_share)
     out = ComplexGrid(spec, slab, reduced.reshape(partials[0].data.shape))
     return out, log
 

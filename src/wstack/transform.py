@@ -105,7 +105,7 @@ def fft2d_slab(slabs, spec: GridSpec, topo: Topology, direction: str = "forward"
         for d in range(R):
             if d != r:
                 d0, dc = cols[d]
-                ctx.send(d, ("tp_fwd",), np.ascontiguousarray(a[:, d0:d0 + dc]), phase)
+                ctx.send(d, ("tp_fwd",), a[:, d0:d0 + dc], phase)
         b = np.empty((cc, spec.n_v), dtype=np.complex128)
         b[:, v0:v0 + vc] = a[:, c0:c0 + cc].T
         for s in range(R):
@@ -116,7 +116,7 @@ def fft2d_slab(slabs, spec: GridSpec, topo: Topology, direction: str = "forward"
         for d in range(R):
             if d != r:
                 d0, dc = rows[d]
-                ctx.send(d, ("tp_back",), np.ascontiguousarray(b[:, d0:d0 + dc]), phase)
+                ctx.send(d, ("tp_back",), b[:, d0:d0 + dc], phase)
         out = np.empty((vc, spec.n_u), dtype=np.complex128)
         out[:, c0:c0 + cc] = b[:, v0:v0 + vc].T
         for s in range(R):

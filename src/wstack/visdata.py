@@ -58,9 +58,10 @@ _HEADER_STRUCT = struct.Struct("<4sIQIIIdd20s")
 assert _HEADER_STRUCT.size == HEADER_SIZE
 
 
-class FormatError(OSError):
-    """Raised for malformed dataset files; an I/O error, as
-    ``gzip.BadGzipFile`` is."""
+class FormatError(OSError, ValueError):
+    """Raised for malformed dataset files and for headers holding invalid
+    values; an I/O error, as ``gzip.BadGzipFile`` is, and also a
+    ``ValueError``, as ``io.UnsupportedOperation`` is."""
 
 
 @dataclass
@@ -109,11 +110,14 @@ class DatasetHeader:
             raise FormatError(f"bad magic {magic!r}")
         if version != VERSION:
             raise FormatError(f"unsupported version {version}")
-        return cls(
-            n_records=n_records, n_freq=n_freq, n_corr=n_corr,
-            n_time_slices=n_time, w_min_native=wmin, w_max_native=wmax,
-            version=version, reserved=res,
-        )
+        try:
+            return cls(
+                n_records=n_records, n_freq=n_freq, n_corr=n_corr,
+                n_time_slices=n_time, w_min_native=wmin, w_max_native=wmax,
+                version=version, reserved=res,
+            )
+        except ValueError as exc:
+            raise FormatError(f"bad header: {exc}") from exc
 
 
 @dataclass

@@ -1,4 +1,6 @@
+import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +18,7 @@ def test_module_entry_point_verify_passes():
     proc = subprocess.run([sys.executable, "-m", "wstack", "verify", "small"],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == EXIT_OK, proc.stdout + proc.stderr
-    assert "OK: 12/12 checks passed" in proc.stdout
+    assert "OK: 13/13 checks passed" in proc.stdout
 
 
 def test_verify_failure_exits_1():
@@ -108,3 +110,24 @@ def test_negative_shape_param_exits_2(tmp_path, capsys, source):
         argv += ["--config", str(config)]
     assert main(argv) == EXIT_USAGE
     assert "shape_param" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["image", "bench"])
+# Header fields: n_records is a u64 at byte 8, w_min_native an f64 at 28.
+@pytest.mark.parametrize("offset, fmt, value, message", [
+    (8, "<Q", 0, "n_records"),
+    (28, "<d", math.nan, "finite"),
+], ids=["zero-records", "nan-w-extent"])
+def test_invalid_header_value_exits_3(tmp_path, capsys, command, offset, fmt, value, message):
+    header, chunk = visdata.generate_synthetic(
+        visdata.SkyModel(sources=((0.0, 0.0, 1.0),)), 50, n_freq=1, seed=1)
+    dataset = tmp_path / "d.rvis"
+    visdata.write_dataset(chunk, header, dataset)
+    raw = bytearray(dataset.read_bytes())
+    struct.pack_into(fmt, raw, offset, value)
+    dataset.write_bytes(bytes(raw))
+    code = main([command, "--dataset", str(dataset), "--out-dir", str(tmp_path / "out"),
+                 "--n-u", "16", "--n-v", "16", "--n-w", "2"])
+    err = capsys.readouterr().err
+    assert code == EXIT_IO, err
+    assert "i/o error" in err and message in err

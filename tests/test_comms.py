@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -129,3 +130,66 @@ def test_exchange_owns_each_record_once_and_copies_only_within_halo(
         near = (gv + half_support >= sl.v_start) & (gv - half_support <= sl.v_end - 1)
         assert set(ids) == set(np.flatnonzero(near))
     assert np.all(owners == 1)
+
+
+# ---------------------------------------------------------------------------
+# reduce copies
+# ---------------------------------------------------------------------------
+
+def random_partials(topo, spec, slab, seed):
+    rng = np.random.default_rng(seed)
+    shape = (spec.n_w, slab.v_count, spec.n_u)
+    return [ComplexGrid(spec, slab, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+            for _ in range(topo.n_ranks)]
+
+
+@pytest.mark.parametrize("kind", REDUCE_KINDS)
+@pytest.mark.parametrize("nodes,ranks", [(1, 1), (1, 2), (2, 1), (2, 2), (4, 2), (1, 3)])
+def test_reduce_leaves_partials_untouched(kind, nodes, ranks):
+    # The ring adds into received buffers and slices segments as views of
+    # the partials; 32 elements on 1x3 pads the short tail segment.
+    topo = Topology(nodes, ranks)
+    spec = GridSpec(n_u=4, n_v=8, n_w=2, cell_size_lm=1e-3)
+    partials = random_partials(topo, spec, slab_of(spec, 0, 2), nodes * 10 + ranks)
+    before = [p.data.tobytes() for p in partials]
+    for target in range(topo.n_ranks):
+        reduce_slabs(ReduceStrategy(kind), partials, target, topo)
+        assert [p.data.tobytes() for p in partials] == before, target
+
+
+# Peak allocation of one reduce_slabs call on 256^2 x 4 partials, in
+# partial sizes. Every message is one copy made by Router.send, the sums go
+# into received buffers, and the output is allocated after the
+# choreography's buffers are freed: direct on 1x2 holds only the message
+# it receives, then the output. Which ring buffers are alive at once
+# depends on how the rank threads interleave, so each target's least of
+# three calls is bounded.
+ALLOCATION_BOUNDS = {
+    ((1, 2), "direct"): 1.25,
+    ((1, 2), "hybrid_ring"): 3.25,
+    ((1, 2), "ring_rdma_like"): 2.75,
+    ((2, 2), "direct"): 3.25,
+    ((2, 2), "hybrid_ring"): 5.25,
+    ((2, 2), "ring_rdma_like"): 3.25,
+}
+
+
+@pytest.mark.parametrize("topo_shape, kind", list(ALLOCATION_BOUNDS),
+                         ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else v)
+def test_reduce_peak_allocation_within_budget(topo_shape, kind):
+    topo = Topology(*topo_shape)
+    spec = GridSpec(n_u=256, n_v=256, n_w=4, cell_size_lm=1e-3)
+    partials = random_partials(topo, spec, slab_of(spec, 0, 1), 3)
+    nbytes = partials[0].data.nbytes
+    worst = 0.0
+    for target in range(topo.n_ranks):
+        peaks = []
+        for _ in range(3):
+            tracemalloc.start()
+            try:
+                reduce_slabs(ReduceStrategy(kind), partials, target, topo)
+                peaks.append(tracemalloc.get_traced_memory()[1] / nbytes)
+            finally:
+                tracemalloc.stop()
+        worst = max(worst, min(peaks))
+    assert worst <= ALLOCATION_BOUNDS[(topo_shape, kind)], worst

@@ -48,6 +48,16 @@ def test_transpose_messages_and_bytes(plane, topo):
     assert log.count() == log.count(phase="fft")
 
 
+@pytest.mark.parametrize("topo", [Topology(1, 2), Topology(1, 3)],
+                         ids=lambda t: f"{t.n_nodes}x{t.ranks_per_node}")
+@pytest.mark.parametrize("direction", ["forward", "inverse"])
+def test_transform_leaves_input_slabs_untouched(plane, topo, direction):
+    # The transposes send column blocks as views; Router.send copies them.
+    before = plane.tobytes()
+    fft2d_slab(split_rows(plane, topo.n_ranks), SPEC, topo, direction)
+    assert plane.tobytes() == before
+
+
 def test_bad_direction_and_slab_count_rejected(plane):
     with pytest.raises(ValueError, match="direction"):
         fft2d_slab([plane], SPEC, Topology(1, 1), "sideways")
