@@ -7,8 +7,9 @@ failed run aborts its cell, is recorded with a reason, and never poisons
 the aggregates.
 
 :func:`verify_pipeline` checks the production paths against independent
-references: a direct triple-loop convolution, a direct O(N^4) DFT, the
-cross-strategy reduce equivalence, and end-to-end point-source recovery.
+references: a direct triple-loop convolution (also on records placed on
+cell lines and at mesh edges), a direct O(N^4) DFT, the cross-strategy
+reduce equivalence, and end-to-end point-source recovery.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ __all__ = [
     "VerifyReport",
     "verify_pipeline",
     "direct_convolution_grid",
+    "edge_chunk",
     "reference_dft2d",
 ]
 
@@ -209,14 +211,16 @@ def aggregate_rows(raw_rows):
 # Independent references
 # ---------------------------------------------------------------------------
 
-def direct_convolution_grid(chunk, spec: GridSpec, kern: KernelSpec) -> np.ndarray:
+def direct_convolution_grid(chunk, spec: GridSpec, kern: KernelSpec):
     """Reference gridder: plain triple loop over records x kernel footprint
-    onto the full mesh. Slow by design; used only to check the fast path."""
+    onto the full mesh. Slow by design; used only to check the fast path.
+    Returns ``(grid, number of cell updates)``."""
     from .comms import prepare_chunk
 
     prep = prepare_chunk(chunk, spec, 0)
     grid = np.zeros((spec.n_w, spec.n_v, spec.n_u), dtype=np.complex128)
     S = kern.half_support
+    updates = 0
     for rec in prep:
         gu, gv, plane, value = rec["gu"], rec["gv"], int(rec["plane"]), rec["value"]
         for j in range(int(np.ceil(gv - S)), int(np.floor(gv + S)) + 1):
@@ -226,7 +230,28 @@ def direct_convolution_grid(chunk, spec: GridSpec, kern: KernelSpec) -> np.ndarr
                 if not 0 <= i < spec.n_u:
                     continue
                 grid[plane, j, i] += value * kernel_value(kern, gu - i, gv - j)
-    return grid
+                updates += 1
+    return grid, updates
+
+
+def edge_chunk(n: int = 120, seed: int = 5) -> visdata.VisChunk:
+    """Records spread over all four planes of an n_w=4 mesh, half of them
+    within the half support of a u or v mesh edge of a 32-cell axis, some
+    exactly on a cell line or an edge."""
+    rng = np.random.default_rng(seed)
+    u, v = rng.random(n), rng.random(n)
+    near = rng.random(n) * 3.0 / 32.0
+    u[0::4] = near[0::4]
+    u[1::4] = 1.0 - near[1::4] - 1e-9
+    v[2::4] = near[2::4]
+    v[3::4] = 1.0 - near[3::4] - 1e-9
+    u[:8] = [0.0, 0.0, 3 / 32, 0.5, 31 / 32, 16.5 / 32, 0.25, 29 / 32]
+    v[:8] = [0.0, 0.5, 0.0, 3 / 32, 0.25, 0.0, 31 / 32, 29 / 32]
+    return visdata.VisChunk(
+        u=u, v=v, w=(np.arange(n) % 4) / 3.0, time_index=np.arange(n, dtype=np.uint32),
+        vis=(rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))
+             ).astype(np.complex64),
+        weight=rng.random((n, 1)).astype(np.float32))
 
 
 def reference_dft2d(plane: np.ndarray, inverse: bool = False) -> np.ndarray:
@@ -343,7 +368,7 @@ def verify_pipeline(scale: str = "small", force_fail: bool = False) -> VerifyRep
         bitwise))
     if brute:
         t0 = time.perf_counter()
-        ref = direct_convolution_grid(chunk, spec, kern)
+        ref, _ = direct_convolution_grid(chunk, spec, kern)
         err = _max_abs(g1, ref)
         checks.append(CheckResult(
             "gridding vs direct convolution", "max abs <= 1e-12",
@@ -377,6 +402,29 @@ def verify_pipeline(scale: str = "small", force_fail: bool = False) -> VerifyRep
         checks.append(CheckResult(
             "gridded mass vs per-record kernel sums", "relative <= 1e-10",
             f"relative {err:.3e}", err <= 1e-10))
+
+    # records on cell lines and at mesh edges, gridded on two slabs, against
+    # the direct convolution, for both kernels
+    espec = GridSpec(n_u=32, n_v=32, n_w=4, cell_size_lm=cell,
+                     w_min_native=0.0, w_max_native=12.0)
+    echunk = edge_chunk()
+    etopo = Topology(n_nodes=1, ranks_per_node=2)
+    err_edge, counts = 0.0, []
+    for ekern in (kern, KernelSpec.kaiser_bessel(half_support=3)):
+        eref, ref_updates = direct_convolution_grid(echunk, espec, ekern)
+        log = MessageLog()
+        eslabs, updates = grid_sectors(visdata.partition_time_ordered(echunk, 2),
+                                       espec, ekern, etopo, log)
+        eslabs = reduce_sectors(eslabs, etopo, ReduceStrategy(), log)
+        err_edge = max(err_edge, _max_abs(np.concatenate([s.data for s in eslabs], axis=1),
+                                          eref))
+        counts.append((updates, ref_updates))
+    edge_ok = err_edge <= 1e-12 and all(a == b for a, b in counts)
+    checks.append(CheckResult(
+        "gridding on cell lines and mesh edges vs direct convolution (both kernels)",
+        "max abs <= 1e-12, equal cell updates",
+        f"max abs {err_edge:.3e}, updates " + ", ".join(f"{a} vs {b}" for a, b in counts),
+        edge_ok))
 
     # Kaiser-Bessel weights (power series of I0) against numpy's I0
     kb = KernelSpec.kaiser_bessel(half_support=3)

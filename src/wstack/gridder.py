@@ -8,16 +8,32 @@ crosses a slab boundary are present on both ranks (halo duplicates from
 the exchange), so every rank computes exactly the rows it owns.
 
 Both kernels are separable, so a record's weights are the outer product
-of 2S+1 weights along u and 2S+1 along v (S the half support). The
-contribution to a cell is ``value * (w_u * w_v)``.
+of its weights along u and along v. The contribution to a cell is
+``value * (w_u * w_v)``.
+
+Footprint window. Along each axis a record at ``g`` reaches the cells
+``floor(g) + a``, a in -S..S (S the half support), that pass the support
+test ``|g - (floor(g) + a)| <= S``. Offsets -S+1..S always pass it; -S
+passes only when g lies on a cell line (up to rounding of that same float
+test). So each plane uses the 2S offsets -S+1..S per axis, and adds -S on
+an axis only when some record of the plane passes the test there; the
+weight of every entry beyond the support is then set to exactly 0.0 (the
+Gaussian is not 0 there). Cells are indexed in a window of the plane's
+rows, each row padded to the ``n_u + 2S + 1`` columns -S..n_u+S that a
+record at ``0 <= gu <= n_u`` can reach, so every footprint entry lands in
+range and no mask is built. Only the owned rows and
+columns of the window reach the grid; the rest is dropped. Weight-0
+entries add ``+-0.0`` to a block sum, which leaves it unchanged.
 
 Accumulation order. Records are taken plane by plane, in the order they
-are given (the exchange sorts them by time index, then global index).
-For each plane and each u offset ``a`` in -S..S, the block's
+are given (the exchange sorts them by time index, then global index); one
+stable sort by plane keeps that order within each plane.
+For each plane and each u offset ``a`` in order, the block's
 contributions are summed per cell by an ordered ``np.bincount`` in record
 order, and the block sum is added to the cell; blocks are added in order
 of ``a``. So the sum at every cell has one fixed order, set by the
-global record order alone: the grid is bit-identical for any rank count.
+global record order alone: the grid is bit-identical for any rank count,
+and to the masked per-offset form this gridder replaced.
 
 The grid is not bit-identical to a scatter-add that keeps one running
 sum per cell in record order, which associates the sums differently; the
@@ -211,49 +227,81 @@ def grid_sector(batch: SectorBatch, kern: KernelSpec, out: ComplexGrid) -> int:
         raise ValueError("batch and output slab ranges differ")
     gu, gv, plane, value = batch.gu, batch.gv, batch.plane, batch.value
     S = kern.half_support
+    n_u, n_w = out.spec.n_u, out.spec.n_w
     if np.any(gv + S < slab.v_start) or np.any(gv - S > slab.v_end - 1):
         raise ValueError("record outside slab+halo")
-    offsets = np.arange(-S, S + 1)
-    n_u = out.spec.n_u
+    # Written as "inside" so that NaN is rejected too.
+    if len(gu) and not (gu.min() >= 0.0 and gu.max() <= n_u):
+        raise ValueError("record outside the mesh columns")
+    if len(plane) and plane.max() >= n_w:
+        raise ValueError(f"plane {plane.max()} outside range(0, {n_w})")
+    # Planes are below n_w, so the narrowest type that holds them sorts
+    # them fastest (a radix sort for 8- and 16-bit keys).
+    order = np.argsort(plane.astype(np.min_scalar_type(n_w - 1)), kind="stable")
+    bounds = np.searchsorted(plane[order], np.arange(n_w + 1))
+    gu, gv, value = gu[order], gv[order], value[order]
     count = 0
-    for p in np.unique(plane):
-        sel = np.flatnonzero(plane == p)
-        flo_u = np.floor(gu[sel]).astype(np.int64)
-        flo_v = np.floor(gv[sel]).astype(np.int64)
-        i = flo_u[:, None] + offsets
-        j = flo_v[:, None] + offsets
-        ok_u = (i >= 0) & (i < n_u)
-        ok_v = (j >= slab.v_start) & (j < slab.v_end)
-        wu, wv = np.empty(i.shape), np.empty(j.shape)
-        # Weights depend on each record alone, so they are evaluated in
-        # blocks of records to bound the kernel's temporaries.
-        for r in range(0, len(sel), KERNEL_BLOCK):
-            rows = slice(r, r + KERNEL_BLOCK)
-            du = gu[sel[rows], None] - i[rows]
-            dv = gv[sel[rows], None] - j[rows]
-            ok_u[rows] &= np.abs(du) <= S
-            ok_v[rows] &= np.abs(dv) <= S
-            # Both kernels factor: k(du, dv) = k(du, 0) * k(0, dv), k(0, 0) = 1.
-            wu[rows] = kernel_value(kern, du, 0.0)
-            wv[rows] = kernel_value(kern, dv, 0.0)
-        row_base = (j - slab.v_start) * n_u
-        del i, j
-        re, im = value.real[sel, None], value.imag[sel, None]
-        # ComplexGrid data is C-contiguous, so this is a view.
-        flat = out.data[p].reshape(-1)
-        for a in range(len(offsets)):
-            if not ok_u[:, a].any():
-                continue
-            ok = ok_u[:, a, None] & ok_v
-            cells = (row_base + (flo_u + offsets[a])[:, None])[ok]
-            if not len(cells):
-                continue
-            w = (wu[:, a, None] * wv)[ok]
-            lo = int(cells.min())
-            n_cells = int(cells.max()) + 1 - lo
-            cells -= lo
-            for part, vals in ((flat.real, re), (flat.imag, im)):
-                part[lo:lo + n_cells] += np.bincount(
-                    cells, np.broadcast_to(vals, ok.shape)[ok] * w, n_cells)
-            count += len(cells)
+    for p in range(n_w):
+        rec = slice(bounds[p], bounds[p + 1])
+        if rec.start < rec.stop:
+            count += _grid_plane(gu[rec], gv[rec], value[rec], kern, out, p)
     return count
+
+
+def _axis_window(g, lo: int, hi: int, kern: KernelSpec):
+    """Footprint of the records along one axis: cell floors, the first
+    offset of the window (-S only when some record is on a cell line),
+    kernel weights per (record, offset) with 0.0 beyond the support, and
+    the number of offsets that land in cells ``lo..hi`` within the
+    support."""
+    S = kern.half_support
+    flo = np.floor(g)
+    # The support test of ``|g - cell| <= S`` at offset -S; every offset
+    # -S+1..S passes it for any g.
+    on_line = np.abs(g - (flo - S)) <= S
+    first = -S if on_line.any() else 1 - S
+    cells = flo[:, None] + np.arange(first, S + 1)
+    weights = np.empty(cells.shape)
+    # Weights depend on each record alone, so they are evaluated in
+    # blocks of records to bound the kernel's temporaries.
+    for r in range(0, len(g), KERNEL_BLOCK):
+        rows = slice(r, r + KERNEL_BLOCK)
+        # Both kernels factor: k(du, dv) = k(du, 0) * k(0, dv), k(0, 0) = 1.
+        weights[rows] = kernel_value(kern, g[rows, None] - cells[rows], 0.0)
+    if first == -S:
+        # The Gaussian is not 0 beyond S, so such entries are zeroed here.
+        weights[~on_line, 0] = 0.0
+    flo = flo.astype(np.int64)
+    n_in = np.minimum(flo + S, hi) + 1 - np.maximum(flo + np.where(on_line, -S, 1 - S), lo)
+    return flo, first, weights, np.maximum(n_in, 0)
+
+
+def _grid_plane(gu, gv, value, kern: KernelSpec, out: ComplexGrid, p: int) -> int:
+    """Grid one plane's records (in record order) into ``out.data[p]``."""
+    S = kern.half_support
+    slab, n_u = out.slab, out.spec.n_u
+    flo_u, first_u, wu, n_in_u = _axis_window(gu, 0, n_u - 1, kern)
+    flo_v, first_v, wv, n_in_v = _axis_window(gv, slab.v_start, slab.v_end - 1, kern)
+    # ``cells`` indexes the padded row window (see the module docstring)
+    # at u offset 0, where mesh column c is window column c + S. Offset a
+    # moves every entry a columns along, so its sums for column c are
+    # read from window column c + S - a; the bincount itself is the same.
+    width = n_u + 2 * S + 1
+    row0 = int(flo_v.min()) + first_v
+    n_rows = int(flo_v.max()) + S + 1 - row0
+    cells = ((flo_v - row0) * width + flo_u + S)[:, None] + np.arange(first_v, S + 1) * width
+    cells = cells.reshape(-1)
+    # Owned rows the window reaches, as window rows and slab rows.
+    r0, r1 = max(row0, slab.v_start), min(row0 + n_rows, slab.v_end)
+    dst = slice(r0 - slab.v_start, r1 - slab.v_start)
+    re, im = value.real[:, None], value.imag[:, None]
+    w = np.empty(wv.shape)
+    part = np.empty(wv.shape)
+    for a in range(first_u, S + 1):
+        np.multiply(wu[:, a - first_u, None], wv, out=w)
+        for target, vals in ((out.data[p].real, re), (out.data[p].imag, im)):
+            np.multiply(vals, w, out=part)
+            sums = np.bincount(cells, part.reshape(-1), n_rows * width)
+            sums = sums.reshape(n_rows, width)[r0 - row0:r1 - row0, S - a:S - a + n_u]
+            target[dst] += sums
+    return int(np.dot(n_in_u, n_in_v))

@@ -48,8 +48,7 @@ def peak_pixel(image: FinalImage) -> tuple[int, int]:
 def _partition_for_ranks(chunk, n_ranks: int):
     """Time-ordered partition; falls back to contiguous record runs when
     there are more ranks than distinct time slices."""
-    n_slices = len(np.unique(chunk.time_index))
-    if n_ranks <= n_slices:
+    if n_ranks <= len(visdata.time_slice_starts(chunk)):
         return visdata.partition_time_ordered(chunk, n_ranks)
     parts = []
     for r in range(n_ranks):

@@ -47,6 +47,7 @@ __all__ = [
     "read_dataset",
     "chunk_channel_range",
     "chunk_slice_range",
+    "time_slice_starts",
     "partition_time_ordered",
     "generate_synthetic",
 ]
@@ -59,9 +60,10 @@ assert _HEADER_STRUCT.size == HEADER_SIZE
 
 
 class FormatError(OSError, ValueError):
-    """Raised for malformed dataset files and for headers holding invalid
-    values; an I/O error, as ``gzip.BadGzipFile`` is, and also a
-    ``ValueError``, as ``io.UnsupportedOperation`` is."""
+    """Raised for malformed dataset files, for headers holding invalid
+    values and for records out of time order; an I/O error, as
+    ``gzip.BadGzipFile`` is, and also a ``ValueError``, as
+    ``io.UnsupportedOperation`` is."""
 
 
 @dataclass
@@ -354,6 +356,20 @@ def read_dataset(path, chunk: ChunkSpec | None = None):
     return header, data
 
 
+def time_slice_starts(chunk: VisChunk) -> np.ndarray:
+    """Index of the first record of each distinct time slice.
+
+    Raises :class:`FormatError` unless the records are sorted by time
+    index, the order a dataset file must hold them in.
+    """
+    t = chunk.time_index
+    if np.any(t[1:] < t[:-1]):
+        raise FormatError("records must be sorted by time_index")
+    if not len(t):
+        return np.zeros(0, dtype=np.intp)
+    return np.concatenate(([0], np.flatnonzero(t[1:] != t[:-1]) + 1))
+
+
 def partition_time_ordered(records, n_ranks: int) -> list[VisChunk]:
     """Split time-sorted records into contiguous runs of time slices.
 
@@ -363,19 +379,15 @@ def partition_time_ordered(records, n_ranks: int) -> list[VisChunk]:
     chunk = records if isinstance(records, VisChunk) else VisChunk.from_records(records)
     if n_ranks < 1:
         raise ValueError("n_ranks must be >= 1")
-    t = chunk.time_index
-    if len(t) > 1 and np.any(np.diff(t.astype(np.int64)) < 0):
-        raise ValueError("records must be sorted by time_index")
-    slices = np.unique(t)
-    if n_ranks > len(slices):
+    starts = time_slice_starts(chunk)
+    if n_ranks > len(starts):
         raise ValueError(
-            f"n_ranks {n_ranks} exceeds the {len(slices)} time slices present")
+            f"n_ranks {n_ranks} exceeds the {len(starts)} time slices present")
+    bounds = np.append(starts, len(chunk))
     out = []
     for r in range(n_ranks):
-        s0, sc = partition_1d(len(slices), n_ranks, r)
-        lo = np.searchsorted(t, slices[s0], side="left")
-        hi = np.searchsorted(t, slices[s0 + sc - 1], side="right")
-        out.append(chunk.rows(slice(lo, hi)))
+        s0, sc = partition_1d(len(starts), n_ranks, r)
+        out.append(chunk.rows(slice(bounds[s0], bounds[s0 + sc])))
     return out
 
 

@@ -18,7 +18,7 @@ def test_module_entry_point_verify_passes():
     proc = subprocess.run([sys.executable, "-m", "wstack", "verify", "small"],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == EXIT_OK, proc.stdout + proc.stderr
-    assert "OK: 13/13 checks passed" in proc.stdout
+    assert "OK: 14/14 checks passed" in proc.stdout
 
 
 def test_verify_failure_exits_1():
@@ -131,3 +131,22 @@ def test_invalid_header_value_exits_3(tmp_path, capsys, command, offset, fmt, va
     err = capsys.readouterr().err
     assert code == EXIT_IO, err
     assert "i/o error" in err and message in err
+
+
+# 4 time slices: 1x2 partitions by time slice, and 2x4's eight ranks take
+# the fallback to contiguous record runs.
+@pytest.mark.parametrize("command, topo", [
+    ("image", "1x2"), ("image", "2x4"), ("bench", "1x2"),
+], ids=["image-1x2", "image-2x4-fallback", "bench-1x2"])
+def test_records_out_of_time_order_exit_3(tmp_path, capsys, command, topo):
+    header, chunk = visdata.generate_synthetic(
+        visdata.SkyModel(sources=((0.0, 0.0, 1.0),)), 50, n_freq=1, seed=1,
+        n_time_slices=4)
+    dataset = tmp_path / "d.rvis"
+    visdata.write_dataset(chunk.rows(slice(None, None, -1)), header, dataset)
+    code = main([command, "--dataset", str(dataset), "--out-dir", str(tmp_path / "out"),
+                 "--n-u", "16", "--n-v", "16", "--n-w", "2",
+                 "--topo" if command == "image" else "--topos", topo])
+    err = capsys.readouterr().err
+    assert code == EXIT_IO, err
+    assert "i/o error: records must be sorted by time_index" in err

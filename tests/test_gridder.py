@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wstack import gridder, visdata
+from wstack.bench import edge_chunk
 from wstack.comms import MessageLog, ReduceStrategy, Topology
 from wstack.gridder import KernelSpec, SectorBatch, grid_sector, kernel_value
 from wstack.mesh import ComplexGrid, GridSpec, slab_of
@@ -214,26 +215,6 @@ def test_gridded_mass_matches_kernel_sums():
     assert abs(out.data.sum() - expected) < 1e-10
 
 
-def edge_chunk(n=120, seed=5):
-    """Records spread over all four planes of an n_w=4 mesh, half of them
-    within the half support of a u or v mesh edge, some exactly on a cell
-    or an edge."""
-    rng = np.random.default_rng(seed)
-    u, v = rng.random(n), rng.random(n)
-    near = rng.random(n) * 3.0 / 32.0
-    u[0::4] = near[0::4]
-    u[1::4] = 1.0 - near[1::4] - 1e-9
-    v[2::4] = near[2::4]
-    v[3::4] = 1.0 - near[3::4] - 1e-9
-    u[:8] = [0.0, 0.0, 3 / 32, 0.5, 31 / 32, 16.5 / 32, 0.25, 29 / 32]
-    v[:8] = [0.0, 0.5, 0.0, 3 / 32, 0.25, 0.0, 31 / 32, 29 / 32]
-    return visdata.VisChunk(
-        u=u, v=v, w=(np.arange(n) % 4) / 3.0, time_index=np.arange(n, dtype=np.uint32),
-        vis=(rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))
-             ).astype(np.complex64),
-        weight=rng.random((n, 1)).astype(np.float32))
-
-
 @pytest.mark.parametrize("kern", [KernelSpec.gaussian(3, 1.0), KernelSpec.kaiser_bessel(3)],
                          ids=["gaussian", "kaiser_bessel"])
 def test_matches_brute_force_with_edge_clipping_on_every_plane(kern):
@@ -253,6 +234,149 @@ def test_matches_brute_force_with_edge_clipping_on_every_plane(kern):
     out = ComplexGrid(spec, slab_of(spec, 0, 1))
     assert grid_sector(batch, kern, out) == ref_updates
     assert np.max(np.abs(out.data - ref)) <= 1e-12
+
+
+def masked_grid_sector(batch, kern, out):
+    """The masked per-offset gridder ``grid_sector`` replaced, kept as the
+    reference for bit identity: a (2S+1) x (2S+1) footprint per record, with
+    out-of-mesh, out-of-slab and beyond-support entries masked away, one
+    ``plane == p`` scan per plane and one bincount per (plane, u offset)
+    over the span of the cells it touches."""
+    slab = out.slab
+    gu, gv, plane, value = batch.gu, batch.gv, batch.plane, batch.value
+    S = kern.half_support
+    offsets = np.arange(-S, S + 1)
+    n_u = out.spec.n_u
+    count = 0
+    for p in np.unique(plane):
+        sel = np.flatnonzero(plane == p)
+        flo_u = np.floor(gu[sel]).astype(np.int64)
+        flo_v = np.floor(gv[sel]).astype(np.int64)
+        i = flo_u[:, None] + offsets
+        j = flo_v[:, None] + offsets
+        du = gu[sel, None] - i
+        dv = gv[sel, None] - j
+        ok_u = (i >= 0) & (i < n_u) & (np.abs(du) <= S)
+        ok_v = (j >= slab.v_start) & (j < slab.v_end) & (np.abs(dv) <= S)
+        wu = kernel_value(kern, du, 0.0)
+        wv = kernel_value(kern, dv, 0.0)
+        row_base = (j - slab.v_start) * n_u
+        re, im = value.real[sel, None], value.imag[sel, None]
+        flat = out.data[p].reshape(-1)
+        for a in range(len(offsets)):
+            ok = ok_u[:, a, None] & ok_v
+            cells = (row_base + (flo_u + offsets[a])[:, None])[ok]
+            if not len(cells):
+                continue
+            w = (wu[:, a, None] * wv)[ok]
+            lo = int(cells.min())
+            n_cells = int(cells.max()) + 1 - lo
+            cells -= lo
+            for part, vals in ((flat.real, re), (flat.imag, im)):
+                part[lo:lo + n_cells] += np.bincount(
+                    cells, np.broadcast_to(vals, ok.shape)[ok] * w, n_cells)
+            count += len(cells)
+    return count
+
+
+def on_line_case(name, rng):
+    """``(spec, slab, gu, gv, plane, value)`` of one bit-identity case.
+
+    Records pile up on few cells, so that the per-cell sums have many
+    terms and a change of summation order would show."""
+    spec = GridSpec(n_u=32, n_v=32, n_w=4, cell_size_lm=1e-3)
+    slab = slab_of(spec, 0, 1)
+    n = 600
+    gu = rng.integers(4, 28, n) + rng.choice([0.25, 0.5, 0.8125], n)
+    gv = rng.integers(4, 28, n) + rng.choice([0.125, 0.5, 0.75], n)
+    plane = rng.integers(0, spec.n_w, n)
+    if name == "u_line":  # on a u cell line in planes 0 and 2 only
+        hit = (plane % 2 == 0) & (rng.random(n) < 0.2)
+        gu[hit] = np.floor(gu[hit])
+    elif name == "v_line":  # on a v cell line in plane 1 only
+        hit = (plane == 1) & (rng.random(n) < 0.2)
+        gv[hit] = np.floor(gv[hit])
+    elif name == "both_lines":  # on a cell corner, on a u line or on a v line
+        kind = rng.integers(0, 4, n)
+        gu[kind & 1 == 1] = np.floor(gu[kind & 1 == 1])
+        gv[kind & 2 == 2] = np.floor(gv[kind & 2 == 2])
+    elif name == "mesh_edges":  # u = 0 and u -> 1, v = 0 and v -> 1
+        edge = np.array([0.0, 0.5, 1e-12, 32.0 - 1e-9, np.nextafter(32.0, 0.0), 32.0,
+                         31.0, 2.0, 29.5])
+        gu[:len(edge)] = edge
+        gv[len(edge):2 * len(edge)] = np.minimum(edge, np.nextafter(32.0, 0.0))
+        gu[2 * len(edge):3 * len(edge)] = edge
+        gv[2 * len(edge):3 * len(edge)] = edge[::-1] % 32.0
+    elif name == "halo_1x3":  # middle slab of three, halo records on both sides
+        slab = slab_of(spec, 1, 3)
+        S = 3
+        gv = rng.uniform(slab.v_start - S, slab.v_end - 1 + S, n)
+        gv[:40] = rng.integers(slab.v_start - S, slab.v_start, 40) + rng.choice([0.0, 0.5], 40)
+        gv[40:80] = rng.integers(slab.v_end, slab.v_end + S - 1, 40) + rng.choice([0.0, 0.5], 40)
+        gv[80:84] = [slab.v_start - S, slab.v_end - 1 + S, slab.v_start - 1, slab.v_end]
+    elif name == "empty_plane":
+        plane[plane == 2] = 3
+    elif name == "one_plane":
+        spec = GridSpec(n_u=32, n_v=32, n_w=1, cell_size_lm=1e-3)
+        plane[:] = 0
+        gu[7] = np.floor(gu[7])
+    elif name == "one_on_line":  # one record forces the -S offset on both axes
+        plane[:] = 1
+        gu[300], gv[300] = 13.0, 17.0
+    value = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return spec, slab, gu, gv, plane, value
+
+
+ON_LINE_CASES = ("neither", "u_line", "v_line", "both_lines", "mesh_edges", "halo_1x3",
+                 "empty_plane", "one_plane", "one_on_line")
+
+
+@pytest.mark.parametrize("case", ON_LINE_CASES)
+@pytest.mark.parametrize("kern", [KernelSpec.gaussian(3, 1.0), KernelSpec.kaiser_bessel(3)],
+                         ids=["gaussian", "kaiser_bessel"])
+def test_grid_sector_bit_identical_to_masked_reference(case, kern):
+    spec, slab, gu, gv, plane, value = on_line_case(case, np.random.default_rng(17))
+    batch = batch_for(spec, slab, gu, gv, plane, value)
+    ref, got = ComplexGrid(spec, slab), ComplexGrid(spec, slab)
+    ref_count = masked_grid_sector(batch, kern, ref)
+    assert grid_sector(batch, kern, got) == ref_count
+    assert got.data.tobytes() == ref.data.tobytes()
+    assert np.any(got.data)
+    if case == "empty_plane":
+        assert not np.any(got.data[2])
+
+
+def test_beyond_support_weight_is_zeroed_for_the_gaussian():
+    # Where one on-line record brings in the -S offset, the Gaussian is
+    # exp(-(S + frac)^2 / 2) > 0 at every other record's -S entry; those
+    # entries must add nothing.
+    spec = GridSpec(n_u=32, n_v=32, n_w=1, cell_size_lm=1e-3)
+    slab = slab_of(spec, 0, 1)
+    kern = KernelSpec.gaussian(3, 1.0)
+    alone, with_line = ComplexGrid(spec, slab), ComplexGrid(spec, slab)
+    assert grid_sector(batch_for(spec, slab, [10.5], [20.5], [0], [1.0]), kern, alone) == 36
+    assert grid_sector(batch_for(spec, slab, [10.5, 3.0], [20.5, 8.0], [0, 0], [1.0, 0.0]),
+                       kern, with_line) == 36 + 49
+    assert with_line.data.tobytes() == alone.data.tobytes()
+    assert not np.any(alone.data[0, :, 7]) and not np.any(alone.data[0, 17, :])
+
+
+@pytest.mark.parametrize("plane, n_w", [(4, 4), (1, 1), (2 ** 20, 4)])
+def test_plane_outside_mesh_rejected(plane, n_w):
+    spec = GridSpec(n_u=16, n_v=16, n_w=n_w, cell_size_lm=1e-3)
+    slab = slab_of(spec, 0, 1)
+    batch = batch_for(spec, slab, [3.5, 4.5], [3.5, 4.5], [0, plane], [1.0, 1.0])
+    with pytest.raises(ValueError, match="plane"):
+        grid_sector(batch, KernelSpec.gaussian(3, 1.0), ComplexGrid(spec, slab))
+
+
+@pytest.mark.parametrize("gu", [-0.5, 16.0 + 1e-9, math.nan])
+def test_record_outside_mesh_columns_rejected(gu):
+    spec = GridSpec(n_u=16, n_v=16, n_w=1, cell_size_lm=1e-3)
+    slab = slab_of(spec, 0, 1)
+    batch = batch_for(spec, slab, [3.5, gu], [3.5, 4.5], [0, 0], [1.0, 1.0])
+    with pytest.raises(ValueError, match="mesh columns"):
+        grid_sector(batch, KernelSpec.gaussian(3, 1.0), ComplexGrid(spec, slab))
 
 
 # ---------------------------------------------------------------------------

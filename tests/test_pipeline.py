@@ -60,7 +60,7 @@ def oracle_image(path, n_w, kern):
     header, chunk = visdata.read_dataset(path)
     w_lo, w_hi = header.w_min_native, header.w_max_native
     spec = GridSpec(N, N, n_w, CELL, w_min_native=w_lo, w_max_native=w_hi)
-    grid = bench.direct_convolution_grid(chunk, spec, kern)
+    grid, _ = bench.direct_convolution_grid(chunk, spec, kern)
     idx = np.arange(N)
     sign = (-1.0) ** (idx[:, None] + idx[None, :])
     lm = (idx - N // 2) * CELL

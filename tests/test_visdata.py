@@ -230,12 +230,23 @@ def test_ten_slices_four_ranks():
     assert np.array_equal(reunion.u, chunk.u)
 
 
+@pytest.mark.parametrize("times, starts", [
+    ([0, 0, 1, 1, 1, 3], [0, 2, 5]), ([7], [0]), ([], []), ([2, 2, 2], [0]),
+])
+def test_time_slice_starts(times, starts):
+    n = len(times)
+    chunk = VisChunk(u=np.zeros(n), v=np.zeros(n), w=np.zeros(n),
+                     time_index=np.array(times, dtype=np.uint32),
+                     vis=np.zeros((n, 1), np.complex64), weight=np.ones((n, 1), np.float32))
+    assert visdata.time_slice_starts(chunk).tolist() == starts
+
+
 def test_unsorted_input_rejected():
     chunk = small_chunk(10, n_slices=5)
     shuffled = chunk.rows(np.argsort(chunk.u))
     if np.all(np.diff(shuffled.time_index.astype(int)) >= 0):
         pytest.skip("shuffle landed sorted")
-    with pytest.raises(ValueError, match="sorted"):
+    with pytest.raises(visdata.FormatError, match="sorted"):
         visdata.partition_time_ordered(shuffled, 2)
 
 
