@@ -301,6 +301,12 @@ def _max_abs(a, b) -> float:
     return float(np.max(np.abs(np.asarray(a) - np.asarray(b)))) if np.size(a) else 0.0
 
 
+def _cell_sign(spec: GridSpec) -> np.ndarray:
+    """(-1)^(i+j) over the mesh: the factor the gridder stores each cell
+    (row j, column i) with, so a reference grid times it is compared."""
+    return (-1.0) ** np.add.outer(np.arange(spec.n_v), np.arange(spec.n_u))
+
+
 def verify_pipeline(scale: str = "small", force_fail: bool = False) -> VerifyReport:
     """Run the oracle suite; failures are reported, never raised."""
     if scale == "small":
@@ -369,15 +375,16 @@ def verify_pipeline(scale: str = "small", force_fail: bool = False) -> VerifyRep
     if brute:
         t0 = time.perf_counter()
         ref, _ = direct_convolution_grid(chunk, spec, kern)
-        err = _max_abs(g1, ref)
+        err = _max_abs(g1, ref * _cell_sign(spec))
         checks.append(CheckResult(
             "gridding vs direct convolution", "max abs <= 1e-12",
             f"max abs {err:.3e} ({time.perf_counter() - t0:.2f} s reference)",
             err <= 1e-12))
     else:
-        # The Gaussian kernel is separable, so each record's clipped
-        # footprint weight is a product of per-axis sums; that gives an
-        # independent, vectorized expectation for the total gridded mass.
+        # The Gaussian kernel and the cell sign (-1)^(i+j) are separable,
+        # so each record's clipped, signed footprint weight is a product of
+        # per-axis sums; that gives an independent, vectorized expectation
+        # for the total gridded mass.
         from .comms import prepare_chunk
 
         prep = prepare_chunk(chunk, spec, 0)
@@ -391,11 +398,11 @@ def verify_pipeline(scale: str = "small", force_fail: bool = False) -> VerifyRep
             i = flo_u + a
             du = prep["gu"] - i
             su += np.where((np.abs(du) <= S) & (i >= 0) & (i < n_u),
-                           np.exp(-du * du / s2), 0.0)
+                           (-1.0) ** i * np.exp(-du * du / s2), 0.0)
             j = flo_v + a
             dv = prep["gv"] - j
             sv += np.where((np.abs(dv) <= S) & (j >= 0) & (j < n_v),
-                           np.exp(-dv * dv / s2), 0.0)
+                           (-1.0) ** j * np.exp(-dv * dv / s2), 0.0)
         expected = np.sum(prep["value"] * su * sv)
         total = g1.sum()
         err = abs(total - expected) / max(abs(total), 1.0)
@@ -412,6 +419,7 @@ def verify_pipeline(scale: str = "small", force_fail: bool = False) -> VerifyRep
     err_edge, counts = 0.0, []
     for ekern in (kern, KernelSpec.kaiser_bessel(half_support=3)):
         eref, ref_updates = direct_convolution_grid(echunk, espec, ekern)
+        eref *= _cell_sign(espec)
         log = MessageLog()
         eslabs, updates = grid_sectors(visdata.partition_time_ordered(echunk, 2),
                                        espec, ekern, etopo, log)

@@ -204,6 +204,9 @@ class Router:
                 nbytes=int(nbytes),
             ))
         self._box((src, dst, tag)).put(payload)
+        # The receiver owns the copy now; holding it here would keep it
+        # alive after the receiver has freed it.
+        del payload
         self._arrival((dst, tag)).put(src)
 
     def fail(self, exc: BaseException):
@@ -364,6 +367,8 @@ def _reduce_collective(ctx, strategy, my_flat, target, phase):
         master = group[0]
         if pos != 0:
             ctx.send(master, ("gather", pos), segs[pos], phase)
+            # The segments are sent; the target waits without them.
+            del segs
             if ctx.rank == target:
                 return ctx.recv(topo.master_of(t_node), ("deliver",))
             return None

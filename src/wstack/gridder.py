@@ -11,6 +11,15 @@ Both kernels are separable, so a record's weights are the outer product
 of its weights along u and along v. The contribution to a cell is
 ``value * (w_u * w_v)``.
 
+Phase-centred storage. Every cell (row j, column i) is stored times
+``(-1)^(i+j)``, the factor that moves the image's phase centre to pixel
+``(n_u/2, n_v/2)`` (see :mod:`wstack.transform`), so the grid goes to the
+inverse FFT as it is. The factor is ``(-1)^i (-1)^j``, so it rides on the
+per-axis weights: each u weight carries its cell's ``(-1)^i`` and each v
+weight its ``(-1)^j``. Negation is exact and rounding is symmetric, so
+every product, and every block sum below, is the unsigned one times its
+cell's sign, bit for bit; an exactly-zero cell stays +0.0.
+
 Footprint window. Along each axis a record at ``g`` reaches the cells
 ``floor(g) + a``, a in -S..S (S the half support), that pass the support
 test ``|g - (floor(g) + a)| <= S``. Offsets -S+1..S always pass it; -S
@@ -25,15 +34,29 @@ range and no mask is built. Only the owned rows and
 columns of the window reach the grid; the rest is dropped. Weight-0
 entries add ``+-0.0`` to a block sum, which leaves it unchanged.
 
+Accumulation space. Each plane picks where its block sums are formed from
+its own size. When its footprint entries (records times v offsets) are at
+least the cells of its row window, it bincounts over the whole window and
+adds the owned rows and columns with one slice add per part. Otherwise it
+bincounts over the distinct window cells its records touch, found once per
+plane with one touched mask and one index map that serve every u offset
+and both parts, and adds each block sum into the plane by fancy index.
+Dense planes (many records per cell) thus pay no index work, and sparse
+ones do not sweep a window that is nearly all zeros.
+
 Accumulation order. Records are taken plane by plane, in the order they
 are given (the exchange sorts them by time index, then global index); one
 stable sort by plane keeps that order within each plane.
 For each plane and each u offset ``a`` in order, the block's
 contributions are summed per cell by an ordered ``np.bincount`` in record
 order, and the block sum is added to the cell; blocks are added in order
-of ``a``. So the sum at every cell has one fixed order, set by the
-global record order alone: the grid is bit-identical for any rank count,
-and to the masked per-offset form this gridder replaced.
+of ``a``. In the touched space a block's cells are distinct (offset a
+shifts distinct cells by the same a columns), so the fancy-index add makes
+exactly one addition per cell, as the slice add does, and the two spaces
+give the same bits. So the sum at every cell has one fixed order, set by
+the global record order alone: the grid is bit-identical for any rank
+count, and, times the cell sign, to the masked per-offset form this
+gridder replaced.
 
 The grid is not bit-identical to a scatter-add that keeps one running
 sum per cell in record order, which associates the sums differently; the
@@ -66,7 +89,6 @@ __all__ = [
     "KernelSpec",
     "SectorBatch",
     "kernel_value",
-    "kernel_footprint_sum",
     "grid_sector",
 ]
 
@@ -171,19 +193,6 @@ def _kb_axis(kern: KernelSpec, x):
     return acc
 
 
-def kernel_footprint_sum(kern: KernelSpec, gu: float, gv: float) -> float:
-    """Sum of kernel weights over the unclipped footprint of one record."""
-    S = kern.half_support
-    a = np.arange(-S, S + 1)
-    i = np.floor(gu).astype(np.int64) + a
-    j = np.floor(gv).astype(np.int64) + a
-    du = gu - i
-    dv = gv - j
-    du = du[np.abs(du) <= S]
-    dv = dv[np.abs(dv) <= S]
-    return float(kernel_value(kern, du[:, None], dv[None, :]).sum())
-
-
 @dataclass
 class SectorBatch:
     """Records prepared for one sector, in (time_index, global index) order.
@@ -208,10 +217,10 @@ class SectorBatch:
         for arr in (self.gv, self.plane, self.value):
             if len(arr) != n:
                 raise ValueError("batch columns must share one length")
-        rows = np.floor(self.gv).astype(np.int64)
         lo = self.slab.v_start - self.halo_rows - 1
         hi = self.slab.v_end + self.halo_rows
-        if n and (rows.min() < lo or rows.max() > hi):
+        # Written as "inside" so that NaN is rejected too.
+        if n and not (lo <= np.floor(self.gv.min()) and np.floor(self.gv.max()) <= hi):
             raise ValueError("record outside slab+halo")
 
     def __len__(self) -> int:
@@ -219,18 +228,19 @@ class SectorBatch:
 
 
 def grid_sector(batch: SectorBatch, kern: KernelSpec, out: ComplexGrid) -> int:
-    """Accumulate one sector's records into the rows its slab owns, in the
-    order the module docstring states; returns the number of cell updates
-    performed (a deterministic work surrogate)."""
+    """Accumulate one sector's records into the rows its slab owns, each
+    cell times ``(-1)^(i+j)``, in the order the module docstring states;
+    returns the number of cell updates performed (a deterministic work
+    surrogate)."""
     slab = out.slab
     if (slab.v_start, slab.v_count) != (batch.slab.v_start, batch.slab.v_count):
         raise ValueError("batch and output slab ranges differ")
     gu, gv, plane, value = batch.gu, batch.gv, batch.plane, batch.value
     S = kern.half_support
     n_u, n_w = out.spec.n_u, out.spec.n_w
-    if np.any(gv + S < slab.v_start) or np.any(gv - S > slab.v_end - 1):
-        raise ValueError("record outside slab+halo")
     # Written as "inside" so that NaN is rejected too.
+    if len(gv) and not (gv.min() + S >= slab.v_start and gv.max() - S <= slab.v_end - 1):
+        raise ValueError("record outside slab+halo")
     if len(gu) and not (gu.min() >= 0.0 and gu.max() <= n_u):
         raise ValueError("record outside the mesh columns")
     if len(plane) and plane.max() >= n_w:
@@ -251,8 +261,10 @@ def grid_sector(batch: SectorBatch, kern: KernelSpec, out: ComplexGrid) -> int:
 def _axis_window(g, lo: int, hi: int, kern: KernelSpec):
     """Footprint of the records along one axis: cell floors, the first
     offset of the window (-S only when some record is on a cell line),
-    kernel weights per (record, offset) with 0.0 beyond the support, and
-    the number of offsets that land in cells ``lo..hi`` within the
+    signed kernel weights per (record, offset), and the number of offsets
+    that land in cells ``lo..hi`` within the support.
+
+    Each weight carries its cell's ``(-1)^cell`` and is 0.0 beyond the
     support."""
     S = kern.half_support
     flo = np.floor(g)
@@ -272,6 +284,9 @@ def _axis_window(g, lo: int, hi: int, kern: KernelSpec):
         # The Gaussian is not 0 beyond S, so such entries are zeroed here.
         weights[~on_line, 0] = 0.0
     flo = flo.astype(np.int64)
+    # (-1)^cell = (-1)^(floor(g) + first) * (-1)^(offset - first).
+    weights *= (1.0 - 2.0 * ((flo + first) & 1))[:, None]
+    weights[:, 1::2] *= -1.0
     n_in = np.minimum(flo + S, hi) + 1 - np.maximum(flo + np.where(on_line, -S, 1 - S), lo)
     return flo, first, weights, np.maximum(n_in, 0)
 
@@ -291,17 +306,67 @@ def _grid_plane(gu, gv, value, kern: KernelSpec, out: ComplexGrid, p: int) -> in
     n_rows = int(flo_v.max()) + S + 1 - row0
     cells = ((flo_v - row0) * width + flo_u + S)[:, None] + np.arange(first_v, S + 1) * width
     cells = cells.reshape(-1)
-    # Owned rows the window reaches, as window rows and slab rows.
-    r0, r1 = max(row0, slab.v_start), min(row0 + n_rows, slab.v_end)
-    dst = slice(r0 - slab.v_start, r1 - slab.v_start)
+    # The accumulation space (module docstring) follows the plane's size.
+    space = _window_space if len(cells) >= n_rows * width else _touched_space
+    index, n_bins, add = space(cells, row0, n_rows, width, S, out.data[p], slab)
     re, im = value.real[:, None], value.imag[:, None]
     w = np.empty(wv.shape)
     part = np.empty(wv.shape)
     for a in range(first_u, S + 1):
         np.multiply(wu[:, a - first_u, None], wv, out=w)
-        for target, vals in ((out.data[p].real, re), (out.data[p].imag, im)):
+        sums = []
+        for vals in (re, im):
             np.multiply(vals, w, out=part)
-            sums = np.bincount(cells, part.reshape(-1), n_rows * width)
-            sums = sums.reshape(n_rows, width)[r0 - row0:r1 - row0, S - a:S - a + n_u]
-            target[dst] += sums
+            sums.append(np.bincount(index, part.reshape(-1), n_bins))
+        add(a, *sums)
     return int(np.dot(n_in_u, n_in_v))
+
+
+def _window_space(cells, row0: int, n_rows: int, width: int, S: int, plane, slab):
+    """Accumulation over the plane's whole row window: ``(bincount index,
+    bin count, add)``, where ``add(a, re, im)`` adds the owned rows and
+    columns of offset a's window sums into ``plane``."""
+    n_u = plane.shape[1]
+    r0, r1 = max(row0, slab.v_start), min(row0 + n_rows, slab.v_end)
+    dst = slice(r0 - slab.v_start, r1 - slab.v_start)
+    src = slice(r0 - row0, r1 - row0)
+
+    def add(a, re, im):
+        for target, sums in ((plane.real, re), (plane.imag, im)):
+            target[dst] += sums.reshape(n_rows, width)[src, S - a:S - a + n_u]
+
+    return cells, n_rows * width, add
+
+
+def _touched_space(cells, row0: int, n_rows: int, width: int, S: int, plane, slab):
+    """Accumulation over the window cells the plane touches at u offset 0:
+    ``(bincount index, bin count, add)``, where ``add(a, re, im)`` adds
+    offset a's sums of the owned cells into ``plane`` by fancy index."""
+    n_u = plane.shape[1]
+    touched = np.zeros(n_rows * width, dtype=bool)
+    touched[cells] = True
+    keys = np.flatnonzero(touched)
+    index = np.empty(n_rows * width, dtype=np.intp)
+    index[keys] = np.arange(len(keys))
+    rows, cols = np.divmod(keys, width)
+    rows += row0 - slab.v_start
+    # Keys run row by row, so the owned rows' keys are one slice of them;
+    # it is never empty, as every record reaches an owned row.
+    own = slice(*np.searchsorted(rows, [0, slab.v_count]))
+    cols = cols[own] - S
+    dest = rows[own] * n_u + cols
+    lo, hi = int(cols.min()), int(cols.max())
+    flat = plane.reshape(-1)
+
+    def add(a, re, im):
+        d, re, im = dest + a, re[own], im[own]
+        if lo + a < 0 or hi + a >= n_u:
+            inside = (cols >= -a) & (cols < n_u - a)
+            d, re, im = d[inside], re[inside], im[inside]
+        # The cells in d are distinct, so each gets exactly one addition.
+        cell = flat[d]
+        cell.real += re
+        cell.imag += im
+        flat[d] = cell
+
+    return index[cells], len(keys), add

@@ -132,15 +132,9 @@ def run_pipeline(
     reduced = reduce_sectors(slabs, topo, strategy, log)
     times["reduce"] = time.perf_counter() - t0
 
-    # 4. fft: shift sign (in place, each rank on every plane of its own
-    #    slab at once), then inverse transform each w plane over the slabs
+    # 4. fft: inverse transform each w plane over the slabs; the gridder
+    #    stored each cell times (-1)^(i+j), which centres the phase
     t0 = time.perf_counter()
-
-    def sign_fn(ctx):
-        red = reduced[ctx.rank]
-        red.data *= transform.checker_sign(spec, red.slab)
-
-    run_ranks(topo, sign_fn, log=log)
     plane_slabs = [transform.fft2d_slab([red.data[k] for red in reduced], spec, topo,
                                         direction="inverse", log=log)
                    for k in range(spec.n_w)]

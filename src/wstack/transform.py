@@ -6,9 +6,10 @@ message log captures the transform's traffic. The forward kernel is
 ``exp(-2 pi i)``; the inverse is ``exp(+2 pi i)`` and carries ``1/n`` on
 each axis, ``1/(n_u n_v)`` in all.
 
-The gridded origin sits at cell (0, 0); multiplying the grid by
-``(-1)^(i+j)`` before the inverse transform lands the phase center on
-pixel ``(n_u/2, n_v/2)`` exactly, with no extra communication.
+The gridded origin sits at cell (0, 0). The gridder stores every cell
+times ``(-1)^(i+j)`` (see :mod:`wstack.gridder`), and on that grid the
+inverse transform lands the phase center on pixel ``(n_u/2, n_v/2)``
+exactly, with no extra pass or communication.
 
 The w correction and stacking are one pass per slab, with n = sqrt(1 -
 l^2 - m^2) computed once: ``acc += plane_k * exp(2 pi i w_k (n - 1))`` for
@@ -40,7 +41,6 @@ __all__ = [
     "FinalImage",
     "fft1d",
     "fft2d_slab",
-    "checker_sign",
     "w_phase_factor",
     "apply_w_correction",
     "stack_planes",
@@ -126,14 +126,6 @@ def fft2d_slab(slabs, spec: GridSpec, topo: Topology, direction: str = "forward"
         return out
 
     return run_ranks(topo, fn, log=log)
-
-
-def checker_sign(spec: GridSpec, slab: SlabRange) -> np.ndarray:
-    """(-1)^(i + j) over a slab; multiplying k-space by it shifts the image
-    by half the grid along both axes."""
-    i = np.arange(spec.n_u, dtype=np.int64)
-    j = np.arange(slab.v_start, slab.v_end, dtype=np.int64)
-    return (1.0 - 2.0 * ((i[None, :] + j[:, None]) & 1)).astype(np.float64)
 
 
 # ---------------------------------------------------------------------------

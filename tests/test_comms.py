@@ -1,4 +1,5 @@
 import math
+import sys
 import time
 import tracemalloc
 
@@ -193,3 +194,29 @@ def test_reduce_peak_allocation_within_budget(topo_shape, kind):
                 tracemalloc.stop()
         worst = max(worst, min(peaks))
     assert worst <= ALLOCATION_BOUNDS[(topo_shape, kind)], worst
+
+
+def test_hybrid_ring_target_peak_under_fine_thread_switching():
+    # With a switch every microsecond, the rank threads interleave in ways
+    # the least-of-three bound above absorbs. Router.send drops its copy
+    # once queued, and the target drops its ring segments before it waits
+    # for the delivery, so even the worst call stays within 3.25 partial
+    # sizes; with either reference held, single calls reached 3.5.
+    topo = Topology(1, 2)
+    spec = GridSpec(n_u=256, n_v=256, n_w=4, cell_size_lm=1e-3)
+    partials = random_partials(topo, spec, slab_of(spec, 0, 1), 3)
+    nbytes = partials[0].data.nbytes
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    peaks = []
+    try:
+        for _ in range(12):
+            tracemalloc.start()
+            try:
+                reduce_slabs(ReduceStrategy("hybrid_ring"), partials, 1, topo)
+                peaks.append(tracemalloc.get_traced_memory()[1] / nbytes)
+            finally:
+                tracemalloc.stop()
+    finally:
+        sys.setswitchinterval(interval)
+    assert max(peaks) <= 3.25, peaks

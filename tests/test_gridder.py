@@ -59,6 +59,36 @@ def batch_for(spec, slab, gu, gv, plane, value, halo=3):
         halo_rows=halo)
 
 
+def checker_sign(spec, slab):
+    """(-1)^(i + j) over a slab: the factor ``grid_sector`` stores each cell
+    (row j, column i) with. Multiplying k-space by it shifts the image by
+    half the grid along both axes."""
+    i = np.arange(spec.n_u, dtype=np.int64)
+    j = np.arange(slab.v_start, slab.v_end, dtype=np.int64)
+    return (1.0 - 2.0 * ((i[None, :] + j[:, None]) & 1)).astype(np.float64)
+
+
+def signed(grid, spec, slab):
+    """A reference grid times the cell sign, exactly (x -1 negates). The
+    gridder adds every sum into a +0.0 cell, so its zero cells are +0.0,
+    where the product has -0.0 at odd i + j; adding +0.0 maps -0.0 to +0.0
+    and leaves every other value as it is."""
+    return grid * checker_sign(spec, slab) + 0.0
+
+
+def signed_footprint_sum(kern, gu, gv):
+    """Sum of ``(-1)^(i+j)`` times the kernel weight over the unclipped
+    footprint cells (i, j) of one record."""
+    S = kern.half_support
+    a = np.arange(-S, S + 1)
+    i = np.floor(gu).astype(np.int64) + a
+    j = np.floor(gv).astype(np.int64) + a
+    ok_u, ok_v = np.abs(gu - i) <= S, np.abs(gv - j) <= S
+    i, j = i[ok_u], j[ok_v]
+    sign = (-1.0) ** (i[:, None] + j[None, :])
+    return float((sign * kernel_value(kern, gu - i[:, None], gv - j[None, :])).sum())
+
+
 # ---------------------------------------------------------------------------
 # kernels
 # ---------------------------------------------------------------------------
@@ -172,11 +202,12 @@ def test_on_center_record_closed_form_neighbourhood():
     # value 2+0j with weight 0.5 folded in -> unit effective value
     batch = batch_for(spec, slab, [8.0], [8.0], [0], [(2 + 0j) * 0.5])
     grid_sector(batch, KernelSpec.gaussian(3, 1.0), out)
-    assert out.data[0, 8, 8] == pytest.approx(1.0, abs=1e-14)
+    sign = checker_sign(spec, slab)
+    assert out.data[0, 8, 8] == pytest.approx(sign[8, 8] * 1.0, abs=1e-14)
     for j, i in ((7, 8), (9, 8), (8, 7), (8, 9)):
-        assert out.data[0, j, i].real == pytest.approx(math.exp(-0.5), abs=1e-12)
+        assert out.data[0, j, i].real == pytest.approx(sign[j, i] * math.exp(-0.5), abs=1e-12)
     for j, i in ((7, 7), (9, 9), (7, 9), (9, 7)):
-        assert out.data[0, j, i].real == pytest.approx(math.exp(-1.0), abs=1e-12)
+        assert out.data[0, j, i].real == pytest.approx(sign[j, i] * math.exp(-1.0), abs=1e-12)
 
 
 def test_two_identical_records_double_the_grid():
@@ -195,8 +226,17 @@ def test_two_identical_records_double_the_grid():
 def test_record_outside_slab_halo_rejected():
     spec = GridSpec(n_u=16, n_v=16, n_w=1, cell_size_lm=1e-3)
     slab = slab_of(spec, 0, 2)  # rows 0..7
-    with pytest.raises(ValueError, match="outside slab"):
-        batch_for(spec, slab, [3.0], [14.0], [0], [1.0], halo=3)
+    kern = KernelSpec.gaussian(3, 1.0)
+    # Row 11 passes the batch's row test (at most 8 + 3) but its footprint
+    # reaches no owned row; NaN and +-inf fail both tests.
+    for gv in (14.0, 11.0, math.nan, math.inf, -math.inf):
+        if gv != 11.0:
+            with pytest.raises(ValueError, match="outside slab"):
+                batch_for(spec, slab, [3.0, 4.0], [2.5, gv], [0, 0], [1.0, 1.0], halo=3)
+        batch = batch_for(spec, slab, [3.0, 4.0], [2.5, 3.5], [0, 0], [1.0, 1.0], halo=3)
+        batch.gv[1] = gv  # past the batch's own test
+        with pytest.raises(ValueError, match="outside slab"):
+            grid_sector(batch, kern, ComplexGrid(spec, slab))
 
 
 def test_gridded_mass_matches_kernel_sums():
@@ -210,8 +250,7 @@ def test_gridded_mass_matches_kernel_sums():
     value = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     kern = KernelSpec.gaussian(3, 1.0)
     grid_sector(batch_for(spec, slab, gu, gv, rng.integers(0, 2, n), value), kern, out)
-    expected = sum(v * gridder.kernel_footprint_sum(kern, u, w)
-                   for u, w, v in zip(gu, gv, value))
+    expected = sum(v * signed_footprint_sum(kern, u, w) for u, w, v in zip(gu, gv, value))
     assert abs(out.data.sum() - expected) < 1e-10
 
 
@@ -223,6 +262,7 @@ def test_matches_brute_force_with_edge_clipping_on_every_plane(kern):
     chunk = edge_chunk()
     ref, ref_updates = brute_force_grid(chunk, spec, kern)
     assert all(np.any(ref[p]) for p in range(spec.n_w))
+    ref *= checker_sign(spec, slab_of(spec, 0, 1))
     # one rank, then two ranks with a slab boundary at row 16
     for n_ranks in (1, 2):
         parts = visdata.partition_time_ordered(chunk, n_ranks)
@@ -283,7 +323,10 @@ def on_line_case(name, rng):
     """``(spec, slab, gu, gv, plane, value)`` of one bit-identity case.
 
     Records pile up on few cells, so that the per-cell sums have many
-    terms and a change of summation order would show."""
+    terms and a change of summation order would show. The ``sparse_``
+    cases instead spread a few records per plane over a wide mesh."""
+    if name.startswith("sparse_"):
+        return sparse_case(name, rng)
     spec = GridSpec(n_u=32, n_v=32, n_w=4, cell_size_lm=1e-3)
     slab = slab_of(spec, 0, 1)
     n = 600
@@ -323,24 +366,69 @@ def on_line_case(name, rng):
     elif name == "one_on_line":  # one record forces the -S offset on both axes
         plane[:] = 1
         gu[300], gv[300] = 13.0, 17.0
+    elif name == "both_spaces":  # plane 0 dense, planes 1-3 a few records each
+        plane[:] = 0
+        plane[:24] = np.arange(24) % 3 + 1
     value = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return spec, slab, gu, gv, plane, value
 
 
-ON_LINE_CASES = ("neither", "u_line", "v_line", "both_lines", "mesh_edges", "halo_1x3",
-                 "empty_plane", "one_plane", "one_on_line")
+def sparse_case(name, rng):
+    """A few records per plane on a 256-column mesh, so that every plane
+    bincounts into the cells it touches."""
+    spec = GridSpec(n_u=256, n_v=128, n_w=4, cell_size_lm=1e-3)
+    slab = slab_of(spec, 0, 1)
+    n = 40
+    gu = rng.uniform(8, 248, n)
+    gv = rng.uniform(8, 120, n)
+    plane = rng.integers(0, spec.n_w, n)
+    if name == "sparse_halo":  # middle slab of three, records in its halo rows only
+        slab = slab_of(spec, 1, 3)
+        S = 3
+        gv = np.where(rng.random(n) < 0.5, rng.uniform(slab.v_start - S, slab.v_start, n),
+                      rng.uniform(slab.v_end, slab.v_end - 1 + S, n))
+        gv[:4] = [slab.v_start - S, slab.v_end - 1 + S, slab.v_start - 1, slab.v_end]
+        plane[:4] = [0, 1, 2, 3]
+    elif name == "sparse_edges":  # gu == 0 and gu == n_u, on every plane
+        gu[:8] = [0.0, 256.0] * 4
+        gu[8:12] = [np.nextafter(256.0, 0.0), 1e-12, 2.0, 254.5]
+        plane[:8] = np.arange(8) // 2
+    elif name == "sparse_on_line":  # on u lines, v lines and corners
+        kind = rng.integers(0, 4, n)
+        gu[kind & 1 == 1] = np.floor(gu[kind & 1 == 1])
+        gv[kind & 2 == 2] = np.floor(gv[kind & 2 == 2])
+    value = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return spec, slab, gu, gv, plane, value
 
 
-@pytest.mark.parametrize("case", ON_LINE_CASES)
+# The accumulation space each plane with records takes, in plane order: a
+# plane with at least as many footprint entries as window cells sums over
+# its window ("w"), any other over the cells it touches ("t").
+ON_LINE_CASES = {
+    "neither": "tttt", "u_line": "tttt", "v_line": "tttt", "both_lines": "tttt",
+    "mesh_edges": "tttt", "halo_1x3": "wwww", "empty_plane": "ttw", "one_plane": "w",
+    "one_on_line": "w", "both_spaces": "wttt", "sparse_plain": "tttt",
+    "sparse_halo": "tttt", "sparse_edges": "tttt", "sparse_on_line": "tttt",
+}
+
+
+@pytest.mark.parametrize("case", list(ON_LINE_CASES))
 @pytest.mark.parametrize("kern", [KernelSpec.gaussian(3, 1.0), KernelSpec.kaiser_bessel(3)],
                          ids=["gaussian", "kaiser_bessel"])
-def test_grid_sector_bit_identical_to_masked_reference(case, kern):
+def test_grid_sector_bit_identical_to_masked_reference(case, kern, monkeypatch):
     spec, slab, gu, gv, plane, value = on_line_case(case, np.random.default_rng(17))
     batch = batch_for(spec, slab, gu, gv, plane, value)
     ref, got = ComplexGrid(spec, slab), ComplexGrid(spec, slab)
     ref_count = masked_grid_sector(batch, kern, ref)
+    spaces = []
+    for name, tag in (("_window_space", "w"), ("_touched_space", "t")):
+        def record(*args, _space=getattr(gridder, name), _tag=tag):
+            spaces.append(_tag)
+            return _space(*args)
+        monkeypatch.setattr(gridder, name, record)
     assert grid_sector(batch, kern, got) == ref_count
-    assert got.data.tobytes() == ref.data.tobytes()
+    assert "".join(spaces) == ON_LINE_CASES[case]
+    assert got.data.tobytes() == signed(ref.data, spec, slab).tobytes()
     assert np.any(got.data)
     if case == "empty_plane":
         assert not np.any(got.data[2])
@@ -409,7 +497,7 @@ def test_single_rank_equals_sequential_gridding():
     kern = KernelSpec.gaussian(3, 1.0)
     grid = grid_and_reduce([chunk], spec, kern, Topology(1, 1))
     ref, _ = brute_force_grid(chunk, spec, kern)
-    assert np.max(np.abs(grid - ref)) <= 1e-12
+    assert np.max(np.abs(grid - ref * checker_sign(spec, slab_of(spec, 0, 1)))) <= 1e-12
 
 
 def test_rank_counts_agree_bitwise_in_deterministic_mode():
