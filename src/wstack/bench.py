@@ -61,7 +61,6 @@ class BenchPlan:
     synthetic: dict | None = None
     meter: object | None = None
     output_dir: Path = Path("bench_out")
-    alpha: float = 1.0
 
     def __post_init__(self):
         if self.repeats < 1:
@@ -217,7 +216,7 @@ def direct_convolution_grid(chunk, spec: GridSpec, kern: KernelSpec):
     Returns ``(grid, number of cell updates)``."""
     from .comms import prepare_chunk
 
-    prep = prepare_chunk(chunk, spec, 0)
+    prep = prepare_chunk(chunk, spec)
     grid = np.zeros((spec.n_w, spec.n_v, spec.n_u), dtype=np.complex128)
     S = kern.half_support
     updates = 0
@@ -342,23 +341,25 @@ def verify_pipeline(scale: str = "small", force_fail: bool = False) -> VerifyRep
         h2, c2 = visdata.read_dataset(p1)
         visdata.write_dataset(c2, h2, p2)
         identical = p1.read_bytes() == p2.read_bytes()
-        pieces = [visdata.read_dataset(p1, visdata.ChunkSpec("time", k, 4))[1]
-                  for k in range(4)]
-        reunion = visdata.VisChunk.concat(pieces)
-        chunks_ok = (len(reunion) == len(chunk)
-                     and np.array_equal(reunion.u, chunk.u)
-                     and np.array_equal(reunion.vis, chunk.vis))
+        reunions = [visdata.VisChunk.concat(visdata.read_dataset(p1, r, n_ranks)[1]
+                                            for r in range(n_ranks))
+                    for n_ranks in range(1, 5)]
+        shares_ok = all(len(reunion) == len(chunk)
+                        and np.array_equal(reunion.u, chunk.u)
+                        and np.array_equal(reunion.vis, chunk.vis)
+                        for reunion in reunions)
         checks.append(CheckResult(
             "dataset write/read/write round trip", "bit-identical",
             "identical" if identical else "files differ", identical))
         checks.append(CheckResult(
-            "time-chunk reassembly", "exact reunion",
-            f"{len(reunion)} of {len(chunk)} records", chunks_ok))
+            "per-rank reads reassemble the file (1-4 ranks)", "exact reunion",
+            ", ".join(str(len(reunion)) for reunion in reunions)
+            + f" of {len(chunk)} records", shares_ok))
 
     # gridding vs the direct reference, and rank-count independence
     def run_grid(n_ranks):
         topo = Topology(n_nodes=1, ranks_per_node=n_ranks)
-        parts = visdata.partition_time_ordered(chunk, n_ranks)
+        parts = visdata.split_records(chunk, n_ranks)
         log = MessageLog()
         slabs, _ = grid_sectors(parts, spec, kern, topo, log)
         slabs = reduce_sectors(slabs, topo, ReduceStrategy(), log)
@@ -387,7 +388,7 @@ def verify_pipeline(scale: str = "small", force_fail: bool = False) -> VerifyRep
         # for the total gridded mass.
         from .comms import prepare_chunk
 
-        prep = prepare_chunk(chunk, spec, 0)
+        prep = prepare_chunk(chunk, spec)
         S = kern.half_support
         s2 = 2.0 * kern.shape_param ** 2
         su = np.zeros(len(prep))
@@ -421,7 +422,7 @@ def verify_pipeline(scale: str = "small", force_fail: bool = False) -> VerifyRep
         eref, ref_updates = direct_convolution_grid(echunk, espec, ekern)
         eref *= _cell_sign(espec)
         log = MessageLog()
-        eslabs, updates = grid_sectors(visdata.partition_time_ordered(echunk, 2),
+        eslabs, updates = grid_sectors(visdata.split_records(echunk, 2),
                                        espec, ekern, etopo, log)
         eslabs = reduce_sectors(eslabs, etopo, ReduceStrategy(), log)
         err_edge = max(err_edge, _max_abs(np.concatenate([s.data for s in eslabs], axis=1),

@@ -64,7 +64,6 @@ CONFIG_SCHEMA = {
     "bench.topologies": (str, "1x1", "comma list of NODESxRANKS topologies"),
     "bench.strategies": (str, "direct", "comma list of reduction strategies"),
     "bench.freq_levels": (str, "default", "comma list of frequency levels"),
-    "run.alpha": (float, 1.0, "green-productivity energy weight"),
     "run.seed": (int, 1, "random seed"),
     "run.freq_level": (str, "default", f"frequency level, one of {FREQ_LEVELS}"),
     "run.label": (str, "run", "label attached to run records"),
@@ -269,8 +268,7 @@ def cmd_bench(args) -> int:
         cell_size_lm=cfg["grid.cell_size_lm"], kernel=_kernel_from(cfg),
         topologies=topologies, strategies=strategies, freq_levels=freqs,
         repeats=cfg["bench.repeats"], dataset=dataset, synthetic=synthetic,
-        meter=_meter_from(cfg), output_dir=Path(cfg["bench.output_dir"]),
-        alpha=cfg["run.alpha"])
+        meter=_meter_from(cfg), output_dir=Path(cfg["bench.output_dir"]))
     result = bench.run_plan(plan)
     print(f"raw runs: {result.raw_path}")
     print(f"aggregates: {result.aggregate_path}")

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gridder import SectorBatch
-from .mesh import ComplexGrid, GridSpec, partition_1d, slab_of
+from .mesh import ComplexGrid, GridSpec, partition_1d, plane_of_w, slab_of
 
 __all__ = [
     "REDUCE_KINDS",
@@ -69,9 +69,10 @@ RECV_TIMEOUT_S = 120.0
 # How often a waiting receive checks whether another rank has failed.
 FAILURE_POLL_S = 0.05
 
-# Wire size of one prepared record: gu f64, gv f64, plane u32, time u32,
-# global index u64, weighted complex value c128.
-PREPARED_RECORD_BYTES = 48
+# Wire size of one prepared record: gu f64, gv f64, weighted complex value
+# c128, plane u32, padded to 40 so that gu, gv and value stay 8-byte aligned
+# in every record of an array.
+PREPARED_RECORD_BYTES = 40
 
 
 @dataclass(frozen=True)
@@ -465,76 +466,72 @@ def hybrid_reduce(partials, target: int, topo: Topology, log: MessageLog | None 
 
 
 # ---------------------------------------------------------------------------
-# Time-order to space-order redistribution
+# Record-order to space-order redistribution
 # ---------------------------------------------------------------------------
 
 def prepared_dtype() -> np.dtype:
     return np.dtype({
-        "names": ["gu", "gv", "plane", "time_index", "gindex", "value"],
-        "formats": ["<f8", "<f8", "<u4", "<u4", "<u8", "<c16"],
-        "offsets": [0, 8, 16, 20, 24, 32],
+        "names": ["gu", "gv", "value", "plane"],
+        "formats": ["<f8", "<f8", "<c16", "<u4"],
+        "offsets": [0, 8, 16, 32],
         "itemsize": PREPARED_RECORD_BYTES,
     })
 
 
-def prepare_chunk(chunk, spec: GridSpec, gindex_offset: int) -> np.ndarray:
+def prepare_chunk(chunk, spec: GridSpec) -> np.ndarray:
     """Turn records into gridding-ready rows: fractional cell coordinates,
     nearest w plane, and the weighted channel-summed complex value."""
     chunk.validate()
     out = np.zeros(len(chunk), dtype=prepared_dtype())
     out["gu"] = chunk.u * spec.n_u
     out["gv"] = chunk.v * spec.n_v
-    if spec.n_w == 1:
-        out["plane"] = 0
-    else:
-        planes = np.floor(chunk.w * (spec.n_w - 1) + 0.5).astype(np.int64)
-        out["plane"] = np.clip(planes, 0, spec.n_w - 1)
-    out["time_index"] = chunk.time_index
-    out["gindex"] = gindex_offset + np.arange(len(chunk), dtype=np.uint64)
+    out["plane"] = plane_of_w(spec, chunk.w)
     out["value"] = (chunk.vis.astype(np.complex128) * chunk.weight).sum(axis=1)
     return out
 
 
 def exchange_to_space_order(per_rank_records, spec: GridSpec, topo: Topology,
                             halo_rows: int, log: MessageLog | None = None):
-    """Redistribute time-partitioned records to the ranks owning their rows.
+    """Redistribute each rank's records to the ranks owning their rows.
 
-    Every record lands on the rank whose slab contains ``floor(gv)``; a
-    copy also goes to any neighbouring rank whose slab lies within
-    ``halo_rows`` of gv, so each rank can grid its sector without further
-    communication. Each rank sends exactly one (possibly empty) message to
-    every other rank. Records arrive sorted by (time_index, global index):
-    the gridder sums in that order, which no rank count changes. Returns
-    one :class:`~wstack.gridder.SectorBatch` per rank.
+    ``per_rank_records`` is a list of rank r's records at index r; each rank
+    sets its entry to None once it has prepared them, so the records are
+    freed before the sectors are gridded. Every record lands on the rank
+    whose slab contains ``floor(gv)``; a copy also goes to any neighbouring
+    rank whose slab lies within ``halo_rows`` of gv, so each rank can grid
+    its sector without further communication. Each rank sends exactly one
+    (possibly empty) message to every other rank, and joins what it holds
+    in source-rank order, its own part in its own slot. Shares that are
+    contiguous runs of the records in rank order (see
+    :func:`~wstack.visdata.read_dataset`) thus arrive in global record
+    order, which no rank count changes; the gridder sums in that order.
+    Returns one :class:`~wstack.gridder.SectorBatch` per rank.
     """
     R = topo.n_ranks
     if len(per_rank_records) != R:
         raise ValueError(f"expected {R} record partitions, got {len(per_rank_records)}")
     if halo_rows < 0:
         raise ValueError("halo_rows must be >= 0")
-    offsets = np.concatenate([[0], np.cumsum([len(c) for c in per_rank_records])])
     slabs = [slab_of(spec, r, R) for r in range(R)]
 
     def fn(ctx):
         r = ctx.rank
-        prep = prepare_chunk(per_rank_records[r], spec, int(offsets[r]))
-        own = None
+        prep = prepare_chunk(per_rank_records[r], spec)
+        per_rank_records[r] = None
+        parts = [None] * R
         for d in range(R):
             sl = slabs[d]
             mask = ((prep["gv"] + halo_rows >= sl.v_start)
                     & (prep["gv"] - halo_rows <= sl.v_end - 1))
             if d == r:
-                own = prep[mask]
+                parts[r] = prep[mask]
             else:
                 ctx.send(d, ("exchange",), prep[mask], phase="exchange",
                          nbytes=int(mask.sum()) * PREPARED_RECORD_BYTES)
-        parts = [own]
         for s in range(R):
             if s != r:
-                parts.append(ctx.recv(s, ("exchange",)))
+                parts[s] = ctx.recv(s, ("exchange",))
         allp = np.concatenate(parts)
-        order = np.lexsort((allp["gindex"], allp["time_index"]))
-        allp = allp[order]
         return SectorBatch(
             slab=slabs[r],
             gu=allp["gu"].copy(), gv=allp["gv"].copy(),

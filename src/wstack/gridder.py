@@ -45,8 +45,8 @@ Dense planes (many records per cell) thus pay no index work, and sparse
 ones do not sweep a window that is nearly all zeros.
 
 Accumulation order. Records are taken plane by plane, in the order they
-are given (the exchange sorts them by time index, then global index); one
-stable sort by plane keeps that order within each plane.
+are given (the exchange delivers them in global record order); one stable
+sort by plane keeps that order within each plane.
 For each plane and each u offset ``a`` in order, the block's
 contributions are summed per cell by an ordered ``np.bincount`` in record
 order, and the block sum is added to the cell; blocks are added in order
@@ -195,7 +195,7 @@ def _kb_axis(kern: KernelSpec, x):
 
 @dataclass
 class SectorBatch:
-    """Records prepared for one sector, in (time_index, global index) order.
+    """Records prepared for one sector, in global record order.
 
     Records within ``halo_rows`` of the slab but owned by a neighbouring
     slab are included; they contribute only the rows this slab owns.

@@ -17,14 +17,10 @@ __all__ = [
     "SlabRange",
     "ComplexGrid",
     "partition_1d",
-    "owner_of_index",
     "slab_of",
-    "uvw_to_cell",
     "plane_of_w",
-    "owner_rank",
     "pixel_to_lm",
     "pixel_n_block",
-    "full_mesh_bytes",
 ]
 
 
@@ -44,17 +40,6 @@ def partition_1d(n: int, parts: int, index: int) -> tuple[int, int]:
     if index < r:
         return index * (q + 1), q + 1
     return r * (q + 1) + (index - r) * q, q
-
-
-def owner_of_index(n: int, parts: int, i: int) -> int:
-    """Inverse of :func:`partition_1d`: which block owns item ``i``."""
-    if not (0 <= i < n):
-        raise ValueError(f"index {i} outside range(0, {n})")
-    q, r = divmod(n, parts)
-    boundary = r * (q + 1)
-    if i < boundary:
-        return i // (q + 1)
-    return r + (i - boundary) // q
 
 
 @dataclass(frozen=True)
@@ -164,32 +149,14 @@ def slab_of(spec: GridSpec, rank: int, n_ranks: int) -> SlabRange:
     return SlabRange(rank=rank, v_start=start, v_count=count)
 
 
-def plane_of_w(spec: GridSpec, w: float) -> int:
-    """Nearest w plane for a normalized w in [0, 1] (half rounds up)."""
+def plane_of_w(spec: GridSpec, w):
+    """Nearest w plane for normalized w in [0, 1] (half rounds up); ``w``
+    may be an array, and the result has its shape."""
+    w = np.asarray(w, dtype=np.float64)
     if spec.n_w == 1:
-        return 0
-    k = int(np.floor(w * (spec.n_w - 1) + 0.5))
-    return min(max(k, 0), spec.n_w - 1)
-
-
-def uvw_to_cell(spec: GridSpec, rec_u: float, rec_v: float, rec_w: float):
-    """Map normalized (u, v, w) to fractional cell coordinates and a plane.
-
-    Returns ``(gu, gv, plane)`` with ``gu = u * n_u``, ``gv = v * n_v`` and
-    the plane index of the closest w plane.
-    """
-    if not (0.0 <= rec_u < 1.0 and 0.0 <= rec_v < 1.0):
-        raise ValueError(f"u/v coordinate outside [0, 1): ({rec_u}, {rec_v})")
-    if not (0.0 <= rec_w <= 1.0):
-        raise ValueError(f"w coordinate outside [0, 1]: {rec_w}")
-    return rec_u * spec.n_u, rec_v * spec.n_v, plane_of_w(spec, rec_w)
-
-
-def owner_rank(spec: GridSpec, gv: float, n_ranks: int) -> int:
-    """Rank whose slab contains the row ``floor(gv)``."""
-    if not (0.0 <= gv < spec.n_v):
-        raise ValueError(f"gv {gv} outside [0, {spec.n_v})")
-    return owner_of_index(spec.n_v, n_ranks, int(gv))
+        return np.zeros(w.shape, dtype=np.int64)
+    k = np.floor(w * (spec.n_w - 1) + 0.5).astype(np.int64)
+    return np.clip(k, 0, spec.n_w - 1)
 
 
 def pixel_to_lm(spec: GridSpec, i: int, j: int) -> tuple[float, float]:
@@ -211,8 +178,3 @@ def pixel_n_block(spec: GridSpec, v_start: int, v_count: int) -> np.ndarray:
     l = (np.arange(spec.n_u, dtype=np.float64) - spec.n_u // 2) * cell
     m = (np.arange(v_start, v_start + v_count, dtype=np.float64) - spec.n_v // 2) * cell
     return np.sqrt(1.0 - l * l - (m * m)[:, None])
-
-
-def full_mesh_bytes(spec: GridSpec) -> int:
-    """Bytes of one full-mesh complex grid (8-byte real + 8-byte imaginary)."""
-    return spec.n_u * spec.n_v * spec.n_w * 16

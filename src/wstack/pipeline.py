@@ -19,7 +19,7 @@ import numpy as np
 from . import comms, metrics, transform, visdata
 from .comms import MessageLog, ReduceStrategy, Topology, run_ranks
 from .gridder import KernelSpec, grid_sector
-from .mesh import ComplexGrid, GridSpec, partition_1d, pixel_n_block, slab_of
+from .mesh import ComplexGrid, GridSpec, pixel_n_block, slab_of
 from .transform import FinalImage
 
 __all__ = ["PipelineResult", "run_pipeline", "grid_sectors", "reduce_sectors",
@@ -45,23 +45,12 @@ def peak_pixel(image: FinalImage) -> tuple[int, int]:
     return int(i), int(j)
 
 
-def _partition_for_ranks(chunk, n_ranks: int):
-    """Time-ordered partition; falls back to contiguous record runs when
-    there are more ranks than distinct time slices."""
-    if n_ranks <= len(visdata.time_slice_starts(chunk)):
-        return visdata.partition_time_ordered(chunk, n_ranks)
-    parts = []
-    for r in range(n_ranks):
-        lo, count = partition_1d(len(chunk), n_ranks, r)
-        parts.append(chunk.rows(slice(lo, lo + count)))
-    return parts
-
-
 def grid_sectors(parts, spec: GridSpec, kernel: KernelSpec, topo: Topology,
                  log: MessageLog):
-    """Move each rank's records to their sector owners, then grid every
-    sector on its rank. Returns ``(one ComplexGrid slab per rank, total
-    cell updates)``."""
+    """Move each rank's records (``parts[r]``, a contiguous run of the
+    records in rank order) to their sector owners, then grid every sector
+    on its rank. The exchange takes the records out of the ``parts`` list.
+    Returns ``(one ComplexGrid slab per rank, total cell updates)``."""
     R = topo.n_ranks
     batches = comms.exchange_to_space_order(parts, spec, topo,
                                             halo_rows=kernel.half_support, log=log)
@@ -111,18 +100,22 @@ def run_pipeline(
     t_begin = time.perf_counter()
     times: dict[str, float] = {}
 
-    # 1. read: one serial read of the whole file, then each rank is given a
-    #    contiguous run of observing time
+    # 1. read: each rank reads its own contiguous share of the records
     t0 = time.perf_counter()
-    header, chunk = visdata.read_dataset(dataset_path)
+    shares = run_ranks(topo, lambda ctx: visdata.read_dataset(dataset_path, ctx.rank,
+                                                              topo.n_ranks))
+    header = shares[0][0]
+    parts = [chunk for _, chunk in shares]
+    del shares
+    n_records = sum(len(chunk) for chunk in parts)
     spec = GridSpec(
         n_u=n_u, n_v=n_v, n_w=n_w, cell_size_lm=cell_size_lm,
         w_min_native=header.w_min_native, w_max_native=header.w_max_native,
     )
-    parts = _partition_for_ranks(chunk, topo.n_ranks)
     times["read"] = time.perf_counter() - t0
 
-    # 2. gridding: records move to their sector owners, sectors convolve
+    # 2. gridding: records move to their sector owners, sectors convolve;
+    #    the exchange frees each rank's records once it has prepared them
     t0 = time.perf_counter()
     slabs, grid_updates = grid_sectors(parts, spec, kernel, topo, log)
     times["gridding"] = time.perf_counter() - t0
@@ -182,7 +175,7 @@ def run_pipeline(
         energy = metrics.measure(meter, durations, freq_level)
 
     ops = {
-        "records": len(chunk),
+        "records": n_records,
         "grid_updates": int(grid_updates),
         "exchange_bytes": log.total_bytes(phase="exchange"),
         "reduce_bytes": log.total_bytes(phase="reduce"),

@@ -1,4 +1,4 @@
-"""Visibility records, the on-disk binary format, chunked reads, synthesis.
+"""Visibility records, the on-disk binary format, per-rank reads, synthesis.
 
 File layout (all little-endian)::
 
@@ -18,15 +18,18 @@ File layout (all little-endian)::
         visibilities   (re f32, im f32) * n_chan, frequency-major
         weights        f32 * n_chan
 
-Datasets are held in memory column-wise (:class:`VisChunk`); the
-record-level :class:`VisRecord` view exists for single-sample work.
+Records must be sorted by time_index. Rank r of R reads the r-th
+:func:`~wstack.mesh.partition_1d` share of the records, a contiguous run, so
+the shares in rank order are the file in record order. Datasets are held in
+memory column-wise (:class:`VisChunk`).
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,18 +40,13 @@ __all__ = [
     "VERSION",
     "HEADER_SIZE",
     "FormatError",
-    "VisRecord",
     "VisChunk",
     "DatasetHeader",
-    "ChunkSpec",
     "SkyModel",
     "record_nbytes",
     "write_dataset",
     "read_dataset",
-    "chunk_channel_range",
-    "chunk_slice_range",
-    "time_slice_starts",
-    "partition_time_ordered",
+    "split_records",
     "generate_synthetic",
 ]
 
@@ -122,30 +120,6 @@ class DatasetHeader:
             raise FormatError(f"bad header: {exc}") from exc
 
 
-@dataclass
-class VisRecord:
-    """One (u, v, w) sample with per-channel visibilities and weights."""
-
-    u: float
-    v: float
-    w: float
-    time_index: int
-    vis: np.ndarray
-    weight: np.ndarray
-
-    def __post_init__(self):
-        self.vis = np.asarray(self.vis, dtype=np.complex64)
-        self.weight = np.asarray(self.weight, dtype=np.float32)
-        if not (0.0 <= self.u < 1.0 and 0.0 <= self.v < 1.0):
-            raise ValueError("u and v must lie in [0, 1)")
-        if not (0.0 <= self.w <= 1.0):
-            raise ValueError("w must lie in [0, 1]")
-        if self.vis.shape != self.weight.shape or self.vis.ndim != 1:
-            raise ValueError("vis and weight must be 1-d and the same length")
-        if not np.all(np.isfinite(self.weight)) or np.any(self.weight < 0):
-            raise ValueError("weights must be finite and >= 0")
-
-
 class VisChunk:
     """Column-wise block of visibility records.
 
@@ -172,16 +146,6 @@ class VisChunk:
     def n_chan(self) -> int:
         return self.vis.shape[1]
 
-    def record(self, i: int) -> VisRecord:
-        return VisRecord(
-            u=float(self.u[i]), v=float(self.v[i]), w=float(self.w[i]),
-            time_index=int(self.time_index[i]),
-            vis=self.vis[i].copy(), weight=self.weight[i].copy(),
-        )
-
-    def __iter__(self):
-        return (self.record(i) for i in range(len(self)))
-
     def rows(self, index) -> "VisChunk":
         return VisChunk(self.u[index], self.v[index], self.w[index],
                         self.time_index[index], self.vis[index], self.weight[index])
@@ -199,18 +163,6 @@ class VisChunk:
             raise ValueError("visibilities must be finite")
 
     @classmethod
-    def from_records(cls, records) -> "VisChunk":
-        records = list(records)
-        if not records:
-            raise ValueError("cannot build a chunk from zero records")
-        return cls(
-            u=[r.u for r in records], v=[r.v for r in records],
-            w=[r.w for r in records], time_index=[r.time_index for r in records],
-            vis=np.stack([r.vis for r in records]),
-            weight=np.stack([r.weight for r in records]),
-        )
-
-    @classmethod
     def concat(cls, chunks) -> "VisChunk":
         chunks = [c for c in chunks if len(c)]
         if not chunks:
@@ -223,25 +175,6 @@ class VisChunk:
             vis=np.concatenate([c.vis for c in chunks]),
             weight=np.concatenate([c.weight for c in chunks]),
         )
-
-
-_AXES = ("frequency", "time")
-
-
-@dataclass(frozen=True)
-class ChunkSpec:
-    """Which piece of a dataset to load: split by frequency or by time."""
-
-    axis: str
-    chunk_index: int
-    n_chunks: int
-
-    def __post_init__(self):
-        if self.axis not in _AXES:
-            raise ValueError(f"axis must be one of {_AXES}, got {self.axis!r}")
-        if self.n_chunks < 1 or not (0 <= self.chunk_index < self.n_chunks):
-            raise ValueError(
-                f"chunk_index {self.chunk_index} outside range(0, {self.n_chunks})")
 
 
 @dataclass(frozen=True)
@@ -287,9 +220,8 @@ def _record_dtype(n_chan: int) -> np.dtype:
     })
 
 
-def write_dataset(records, header: DatasetHeader, path) -> None:
+def write_dataset(chunk: VisChunk, header: DatasetHeader, path) -> None:
     """Write a dataset file; ``read_dataset`` of the result is bit-identical."""
-    chunk = records if isinstance(records, VisChunk) else VisChunk.from_records(records)
     if len(chunk) != header.n_records:
         raise ValueError(
             f"header/record count mismatch: header says {header.n_records}, "
@@ -312,83 +244,44 @@ def write_dataset(records, header: DatasetHeader, path) -> None:
         fh.write(packed.tobytes())
 
 
-def chunk_channel_range(header: DatasetHeader, chunk: ChunkSpec) -> tuple[int, int]:
-    """Channel-column range [start, stop) selected by a frequency chunk."""
-    f0, fc = partition_1d(header.n_freq, chunk.n_chunks, chunk.chunk_index)
-    return f0 * header.n_corr, (f0 + fc) * header.n_corr
+def read_dataset(path, rank: int = 0, n_ranks: int = 1):
+    """Read rank ``rank``'s share of a dataset file: the records
+    :func:`~wstack.mesh.partition_1d` gives it of ``n_ranks``, in file
+    order. A share may be empty.
 
-
-def chunk_slice_range(header: DatasetHeader, chunk: ChunkSpec) -> tuple[int, int]:
-    """Time-slice range [start, stop) selected by a time chunk."""
-    s0, sc = partition_1d(header.n_time_slices, chunk.n_chunks, chunk.chunk_index)
-    return s0, s0 + sc
-
-
-def read_dataset(path, chunk: ChunkSpec | None = None):
-    """Read a dataset file, optionally restricted to one chunk.
-
-    Frequency chunks keep every record but slice the channel columns; time
-    chunks keep every channel but select the records whose time_index falls
-    in the chunk's slice range. The union over all chunk indices rebuilds
-    the full dataset exactly once. Returns ``(header, VisChunk)``.
+    One seek and one read take the share and, for a rank after the first,
+    the record before it, so that the time-order check also covers the
+    boundary with the previous rank's share. Raises :class:`FormatError`
+    for a bad header, a file whose size does not match it, or records out
+    of time order. Returns ``(header, VisChunk)``.
     """
     with open(path, "rb") as fh:
         header = DatasetHeader.unpack(fh.read(HEADER_SIZE))
-        body = fh.read()
-    expected = header.n_records * record_nbytes(header.n_chan)
-    if len(body) != expected:
-        raise FormatError(
-            f"truncated file: {len(body)} payload bytes, expected {expected}")
-    packed = np.frombuffer(body, dtype=_record_dtype(header.n_chan))
-    vis = (packed["vis"][..., 0] + 1j * packed["vis"][..., 1]).astype(np.complex64)
-    data = VisChunk(packed["u"], packed["v"], packed["w"],
-                    packed["time_index"], vis, packed["weight"])
-    if chunk is None:
-        return header, data
-    if chunk.axis == "frequency":
-        c0, c1 = chunk_channel_range(header, chunk)
-        data = VisChunk(data.u, data.v, data.w, data.time_index,
-                        data.vis[:, c0:c1], data.weight[:, c0:c1])
-    else:
-        s0, s1 = chunk_slice_range(header, chunk)
-        mask = (data.time_index >= s0) & (data.time_index < s1)
-        data = data.rows(mask)
-    return header, data
-
-
-def time_slice_starts(chunk: VisChunk) -> np.ndarray:
-    """Index of the first record of each distinct time slice.
-
-    Raises :class:`FormatError` unless the records are sorted by time
-    index, the order a dataset file must hold them in.
-    """
-    t = chunk.time_index
+        rec = record_nbytes(header.n_chan)
+        payload = os.fstat(fh.fileno()).st_size - HEADER_SIZE
+        expected = header.n_records * rec
+        if payload != expected:
+            raise FormatError(
+                f"truncated file: {payload} payload bytes, expected {expected}")
+        lo, count = partition_1d(header.n_records, n_ranks, rank)
+        first = max(lo - 1, 0)
+        fh.seek(HEADER_SIZE + first * rec)
+        packed = np.frombuffer(fh.read((lo + count - first) * rec),
+                               dtype=_record_dtype(header.n_chan))
+    t = packed["time_index"]
     if np.any(t[1:] < t[:-1]):
         raise FormatError("records must be sorted by time_index")
-    if not len(t):
-        return np.zeros(0, dtype=np.intp)
-    return np.concatenate(([0], np.flatnonzero(t[1:] != t[:-1]) + 1))
+    packed = packed[lo - first:]
+    vis = np.ascontiguousarray(packed["vis"]).view(np.complex64)[..., 0]
+    return header, VisChunk(packed["u"], packed["v"], packed["w"],
+                            packed["time_index"], vis, packed["weight"])
 
 
-def partition_time_ordered(records, n_ranks: int) -> list[VisChunk]:
-    """Split time-sorted records into contiguous runs of time slices.
-
-    Rank ``r`` gets the r-th balanced contiguous group of the distinct time
-    slices present, so concatenating the outputs reproduces the input.
-    """
-    chunk = records if isinstance(records, VisChunk) else VisChunk.from_records(records)
-    if n_ranks < 1:
-        raise ValueError("n_ranks must be >= 1")
-    starts = time_slice_starts(chunk)
-    if n_ranks > len(starts):
-        raise ValueError(
-            f"n_ranks {n_ranks} exceeds the {len(starts)} time slices present")
-    bounds = np.append(starts, len(chunk))
-    out = []
-    for r in range(n_ranks):
-        s0, sc = partition_1d(len(starts), n_ranks, r)
-        out.append(chunk.rows(slice(bounds[s0], bounds[s0 + sc])))
-    return out
+def split_records(chunk: VisChunk, n_ranks: int) -> list[VisChunk]:
+    """Split in-memory records across ranks as :func:`read_dataset` splits
+    a file: rank r gets the r-th :func:`~wstack.mesh.partition_1d` share."""
+    return [chunk.rows(slice(lo, lo + count))
+            for lo, count in (partition_1d(len(chunk), n_ranks, r) for r in range(n_ranks))]
 
 
 def point_source_visibility(sky: SkyModel, u_native, v_native, w_native):

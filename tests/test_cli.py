@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import wstack
@@ -43,7 +44,8 @@ def test_missing_input_exits_3(tmp_path, argv):
     assert main(argv) == EXIT_IO
 
 
-@pytest.mark.parametrize("line", ["topo.threads_per_rank = 2", "reduce.deterministic = false"])
+@pytest.mark.parametrize("line", ["topo.threads_per_rank = 2", "reduce.deterministic = false",
+                                  "run.alpha = 1.0"])
 def test_threads_and_deterministic_config_keys_exit_2(tmp_path, capsys, line):
     dataset = tmp_path / "d.rvis"
     dataset.write_bytes(b"")
@@ -133,17 +135,18 @@ def test_invalid_header_value_exits_3(tmp_path, capsys, command, offset, fmt, va
     assert "i/o error" in err and message in err
 
 
-# 4 time slices: 1x2 partitions by time slice, and 2x4's eight ranks take
-# the fallback to contiguous record runs.
+# Each half of the 50 records is sorted by time; the time index falls
+# exactly at the 1x2 share boundary (record 25), which 2x4's eight ranks
+# find inside the share of records 20-25.
 @pytest.mark.parametrize("command, topo", [
     ("image", "1x2"), ("image", "2x4"), ("bench", "1x2"),
-], ids=["image-1x2", "image-2x4-fallback", "bench-1x2"])
+], ids=["image-1x2", "image-2x4", "bench-1x2"])
 def test_records_out_of_time_order_exit_3(tmp_path, capsys, command, topo):
     header, chunk = visdata.generate_synthetic(
         visdata.SkyModel(sources=((0.0, 0.0, 1.0),)), 50, n_freq=1, seed=1,
         n_time_slices=4)
     dataset = tmp_path / "d.rvis"
-    visdata.write_dataset(chunk.rows(slice(None, None, -1)), header, dataset)
+    visdata.write_dataset(chunk.rows(np.r_[25:50, 0:25]), header, dataset)
     code = main([command, "--dataset", str(dataset), "--out-dir", str(tmp_path / "out"),
                  "--n-u", "16", "--n-v", "16", "--n-w", "2",
                  "--topo" if command == "image" else "--topos", topo])

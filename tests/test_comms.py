@@ -2,6 +2,7 @@ import math
 import sys
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -122,15 +123,32 @@ def test_exchange_owns_each_record_once_and_copies_only_within_halo(
         sl = slab_of(spec, d, n_ranks)
         ids = batch.value.real.astype(int)
         assert np.array_equal(batch.gv, gv[ids])
-        # sorted by (time index, global index)
-        keys = list(zip(t[ids], ids))
-        assert keys == sorted(keys) and len(set(ids)) == len(ids)
+        # in ascending global index: the shares joined in source-rank
+        # order, whatever the (unsorted) time indices
+        assert np.all(np.diff(ids) > 0)
         owned = (np.floor(gv[ids]) >= sl.v_start) & (np.floor(gv[ids]) < sl.v_end)
         owners[ids[owned]] += 1
         # a copy sits here exactly when the record is within the halo
         near = (gv + half_support >= sl.v_start) & (gv - half_support <= sl.v_end - 1)
         assert set(ids) == set(np.flatnonzero(near))
     assert np.all(owners == 1)
+
+
+def test_exchange_frees_the_records_it_prepared():
+    # The pipeline grids after the exchange; the read records must not
+    # outlive it.
+    spec = GridSpec(n_u=16, n_v=16, n_w=1, cell_size_lm=1e-3)
+    n = 20
+    rng = np.random.default_rng(2)
+    chunk = visdata.VisChunk(u=rng.random(n), v=rng.random(n), w=np.zeros(n),
+                             time_index=np.zeros(n), vis=np.ones((n, 1)),
+                             weight=np.ones((n, 1)))
+    parts = visdata.split_records(chunk, 2)
+    refs = [weakref.ref(p) for p in parts]
+    batches = exchange_to_space_order(parts, spec, Topology(1, 2), 1)
+    assert parts == [None, None]
+    assert [r() for r in refs] == [None, None]
+    assert sum(len(b) for b in batches) >= n
 
 
 # ---------------------------------------------------------------------------

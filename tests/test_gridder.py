@@ -32,15 +32,15 @@ def brute_force_grid(chunk, spec, kern):
     grid = np.zeros((spec.n_w, spec.n_v, spec.n_u), dtype=np.complex128)
     S = kern.half_support
     updates = 0
-    for rec in chunk:
-        gu = rec.u * spec.n_u
-        gv = rec.v * spec.n_v
+    for u, v, w, vis, weight in zip(chunk.u, chunk.v, chunk.w, chunk.vis, chunk.weight):
+        gu = u * spec.n_u
+        gv = v * spec.n_v
         if spec.n_w == 1:
             plane = 0
         else:
-            plane = min(max(int(math.floor(rec.w * (spec.n_w - 1) + 0.5)), 0),
+            plane = min(max(int(math.floor(w * (spec.n_w - 1) + 0.5)), 0),
                         spec.n_w - 1)
-        value = complex(np.sum(rec.vis.astype(np.complex128) * rec.weight))
+        value = complex(np.sum(vis.astype(np.complex128) * weight))
         for j in range(int(math.ceil(gv - S)), int(math.floor(gv + S)) + 1):
             if not 0 <= j < spec.n_v:
                 continue
@@ -265,7 +265,7 @@ def test_matches_brute_force_with_edge_clipping_on_every_plane(kern):
     ref *= checker_sign(spec, slab_of(spec, 0, 1))
     # one rank, then two ranks with a slab boundary at row 16
     for n_ranks in (1, 2):
-        parts = visdata.partition_time_ordered(chunk, n_ranks)
+        parts = visdata.split_records(chunk, n_ranks)
         grid = grid_and_reduce(parts, spec, kern, Topology(1, n_ranks))
         assert np.max(np.abs(grid - ref)) <= 1e-12
     batch = batch_for(spec, slab_of(spec, 0, 1), chunk.u * 32, chunk.v * 32,
@@ -509,7 +509,7 @@ def test_rank_counts_agree_bitwise_in_deterministic_mode():
     for kern in (KernelSpec.gaussian(3, 1.0), KernelSpec.kaiser_bessel(3)):
         images = {}
         for n_ranks in (1, 2, 4):
-            parts = visdata.partition_time_ordered(chunk, n_ranks)
+            parts = visdata.split_records(chunk, n_ranks)
             images[n_ranks] = grid_and_reduce(parts, spec, kern, Topology(1, n_ranks)).tobytes()
         assert len(set(images.values())) == 1, kern.kind
 
@@ -529,6 +529,6 @@ def test_halo_records_counted_once_across_boundary():
              ).astype(np.complex64),
         weight=np.ones((n, 1), dtype=np.float32))
     one = grid_and_reduce([chunk], spec, kern, Topology(1, 1))
-    parts = visdata.partition_time_ordered(chunk, 2)
+    parts = visdata.split_records(chunk, 2)
     two = grid_and_reduce(parts, spec, kern, Topology(1, 2))
     assert one.tobytes() == two.tobytes()

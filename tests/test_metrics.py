@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import shlex
 import sys
 from pathlib import Path
@@ -8,7 +9,8 @@ import pytest
 from wstack.cli import EXIT_OK, main
 from wstack.metrics import MeterError, PlatformCounterMeter
 
-TRACES = Path(__file__).resolve().parents[1] / "traces"
+ROOT = Path(__file__).resolve().parents[1]
+TRACES = ROOT / "traces"
 
 
 def test_counter_command_prints_the_reading():
@@ -69,3 +71,19 @@ def test_table2_green_productivity_against_gpu(tmp_path):
     assert gp["gpu"] == 1.0
     assert gp["hybrid_best"] == pytest.approx(0.5303, abs=5e-5)
     assert gp["mpi"] == pytest.approx(0.0407, abs=5e-5)
+
+
+def test_make_traces_reproduces_the_shipped_traces(tmp_path, monkeypatch):
+    # The report figures above come from these files; they must be what
+    # scripts/make_traces.py writes, byte for byte.
+    spec = importlib.util.spec_from_file_location("make_traces",
+                                                  ROOT / "scripts" / "make_traces.py")
+    make_traces = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_traces)
+    monkeypatch.setattr(make_traces, "OUT_DIR", tmp_path)
+    make_traces.main()
+    shipped = sorted(p.name for p in TRACES.glob("*.csv"))
+    assert shipped == sorted(p.name for p in tmp_path.glob("*.csv"))
+    assert len(shipped) == 4
+    for name in shipped:
+        assert (tmp_path / name).read_bytes() == (TRACES / name).read_bytes(), name

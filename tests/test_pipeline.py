@@ -42,6 +42,15 @@ def test_image_identical_across_topologies_and_strategies(tmp_path, kern):
     assert set(hashes.values()) == {GOLDEN_SHA256[kern.kind]}, hashes
 
 
+def test_more_ranks_than_records_images_as_one_rank(tmp_path):
+    # Three records over five ranks: the last two ranks read empty shares.
+    path = write(tmp_path, ((0.008, -0.006, 1.0),), 3, seed=11)
+    one, five = (run_pipeline(path, N, N, N_W, CELL, kernel=KERNELS[0], topo=Topology(1, r))
+                 for r in (1, 5))
+    assert five.ops["records"] == one.ops["records"] == 3
+    assert five.image_sha256 == one.image_sha256
+
+
 @pytest.mark.parametrize("kern", KERNELS, ids=lambda k: k.kind)
 def test_point_source_peaks_at_its_position(tmp_path, kern):
     # Inside the kernel's image-plane taper, so the taper cannot move the peak.

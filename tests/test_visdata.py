@@ -7,9 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from wstack import visdata
 from wstack.comms import prepare_chunk
-from wstack.mesh import GridSpec
-from wstack.visdata import (ChunkSpec, DatasetHeader, FormatError, SkyModel,
-                            VisChunk, VisRecord)
+from wstack.mesh import GridSpec, partition_1d
+from wstack.visdata import DatasetHeader, FormatError, SkyModel, VisChunk
 
 
 def small_chunk(n=10, n_chan=2, seed=0, n_slices=4):
@@ -33,13 +32,11 @@ def header_for(chunk, n_freq, n_corr, n_slices, w0=0.0, w1=0.0):
 # ---------------------------------------------------------------------------
 
 def test_minimal_file_size(tmp_path):
-    rec = VisRecord(u=0.5, v=0.5, w=0.5, time_index=0,
-                    vis=np.array([1 + 2j], dtype=np.complex64),
-                    weight=np.array([1.0], dtype=np.float32))
+    one = VisChunk(u=[0.5], v=[0.5], w=[0.5], time_index=[0], vis=[[1 + 2j]], weight=[[1.0]])
     header = DatasetHeader(n_records=1, n_freq=1, n_corr=1, n_time_slices=1,
                            w_min_native=0.0, w_max_native=0.0)
     path = tmp_path / "one.rvis"
-    visdata.write_dataset([rec], header, path)
+    visdata.write_dataset(one, header, path)
     # 64-byte header block (44 bytes of fields, padded to a 32-byte
     # boundary) + 28 coordinate/time bytes + 8 vis bytes + 4 weight bytes
     assert path.stat().st_size == visdata.HEADER_SIZE + 28 + 8 + 4
@@ -71,11 +68,14 @@ def test_non_finite_values_rejected(tmp_path, column, bad):
         visdata.write_dataset(chunk, header_for(chunk, 2, 1, 4), tmp_path / "x.rvis")
     assert not (tmp_path / "x.rvis").exists()
     with pytest.raises(ValueError, match="must"):
-        prepare_chunk(chunk, GridSpec(n_u=16, n_v=16, n_w=2, cell_size_lm=1e-3), 0)
+        prepare_chunk(chunk, GridSpec(n_u=16, n_v=16, n_w=2, cell_size_lm=1e-3))
 
 
 def test_round_trip_rewrite_identical(tmp_path):
     chunk = small_chunk(1000, n_chan=3, seed=5)
+    # Signed zeros in either part survive the read.
+    chunk.vis[:4, 0] = [complex(-0.0, 1.0), complex(-0.0, -0.0), complex(0.0, -0.0),
+                        complex(-0.0, 0.0)]
     header = header_for(chunk, 3, 1, 4, w0=-5.0, w1=95.0)
     p1, p2 = tmp_path / "a.rvis", tmp_path / "b.rvis"
     visdata.write_dataset(chunk, header, p1)
@@ -143,71 +143,56 @@ def test_truncated_file(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# chunked reads
+# per-rank reads and the in-memory record split
 # ---------------------------------------------------------------------------
 
 def test_identity_chunk(tmp_path):
     chunk = small_chunk(20)
     path = tmp_path / "d.rvis"
     visdata.write_dataset(chunk, header_for(chunk, 2, 1, 4), path)
-    _, whole = visdata.read_dataset(path, ChunkSpec("frequency", 0, 1))
+    _, whole = visdata.read_dataset(path, 0, 1)
     assert len(whole) == 20 and whole.n_chan == 2
-
-
-def test_frequency_chunk_halves_channels(tmp_path):
-    chunk = small_chunk(12, n_chan=2)
-    path = tmp_path / "d.rvis"
-    visdata.write_dataset(chunk, header_for(chunk, 2, 1, 4), path)
-    _, c0 = visdata.read_dataset(path, ChunkSpec("frequency", 0, 2))
-    _, c1 = visdata.read_dataset(path, ChunkSpec("frequency", 1, 2))
-    assert c0.n_chan == c1.n_chan == 1
-    assert np.array_equal(c0.vis[:, 0], chunk.vis[:, 0])
-    assert np.array_equal(c1.vis[:, 0], chunk.vis[:, 1])
-    assert len(c0) == len(c1) == 12
+    assert np.array_equal(whole.vis, chunk.vis)
 
 
 def test_time_chunks_partition_records(tmp_path):
-    chunk = small_chunk(50, n_slices=8)
+    # With equal time slices, one per rank, each rank's share of the
+    # records is exactly one time slice.
+    chunk = small_chunk(64, n_slices=8)
     path = tmp_path / "d.rvis"
     visdata.write_dataset(chunk, header_for(chunk, 2, 1, 8), path)
-    pieces = [visdata.read_dataset(path, ChunkSpec("time", k, 8))[1] for k in range(8)]
-    assert sum(len(p) for p in pieces) == 50
-    reunion = VisChunk.concat(pieces)
-    assert np.array_equal(reunion.u, chunk.u)
-    assert np.array_equal(reunion.time_index, chunk.time_index)
+    pieces = [visdata.read_dataset(path, k, 8)[1] for k in range(8)]
     for k, piece in enumerate(pieces):
-        assert np.all(piece.time_index == k)
+        assert len(piece) == 8 and np.all(piece.time_index == k)
 
 
 def test_chunk_union_is_exact_for_any_count(tmp_path):
-    chunk = small_chunk(37, n_chan=3, n_slices=5)
-    path = tmp_path / "d.rvis"
-    visdata.write_dataset(chunk, header_for(chunk, 3, 1, 5), path)
-    for axis, n_chunks in (("time", 3), ("frequency", 2), ("time", 5)):
-        pieces = [visdata.read_dataset(path, ChunkSpec(axis, k, n_chunks))[1]
-                  for k in range(n_chunks)]
-        if axis == "time":
+    # Shares read from the file reassemble it, and equal the in-memory
+    # split; with more ranks than records, the last shares are empty.
+    for n in (37, 3):
+        chunk = small_chunk(n, n_chan=3, n_slices=5)
+        path = tmp_path / f"d{n}.rvis"
+        visdata.write_dataset(chunk, header_for(chunk, 3, 1, 5), path)
+        for n_ranks in range(1, 6):
+            pieces = [visdata.read_dataset(path, r, n_ranks)[1] for r in range(n_ranks)]
+            assert [len(p) for p in pieces] == [partition_1d(n, n_ranks, r)[1]
+                                                for r in range(n_ranks)]
             reunion = VisChunk.concat(pieces)
+            assert np.array_equal(reunion.u, chunk.u)
+            assert np.array_equal(reunion.time_index, chunk.time_index)
             assert np.array_equal(reunion.vis, chunk.vis)
-        else:
-            joined = np.concatenate([p.vis for p in pieces], axis=1)
-            assert np.array_equal(joined, chunk.vis)
+            assert np.array_equal(reunion.weight, chunk.weight)
+            for piece, part in zip(pieces, visdata.split_records(chunk, n_ranks)):
+                assert piece.n_chan == 3
+                for column in ("u", "v", "w", "time_index", "vis", "weight"):
+                    assert np.array_equal(getattr(piece, column), getattr(part, column))
+            with pytest.raises(ValueError, match="partition index"):
+                visdata.read_dataset(path, n_ranks, n_ranks)
 
-
-def test_chunk_spec_validation():
-    with pytest.raises(ValueError):
-        ChunkSpec("space", 0, 1)
-    with pytest.raises(ValueError):
-        ChunkSpec("time", 2, 2)
-
-
-# ---------------------------------------------------------------------------
-# time-ordered partitioning
-# ---------------------------------------------------------------------------
 
 def test_one_slice_per_rank():
     chunk = small_chunk(64, n_slices=8)
-    parts = visdata.partition_time_ordered(chunk, 8)
+    parts = visdata.split_records(chunk, 8)
     assert len(parts) == 8
     for k, part in enumerate(parts):
         assert np.all(part.time_index == k)
@@ -216,38 +201,42 @@ def test_one_slice_per_rank():
 
 def test_single_rank_partition_is_identity():
     chunk = small_chunk(30, n_slices=6)
-    (part,) = visdata.partition_time_ordered(chunk, 1)
+    (part,) = visdata.split_records(chunk, 1)
     assert np.array_equal(part.u, chunk.u)
     assert np.array_equal(part.vis, chunk.vis)
 
 
 def test_ten_slices_four_ranks():
-    chunk = small_chunk(100, n_slices=10)
-    parts = visdata.partition_time_ordered(chunk, 4)
-    slice_counts = [len(np.unique(p.time_index)) for p in parts]
-    assert slice_counts == [3, 3, 2, 2]
+    chunk = small_chunk(10, n_slices=10)
+    parts = visdata.split_records(chunk, 4)
+    assert [p.time_index.tolist() for p in parts] == [[0, 1, 2], [3, 4, 5], [6, 7], [8, 9]]
     reunion = VisChunk.concat(parts)
     assert np.array_equal(reunion.u, chunk.u)
 
 
-@pytest.mark.parametrize("times, starts", [
-    ([0, 0, 1, 1, 1, 3], [0, 2, 5]), ([7], [0]), ([], []), ([2, 2, 2], [0]),
-])
-def test_time_slice_starts(times, starts):
-    n = len(times)
-    chunk = VisChunk(u=np.zeros(n), v=np.zeros(n), w=np.zeros(n),
-                     time_index=np.array(times, dtype=np.uint32),
-                     vis=np.zeros((n, 1), np.complex64), weight=np.ones((n, 1), np.float32))
-    assert visdata.time_slice_starts(chunk).tolist() == starts
-
-
-def test_unsorted_input_rejected():
+def test_unsorted_input_rejected(tmp_path):
     chunk = small_chunk(10, n_slices=5)
     shuffled = chunk.rows(np.argsort(chunk.u))
     if np.all(np.diff(shuffled.time_index.astype(int)) >= 0):
         pytest.skip("shuffle landed sorted")
+    path = tmp_path / "d.rvis"
+    visdata.write_dataset(shuffled, header_for(shuffled, 2, 1, 5), path)
     with pytest.raises(visdata.FormatError, match="sorted"):
-        visdata.partition_time_ordered(shuffled, 2)
+        visdata.read_dataset(path)
+
+
+def test_descent_at_a_share_boundary_is_caught_by_the_later_share(tmp_path):
+    # Each half is sorted; the time index falls between record 19 and 20,
+    # the boundary of two ranks' shares. Rank 1 reads record 19 as well.
+    chunk = small_chunk(40, n_slices=4)
+    swapped = chunk.rows(np.r_[20:40, 0:20])
+    path = tmp_path / "d.rvis"
+    visdata.write_dataset(swapped, header_for(swapped, 2, 1, 4), path)
+    _, first = visdata.read_dataset(path, 0, 2)
+    assert len(first) == 20
+    for rank, n_ranks in ((1, 2), (0, 1)):
+        with pytest.raises(FormatError, match="sorted"):
+            visdata.read_dataset(path, rank, n_ranks)
 
 
 # ---------------------------------------------------------------------------
