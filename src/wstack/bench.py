@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics, transform, visdata
-from .comms import MessageLog, ReduceStrategy, Topology, reduce_slabs
+from .comms import MessageLog, ReduceStrategy, Topology, reduce_slabs, run_ranks
 from .gridder import KernelSpec, kernel_value
 from .mesh import ComplexGrid, GridSpec, partition_1d, pixel_n_block, slab_of
 from .pipeline import grid_sectors, peak_pixel, reduce_sectors, run_pipeline
@@ -444,29 +444,30 @@ def verify_pipeline(scale: str = "small", force_fail: bool = False) -> VerifyRep
         f"Kaiser-Bessel kernel vs np.i0 (beta {kb.shape_param:g})", "relative <= 1e-14",
         f"relative {err_kb:.3e}", err_kb <= 1e-14))
 
-    # fft against the direct DFT, round trip, Parseval; each through the
-    # distributed transform on one rank and on three (uneven slabs)
-    def slab_fft(a, n_ranks, direction="forward"):
+    # inverse fft against the direct inverse DFT, round trip, Parseval; each
+    # through the distributed transform on one rank and on three (uneven)
+    def slab_ifft(a, n_ranks):
         fspec = GridSpec(n_u=a.shape[1], n_v=a.shape[0], n_w=1, cell_size_lm=1e-3)
-        slabs = [a[v0:v0 + vc] for v0, vc in
-                 (partition_1d(fspec.n_v, n_ranks, r) for r in range(n_ranks))]
-        out = transform.fft2d_slab(slabs, fspec, Topology(1, n_ranks), direction)
-        return np.concatenate(out, axis=0)
+
+        def fn(ctx):
+            v0, vc = partition_1d(fspec.n_v, n_ranks, ctx.rank)
+            return transform.fft2d_slab(ctx, a[v0:v0 + vc], fspec)
+        return np.concatenate(run_ranks(Topology(1, n_ranks), fn), axis=0).T
 
     fft_ranks = (1, 3)
     rng = np.random.default_rng(7)
     small = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    err_dft = max(_max_abs(slab_fft(small, R), reference_dft2d(small)) for R in fft_ranks)
-    checks.append(CheckResult("fft vs direct DFT (8x8, 1 and 3 ranks)", "max abs <= 1e-12",
-                              f"max abs {err_dft:.3e}", err_dft <= 1e-12))
+    err_dft = max(_max_abs(slab_ifft(small, R), reference_dft2d(small, inverse=True))
+                  for R in fft_ranks)
+    checks.append(CheckResult("inverse fft vs direct DFT (8x8, 1 and 3 ranks)",
+                              "max abs <= 1e-12", f"max abs {err_dft:.3e}", err_dft <= 1e-12))
     plane = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
-    err_rt = max(_max_abs(slab_fft(slab_fft(plane, R), R, "inverse"), plane)
-                 for R in fft_ranks)
-    checks.append(CheckResult("fft inverse(forward) round trip (64x64, 1 and 3 ranks)",
+    err_rt = max(_max_abs(slab_ifft(reference_dft2d(plane), R), plane) for R in fft_ranks)
+    checks.append(CheckResult("inverse fft of direct DFT round trip (64x64, 1 and 3 ranks)",
                               "max abs <= 1e-12", f"max abs {err_rt:.3e}",
                               err_rt <= 1e-12))
     energy = np.sum(np.abs(plane) ** 2)
-    parseval = max(abs(energy - np.sum(np.abs(slab_fft(plane, R)) ** 2) / plane.size)
+    parseval = max(abs(energy - np.sum(np.abs(slab_ifft(plane, R)) ** 2) * plane.size)
                    for R in fft_ranks) / energy
     checks.append(CheckResult("Parseval identity (1 and 3 ranks)", "relative <= 1e-10",
                               f"relative {parseval:.3e}", parseval <= 1e-10))
@@ -519,8 +520,7 @@ def verify_pipeline(scale: str = "small", force_fail: bool = False) -> VerifyRep
         f"peak at ({i}, {j}), expected ({want_i}, {want_j})", hit))
 
     # w correction is a pure phase
-    pslab = slab_of(spec, 0, 1)
-    n_pix = pixel_n_block(spec, pslab.v_start, pslab.v_count)
+    n_pix = pixel_n_block(spec, 0, spec.n_u)
     data = rng.standard_normal(n_pix.shape) + 1j * rng.standard_normal(n_pix.shape)
     before = np.abs(data)
     after = np.abs(transform.apply_w_correction(np.zeros_like(data), data, n_w - 1, spec, n_pix))

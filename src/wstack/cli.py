@@ -25,7 +25,7 @@ from .metrics import (FREQ_LEVELS, PlatformCounterMeter, SyntheticPowerMeter,
                       TraceInjectionMeter)
 from .pipeline import peak_pixel, run_pipeline
 
-__all__ = ["CONFIG_SCHEMA", "ConfigError", "load_config_file", "dump_config",
+__all__ = ["CONFIG_SCHEMA", "ConfigError", "load_config_file",
            "resolve_config", "main"]
 
 EXIT_OK = 0
@@ -106,11 +106,6 @@ def load_config_file(path) -> dict:
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return out
-
-
-def dump_config(cfg: dict) -> str:
-    lines = [f"{key} = {cfg[key]}" for key in CONFIG_SCHEMA]
-    return "\n".join(lines) + "\n"
 
 
 def resolve_config(config_path=None, overrides: dict | None = None) -> dict:

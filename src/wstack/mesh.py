@@ -114,9 +114,6 @@ class SlabRange:
     def v_end(self) -> int:
         return self.v_start + self.v_count
 
-    def contains_row(self, j: int) -> bool:
-        return self.v_start <= j < self.v_end
-
 
 @dataclass
 class ComplexGrid:
@@ -134,9 +131,6 @@ class ComplexGrid:
             self.data = np.ascontiguousarray(self.data, dtype=np.complex128)
             if self.data.shape != shape:
                 raise ValueError(f"grid data shape {self.data.shape} != {shape}")
-
-    def copy(self) -> "ComplexGrid":
-        return ComplexGrid(self.spec, self.slab, self.data.copy())
 
 
 def slab_of(spec: GridSpec, rank: int, n_ranks: int) -> SlabRange:
@@ -171,10 +165,11 @@ def pixel_to_lm(spec: GridSpec, i: int, j: int) -> tuple[float, float]:
     return l, m
 
 
-def pixel_n_block(spec: GridSpec, v_start: int, v_count: int) -> np.ndarray:
-    """``n = sqrt(1 - l^2 - m^2)`` for a block of image rows, shaped
-    ``(v_count, n_u)``, with (l, m) as in :func:`pixel_to_lm`."""
+def pixel_n_block(spec: GridSpec, u_start: int, u_count: int) -> np.ndarray:
+    """``n = sqrt((1 - l^2) - m^2)`` for a block of image columns in the
+    transposed layout, shaped ``(u_count, n_v)``, with (l, m) as in
+    :func:`pixel_to_lm`."""
     cell = spec.cell_size_lm
-    l = (np.arange(spec.n_u, dtype=np.float64) - spec.n_u // 2) * cell
-    m = (np.arange(v_start, v_start + v_count, dtype=np.float64) - spec.n_v // 2) * cell
-    return np.sqrt(1.0 - l * l - (m * m)[:, None])
+    l = (np.arange(u_start, u_start + u_count, dtype=np.float64) - spec.n_u // 2) * cell
+    m = (np.arange(spec.n_v, dtype=np.float64) - spec.n_v // 2) * cell
+    return np.sqrt((1.0 - l * l)[:, None] - m * m)

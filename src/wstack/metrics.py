@@ -18,17 +18,18 @@ external counter file or command.
 from __future__ import annotations
 
 import csv
+import math
 import shlex
 import subprocess
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .comms import Topology
+from .visdata import FormatError
 
 __all__ = [
     "PHASES",
     "FREQ_LEVELS",
-    "FREQ_GHZ",
     "DEFAULT_WATTS",
     "MeterError",
     "RunRecord",
@@ -52,9 +53,6 @@ __all__ = [
 PHASES = ("read", "gridding", "reduce", "fft", "wcorrect", "write")
 
 FREQ_LEVELS = ("default", "high", "medium", "low")
-
-# Fixed CPU frequency levels in GHz; "default" is governed by the OS.
-FREQ_GHZ = {"high": 2.60, "medium": 2.00, "low": 1.50}
 
 # Synthetic power model defaults, chosen so that medium and low consume
 # 75% and 70% of the high-frequency power.
@@ -293,23 +291,31 @@ def write_trace(path, rows):
 
 
 def _read_trace_rows(path):
+    """``{(label, n_nodes, freq_level, phase): (seconds, joules)}``; a
+    malformed, non-finite or repeated row raises ``FormatError``."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"trace file not found: {path}")
-    table = {}
+    table, first_line = {}, {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         missing = set(TRACE_COLUMNS) - set(reader.fieldnames or ())
         if missing:
-            raise ValueError(f"trace {path} lacks columns {sorted(missing)}")
+            raise FormatError(f"trace {path} lacks columns {sorted(missing)}")
         for lineno, row in enumerate(reader, start=2):
             try:
                 key = (row["label"], int(row["n_nodes"]), row["freq_level"], row["phase"])
-                table[key] = (float(row["seconds"]), float(row["joules"]))
-            except (KeyError, ValueError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad trace row ({exc})") from exc
+                values = (float(row["seconds"]), float(row["joules"]))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise FormatError(f"{path}:{lineno}: bad trace row ({exc})") from exc
+            if not all(math.isfinite(v) for v in values):
+                raise FormatError(f"{path}:{lineno}: non-finite seconds or joules {values}")
+            if key in table:
+                raise FormatError(f"{path}:{lineno}: repeats the row of line "
+                                  f"{first_line[key]} for {key}")
+            table[key], first_line[key] = values, lineno
     if not table:
-        raise ValueError(f"no runs found in {path}")
+        raise FormatError(f"no runs found in {path}")
     return table
 
 

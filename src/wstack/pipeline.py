@@ -5,6 +5,12 @@ image, the per-phase wall times (collective wall clock, i.e. the max over
 ranks), deterministic operation-count surrogates, and the message log.
 Phase times land in a :class:`~wstack.metrics.RunRecord`; when a meter is
 configured its joules are attached as well.
+
+The image stage is one pass per rank in the transposed layout of
+:mod:`wstack.transform`; ``fft`` is its busiest rank's time in
+``fft2d_slab`` and ``wcorrect`` the rest of its wall time. Each gridded
+slab is freed once its sector is reduced, and each reduced slab once its
+rank has transformed it.
 """
 
 from __future__ import annotations
@@ -19,11 +25,11 @@ import numpy as np
 from . import comms, metrics, transform, visdata
 from .comms import MessageLog, ReduceStrategy, Topology, run_ranks
 from .gridder import KernelSpec, grid_sector
-from .mesh import ComplexGrid, GridSpec, pixel_n_block, slab_of
+from .mesh import ComplexGrid, GridSpec, partition_1d, pixel_n_block, slab_of
 from .transform import FinalImage
 
 __all__ = ["PipelineResult", "run_pipeline", "grid_sectors", "reduce_sectors",
-           "peak_pixel"]
+           "image_sectors", "peak_pixel"]
 
 
 @dataclass
@@ -67,14 +73,41 @@ def grid_sectors(parts, spec: GridSpec, kernel: KernelSpec, topo: Topology,
 
 def reduce_sectors(slabs, topo: Topology, strategy: ReduceStrategy, log: MessageLog):
     """Per-sector reduce onto each slab's owner: every other rank
-    contributes a zero partial of that slab. Returns the reduced slabs."""
+    contributes a zero partial of that slab. Each gridded slab is dropped
+    from ``slabs`` once its sector is reduced. Returns the reduced slabs."""
     reduced = []
-    for target, own in enumerate(slabs):
+    for target in range(len(slabs)):
+        own, slabs[target] = slabs[target], None
         partials = [own if r == target else ComplexGrid(own.spec, own.slab)
                     for r in range(topo.n_ranks)]
-        red, _ = comms.reduce_slabs(strategy, partials, target, topo, log=log)
-        reduced.append(red)
+        reduced.append(comms.reduce_slabs(strategy, partials, target, topo, log=log)[0])
     return reduced
+
+
+def image_sectors(reduced, spec: GridSpec, topo: Topology, log: MessageLog):
+    """The image stage: per rank, for each w plane in order, the inverse
+    transform of its reduced slab into its column block and the w
+    correction into the block's sum, then the stacking. A rank drops its
+    ``reduced`` entry once it has transformed it. Returns ``(ImageBlocks,
+    the busiest rank's seconds in fft2d_slab)``."""
+    R = topo.n_ranks
+    fft_s = [0.0] * R
+
+    def image_fn(ctx):
+        r = ctx.rank
+        planes, reduced[r] = reduced[r].data, None
+        u0, uc = partition_1d(spec.n_u, R, r)
+        n = pixel_n_block(spec, u0, uc)
+        acc = None
+        for k in range(spec.n_w):
+            t0 = time.perf_counter()
+            plane = transform.fft2d_slab(ctx, planes[k], spec)
+            fft_s[r] += time.perf_counter() - t0
+            acc = transform.apply_w_correction(acc, plane, k, spec, n)
+        del planes, plane
+        return transform.stack_planes(acc, u0, spec, n)
+
+    return run_ranks(topo, image_fn, log=log), max(fft_s)
 
 
 def run_pipeline(
@@ -120,32 +153,18 @@ def run_pipeline(
     slabs, grid_updates = grid_sectors(parts, spec, kernel, topo, log)
     times["gridding"] = time.perf_counter() - t0
 
-    # 3. reduce: per-sector collective summation onto the owner
+    # 3. reduce: per-sector collective summation onto the owner, which
+    #    frees each gridded slab once its sector is reduced
     t0 = time.perf_counter()
     reduced = reduce_sectors(slabs, topo, strategy, log)
     times["reduce"] = time.perf_counter() - t0
 
-    # 4. fft: inverse transform each w plane over the slabs; the gridder
-    #    stored each cell times (-1)^(i+j), which centres the phase
+    # 4-5a. image: per rank, each w plane's inverse transform into the
+    #    rank's image columns and its w correction, then the stacking; the
+    #    gridder stored each cell times (-1)^(i+j), which centres the phase
     t0 = time.perf_counter()
-    plane_slabs = [transform.fft2d_slab([red.data[k] for red in reduced], spec, topo,
-                                        direction="inverse", log=log)
-                   for k in range(spec.n_w)]
-    times["fft"] = time.perf_counter() - t0
-
-    # 5a. w correction + plane stacking, one pass per slab
-    t0 = time.perf_counter()
-
-    def stack_fn(ctx):
-        slab = reduced[ctx.rank].slab
-        n = pixel_n_block(spec, slab.v_start, slab.v_count)
-        acc = None
-        for k in range(spec.n_w):
-            acc = transform.apply_w_correction(acc, plane_slabs[k][ctx.rank], k, spec, n)
-        return transform.stack_planes(acc, slab, spec, n)
-
-    blocks = run_ranks(topo, stack_fn, log=log)
-    times["wcorrect"] = time.perf_counter() - t0
+    blocks, times["fft"] = image_sectors(reduced, spec, topo, log)
+    times["wcorrect"] = time.perf_counter() - t0 - times["fft"]
 
     # 5b. write
     t0 = time.perf_counter()

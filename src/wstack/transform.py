@@ -1,24 +1,26 @@
-"""Per-plane 2D FFT over slabs, w-term correction, stacking, image output.
+"""Inverse 2D FFT of each w plane into transposed layout, w-term
+correction, stacking, image output.
 
-A plane is transformed as library FFTs (``np.fft``) along its rows, a
-block transpose across ranks, row FFTs again, and a transpose back, so the
-message log captures the transform's traffic. The forward kernel is
-``exp(-2 pi i)``; the inverse is ``exp(+2 pi i)`` and carries ``1/n`` on
-each axis, ``1/(n_u n_v)`` in all.
+For each w plane in order, each rank runs :func:`fft2d_slab` on its row
+slab: library inverse FFTs (``np.fft``) along the rows, one block transpose
+across ranks (logged), and inverse FFTs along the columns it then holds.
+There is no transpose back: a rank keeps ``(columns, n_v)`` blocks, FFTW's
+transposed-out MPI layout (Frigo & Johnson 2005, Proc. IEEE 93:216), and
+:func:`assemble_image` transposes the real pixels once. The inverse kernel
+is ``exp(+2 pi i)`` and carries ``1/(n_u n_v)``.
 
 The gridded origin sits at cell (0, 0). The gridder stores every cell
 times ``(-1)^(i+j)`` (see :mod:`wstack.gridder`), and on that grid the
 inverse transform lands the phase center on pixel ``(n_u/2, n_v/2)``
 exactly, with no extra pass or communication.
 
-The w correction and stacking are one pass per slab, with n = sqrt(1 -
-l^2 - m^2) computed once: ``acc += plane_k * exp(2 pi i w_k (n - 1))`` for
-k = 0 ... n_w - 1 in order, then ``acc / n_w * n``. Since ``l = (i - n_u/2)
-cell`` negates exactly under ``i -> n_u - i``, columns ``i`` and ``n_u - i``
-hold the same n bits, so the phase is evaluated on columns ``0 ... n_u/2``
-and mirrored. Every step is the floating-point operation of the per-plane
-form (each plane corrected into a copy, the copies summed), so the image
-is bit-identical to it.
+The w correction and stacking are one pass per column block, with n =
+sqrt(1 - l^2 - m^2) computed once: ``acc += plane_k * exp(2 pi i w_k (n -
+1))`` for k = 0 ... n_w - 1 in order, then ``acc / n_w * n``. Since ``m =
+(j - n_v/2) cell`` negates exactly under ``j -> n_v - j``, rows ``j`` and
+``n_v - j`` hold the same n bits, so the phase is evaluated on rows ``0 ...
+n_v/2`` and mirrored. Each step is the floating-point operation of the
+per-plane form on the same pixel, so the image is bit-identical to it.
 
 Image files are raw little-endian float64 pixels, row-major ``(n_v, n_u)``,
 next to a JSON sidecar and an optional 8-bit PGM preview with a linear
@@ -33,8 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .comms import MessageLog, Topology, run_ranks
-from .mesh import GridSpec, SlabRange, partition_1d
+from .mesh import GridSpec, partition_1d
 
 __all__ = [
     "ImageBlock",
@@ -52,10 +53,11 @@ __all__ = [
 
 @dataclass
 class ImageBlock:
-    """Stacked real image rows for one slab plus residual diagnostics."""
+    """Stacked real pixels of the image columns ``u_start ...`` one rank
+    holds, shaped ``(columns, n_v)``, plus residual diagnostics."""
 
     spec: GridSpec
-    slab: SlabRange
+    u_start: int
     pixels: np.ndarray
     imag_sq_sum: float
     real_sq_sum: float
@@ -75,57 +77,34 @@ class FinalImage:
                              f"{(self.spec.n_v, self.spec.n_u)}")
 
 
-def fft1d(a: np.ndarray, inverse: bool = False) -> np.ndarray:
-    """Library FFT along the last axis; the inverse carries ``1/n``."""
-    return np.fft.ifft(a) if inverse else np.fft.fft(a)
+def fft1d(a: np.ndarray) -> np.ndarray:
+    """Library inverse FFT along the last axis; it carries ``1/n``."""
+    return np.fft.ifft(a)
 
 
-def fft2d_slab(slabs, spec: GridSpec, topo: Topology, direction: str = "forward",
-               log: MessageLog | None = None, phase: str = "fft"):
-    """Distributed 2D transform of one plane given as per-rank row slabs.
-
-    Row transforms, an all-to-all block transpose (R^2 blocks, the
-    off-diagonal ones as logged messages), row transforms of the transposed
-    layout, and the transpose back. Returns the transformed slabs.
-    """
-    if direction not in ("forward", "inverse"):
-        raise ValueError(f"direction must be forward or inverse, got {direction!r}")
-    inverse = direction == "inverse"
-    R = topo.n_ranks
-    if len(slabs) != R:
-        raise ValueError(f"expected {R} slabs, got {len(slabs)}")
-    rows = [partition_1d(spec.n_v, R, r) for r in range(R)]
-    cols = [partition_1d(spec.n_u, R, r) for r in range(R)]
-
-    def fn(ctx):
-        r = ctx.rank
-        v0, vc = rows[r]
-        c0, cc = cols[r]
-        a = fft1d(slabs[r], inverse)
-        for d in range(R):
-            if d != r:
-                d0, dc = cols[d]
-                ctx.send(d, ("tp_fwd",), a[:, d0:d0 + dc], phase)
-        b = np.empty((cc, spec.n_v), dtype=np.complex128)
-        b[:, v0:v0 + vc] = a[:, c0:c0 + cc].T
-        for s in range(R):
-            if s != r:
-                s0, sc = rows[s]
-                b[:, s0:s0 + sc] = ctx.recv(s, ("tp_fwd",)).T
-        b = fft1d(b, inverse)
-        for d in range(R):
-            if d != r:
-                d0, dc = rows[d]
-                ctx.send(d, ("tp_back",), b[:, d0:d0 + dc], phase)
-        out = np.empty((vc, spec.n_u), dtype=np.complex128)
-        out[:, c0:c0 + cc] = b[:, v0:v0 + vc].T
-        for s in range(R):
-            if s != r:
-                s0, sc = cols[s]
-                out[:, s0:s0 + sc] = ctx.recv(s, ("tp_back",)).T
-        return out
-
-    return run_ranks(topo, fn, log=log)
+def fft2d_slab(ctx, rows: np.ndarray, spec: GridSpec) -> np.ndarray:
+    """One rank's part of the inverse 2D transform of one plane, from its
+    ``(v_count, n_u)`` row slab to its :func:`~wstack.mesh.partition_1d`
+    share of the columns, ``(u_count, n_v)``: row transforms, each column
+    block sent to its owner as an ``fft`` message, column transforms."""
+    R, r = ctx.topo.n_ranks, ctx.rank
+    v0, vc = partition_1d(spec.n_v, R, r)
+    u0, uc = partition_1d(spec.n_u, R, r)
+    if rows.shape != (vc, spec.n_u):
+        raise ValueError(f"rows shape {rows.shape} != {(vc, spec.n_u)}")
+    a = fft1d(rows)
+    for d in range(R):
+        if d != r:
+            d0, dc = partition_1d(spec.n_u, R, d)
+            ctx.send(d, ("fft",), a[:, d0:d0 + dc], "fft")
+    b = np.empty((uc, spec.n_v), dtype=np.complex128)
+    b[:, v0:v0 + vc] = a[:, u0:u0 + uc].T
+    del a
+    for s in range(R):
+        if s != r:
+            s0, sc = partition_1d(spec.n_v, R, s)
+            b[:, s0:s0 + sc] = ctx.recv(s, ("fft",)).T
+    return fft1d(b)
 
 
 # ---------------------------------------------------------------------------
@@ -133,9 +112,9 @@ def fft2d_slab(slabs, spec: GridSpec, topo: Topology, direction: str = "forward"
 # ---------------------------------------------------------------------------
 
 def w_phase_factor(n: np.ndarray, w: float) -> np.ndarray:
-    """``exp(2 pi i w (n - 1))`` over a slab's ``n``: ``np.exp`` on columns
-    ``0 ... n_u/2``, mirrored onto columns ``n_u/2 + 1 ... n_u - 1``; equal
-    bit for bit to the full-width ``np.exp``."""
+    """``exp(2 pi i w (n - 1))`` over a column block's ``n``: ``np.exp`` on
+    rows ``0 ... n_v/2`` (the last axis), mirrored onto rows ``n_v/2 + 1 ...
+    n_v - 1``; equal bit for bit to the full-width ``np.exp``."""
     h = n.shape[1] // 2
     factor = np.empty(n.shape, dtype=np.complex128)
     np.exp(2j * np.pi * w * (n[:, :h + 1] - 1.0), out=factor[:, :h + 1])
@@ -146,7 +125,7 @@ def w_phase_factor(n: np.ndarray, w: float) -> np.ndarray:
 def apply_w_correction(acc: np.ndarray | None, plane: np.ndarray, plane_index: int,
                        spec: GridSpec, n: np.ndarray) -> np.ndarray:
     """Add plane k times ``exp(2 pi i w_k (n - 1))`` into ``acc`` and return
-    the sum; w_k is the plane's native w, ``n`` the slab's
+    the sum; w_k is the plane's native w, ``n`` the column block's
     :func:`~wstack.mesh.pixel_n_block`.
 
     Planes come in order k = 0 ... n_w - 1; plane 0 gets ``acc=None`` and
@@ -154,7 +133,7 @@ def apply_w_correction(acc: np.ndarray | None, plane: np.ndarray, plane_index: i
     is a pure phase, so each plane's magnitudes are kept.
     """
     if plane.shape != n.shape:
-        raise ValueError(f"plane shape {plane.shape} != slab shape {n.shape}")
+        raise ValueError(f"plane shape {plane.shape} != block shape {n.shape}")
     w_k = spec.plane_w_native(plane_index)
     if w_k != 0.0:
         # Plane first, into the factor's buffer: numpy's complex multiply
@@ -167,31 +146,31 @@ def apply_w_correction(acc: np.ndarray | None, plane: np.ndarray, plane_index: i
     return plane if acc is None else np.add(acc, plane, out=acc)
 
 
-def stack_planes(acc: np.ndarray, slab: SlabRange, spec: GridSpec,
+def stack_planes(acc: np.ndarray, u_start: int, spec: GridSpec,
                  n: np.ndarray) -> ImageBlock:
-    """Finish one slab from the :func:`apply_w_correction` sum of its n_w
-    planes: ``acc / n_w * n`` in place, then the real part.
+    """Finish one column block from the :func:`apply_w_correction` sum of
+    its n_w planes: ``acc / n_w * n`` in place, then the real part.
 
     The w integral discretizes to ``n / w_range * sum_k (w_range / n_w) *
     plane_k``, i.e. the plane mean scaled by the direction-cosine factor
     (the w range cancels). The imaginary part is dropped and reported as a
     squared-norm diagnostic.
     """
-    if acc.shape != (slab.v_count, spec.n_u):
-        raise ValueError(f"sum shape {acc.shape} != {(slab.v_count, spec.n_u)}")
+    if acc.shape != n.shape or n.shape[1] != spec.n_v:
+        raise ValueError(f"sum shape {acc.shape} != {(n.shape[0], spec.n_v)}")
     acc /= spec.n_w
     acc *= n
     return ImageBlock(
-        spec=spec, slab=slab, pixels=np.ascontiguousarray(acc.real),
+        spec=spec, u_start=u_start, pixels=np.ascontiguousarray(acc.real),
         imag_sq_sum=float((acc.imag ** 2).sum()),
         real_sq_sum=float((acc.real ** 2).sum()),
     )
 
 
 def assemble_image(spec: GridSpec, blocks) -> FinalImage:
-    """Concatenate per-rank stacked blocks into the full image."""
-    blocks = sorted(blocks, key=lambda b: b.slab.v_start)
-    pixels = np.concatenate([b.pixels for b in blocks], axis=0)
+    """Join the per-rank column blocks and transpose them into the image."""
+    blocks = sorted(blocks, key=lambda b: b.u_start)
+    pixels = np.concatenate([b.pixels for b in blocks], axis=0).T
     imag_sq = sum(b.imag_sq_sum for b in blocks)
     real_sq = sum(b.real_sq_sum for b in blocks)
     return FinalImage(spec=spec, pixels=pixels,

@@ -58,8 +58,8 @@ assert _HEADER_STRUCT.size == HEADER_SIZE
 
 
 class FormatError(OSError, ValueError):
-    """Raised for malformed dataset files, for headers holding invalid
-    values and for records out of time order; an I/O error, as
+    """Raised for malformed dataset and trace files, for headers holding
+    invalid values and for records out of time order; an I/O error, as
     ``gzip.BadGzipFile`` is, and also a ``ValueError``, as
     ``io.UnsupportedOperation`` is."""
 

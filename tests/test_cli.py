@@ -44,6 +44,30 @@ def test_missing_input_exits_3(tmp_path, argv):
     assert main(argv) == EXIT_IO
 
 
+TRACE_HEADER = "label,n_nodes,freq_level,phase,seconds,joules\n"
+
+
+@pytest.mark.parametrize("kind, body, message", [
+    ("gp", "label,n_nodes,phase,seconds,joules\na,1,total,1.0,2.0\n", "lacks columns"),
+    ("gp", TRACE_HEADER + "a,1,default,total,fast,2.0\n", ":2: bad trace row"),
+    ("gp", TRACE_HEADER + "a,one,default,total,1.0,2.0\n", ":2: bad trace row"),
+    ("gp", TRACE_HEADER + "a,1,default,total,1.0\n", ":2: bad trace row"),
+    ("reduce_fraction", TRACE_HEADER + "a,1,default,reduce,1.0,1.0\n"
+     "a,1,default,total,2.0,2.0\na,1,default,reduce,5.0,5.0\n",
+     ":4: repeats the row of line 2"),
+    ("gp", TRACE_HEADER + "a,1,default,total,nan,2.0\n", ":2: non-finite"),
+    ("gp", TRACE_HEADER + "a,1,default,total,1.0,inf\n", ":2: non-finite"),
+    ("gp", TRACE_HEADER + "a,1,default,total,-inf,2.0\n", ":2: non-finite"),
+    ("gp", TRACE_HEADER, "no runs found"),
+], ids=["missing-column", "bad-seconds", "bad-nodes", "short-row", "duplicate",
+        "nan-seconds", "inf-joules", "minus-inf-seconds", "no-rows"])
+def test_malformed_trace_exits_3(tmp_path, capsys, kind, body, message):
+    trace = tmp_path / "trace.csv"
+    trace.write_text(body)
+    assert main(["report", kind, "--trace", str(trace)]) == EXIT_IO
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("line", ["topo.threads_per_rank = 2", "reduce.deterministic = false",
                                   "run.alpha = 1.0"])
 def test_threads_and_deterministic_config_keys_exit_2(tmp_path, capsys, line):

@@ -1,14 +1,15 @@
 import threading
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from wstack import bench, transform, visdata
-from wstack.comms import REDUCE_KINDS, ReduceStrategy, Topology
+from wstack.comms import REDUCE_KINDS, MessageLog, ReduceStrategy, Topology
 from wstack.gridder import KernelSpec
-from wstack.mesh import GridSpec
-from wstack.pipeline import peak_pixel, run_pipeline
+from wstack.mesh import ComplexGrid, GridSpec, slab_of
+from wstack.pipeline import image_sectors, peak_pixel, reduce_sectors, run_pipeline
 
 N, N_W, CELL = 64, 4, 1e-3
 KERNELS = [KernelSpec.gaussian(), KernelSpec.kaiser_bessel()]
@@ -40,6 +41,22 @@ def test_image_identical_across_topologies_and_strategies(tmp_path, kern):
                                topo=Topology(nodes, ranks), strategy=ReduceStrategy(kind))
             hashes[(nodes, ranks, kind)] = res.image_sha256
     assert set(hashes.values()) == {GOLDEN_SHA256[kern.kind]}, hashes
+
+
+@pytest.mark.parametrize("n_u, n_v", [(2, 8), (16, 8), (8, 16), (32, 4)],
+                         ids=lambda n: str(n))
+def test_non_square_meshes_image_identically_on_every_topology(tmp_path, n_u, n_v):
+    # Ranks hold row slabs, then column blocks; on 2 x 8 the third and
+    # fourth ranks hold no image columns.
+    path = write(tmp_path, ((0.0, 0.0, 1.0), (0.001, -0.001, 0.5)), 500, seed=7)
+    images = {}
+    for nodes, ranks in [(1, 1), (1, 2), (1, 3), (2, 2)]:
+        img = run_pipeline(path, n_u, n_v, N_W, CELL, kernel=KERNELS[0],
+                           topo=Topology(nodes, ranks)).image
+        assert img.pixels.shape == (n_v, n_u)
+        images[f"{nodes}x{ranks}"] = img.pixels.tobytes()
+    assert np.any(img.pixels)
+    assert len(set(images.values())) == 1, sorted(images)
 
 
 def test_more_ranks_than_records_images_as_one_rank(tmp_path):
@@ -97,6 +114,33 @@ def test_image_matches_independent_oracle(tmp_path, kern, n_w, w_range):
         assert np.linalg.norm(img - ref) <= 1e-12 * np.linalg.norm(ref), topo.label()
 
 
+def test_reduce_and_image_stages_free_their_inputs_and_hold_a_few_planes():
+    # 1x2 at 256^2 x 8: the image stage peaked at about 5 planes of new
+    # allocations. A stage that keeps every transformed plane until the w
+    # correction holds at least n_w = 8.
+    spec = GridSpec(256, 256, 8, CELL, w_max_native=20.0)
+    topo = Topology(1, 2)
+    rng = np.random.default_rng(0)
+    slabs = []
+    for r in range(topo.n_ranks):
+        slab = slab_of(spec, r, topo.n_ranks)
+        shape = (spec.n_w, slab.v_count, spec.n_u)
+        slabs.append(ComplexGrid(spec, slab, rng.standard_normal(shape)
+                                 + 1j * rng.standard_normal(shape)))
+    reduced = reduce_sectors(slabs, topo, ReduceStrategy(), MessageLog())
+    assert slabs == [None, None]
+    plane_bytes = spec.n_u * spec.n_v * 16
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        image_sectors(reduced, spec, topo, MessageLog())
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert reduced == [None, None]
+    assert peak <= 6 * plane_bytes, f"{peak / plane_bytes:.2f} planes"
+
+
 def test_image_stage_hooks_are_each_called(tmp_path, monkeypatch):
     # The benchmark's traced run times these as module attributes of
     # ``transform``; a call that bypasses one would read as 0 s there.
@@ -114,4 +158,4 @@ def test_image_stage_hooks_are_each_called(tmp_path, monkeypatch):
         monkeypatch.setattr(transform, name, counted(name, getattr(transform, name)))
     R = 2
     run_pipeline(path, N, N, N_W, CELL, kernel=KERNELS[0], topo=Topology(1, R))
-    assert calls == {"apply_w_correction": N_W * R, "stack_planes": R, "fft2d_slab": N_W}
+    assert calls == {"apply_w_correction": N_W * R, "stack_planes": R, "fft2d_slab": N_W * R}

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from wstack.comms import MessageLog, Topology
-from wstack.mesh import GridSpec, partition_1d, pixel_n_block, pixel_to_lm, slab_of
+from wstack.comms import MessageLog, Topology, run_ranks
+from wstack.mesh import GridSpec, partition_1d, pixel_n_block, pixel_to_lm
 from wstack.transform import apply_w_correction, fft2d_slab, stack_planes, w_phase_factor
 
 N_V, N_U = 16, 32
@@ -13,9 +13,12 @@ SPEC = GridSpec(n_u=N_U, n_v=N_V, n_w=1, cell_size_lm=1e-3)
 TOPOLOGIES = [Topology(1, 1), Topology(1, 2), Topology(1, 3), Topology(2, 2)]
 
 
-def split_rows(plane, n_ranks):
-    return [plane[v0:v0 + vc] for v0, vc in
-            (partition_1d(N_V, n_ranks, r) for r in range(n_ranks))]
+def column_blocks(plane, topo, log=None):
+    """Each rank's :func:`fft2d_slab` of its rows of ``plane``."""
+    def fn(ctx):
+        v0, vc = partition_1d(N_V, topo.n_ranks, ctx.rank)
+        return fft2d_slab(ctx, plane[v0:v0 + vc], SPEC)
+    return run_ranks(topo, fn, log=log)
 
 
 @pytest.fixture
@@ -24,57 +27,59 @@ def plane():
     return rng.standard_normal((N_V, N_U)) + 1j * rng.standard_normal((N_V, N_U))
 
 
+# The transform has no forward path; these two tests keep a one-value
+# ``direction`` parameter so their ids stay those of the inverse cases.
 @pytest.mark.parametrize("topo", TOPOLOGIES, ids=lambda t: f"{t.n_nodes}x{t.ranks_per_node}")
-@pytest.mark.parametrize("direction, oracle", [("forward", np.fft.fft2),
-                                               ("inverse", np.fft.ifft2)])
+@pytest.mark.parametrize("direction, oracle", [("inverse", np.fft.ifft2)])
 def test_slab_transform_matches_numpy(plane, topo, direction, oracle):
     R = topo.n_ranks
-    out = fft2d_slab(split_rows(plane, R), SPEC, topo, direction)
-    assert [s.shape for s in out] == [s.shape for s in split_rows(plane, R)]
-    assert np.max(np.abs(np.concatenate(out, axis=0) - oracle(plane))) <= 1e-12
+    out = column_blocks(plane, topo)
+    assert [b.shape for b in out] == [(partition_1d(N_U, R, r)[1], N_V) for r in range(R)]
+    assert np.max(np.abs(np.concatenate(out, axis=0) - oracle(plane).T)) <= 1e-12
 
 
 @pytest.mark.parametrize("topo", TOPOLOGIES, ids=lambda t: f"{t.n_nodes}x{t.ranks_per_node}")
 def test_transpose_messages_and_bytes(plane, topo):
+    # One block transpose per plane: R(R-1) messages, and every
+    # off-diagonal (rows x columns) block once, at 16 bytes a value.
     R = topo.n_ranks
     log = MessageLog()
     n_planes = 2
     for _ in range(n_planes):
-        fft2d_slab(split_rows(plane, R), SPEC, topo, "inverse", log=log)
+        column_blocks(plane, topo, log)
     diagonal = sum(partition_1d(N_V, R, r)[1] * partition_1d(N_U, R, r)[1]
                    for r in range(R))
-    assert log.count(phase="fft") == n_planes * 2 * R * (R - 1)
-    assert log.total_bytes(phase="fft") == n_planes * 32 * (N_U * N_V - diagonal)
+    assert log.count(phase="fft") == R * (R - 1) * n_planes
+    assert log.total_bytes(phase="fft") == n_planes * 16 * (N_U * N_V - diagonal)
     assert log.count() == log.count(phase="fft")
 
 
 @pytest.mark.parametrize("topo", [Topology(1, 2), Topology(1, 3)],
                          ids=lambda t: f"{t.n_nodes}x{t.ranks_per_node}")
-@pytest.mark.parametrize("direction", ["forward", "inverse"])
+@pytest.mark.parametrize("direction", ["inverse"])
 def test_transform_leaves_input_slabs_untouched(plane, topo, direction):
-    # The transposes send column blocks as views; Router.send copies them.
+    # The transpose sends column blocks as views; Router.send copies them.
     before = plane.tobytes()
-    fft2d_slab(split_rows(plane, topo.n_ranks), SPEC, topo, direction)
+    column_blocks(plane, topo)
     assert plane.tobytes() == before
 
 
-def test_bad_direction_and_slab_count_rejected(plane):
-    with pytest.raises(ValueError, match="direction"):
-        fft2d_slab([plane], SPEC, Topology(1, 1), "sideways")
-    with pytest.raises(ValueError, match="expected 2 slabs"):
-        fft2d_slab([plane], SPEC, Topology(1, 2))
+def test_rows_of_wrong_shape_rejected(plane):
+    with pytest.raises(ValueError, match="rows shape"):
+        run_ranks(Topology(1, 2), lambda ctx: fft2d_slab(ctx, plane, SPEC))
 
 
-@pytest.mark.parametrize("n_u", [2, 4, 64, 1024])
+# A column block's rows are image columns, its last axis the n_v image rows.
+@pytest.mark.parametrize("n_v", [2, 4, 64, 1024])
 @pytest.mark.parametrize("cell", [1e-3, 7.3e-4])
 @pytest.mark.parametrize("w", [13.7, -4.25])
-@pytest.mark.parametrize("v_start", [2, 3], ids=["even-row", "odd-row"])
-def test_mirrored_phase_factor_equals_full_width_exp(n_u, cell, w, v_start):
-    spec = GridSpec(n_u=n_u, n_v=8, n_w=1, cell_size_lm=cell)
-    n = pixel_n_block(spec, v_start, 3)
+@pytest.mark.parametrize("u_start", [2, 3], ids=["even-row", "odd-row"])
+def test_mirrored_phase_factor_equals_full_width_exp(n_v, cell, w, u_start):
+    spec = GridSpec(n_u=8, n_v=n_v, n_w=1, cell_size_lm=cell)
+    n = pixel_n_block(spec, u_start, 3)
     per_pixel = [[math.sqrt(1.0 - l * l - m * m)
-                  for l, m in (pixel_to_lm(spec, i, j) for i in range(n_u))]
-                 for j in range(v_start, v_start + 3)]
+                  for l, m in (pixel_to_lm(spec, i, j) for j in range(n_v))]
+                 for i in range(u_start, u_start + 3)]
     assert n.tobytes() == np.array(per_pixel).tobytes()
     assert w_phase_factor(n, w).tobytes() == np.exp(2j * np.pi * w * (n - 1.0)).tobytes()
 
@@ -101,12 +106,12 @@ def per_plane_stack(planes, spec, n):
 @pytest.mark.parametrize("n_w, w_range", [(4, (0.0, 20.0)), (3, (-10.0, 10.0)), (1, (0.0, 20.0))],
                          ids=["w-min-0", "w-min-negative", "one-plane"])
 def test_accumulated_stack_is_bit_identical_to_per_plane_form(n_w, w_range):
-    # Slabs of 85 x 256 complex (348 KB) are above numpy's 256 KB threshold
+    # Blocks of 85 x 256 complex (348 KB) are above numpy's 256 KB threshold
     # for reusing temporaries, where operand order can change.
     spec = GridSpec(n_u=256, n_v=256, n_w=n_w, cell_size_lm=1e-3,
                     w_min_native=w_range[0], w_max_native=w_range[1])
-    slab = slab_of(spec, 1, 3)
-    n = pixel_n_block(spec, slab.v_start, slab.v_count)
+    u_start, u_count = partition_1d(spec.n_u, 3, 1)
+    n = pixel_n_block(spec, u_start, u_count)
     rng = np.random.default_rng(5)
     planes = [rng.standard_normal(n.shape) + 1j * rng.standard_normal(n.shape)
               for _ in range(n_w)]
@@ -114,7 +119,7 @@ def test_accumulated_stack_is_bit_identical_to_per_plane_form(n_w, w_range):
     acc = None
     for k, plane in enumerate(planes):
         acc = apply_w_correction(acc, plane, k, spec, n)
-    block = stack_planes(acc, slab, spec, n)
+    block = stack_planes(acc, u_start, spec, n)
     ref = per_plane_stack(inputs, spec, n)
     assert block.pixels.tobytes() == np.ascontiguousarray(ref.real).tobytes()
     assert block.imag_sq_sum == float((ref.imag ** 2).sum())
