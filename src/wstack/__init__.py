@@ -4,9 +4,11 @@ The package grids interferometric visibility samples onto an N_u x N_v x N_w
 mesh, Fourier-transforms each w plane over a slab decomposition, applies the
 per-plane phase correction, and stacks planes into a sky image. A virtual
 node x rank topology runs in-process; every inter-rank transfer is logged
-with byte counts so reduction strategies can be compared. The metrics layer
-computes green productivity and the associated frequency/scaling reports
-from measured or injected (seconds, joules) traces.
+with byte counts so reduction strategies can be compared. Each run meters
+its own energy as CPU-seconds times a per-core wattage, and the metrics
+layer computes green productivity and the frequency/scaling reports from
+(seconds, joules) traces, written by live runs or shipped with the paper's
+published-scale figures.
 """
 
 __version__ = "0.1.0"

@@ -1,10 +1,10 @@
 """Benchmark orchestration and the self-verification suite.
 
-A :class:`BenchPlan` sweeps topologies x strategies x frequency levels,
-runs each cell ``repeats`` times, and writes a raw CSV (one row per run)
-plus an aggregate CSV (mean and sample standard deviation per cell). A
-failed run aborts its cell, is recorded with a reason, and never poisons
-the aggregates.
+A :class:`BenchPlan` sweeps topologies x strategies, runs each cell
+``repeats`` times, and writes a raw CSV (one row per run) plus an
+aggregate CSV (mean and sample standard deviation per cell). A failed run
+aborts its cell, is recorded with a reason, and never poisons the
+aggregates.
 
 :func:`verify_pipeline` checks the production paths against independent
 references: a direct triple-loop convolution (also on records placed on
@@ -18,7 +18,7 @@ import csv
 import itertools
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -55,17 +55,16 @@ class BenchPlan:
     kernel: KernelSpec
     topologies: list
     strategies: list
-    freq_levels: list = field(default_factory=lambda: ["default"])
     repeats: int = 4
     dataset: Path | None = None
     synthetic: dict | None = None
-    meter: object | None = None
+    counter: metrics.PlatformCounterMeter | None = None
     output_dir: Path = Path("bench_out")
 
     def __post_init__(self):
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
-        if not self.topologies or not self.strategies or not self.freq_levels:
+        if not self.topologies or not self.strategies:
             raise ValueError("sweep lists must be non-empty")
         if (self.dataset is None) == (self.synthetic is None):
             raise ValueError("exactly one of dataset or synthetic must be set")
@@ -75,7 +74,7 @@ PHASE_COLUMNS = [f"{p}_s" for p in metrics.PHASES] + ["total_s"]
 OPS_COLUMNS = ["records", "grid_updates", "exchange_bytes", "reduce_bytes",
                "fft_bytes", "reduce_messages", "stack_pixels"]
 RAW_COLUMNS = (
-    ["config", "label", "topology", "strategy", "freq_level", "repeat",
+    ["config", "label", "topology", "strategy", "repeat",
      "status", "failure_reason", "image_sha256"]
     + PHASE_COLUMNS + ["total_j"] + OPS_COLUMNS
 )
@@ -94,8 +93,8 @@ class PlanResult:
     all_ok: bool
 
 
-def _cell_label(topo: Topology, strategy: ReduceStrategy, freq: str) -> str:
-    return f"{topo.label()}_{strategy.kind}_{freq}"
+def _cell_label(topo: Topology, strategy: ReduceStrategy) -> str:
+    return f"{topo.label()}_{strategy.kind}"
 
 
 def run_plan(plan: BenchPlan) -> PlanResult:
@@ -111,19 +110,19 @@ def run_plan(plan: BenchPlan) -> PlanResult:
         visdata.write_dataset(chunk, header, dataset)
 
     raw_rows = []
-    cells = list(itertools.product(plan.topologies, plan.strategies, plan.freq_levels))
-    for ci, (topo, strategy, freq) in enumerate(cells):
-        label = _cell_label(topo, strategy, freq)
+    cells = list(itertools.product(plan.topologies, plan.strategies))
+    for ci, (topo, strategy) in enumerate(cells):
+        label = _cell_label(topo, strategy)
         for rep in range(plan.repeats):
             base = {
                 "config": ci, "label": label, "topology": topo.label(),
-                "strategy": strategy.kind, "freq_level": freq, "repeat": rep,
+                "strategy": strategy.kind, "repeat": rep,
             }
             try:
                 res = run_pipeline(
                     dataset, plan.n_u, plan.n_v, plan.n_w, plan.cell_size_lm,
                     kernel=plan.kernel, topo=topo, strategy=strategy,
-                    meter=plan.meter, freq_level=freq, label=label,
+                    label=label, counter=plan.counter,
                 )
             except visdata.FormatError:
                 raise  # every cell reads the same malformed dataset
@@ -137,7 +136,7 @@ def run_plan(plan: BenchPlan) -> PlanResult:
             for p in metrics.PHASES:
                 row[f"{p}_s"] = res.run.phase_times.get(p, 0.0)
             row["total_s"] = res.run.total_seconds
-            row["total_j"] = res.run.energy_joules.get("total", 0.0)
+            row["total_j"] = res.run.total_joules
             row.update(res.ops)
             raw_rows.append(row)
 

@@ -10,6 +10,14 @@ The virtual topology (``--topo NODESxRANKS`` for ``image``, ``--topos``
 for ``bench``) is the only parallelism: each rank grids its sector on one
 thread, and every reduce strategy delivers the rank-ordered sum, so the
 image is bit-identical for any topology and strategy.
+
+Every run meters itself: each phase's joules are its process CPU-seconds
+times ``metrics.WATTS_PER_CORE``. Setting ``meter.counter_file`` or
+``meter.counter_command`` reads an external energy counter around each
+run, and its reading replaces the total joules. ``image --out-dir D``
+writes the run's phases to ``D/trace.csv``, the trace format that
+``report`` reads, so ``report gp --trace D/trace.csv`` works on live runs
+as on the shipped ``traces/*.csv``.
 """
 
 from __future__ import annotations
@@ -21,8 +29,7 @@ from pathlib import Path
 from . import bench, metrics, visdata
 from .comms import REDUCE_KINDS, ReduceStrategy, Topology
 from .gridder import KERNEL_KINDS, DEFAULT_KB_BETA_PER_SUPPORT, KernelSpec
-from .metrics import (FREQ_LEVELS, PlatformCounterMeter, SyntheticPowerMeter,
-                      TraceInjectionMeter)
+from .metrics import FREQ_LEVELS, PlatformCounterMeter
 from .pipeline import peak_pixel, run_pipeline
 
 __all__ = ["CONFIG_SCHEMA", "ConfigError", "load_config_file",
@@ -50,22 +57,15 @@ CONFIG_SCHEMA = {
     "topo.n_nodes": (int, 1, "virtual nodes"),
     "topo.ranks_per_node": (int, 1, "ranks per virtual node, one gridding thread each"),
     "reduce.kind": (str, "direct", f"reduction strategy, one of {REDUCE_KINDS}"),
-    "meter.kind": (str, "none", "none | trace_injection | synthetic_model | platform_counters"),
-    "meter.trace_path": (str, "", "trace CSV for trace_injection"),
-    "meter.trace_label": (str, "", "trace label for trace_injection"),
-    "meter.watts_high": (float, metrics.DEFAULT_WATTS["high"], "synthetic watts at high"),
-    "meter.watts_default": (float, metrics.DEFAULT_WATTS["default"], "synthetic watts at default"),
-    "meter.watts_medium": (float, metrics.DEFAULT_WATTS["medium"], "synthetic watts at medium"),
-    "meter.watts_low": (float, metrics.DEFAULT_WATTS["low"], "synthetic watts at low"),
-    "meter.counter_file": (str, "", "platform counter file (one number)"),
-    "meter.counter_command": (str, "", "platform counter command printing one number"),
+    "meter.counter_file": (str, "", "energy counter file holding joules; if set, its "
+                           "change over a run replaces the CPU-seconds total"),
+    "meter.counter_command": (str, "", "command printing an energy counter in joules (run "
+                              "without a shell); used like meter.counter_file"),
     "bench.repeats": (int, 4, "repeats per configuration"),
     "bench.output_dir": (str, "bench_out", "bench output directory"),
     "bench.topologies": (str, "1x1", "comma list of NODESxRANKS topologies"),
     "bench.strategies": (str, "direct", "comma list of reduction strategies"),
-    "bench.freq_levels": (str, "default", "comma list of frequency levels"),
     "run.seed": (int, 1, "random seed"),
-    "run.freq_level": (str, "default", f"frequency level, one of {FREQ_LEVELS}"),
     "run.label": (str, "run", "label attached to run records"),
     "gen.records": (int, 1000, "synthetic record count"),
     "gen.n_freq": (int, 1, "frequency channels"),
@@ -138,25 +138,14 @@ def _kernel_from(cfg) -> KernelSpec:
     return KernelSpec(kind=kind, half_support=support, shape_param=shape)
 
 
-def _meter_from(cfg, topo: Topology | None = None):
-    kind = cfg["meter.kind"]
-    if kind in ("none", ""):
+def _counter_from(cfg) -> PlatformCounterMeter | None:
+    """The energy counter named by ``meter.counter_file`` or
+    ``meter.counter_command``; None when neither is set."""
+    counter_file, counter_command = cfg["meter.counter_file"], cfg["meter.counter_command"]
+    if not counter_file and not counter_command:
         return None
-    if kind == "trace_injection":
-        if not cfg["meter.trace_path"] or not cfg["meter.trace_label"]:
-            raise ConfigError("trace_injection needs meter.trace_path and meter.trace_label")
-        return TraceInjectionMeter(path=Path(cfg["meter.trace_path"]),
-                                   label=cfg["meter.trace_label"],
-                                   n_nodes=topo.n_nodes if topo else 1)
-    if kind == "synthetic_model":
-        return SyntheticPowerMeter(watts={
-            "high": cfg["meter.watts_high"], "default": cfg["meter.watts_default"],
-            "medium": cfg["meter.watts_medium"], "low": cfg["meter.watts_low"]})
-    if kind == "platform_counters":
-        return PlatformCounterMeter(
-            counter_file=Path(cfg["meter.counter_file"]) if cfg["meter.counter_file"] else None,
-            counter_command=cfg["meter.counter_command"] or None)
-    raise ConfigError(f"unknown meter kind {kind!r}")
+    return PlatformCounterMeter(counter_file=counter_file or None,
+                                counter_command=counter_command or None)
 
 
 # ---------------------------------------------------------------------------
@@ -191,10 +180,7 @@ def cmd_image(args) -> int:
         "grid.n_u": args.n_u, "grid.n_v": args.n_v, "grid.n_w": args.n_w,
         "grid.cell_size_lm": args.cell, "kernel.kind": args.kernel,
         "kernel.half_support": args.half_support, "kernel.shape_param": args.shape_param,
-        "reduce.kind": args.strategy, "run.freq_level": args.freq,
-        "run.label": args.label, "run.seed": args.seed,
-        "meter.kind": args.meter, "meter.trace_path": args.trace,
-        "meter.trace_label": args.trace_label,
+        "reduce.kind": args.strategy, "run.label": args.label, "run.seed": args.seed,
     })
     dataset = Path(args.dataset)
     if not dataset.exists():
@@ -206,27 +192,22 @@ def cmd_image(args) -> int:
     res = run_pipeline(
         dataset, cfg["grid.n_u"], cfg["grid.n_v"], cfg["grid.n_w"],
         cfg["grid.cell_size_lm"], kernel=_kernel_from(cfg), topo=topo,
-        strategy=strategy, meter=_meter_from(cfg, topo),
-        freq_level=cfg["run.freq_level"], label=cfg["run.label"],
-        out_dir=args.out_dir, pgm=args.pgm, seed=cfg["run.seed"])
+        strategy=strategy, label=cfg["run.label"], out_dir=args.out_dir, pgm=args.pgm,
+        seed=cfg["run.seed"], counter=_counter_from(cfg))
     i, j = peak_pixel(res.image)
     print(f"image written to {args.out_dir} (sha256 {res.image_sha256[:16]}...)")
     print(f"peak pixel: ({i}, {j}); "
           f"imag residual {res.image.imag_residual_norm:.3e} "
           f"vs real norm {res.image.real_norm:.3e}")
-    header = ["phase", "seconds"] + (["joules"] if res.run.energy_joules else [])
-    rows = []
-    for phase in list(metrics.PHASES) + ["total"]:
-        if phase in res.run.phase_times:
-            row = [phase, res.run.phase_times[phase]]
-            if res.run.energy_joules:
-                row.append(res.run.energy_joules.get(phase, 0.0))
-            rows.append(row)
-    print(metrics.render_table(header, rows))
+    run = res.run
+    rows = [(run.label, run.n_nodes, run.freq_level, phase,
+             run.phase_times[phase], run.energy_joules[phase])
+            for phase in (*metrics.PHASES, "total")]
+    print(metrics.render_table(metrics.TRACE_COLUMNS, rows))
     if args.out_dir:
-        out = Path(args.out_dir) / "phases.csv"
-        metrics.write_report_csv(out, header, rows)
-        print(f"phase times written to {out}")
+        out = Path(args.out_dir) / "trace.csv"
+        metrics.write_trace(out, rows)
+        print(f"trace written to {out}")
     return EXIT_OK
 
 
@@ -236,14 +217,12 @@ def cmd_bench(args) -> int:
         "grid.cell_size_lm": args.cell,
         "bench.repeats": args.repeats, "bench.output_dir": args.out_dir,
         "bench.topologies": args.topos, "bench.strategies": args.strategies,
-        "bench.freq_levels": args.freqs,
-        "meter.kind": args.meter, "run.seed": args.seed,
+        "run.seed": args.seed,
         "gen.records": args.records, "gen.sources": args.sources,
     })
     topologies = [_parse_topology(t) for t in cfg["bench.topologies"].split(",") if t.strip()]
     strategies = [ReduceStrategy(s.strip())
                   for s in cfg["bench.strategies"].split(",") if s.strip()]
-    freqs = [f.strip() for f in cfg["bench.freq_levels"].split(",") if f.strip()]
     synthetic = None
     dataset = Path(args.dataset) if args.dataset else None
     if dataset is None:
@@ -261,9 +240,9 @@ def cmd_bench(args) -> int:
     plan = bench.BenchPlan(
         n_u=cfg["grid.n_u"], n_v=cfg["grid.n_v"], n_w=cfg["grid.n_w"],
         cell_size_lm=cfg["grid.cell_size_lm"], kernel=_kernel_from(cfg),
-        topologies=topologies, strategies=strategies, freq_levels=freqs,
+        topologies=topologies, strategies=strategies,
         repeats=cfg["bench.repeats"], dataset=dataset, synthetic=synthetic,
-        meter=_meter_from(cfg), output_dir=Path(cfg["bench.output_dir"]))
+        counter=_counter_from(cfg), output_dir=Path(cfg["bench.output_dir"]))
     result = bench.run_plan(plan)
     print(f"raw runs: {result.raw_path}")
     print(f"aggregates: {result.aggregate_path}")
@@ -289,11 +268,12 @@ def cmd_report(args) -> int:
         ref = candidates[0]
         header = ["label", "n_nodes", "freq_level", "total_s", "total_j",
                   "speedup", "energy_ratio", "green_productivity"]
-        rows = [(r.label, r.n_nodes, r.freq_level, r.total_seconds, r.total_joules,
-                 ref.total_seconds / r.total_seconds,
-                 ref.total_joules / r.total_joules,
-                 metrics.green_productivity(ref, r, alpha))
-                for r in runs]
+        rows = []
+        for r in runs:
+            gp = metrics.green_productivity(ref, r, alpha)  # rejects zero totals
+            rows.append((r.label, r.n_nodes, r.freq_level, r.total_seconds, r.total_joules,
+                         ref.total_seconds / r.total_seconds,
+                         ref.total_joules / r.total_joules, gp))
     elif args.kind == "reduce_fraction":
         header = ["label", "n_nodes", "freq_level", "reduce_s", "total_s",
                   "reduce_fraction"]
@@ -397,12 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     image.add_argument("--shape-param", type=float, dest="shape_param")
     image.add_argument("--topo", help="NODESxRANKS, e.g. 2x2")
     image.add_argument("--strategy", choices=REDUCE_KINDS)
-    image.add_argument("--freq", choices=FREQ_LEVELS)
     image.add_argument("--label")
     image.add_argument("--seed", type=int)
-    image.add_argument("--meter")
-    image.add_argument("--trace", help="trace CSV for the trace_injection meter")
-    image.add_argument("--trace-label", dest="trace_label")
     image.add_argument("--pgm", action="store_true", help="also write a PGM preview")
     image.add_argument("--config")
     image.set_defaults(func=cmd_image)
@@ -418,9 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench_p.add_argument("--cell", type=float)
     bench_p.add_argument("--topos", help="comma list, e.g. 1x1,2x2")
     bench_p.add_argument("--strategies", help="comma list of reduce kinds")
-    bench_p.add_argument("--freqs", help="comma list of frequency levels")
     bench_p.add_argument("--repeats", type=int)
-    bench_p.add_argument("--meter")
     bench_p.add_argument("--out-dir", dest="out_dir")
     bench_p.add_argument("--config")
     bench_p.set_defaults(func=cmd_bench)

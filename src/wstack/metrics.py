@@ -1,4 +1,4 @@
-"""Phase timing records, energy meters, green productivity, and reports.
+"""Phase timing records, the energy meter, green productivity, and reports.
 
 Green productivity relates a test configuration to a reference one:
 
@@ -7,12 +7,15 @@ Green productivity relates a test configuration to a reference one:
 i.e. speedup divided by the alpha-weighted relative energy consumption.
 ``alpha`` defaults to 1: runtime and energy weigh the same.
 
-Published-scale measurements enter through trace CSV files with columns
-``label, n_nodes, freq_level, phase, seconds, joules``; one
-(label, n_nodes, freq_level) group forms a :class:`RunRecord`. Meters
-produce per-phase joules for live runs: injected from a trace, modelled
-as watts x seconds per frequency level, or read (total only) from an
-external counter file or command.
+A live run meters itself: a phase's joules are the CPU-seconds the
+process spent in it times :data:`WATTS_PER_CORE`. Where a machine has an
+energy counter (a file or a command, :class:`PlatformCounterMeter`), its
+reading over the run replaces the total. Runs are exchanged as trace CSV
+files with columns ``label, n_nodes, freq_level, phase, seconds,
+joules``; one (label, n_nodes, freq_level) group forms a
+:class:`RunRecord`. Live runs carry the ``default`` frequency level; the
+other levels come from published-scale traces such as
+``traces/multinode.csv``.
 """
 
 from __future__ import annotations
@@ -30,13 +33,10 @@ from .visdata import FormatError
 __all__ = [
     "PHASES",
     "FREQ_LEVELS",
-    "DEFAULT_WATTS",
+    "WATTS_PER_CORE",
     "MeterError",
     "RunRecord",
-    "TraceInjectionMeter",
-    "SyntheticPowerMeter",
     "PlatformCounterMeter",
-    "measure",
     "green_productivity",
     "reduce_fraction",
     "energy_saving",
@@ -54,9 +54,10 @@ PHASES = ("read", "gridding", "reduce", "fft", "wcorrect", "write")
 
 FREQ_LEVELS = ("default", "high", "medium", "low")
 
-# Synthetic power model defaults, chosen so that medium and low consume
-# 75% and 70% of the high-frequency power.
-DEFAULT_WATTS = {"high": 500.0, "default": 500.0, "medium": 375.0, "low": 350.0}
+# Watts per busy core: the 280 W TDP of an AMD EPYC 7763 over its 64
+# cores, the CPU of Setonix's compute nodes. A phase's joules are its
+# process CPU-seconds times this.
+WATTS_PER_CORE = 280.0 / 64
 
 
 class MeterError(Exception):
@@ -78,9 +79,10 @@ class RunRecord:
             raise ValueError(f"freq_level must be one of {FREQ_LEVELS}")
         if "total" not in self.phase_times:
             raise ValueError("phase_times must include 'total'")
-        for name, value in {**self.phase_times, **self.energy_joules}.items():
-            if value < 0:
-                raise ValueError(f"negative value for {name}: {value}")
+        for kind, values in (("seconds", self.phase_times), ("joules", self.energy_joules)):
+            for name, value in values.items():
+                if value < 0:
+                    raise ValueError(f"negative {kind} for {name}: {value}")
         listed = sum(v for k, v in self.phase_times.items() if k != "total")
         if self.phase_times["total"] < listed - 1e-9:
             raise ValueError("total time smaller than the sum of its phases")
@@ -101,47 +103,8 @@ class RunRecord:
 
 
 # ---------------------------------------------------------------------------
-# Meters
+# The counter
 # ---------------------------------------------------------------------------
-
-@dataclass
-class TraceInjectionMeter:
-    """Joules injected from a trace file for a fixed (label, n_nodes)."""
-
-    path: Path
-    label: str
-    n_nodes: int = 1
-
-    def joules(self, durations: dict, freq_level: str) -> dict:
-        table = _read_trace_rows(self.path)
-        out = {}
-        for (label, nodes, level, phase), (_, joules) in table.items():
-            if label == self.label and nodes == self.n_nodes and level == freq_level:
-                out[phase] = joules
-        if "total" not in out:
-            raise MeterError(
-                f"trace {self.path} has no total joules for "
-                f"({self.label}, {self.n_nodes}, {freq_level})")
-        return out
-
-
-@dataclass
-class SyntheticPowerMeter:
-    """Constant power per frequency level: joules = watts * seconds."""
-
-    watts: dict = field(default_factory=lambda: dict(DEFAULT_WATTS))
-
-    def __post_init__(self):
-        for level, w in self.watts.items():
-            if w <= 0:
-                raise ValueError(f"watts must be positive, got {w} for {level}")
-
-    def joules(self, durations: dict, freq_level: str) -> dict:
-        if freq_level not in self.watts:
-            raise MeterError(f"no power defined for frequency level {freq_level!r}")
-        w = self.watts[freq_level]
-        return {phase: w * seconds for phase, seconds in durations.items()}
-
 
 @dataclass
 class PlatformCounterMeter:
@@ -152,7 +115,7 @@ class PlatformCounterMeter:
     total is available.
     """
 
-    counter_file: Path | None = None
+    counter_file: Path | str | None = None
     counter_command: str | None = None
     _start: float | None = None
 
@@ -171,38 +134,34 @@ class PlatformCounterMeter:
     def start(self):
         self._start = self.read_counter()
 
-    def joules(self, durations: dict, freq_level: str) -> dict:
+    def joules(self) -> float:
+        """Joules counted since :meth:`start`."""
         if self._start is None:
-            self.start()
-        total = self.read_counter() - self._start
-        self._start = None
-        return {"total": total}
-
-
-def measure(meter, durations: dict, freq_level: str = "default") -> dict:
-    """Per-phase joules for the given phase durations; adds a total when
-    the meter reports phases but no total itself."""
-    for phase, seconds in durations.items():
-        if seconds < 0:
-            raise ValueError(f"negative duration for {phase}")
-    joules = meter.joules(durations, freq_level)
-    if "total" not in joules:
-        joules = dict(joules)
-        joules["total"] = sum(joules.values())
-    return joules
+            raise MeterError("platform counter read before it was started")
+        total, self._start = self.read_counter() - self._start, None
+        return total
 
 
 # ---------------------------------------------------------------------------
 # Report math
 # ---------------------------------------------------------------------------
 
+def _require_positive_totals(*runs: RunRecord):
+    """Raise ValueError naming the first run whose total seconds or joules
+    are not positive: a ratio over them would divide by zero."""
+    for run in runs:
+        if run.total_seconds <= 0 or run.total_joules <= 0:
+            raise ValueError(
+                f"run ({run.label!r}, {run.n_nodes} nodes, {run.freq_level}) has total "
+                f"{run.total_seconds} s and {run.total_joules} J; both must be positive")
+
+
 def green_productivity(ref: RunRecord, test: RunRecord, alpha: float = 1.0) -> float:
     if alpha <= 0:
         raise ValueError("alpha must be positive")
+    _require_positive_totals(ref, test)
     t0, e0 = ref.total_seconds, ref.total_joules
     tn, en = test.total_seconds, test.total_joules
-    if min(t0, e0, tn, en) <= 0:
-        raise ValueError("times and energies must be positive")
     return (t0 / tn) / (alpha * en / e0)
 
 
@@ -211,7 +170,7 @@ def reduce_fraction(run: RunRecord) -> float:
         raise ValueError(f"run {run.label!r} has no reduce phase")
     total = run.total_seconds
     if total <= 0:
-        raise ValueError("total time must be positive")
+        raise ValueError(f"run {run.label!r} has total time {total}; it must be positive")
     return run.phase_times["reduce"] / total
 
 
@@ -222,6 +181,7 @@ def _check_comparable(base: RunRecord, other: RunRecord):
         raise ValueError(
             f"runs are not comparable: ({base.label!r}, {base.n_nodes} nodes) vs "
             f"({other.label!r}, {other.n_nodes} nodes)")
+    _require_positive_totals(base)
 
 
 def energy_saving(base: RunRecord, other: RunRecord) -> float:
@@ -256,6 +216,7 @@ def ratio_report(cpu_runs, gpu_runs):
     rows = []
     for run in sorted(cpu_runs, key=lambda r: (r.n_nodes, FREQ_LEVELS.index(r.freq_level))):
         gpu = gpu_by_nodes[run.n_nodes]
+        _require_positive_totals(run, gpu)
         rows.append((run.n_nodes, run.freq_level,
                      run.total_joules / gpu.total_joules,
                      run.total_seconds / gpu.total_seconds))
@@ -292,7 +253,8 @@ def write_trace(path, rows):
 
 def _read_trace_rows(path):
     """``{(label, n_nodes, freq_level, phase): (seconds, joules)}``; a
-    malformed, non-finite or repeated row raises ``FormatError``."""
+    malformed, non-finite, negative or repeated row, an unknown frequency
+    level or a node count below 1 raises ``FormatError`` naming the line."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"trace file not found: {path}")
@@ -310,6 +272,13 @@ def _read_trace_rows(path):
                 raise FormatError(f"{path}:{lineno}: bad trace row ({exc})") from exc
             if not all(math.isfinite(v) for v in values):
                 raise FormatError(f"{path}:{lineno}: non-finite seconds or joules {values}")
+            if min(values) < 0:
+                raise FormatError(f"{path}:{lineno}: negative seconds or joules {values}")
+            if key[1] < 1:
+                raise FormatError(f"{path}:{lineno}: n_nodes must be >= 1, got {key[1]}")
+            if key[2] not in FREQ_LEVELS:
+                raise FormatError(f"{path}:{lineno}: unknown freq_level {key[2]!r}, "
+                                  f"expected one of {FREQ_LEVELS}")
             if key in table:
                 raise FormatError(f"{path}:{lineno}: repeats the row of line "
                                   f"{first_line[key]} for {key}")
@@ -320,7 +289,9 @@ def _read_trace_rows(path):
 
 
 def load_trace_records(path, label: str | None = None):
-    """Group a trace file into RunRecords, ordered by (label, nodes, level)."""
+    """Group a trace file into RunRecords, ordered by (label, nodes, level).
+    A group without a ``total`` row, or whose total time is below the sum
+    of its phases, raises ``FormatError`` naming the group."""
     table = _read_trace_rows(path)
     groups = {}
     for (lbl, nodes, level, phase), (seconds, joules) in table.items():
@@ -330,13 +301,16 @@ def load_trace_records(path, label: str | None = None):
     records = []
     for (lbl, nodes, level), phases in sorted(
             groups.items(), key=lambda kv: (kv[0][0], kv[0][1], FREQ_LEVELS.index(kv[0][2]))):
-        records.append(RunRecord(
-            label=lbl,
-            topology=Topology(n_nodes=nodes, ranks_per_node=1),
-            freq_level=level,
-            phase_times={phase: s for phase, (s, _) in phases.items()},
-            energy_joules={phase: j for phase, (_, j) in phases.items()},
-        ))
+        try:
+            records.append(RunRecord(
+                label=lbl,
+                topology=Topology(n_nodes=nodes, ranks_per_node=1),
+                freq_level=level,
+                phase_times={phase: s for phase, (s, _) in phases.items()},
+                energy_joules={phase: j for phase, (_, j) in phases.items()},
+            ))
+        except ValueError as exc:
+            raise FormatError(f"{path}: run ({lbl}, {nodes}, {level}): {exc}") from exc
     if not records:
         raise ValueError(f"no runs found in {path}"
                          + (f" for label {label!r}" if label else ""))

@@ -3,12 +3,16 @@
 One call runs the whole chain on the virtual topology and returns the
 image, the per-phase wall times (collective wall clock, i.e. the max over
 ranks), deterministic operation-count surrogates, and the message log.
-Phase times land in a :class:`~wstack.metrics.RunRecord`; when a meter is
-configured its joules are attached as well.
+Each phase is also metered: its joules are the process CPU-seconds spent
+in it times :data:`~wstack.metrics.WATTS_PER_CORE`, and the total is the
+whole run's. Both land in a :class:`~wstack.metrics.RunRecord` at the
+``default`` frequency level. Given a platform counter, its reading over
+the run replaces the total joules.
 
 The image stage is one pass per rank in the transposed layout of
-:mod:`wstack.transform`; ``fft`` is its busiest rank's time in
-``fft2d_slab`` and ``wcorrect`` the rest of its wall time. Each gridded
+:mod:`wstack.transform`. Its ``fft`` seconds are the busiest rank's time
+in ``fft2d_slab`` and its ``fft`` CPU the ranks' summed thread time there;
+``wcorrect`` gets the rest of the stage's wall time and CPU. Each gridded
 slab is freed once its sector is reduced, and each reduced slab once its
 rank has transformed it.
 """
@@ -89,9 +93,10 @@ def image_sectors(reduced, spec: GridSpec, topo: Topology, log: MessageLog):
     transform of its reduced slab into its column block and the w
     correction into the block's sum, then the stacking. A rank drops its
     ``reduced`` entry once it has transformed it. Returns ``(ImageBlocks,
-    the busiest rank's seconds in fft2d_slab)``."""
+    the busiest rank's seconds in fft2d_slab, the ranks' summed thread
+    CPU-seconds in it)``."""
     R = topo.n_ranks
-    fft_s = [0.0] * R
+    fft_s, fft_cpu = [0.0] * R, [0.0] * R
 
     def image_fn(ctx):
         r = ctx.rank
@@ -100,14 +105,15 @@ def image_sectors(reduced, spec: GridSpec, topo: Topology, log: MessageLog):
         n = pixel_n_block(spec, u0, uc)
         acc = None
         for k in range(spec.n_w):
-            t0 = time.perf_counter()
+            t0, c0 = time.perf_counter(), time.thread_time()
             plane = transform.fft2d_slab(ctx, planes[k], spec)
             fft_s[r] += time.perf_counter() - t0
+            fft_cpu[r] += time.thread_time() - c0
             acc = transform.apply_w_correction(acc, plane, k, spec, n)
         del planes, plane
         return transform.stack_planes(acc, u0, spec, n)
 
-    return run_ranks(topo, image_fn, log=log), max(fft_s)
+    return run_ranks(topo, image_fn, log=log), max(fft_s), sum(fft_cpu)
 
 
 def run_pipeline(
@@ -119,22 +125,22 @@ def run_pipeline(
     kernel: KernelSpec,
     topo: Topology,
     strategy: ReduceStrategy | None = None,
-    meter=None,
-    freq_level: str = "default",
     label: str = "run",
     out_dir=None,
     pgm: bool = False,
     seed: int | None = None,
+    counter: metrics.PlatformCounterMeter | None = None,
 ) -> PipelineResult:
     strategy = strategy or ReduceStrategy()
     log = MessageLog()
-    if meter is not None and hasattr(meter, "start"):
-        meter.start()
-    t_begin = time.perf_counter()
+    if counter is not None:
+        counter.start()
+    t_begin, c_begin = time.perf_counter(), time.process_time()
     times: dict[str, float] = {}
+    cpu: dict[str, float] = {}
 
     # 1. read: each rank reads its own contiguous share of the records
-    t0 = time.perf_counter()
+    t0, c0 = time.perf_counter(), time.process_time()
     shares = run_ranks(topo, lambda ctx: visdata.read_dataset(dataset_path, ctx.rank,
                                                               topo.n_ranks))
     header = shares[0][0]
@@ -145,29 +151,30 @@ def run_pipeline(
         n_u=n_u, n_v=n_v, n_w=n_w, cell_size_lm=cell_size_lm,
         w_min_native=header.w_min_native, w_max_native=header.w_max_native,
     )
-    times["read"] = time.perf_counter() - t0
+    times["read"], cpu["read"] = time.perf_counter() - t0, time.process_time() - c0
 
     # 2. gridding: records move to their sector owners, sectors convolve;
     #    the exchange frees each rank's records once it has prepared them
-    t0 = time.perf_counter()
+    t0, c0 = time.perf_counter(), time.process_time()
     slabs, grid_updates = grid_sectors(parts, spec, kernel, topo, log)
-    times["gridding"] = time.perf_counter() - t0
+    times["gridding"], cpu["gridding"] = time.perf_counter() - t0, time.process_time() - c0
 
     # 3. reduce: per-sector collective summation onto the owner, which
     #    frees each gridded slab once its sector is reduced
-    t0 = time.perf_counter()
+    t0, c0 = time.perf_counter(), time.process_time()
     reduced = reduce_sectors(slabs, topo, strategy, log)
-    times["reduce"] = time.perf_counter() - t0
+    times["reduce"], cpu["reduce"] = time.perf_counter() - t0, time.process_time() - c0
 
     # 4-5a. image: per rank, each w plane's inverse transform into the
     #    rank's image columns and its w correction, then the stacking; the
     #    gridder stored each cell times (-1)^(i+j), which centres the phase
-    t0 = time.perf_counter()
-    blocks, times["fft"] = image_sectors(reduced, spec, topo, log)
+    t0, c0 = time.perf_counter(), time.process_time()
+    blocks, times["fft"], cpu["fft"] = image_sectors(reduced, spec, topo, log)
     times["wcorrect"] = time.perf_counter() - t0 - times["fft"]
+    cpu["wcorrect"] = time.process_time() - c0 - cpu["fft"]
 
     # 5b. write
-    t0 = time.perf_counter()
+    t0, c0 = time.perf_counter(), time.process_time()
     image = transform.assemble_image(spec, blocks)
     paths = {}
     if out_dir is not None:
@@ -185,13 +192,13 @@ def run_pipeline(
         log_path = out_dir / "messages.csv"
         log.to_csv(log_path)
         paths["messages"] = log_path
-    times["write"] = time.perf_counter() - t0
+    times["write"], cpu["write"] = time.perf_counter() - t0, time.process_time() - c0
     times["total"] = time.perf_counter() - t_begin
+    cpu["total"] = time.process_time() - c_begin
 
-    energy = {}
-    if meter is not None:
-        durations = {k: v for k, v in times.items() if k != "total"}
-        energy = metrics.measure(meter, durations, freq_level)
+    energy = {phase: seconds * metrics.WATTS_PER_CORE for phase, seconds in cpu.items()}
+    if counter is not None:
+        energy["total"] = counter.joules()
 
     ops = {
         "records": n_records,
@@ -203,7 +210,7 @@ def run_pipeline(
         "stack_pixels": spec.n_u * spec.n_v,
     }
     run = metrics.RunRecord(
-        label=label, topology=topo, freq_level=freq_level,
+        label=label, topology=topo, freq_level="default",
         phase_times=times, energy_joules=energy,
     )
     return PipelineResult(run=run, image=image, log=log, ops=ops, paths=paths)

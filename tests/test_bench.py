@@ -63,7 +63,7 @@ def test_failed_cell_is_recorded_and_spares_the_other_cells(tmp_path, dataset, b
     header = result.aggregate_header
     rows = {row[header.index("label")]: dict(zip(header, row)) for row in result.aggregate_rows}
     for s in STRATEGIES:
-        cell = rows[f"2x1_{s.kind}_default"]
+        cell = rows[f"2x1_{s.kind}"]
         assert (cell["status"], cell["n_ok"], cell["failure_reason"]) == (
             "failed", 0, "RuntimeError: rank 1 broke")
 

@@ -1,3 +1,4 @@
+import csv
 import math
 import os
 import struct
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import wstack
-from wstack import visdata
+from wstack import metrics, visdata
 from wstack.cli import EXIT_CHECK_FAILED, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 
 
@@ -20,6 +21,19 @@ def test_module_entry_point_verify_passes():
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == EXIT_OK, proc.stdout + proc.stderr
     assert "OK: 14/14 checks passed" in proc.stdout
+
+
+def test_module_entry_point_gen_image_report(tmp_path):
+    src = str(Path(wstack.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    dataset, out = tmp_path / "d.rvis", tmp_path / "out"
+    for argv in (["gen", "--out", str(dataset), "--records", "500"],
+                 ["image", "--dataset", str(dataset), "--out-dir", str(out),
+                  "--n-u", "32", "--n-v", "32", "--n-w", "2", "--topo", "1x2"],
+                 ["report", "gp", "--trace", str(out / "trace.csv")]):
+        proc = subprocess.run([sys.executable, "-m", "wstack", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == EXIT_OK, argv[0] + ": " + proc.stdout + proc.stderr
 
 
 def test_verify_failure_exits_1():
@@ -59,8 +73,21 @@ TRACE_HEADER = "label,n_nodes,freq_level,phase,seconds,joules\n"
     ("gp", TRACE_HEADER + "a,1,default,total,1.0,inf\n", ":2: non-finite"),
     ("gp", TRACE_HEADER + "a,1,default,total,-inf,2.0\n", ":2: non-finite"),
     ("gp", TRACE_HEADER, "no runs found"),
+    ("reduce_fraction", TRACE_HEADER + "a,1,default,reduce,-5.0,1.0\n"
+     "a,1,default,total,10.0,2.0\n", ":2: negative seconds or joules"),
+    ("gp", TRACE_HEADER + "a,1,default,reduce,1.0,1.0\na,1,default,total,2.0,-2.0\n",
+     ":3: negative seconds or joules"),
+    ("gp", TRACE_HEADER + "a,1,default,total,1.0,2.0\na,1,turbo,total,1.0,2.0\n",
+     ":3: unknown freq_level 'turbo'"),
+    ("gp", TRACE_HEADER + "a,0,default,total,1.0,2.0\n", ":2: n_nodes must be >= 1"),
+    ("gp", TRACE_HEADER + "a,1,default,total,1.0,2.0\nb,2,high,reduce,1.0,2.0\n",
+     "run (b, 2, high): phase_times must include 'total'"),
+    ("reduce_fraction", TRACE_HEADER + "a,1,default,reduce,3.0,1.0\n"
+     "a,1,default,total,2.0,2.0\n", "run (a, 1, default): total time smaller"),
 ], ids=["missing-column", "bad-seconds", "bad-nodes", "short-row", "duplicate",
-        "nan-seconds", "inf-joules", "minus-inf-seconds", "no-rows"])
+        "nan-seconds", "inf-joules", "minus-inf-seconds", "no-rows", "negative-seconds",
+        "negative-joules", "unknown-freq-level", "zero-nodes", "no-total",
+        "total-below-phases"])
 def test_malformed_trace_exits_3(tmp_path, capsys, kind, body, message):
     trace = tmp_path / "trace.csv"
     trace.write_text(body)
@@ -68,8 +95,113 @@ def test_malformed_trace_exits_3(tmp_path, capsys, kind, body, message):
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("line", ["topo.threads_per_rank = 2", "reduce.deterministic = false",
-                                  "run.alpha = 1.0"])
+@pytest.mark.parametrize("kind, body, run", [
+    ("gp", TRACE_HEADER + "a,1,default,total,1.0,2.0\nb,1,default,total,0.0,2.0\n",
+     "('b', 1 nodes, default)"),
+    ("gp", TRACE_HEADER + "a,1,default,total,1.0,0.0\nb,1,default,total,1.0,2.0\n",
+     "('a', 1 nodes, default)"),
+    ("ratios", TRACE_HEADER + "cpu,2,high,total,10.0,60.0\ngpu,2,default,total,1.0,0.0\n",
+     "('gpu', 2 nodes, default)"),
+    ("freq", TRACE_HEADER + "a,2,high,total,1.0,0.0\na,2,low,total,2.0,1.0\n",
+     "('a', 2 nodes, high)"),
+    ("reduce_fraction", TRACE_HEADER + "a,1,default,reduce,0.0,0.0\n"
+     "a,1,default,total,0.0,0.0\n", "'a'"),
+], ids=["gp-zero-seconds", "gp-zero-joules-ref", "ratios-zero-gpu-joules",
+        "freq-zero-high-joules", "reduce-fraction-zero-seconds"])
+def test_report_over_a_zero_total_exits_2(tmp_path, capsys, kind, body, run):
+    trace = tmp_path / "trace.csv"
+    trace.write_text(body)
+    assert main(["report", kind, "--trace", str(trace)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"error: run {run} has total" in err and "must be positive" in err
+
+
+def test_reduce_fraction_reads_a_trace_with_zero_joules(tmp_path, capsys):
+    trace = tmp_path / "trace.csv"
+    trace.write_text(TRACE_HEADER + "a,1,default,reduce,0.5,0.0\na,1,default,total,2.0,0.0\n")
+    assert main(["report", "reduce_fraction", "--trace", str(trace)]) == EXIT_OK
+    assert "0.2500" in capsys.readouterr().out
+
+
+def live_trace(tmp_path, topo, label, *argv):
+    """Image a small dataset with ``wstack image`` and return its
+    ``trace.csv`` rows, keyed by phase."""
+    dataset = tmp_path / "live.rvis"
+    if not dataset.exists():
+        header, chunk = visdata.generate_synthetic(
+            visdata.SkyModel(sources=((0.0, 0.0, 1.0),)), 20_000, n_freq=1, seed=3)
+        visdata.write_dataset(chunk, header, dataset)
+    out = tmp_path / label
+    assert main(["image", "--dataset", str(dataset), "--out-dir", str(out), "--topo", topo,
+                 "--n-u", "128", "--n-v", "128", "--n-w", "4", "--label", label,
+                 *argv]) == EXIT_OK
+    assert sorted(p.name for p in out.iterdir()) == [
+        "image.f64", "image.json", "messages.csv", "trace.csv"]
+    with open(out / "trace.csv", newline="") as fh:
+        reader = csv.DictReader(fh)
+        assert tuple(reader.fieldnames) == metrics.TRACE_COLUMNS
+        return {row["phase"]: row for row in reader}
+
+
+def test_image_writes_a_trace_that_report_reads(tmp_path, capsys):
+    rows = live_trace(tmp_path, "1x2", "live")
+    assert list(rows) == [*metrics.PHASES, "total"]
+    assert {(r["label"], r["n_nodes"], r["freq_level"]) for r in rows.values()} == {
+        ("live", "1", "default")}
+    assert float(rows["total"]["joules"]) > 0
+    capsys.readouterr()
+    out = tmp_path / "gp.csv"
+    assert main(["report", "gp", "--trace", str(tmp_path / "live" / "trace.csv"),
+                 "--out", str(out)]) == EXIT_OK
+    with open(out, newline="") as fh:
+        (gp,) = csv.DictReader(fh)
+    assert float(gp["green_productivity"]) == 1.0
+    assert main(["report", "reduce_fraction",
+                 "--trace", str(tmp_path / "live" / "trace.csv")]) == EXIT_OK
+
+
+def test_gp_of_two_live_runs_from_one_trace(tmp_path):
+    live_trace(tmp_path, "1x1", "one")
+    live_trace(tmp_path, "1x2", "two")
+    lines = (tmp_path / "one" / "trace.csv").read_text().splitlines(keepends=True)
+    lines += (tmp_path / "two" / "trace.csv").read_text().splitlines(keepends=True)[1:]
+    both = tmp_path / "both.csv"
+    both.write_text("".join(lines))
+    out = tmp_path / "gp.csv"
+    assert main(["report", "gp", "--trace", str(both), "--ref", "one",
+                 "--out", str(out)]) == EXIT_OK
+    with open(out, newline="") as fh:
+        gp = {row["label"]: row for row in csv.DictReader(fh)}
+    assert sorted(gp) == ["one", "two"]
+    two = gp["two"]
+    assert float(two["green_productivity"]) == pytest.approx(
+        float(two["speedup"]) * float(two["energy_ratio"]), rel=1e-6)
+    assert float(two["green_productivity"]) > 0
+
+
+def test_counter_command_total_replaces_the_cpu_total(tmp_path):
+    # Each call prints the counter and then advances it by 7 joules.
+    script = tmp_path / "counter.py"
+    script.write_text("import pathlib, sys\n"
+                      "p = pathlib.Path(sys.argv[1])\n"
+                      "v = float(p.read_text()) if p.exists() else 100.0\n"
+                      "p.write_text(str(v + 7.0))\n"
+                      "print(v)\n")
+    config = tmp_path / "run.cfg"
+    config.write_text(f"meter.counter_command = {sys.executable} {script} "
+                      f"{tmp_path / 'state'}\n")
+    rows = live_trace(tmp_path, "1x2", "counted", "--config", str(config))
+    assert float(rows["total"]["joules"]) == 7.0
+    phases = sum(float(rows[p]["joules"]) for p in metrics.PHASES)
+    assert 0 < phases != 7.0
+
+
+@pytest.mark.parametrize("line", [
+    "topo.threads_per_rank = 2", "reduce.deterministic = false", "run.alpha = 1.0",
+    "meter.kind = synthetic_model", "meter.trace_path = t.csv", "meter.trace_label = a",
+    "meter.watts_high = 500", "meter.watts_default = 500", "meter.watts_medium = 375",
+    "meter.watts_low = 350", "run.freq_level = high", "bench.freq_levels = high,low",
+])
 def test_threads_and_deterministic_config_keys_exit_2(tmp_path, capsys, line):
     dataset = tmp_path / "d.rvis"
     dataset.write_bytes(b"")
@@ -86,7 +218,15 @@ def test_threads_and_deterministic_config_keys_exit_2(tmp_path, capsys, line):
     ["image", "--dataset", "d.rvis", "--deterministic"],
     ["bench", "--threads", "2"],
     ["bench", "--deterministic"],
-], ids=["image-threads", "image-deterministic", "bench-threads", "bench-deterministic"])
+    ["image", "--dataset", "d.rvis", "--freq", "high"],
+    ["image", "--dataset", "d.rvis", "--meter", "synthetic_model"],
+    ["image", "--dataset", "d.rvis", "--trace", "t.csv"],
+    ["image", "--dataset", "d.rvis", "--trace-label", "a"],
+    ["bench", "--freqs", "high,low"],
+    ["bench", "--meter", "synthetic_model"],
+], ids=["image-threads", "image-deterministic", "bench-threads", "bench-deterministic",
+        "image-freq", "image-meter", "image-trace", "image-trace-label", "bench-freqs",
+        "bench-meter"])
 def test_threads_and_deterministic_flags_exit_2(argv):
     with pytest.raises(SystemExit) as info:
         main(argv)

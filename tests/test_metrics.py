@@ -2,12 +2,17 @@ import csv
 import importlib.util
 import shlex
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+from wstack import metrics, visdata
 from wstack.cli import EXIT_OK, main
-from wstack.metrics import MeterError, PlatformCounterMeter
+from wstack.comms import Topology
+from wstack.gridder import KernelSpec
+from wstack.metrics import MeterError, PlatformCounterMeter, RunRecord
+from wstack.pipeline import run_pipeline
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACES = ROOT / "traces"
@@ -31,6 +36,53 @@ def test_counter_command_runs_without_a_shell(tmp_path):
 def test_empty_counter_command_is_no_source(cmd):
     with pytest.raises(MeterError, match="no configured source"):
         PlatformCounterMeter(counter_command=cmd).read_counter()
+
+
+def test_counter_read_before_start_is_an_error(tmp_path):
+    counter = tmp_path / "joules"
+    counter.write_text("5\n")
+    meter = PlatformCounterMeter(counter_file=counter)
+    with pytest.raises(MeterError, match="before it was started"):
+        meter.joules()
+    meter.start()
+    counter.write_text("12.5\n")
+    assert meter.joules() == 7.5
+
+
+def test_negative_seconds_are_rejected_beside_positive_joules():
+    with pytest.raises(ValueError, match="negative seconds for reduce"):
+        RunRecord("a", None, "default", {"reduce": -5.0, "total": 10.0},
+                  {"reduce": 1.0, "total": 2.0})
+    with pytest.raises(ValueError, match="negative joules for total"):
+        RunRecord("a", None, "default", {"total": 10.0}, {"total": -2.0})
+
+
+@pytest.fixture(scope="module")
+def metered_run(tmp_path_factory):
+    """A compute-bound 1x2 run and the process CPU-seconds it took, as
+    measured around the call."""
+    path = tmp_path_factory.mktemp("meter") / "d.rvis"
+    header, chunk = visdata.generate_synthetic(
+        visdata.SkyModel(sources=((0.0, 0.0, 1.0),)), 60_000, n_freq=1, seed=3)
+    visdata.write_dataset(chunk, header, path)
+    c0 = time.process_time()
+    res = run_pipeline(path, 256, 256, 8, 1e-3, KernelSpec.kaiser_bessel(), Topology(1, 2))
+    return res.run, time.process_time() - c0
+
+
+def test_live_run_phase_joules_sum_to_the_total(metered_run):
+    run, _ = metered_run
+    assert run.freq_level == "default"
+    assert set(run.energy_joules) == {*metrics.PHASES, "total"}
+    assert min(run.energy_joules.values()) >= 0 and run.total_joules > 0
+    phases = sum(run.energy_joules[p] for p in metrics.PHASES)
+    assert phases == pytest.approx(run.total_joules, rel=0.01)
+
+
+def test_live_run_total_is_watts_per_core_times_process_time(metered_run):
+    run, cpu_s = metered_run
+    assert metrics.WATTS_PER_CORE == 280.0 / 64
+    assert run.total_joules == pytest.approx(metrics.WATTS_PER_CORE * cpu_s, rel=0.01)
 
 
 def report(tmp_path, kind, trace, *argv):
