@@ -1,8 +1,8 @@
 """Desk-scale w-stacking imaging with message accounting and energy reports.
 
 The package grids interferometric visibility samples onto an N_u x N_v x N_w
-mesh, Fourier-transforms each w plane over a slab decomposition, applies the
-per-plane phase correction, and stacks planes into a sky image. A virtual
+mesh, Fourier-transforms each w plane over a slab decomposition, and stacks
+the planes into a sky image, their w phases applied by Horner's rule. A virtual
 node x rank topology runs in-process; every inter-rank transfer is logged
 with byte counts so reduction strategies can be compared. Each run meters
 its own energy as CPU-seconds times a per-core wattage, and the metrics

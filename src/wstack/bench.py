@@ -1,10 +1,11 @@
 """Benchmark orchestration and the self-verification suite.
 
 A :class:`BenchPlan` sweeps topologies x strategies, runs each cell
-``repeats`` times, and writes a raw CSV (one row per run) plus an
-aggregate CSV (mean and sample standard deviation per cell). A failed run
-aborts its cell, is recorded with a reason, and never poisons the
-aggregates.
+``repeats`` times, and writes a raw CSV (one row per run), an aggregate
+CSV (mean and sample standard deviation per cell) and ``trace.csv``, the
+phases of each successful run labelled ``<cell>/r<repeat>`` in the trace
+format ``wstack report`` reads. A failed run aborts its cell, is recorded
+with a reason, and never poisons the aggregates or the trace.
 
 :func:`verify_pipeline` checks the production paths against independent
 references: a direct triple-loop convolution (also on records placed on
@@ -109,7 +110,7 @@ def run_plan(plan: BenchPlan) -> PlanResult:
         dataset = out_dir / "dataset.rvis"
         visdata.write_dataset(chunk, header, dataset)
 
-    raw_rows = []
+    raw_rows, trace = [], []
     cells = list(itertools.product(plan.topologies, plan.strategies))
     for ci, (topo, strategy) in enumerate(cells):
         label = _cell_label(topo, strategy)
@@ -122,7 +123,7 @@ def run_plan(plan: BenchPlan) -> PlanResult:
                 res = run_pipeline(
                     dataset, plan.n_u, plan.n_v, plan.n_w, plan.cell_size_lm,
                     kernel=plan.kernel, topo=topo, strategy=strategy,
-                    label=label, counter=plan.counter,
+                    label=f"{label}/r{rep}", counter=plan.counter,
                 )
             except visdata.FormatError:
                 raise  # every cell reads the same malformed dataset
@@ -139,6 +140,7 @@ def run_plan(plan: BenchPlan) -> PlanResult:
             row["total_j"] = res.run.total_joules
             row.update(res.ops)
             raw_rows.append(row)
+            trace += metrics.trace_rows(res.run)
 
     raw_path = out_dir / "runs_raw.csv"
     with open(raw_path, "w", newline="") as fh:
@@ -146,6 +148,8 @@ def run_plan(plan: BenchPlan) -> PlanResult:
         writer.writeheader()
         for row in raw_rows:
             writer.writerow({k: _fmt_cell(row.get(k, "")) for k in RAW_COLUMNS})
+
+    metrics.write_trace(out_dir / "trace.csv", trace)
 
     agg_header, agg_rows = aggregate_rows(raw_rows)
     agg_path = out_dir / "runs_aggregate.csv"
@@ -518,14 +522,32 @@ def verify_pipeline(scale: str = "small", force_fail: bool = False) -> VerifyRep
         "point-source recovery", "argmax within 1 pixel",
         f"peak at ({i}, {j}), expected ({want_i}, {want_j})", hit))
 
-    # w correction is a pure phase
-    n_pix = pixel_n_block(spec, 0, spec.n_u)
-    data = rng.standard_normal(n_pix.shape) + 1j * rng.standard_normal(n_pix.shape)
-    before = np.abs(data)
-    after = np.abs(transform.apply_w_correction(np.zeros_like(data), data, n_w - 1, spec, n_pix))
-    phase_err = float(np.max(np.abs(after - before) / np.maximum(before, 1e-300)))
-    checks.append(CheckResult("w correction preserves magnitudes",
-                              "relative <= 1e-14", f"relative {phase_err:.3e}",
+    # w stacking by Horner's rule against one full-width exp per plane, on
+    # the 16 outermost image columns; every phase factor is a pure phase
+    n_pix = pixel_n_block(spec, 0, 16)
+    wplanes = (rng.standard_normal((64, *n_pix.shape))
+               + 1j * rng.standard_normal((64, *n_pix.shape)))
+    horner_err = phase_err = 0.0
+    for w_lo, w_hi in ((0.0, 20.0), (-10.0, 10.0), (5.0, 5.0), (0.0, 2000.0)):
+        for nw in (1, 2, 3, 16, 64):
+            wspec = GridSpec(n_u=n_u, n_v=n_v, n_w=nw, cell_size_lm=cell,
+                             w_min_native=w_lo, w_max_native=w_hi)
+            ref = sum(wplanes[k] * np.exp(2j * np.pi * wspec.plane_w_native(k) * (n_pix - 1.0))
+                      for k in range(nw)) / nw * n_pix
+            z = transform.w_phase_factor(n_pix, wspec.w_step_native)
+            acc = None
+            for k in reversed(range(nw)):
+                acc = transform.apply_w_correction(acc, wplanes[k], z)
+            got = transform.stack_planes(acc, 0, wspec).pixels
+            horner_err = max(horner_err, _max_abs(got, ref.real) / np.max(np.abs(ref.real)))
+            w0_factor = transform.w_phase_factor(n_pix, wspec.plane_w_native(0))
+            phase_err = max(phase_err, float(np.max(np.abs(np.abs(z) - 1.0))),
+                            float(np.max(np.abs(np.abs(w0_factor) - 1.0))))
+    checks.append(CheckResult(
+        "w stacking by Horner's rule vs per-plane exp (1-64 planes, 4 w ranges)",
+        "relative max abs <= 1e-12", f"relative {horner_err:.3e}", horner_err <= 1e-12))
+    checks.append(CheckResult("w correction preserves magnitudes (step and w_0 factors)",
+                              "||factor| - 1| <= 1e-14", f"max {phase_err:.3e}",
                               phase_err <= 1e-14))
 
     if force_fail:

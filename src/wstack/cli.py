@@ -199,10 +199,7 @@ def cmd_image(args) -> int:
     print(f"peak pixel: ({i}, {j}); "
           f"imag residual {res.image.imag_residual_norm:.3e} "
           f"vs real norm {res.image.real_norm:.3e}")
-    run = res.run
-    rows = [(run.label, run.n_nodes, run.freq_level, phase,
-             run.phase_times[phase], run.energy_joules[phase])
-            for phase in (*metrics.PHASES, "total")]
+    rows = metrics.trace_rows(res.run)
     print(metrics.render_table(metrics.TRACE_COLUMNS, rows))
     if args.out_dir:
         out = Path(args.out_dir) / "trace.csv"

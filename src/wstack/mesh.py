@@ -88,6 +88,11 @@ class GridSpec:
     def w_range_native(self) -> float:
         return self.w_max_native - self.w_min_native
 
+    @property
+    def w_step_native(self) -> float:
+        """Native w spacing of the planes; 0 for a single plane."""
+        return self.w_range_native / (self.n_w - 1) if self.n_w > 1 else 0.0
+
     def plane_w_native(self, k: int) -> float:
         """Native w value sampled by plane ``k``.
 

@@ -44,6 +44,7 @@ __all__ = [
     "ratio_report",
     "scaling_gp_report",
     "TRACE_COLUMNS",
+    "trace_rows",
     "write_trace",
     "load_trace_records",
     "render_table",
@@ -240,6 +241,13 @@ def scaling_gp_report(runs, alpha: float = 1.0):
 # ---------------------------------------------------------------------------
 
 TRACE_COLUMNS = ("label", "n_nodes", "freq_level", "phase", "seconds", "joules")
+
+
+def trace_rows(run: RunRecord) -> list:
+    """One run's trace rows: each of :data:`PHASES`, then ``total``."""
+    return [(run.label, run.n_nodes, run.freq_level, phase,
+             run.phase_times[phase], run.energy_joules[phase])
+            for phase in (*PHASES, "total")]
 
 
 def write_trace(path, rows):

@@ -10,11 +10,13 @@ whole run's. Both land in a :class:`~wstack.metrics.RunRecord` at the
 the run replaces the total joules.
 
 The image stage is one pass per rank in the transposed layout of
-:mod:`wstack.transform`. Its ``fft`` seconds are the busiest rank's time
-in ``fft2d_slab`` and its ``fft`` CPU the ranks' summed thread time there;
-``wcorrect`` gets the rest of the stage's wall time and CPU. Each gridded
-slab is freed once its sector is reduced, and each reduced slab once its
-rank has transformed it.
+:mod:`wstack.transform`: the planes go through ``fft2d_slab`` in reverse
+order and into the block's sum by Horner's rule, with the step factor
+built once per rank over half the block. Its ``fft`` seconds are the
+busiest rank's time in ``fft2d_slab`` and its ``fft`` CPU the ranks'
+summed thread time there; ``wcorrect`` gets the rest of the stage's wall
+time and CPU. Each gridded slab is freed once its sector is reduced, and
+each reduced slab once its rank has transformed it.
 """
 
 from __future__ import annotations
@@ -89,12 +91,12 @@ def reduce_sectors(slabs, topo: Topology, strategy: ReduceStrategy, log: Message
 
 
 def image_sectors(reduced, spec: GridSpec, topo: Topology, log: MessageLog):
-    """The image stage: per rank, for each w plane in order, the inverse
-    transform of its reduced slab into its column block and the w
-    correction into the block's sum, then the stacking. A rank drops its
-    ``reduced`` entry once it has transformed it. Returns ``(ImageBlocks,
-    the busiest rank's seconds in fft2d_slab, the ranks' summed thread
-    CPU-seconds in it)``."""
+    """The image stage: per rank, for each w plane in reverse order, the
+    inverse transform of its reduced slab into its column block and the
+    Horner step of the w correction into the block's sum, then the
+    stacking. A rank drops its ``reduced`` entry once it has transformed
+    it. Returns ``(ImageBlocks, the busiest rank's seconds in fft2d_slab,
+    the ranks' summed thread CPU-seconds in it)``."""
     R = topo.n_ranks
     fft_s, fft_cpu = [0.0] * R, [0.0] * R
 
@@ -102,16 +104,16 @@ def image_sectors(reduced, spec: GridSpec, topo: Topology, log: MessageLog):
         r = ctx.rank
         planes, reduced[r] = reduced[r].data, None
         u0, uc = partition_1d(spec.n_u, R, r)
-        n = pixel_n_block(spec, u0, uc)
+        z = transform.w_phase_factor(pixel_n_block(spec, u0, uc), spec.w_step_native)
         acc = None
-        for k in range(spec.n_w):
+        for k in reversed(range(spec.n_w)):
             t0, c0 = time.perf_counter(), time.thread_time()
             plane = transform.fft2d_slab(ctx, planes[k], spec)
             fft_s[r] += time.perf_counter() - t0
             fft_cpu[r] += time.thread_time() - c0
-            acc = transform.apply_w_correction(acc, plane, k, spec, n)
-        del planes, plane
-        return transform.stack_planes(acc, u0, spec, n)
+            acc = transform.apply_w_correction(acc, plane, z)
+        del planes, plane, z
+        return transform.stack_planes(acc, u0, spec)
 
     return run_ranks(topo, image_fn, log=log), max(fft_s), sum(fft_cpu)
 

@@ -1,7 +1,9 @@
+import csv
+
 import pytest
 
-from wstack import bench, visdata
-from wstack.cli import EXIT_CHECK_FAILED, main
+from wstack import bench, metrics, visdata
+from wstack.cli import EXIT_CHECK_FAILED, EXIT_OK, main
 from wstack.comms import ReduceStrategy, Topology
 from wstack.gridder import KernelSpec
 
@@ -82,3 +84,26 @@ def test_bench_with_a_failed_cell_exits_1(tmp_path, dataset, broken_2x1):
                  "--strategies", "direct", "--repeats", "2"])
     assert code == EXIT_CHECK_FAILED
     assert broken_2x1 == ["1x1", "1x1", "2x1"]
+
+
+def test_report_reads_the_bench_trace_one_row_per_successful_run(tmp_path, dataset,
+                                                                 broken_2x1, capsys):
+    out_dir = tmp_path / "out"
+    result = run(dataset, out_dir, [Topology(1, 1), Topology(2, 1), Topology(1, 2)])
+    ok = [f"{r['label']}/r{r['repeat']}" for r in result.raw_rows if r["status"] == "ok"]
+    assert len(ok) == 2 * len(STRATEGIES) * 3
+    with open(out_dir / "trace.csv", newline="") as fh:
+        trace = list(csv.DictReader(fh))
+    assert len(trace) == len(ok) * (len(metrics.PHASES) + 1)
+    assert {row["label"] for row in trace} == set(ok)  # the failed 2x1 cell writes none
+    capsys.readouterr()
+    gp_path = tmp_path / "gp.csv"
+    assert main(["report", "gp", "--trace", str(out_dir / "trace.csv"),
+                 "--ref", "1x1_direct/r0", "--out", str(gp_path)]) == EXIT_OK
+    printed = capsys.readouterr().out
+    assert all(label in printed for label in ok) and "2x1" not in printed
+    with open(gp_path, newline="") as fh:
+        gp = {row["label"]: row for row in csv.DictReader(fh)}
+    assert sorted(gp) == sorted(ok)
+    assert float(gp["1x1_direct/r0"]["green_productivity"]) == 1.0
+    assert all(float(row["green_productivity"]) > 0 for row in gp.values())

@@ -20,7 +20,7 @@ def test_module_entry_point_verify_passes():
     proc = subprocess.run([sys.executable, "-m", "wstack", "verify", "small"],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == EXIT_OK, proc.stdout + proc.stderr
-    assert "OK: 14/14 checks passed" in proc.stdout
+    assert "OK: 15/15 checks passed" in proc.stdout
 
 
 def test_module_entry_point_gen_image_report(tmp_path):

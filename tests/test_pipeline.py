@@ -17,8 +17,8 @@ TOPOLOGIES = [(1, 1), (1, 2), (2, 1), (1, 3), (2, 2)]
 # End-to-end image sha256 of the 5k-record case below, computed with
 # numpy 2.4.6; another numpy may round the FFT differently.
 GOLDEN_SHA256 = {
-    "gaussian": "3d2eb59264a8784d7703f253e5dce5ddaf11a63f1085cec2f9cdff918d0521cf",
-    "kaiser_bessel": "64276651ec4d0b0424297dbb10aaf7466daca0961f63a3bdf22ee9e28319329d",
+    "gaussian": "a849d2d0fe440452f9fefc2fa5a0f5e79319116dc8d8f30167a03ccd9c12a4d8",
+    "kaiser_bessel": "a519b34618bf54eda0bbaf3b16f746a5cd9bb1b6f8b6d892f20c4344438ff57d",
 }
 
 
@@ -104,7 +104,9 @@ def oracle_image(path, n_w, kern):
     (KERNELS[0], 3, (-10.0, 10.0)),
     # one plane, at the midpoint w = 10
     (KERNELS[0], 1, (0.0, 20.0)),
-], ids=["gaussian", "kaiser_bessel", "negative-w-min", "one-plane"])
+    # sixteen planes 6.67 apart: the Horner step factor to its 15th power
+    (KERNELS[0], 16, (-50.0, 50.0)),
+], ids=["gaussian", "kaiser_bessel", "negative-w-min", "one-plane", "sixteen-planes"])
 def test_image_matches_independent_oracle(tmp_path, kern, n_w, w_range):
     path = write(tmp_path, ((0.008, -0.006, 1.0), (-0.01, 0.004, 0.5)), 300, seed=17,
                  w_min=w_range[0], w_max=w_range[1])
@@ -117,7 +119,8 @@ def test_image_matches_independent_oracle(tmp_path, kern, n_w, w_range):
 def test_reduce_and_image_stages_free_their_inputs_and_hold_a_few_planes():
     # 1x2 at 256^2 x 8: the image stage peaked at about 5 planes of new
     # allocations. A stage that keeps every transformed plane until the w
-    # correction holds at least n_w = 8.
+    # correction holds at least n_w = 8; one that also keeps a full-width
+    # phase factor and n through the plane loop holds 6.
     spec = GridSpec(256, 256, 8, CELL, w_max_native=20.0)
     topo = Topology(1, 2)
     rng = np.random.default_rng(0)
@@ -138,7 +141,7 @@ def test_reduce_and_image_stages_free_their_inputs_and_hold_a_few_planes():
     finally:
         tracemalloc.stop()
     assert reduced == [None, None]
-    assert peak <= 6 * plane_bytes, f"{peak / plane_bytes:.2f} planes"
+    assert peak <= 5.5 * plane_bytes, f"{peak / plane_bytes:.2f} planes"
 
 
 def test_image_stage_hooks_are_each_called(tmp_path, monkeypatch):
