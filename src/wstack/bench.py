@@ -15,7 +15,6 @@ reduce equivalence, and end-to-end point-source recovery.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import statistics
 import time
@@ -47,7 +46,7 @@ __all__ = [
 
 @dataclass
 class BenchPlan:
-    """One benchmark campaign over a dataset (given or synthesized)."""
+    """One benchmark campaign over a dataset file."""
 
     n_u: int
     n_v: int
@@ -56,9 +55,8 @@ class BenchPlan:
     kernel: KernelSpec
     topologies: list
     strategies: list
+    dataset: Path
     repeats: int = 4
-    dataset: Path | None = None
-    synthetic: dict | None = None
     counter: metrics.PlatformCounterMeter | None = None
     output_dir: Path = Path("bench_out")
 
@@ -67,8 +65,6 @@ class BenchPlan:
             raise ValueError("repeats must be >= 1")
         if not self.topologies or not self.strategies:
             raise ValueError("sweep lists must be non-empty")
-        if (self.dataset is None) == (self.synthetic is None):
-            raise ValueError("exactly one of dataset or synthetic must be set")
 
 
 PHASE_COLUMNS = [f"{p}_s" for p in metrics.PHASES] + ["total_s"]
@@ -101,15 +97,6 @@ def _cell_label(topo: Topology, strategy: ReduceStrategy) -> str:
 def run_plan(plan: BenchPlan) -> PlanResult:
     out_dir = Path(plan.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    dataset = plan.dataset
-    if dataset is None:
-        syn = dict(plan.synthetic)
-        sky = syn.pop("sky")
-        header, chunk = visdata.generate_synthetic(
-            sky, cell_size_lm=plan.cell_size_lm, **syn)
-        dataset = out_dir / "dataset.rvis"
-        visdata.write_dataset(chunk, header, dataset)
-
     raw_rows, trace = [], []
     cells = list(itertools.product(plan.topologies, plan.strategies))
     for ci, (topo, strategy) in enumerate(cells):
@@ -121,7 +108,7 @@ def run_plan(plan: BenchPlan) -> PlanResult:
             }
             try:
                 res = run_pipeline(
-                    dataset, plan.n_u, plan.n_v, plan.n_w, plan.cell_size_lm,
+                    plan.dataset, plan.n_u, plan.n_v, plan.n_w, plan.cell_size_lm,
                     kernel=plan.kernel, topo=topo, strategy=strategy,
                     label=f"{label}/r{rep}", counter=plan.counter,
                 )
@@ -143,32 +130,17 @@ def run_plan(plan: BenchPlan) -> PlanResult:
             trace += metrics.trace_rows(res.run)
 
     raw_path = out_dir / "runs_raw.csv"
-    with open(raw_path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=RAW_COLUMNS, restval="")
-        writer.writeheader()
-        for row in raw_rows:
-            writer.writerow({k: _fmt_cell(row.get(k, "")) for k in RAW_COLUMNS})
-
+    metrics.write_report_csv(raw_path, RAW_COLUMNS,
+                             [[row.get(k, "") for k in RAW_COLUMNS] for row in raw_rows])
     metrics.write_trace(out_dir / "trace.csv", trace)
-
     agg_header, agg_rows = aggregate_rows(raw_rows)
     agg_path = out_dir / "runs_aggregate.csv"
-    with open(agg_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(agg_header)
-        for row in agg_rows:
-            writer.writerow([_fmt_cell(v) for v in row])
+    metrics.write_report_csv(agg_path, agg_header, agg_rows)
 
     all_ok = all(r["status"] == "ok" for r in raw_rows)
     return PlanResult(raw_rows=raw_rows, aggregate_rows=agg_rows,
                       aggregate_header=agg_header, raw_path=raw_path,
                       aggregate_path=agg_path, all_ok=all_ok)
-
-
-def _fmt_cell(v):
-    if isinstance(v, float):
-        return f"{v:.10g}"
-    return v
 
 
 def mean_std(values) -> tuple[float, float]:
@@ -309,7 +281,7 @@ def _cell_sign(spec: GridSpec) -> np.ndarray:
     return (-1.0) ** np.add.outer(np.arange(spec.n_v), np.arange(spec.n_u))
 
 
-def verify_pipeline(scale: str = "small", force_fail: bool = False) -> VerifyReport:
+def verify_pipeline(scale: str = "small") -> VerifyReport:
     """Run the oracle suite; failures are reported, never raised."""
     if scale == "small":
         n_u = n_v = 64
@@ -549,8 +521,4 @@ def verify_pipeline(scale: str = "small", force_fail: bool = False) -> VerifyRep
     checks.append(CheckResult("w correction preserves magnitudes (step and w_0 factors)",
                               "||factor| - 1| <= 1e-14", f"max {phase_err:.3e}",
                               phase_err <= 1e-14))
-
-    if force_fail:
-        checks.append(CheckResult("forced failure (test hook)", "never passes",
-                                  "forced", False))
     return VerifyReport(checks=checks)

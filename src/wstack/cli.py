@@ -1,10 +1,16 @@
 """Command-line entry point: gen, image, bench, report, verify.
 
-Configuration is a flat key-value file (one ``key = value`` per line,
-``#`` comments); command-line flags override file values and unknown keys
-are rejected. Exit codes: 0 success, 1 verification or acceptance
-failure, 2 usage/config error, 3 I/O error (a missing or malformed input
-file).
+Every setting is a key of :data:`CONFIG_SCHEMA`, declared once with its
+type, default, help and, where it has one, its command-line flag;
+:data:`COMMAND_KEYS` lists the keys each of ``gen``, ``image`` and
+``bench`` takes as flags, and the parser is built from those two tables,
+so ``wstack <command> --help`` shows each flag's key and default. A value
+comes from the default, then the ``--config`` file (a flat key-value
+file, one ``key = value`` per line, ``#`` comments, unknown keys
+rejected), then the flag. ``gen`` and ``bench`` without ``--dataset``
+write the same synthetic dataset from the ``gen.*`` keys. Exit codes: 0
+success, 1 verification or acceptance failure, 2 usage/config error, 3
+I/O error (a missing or malformed input file).
 
 The virtual topology (``--topo NODESxRANKS`` for ``image``, ``--topos``
 for ``bench``) is the only parallelism: each rank grids its sector on one
@@ -25,6 +31,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 from . import bench, metrics, visdata
 from .comms import REDUCE_KINDS, ReduceStrategy, Topology
@@ -32,7 +39,7 @@ from .gridder import KERNEL_KINDS, DEFAULT_KB_BETA_PER_SUPPORT, KernelSpec
 from .metrics import FREQ_LEVELS, PlatformCounterMeter
 from .pipeline import peak_pixel, run_pipeline
 
-__all__ = ["CONFIG_SCHEMA", "ConfigError", "load_config_file",
+__all__ = ["CONFIG_SCHEMA", "COMMAND_KEYS", "ConfigError", "load_config_file",
            "resolve_config", "main"]
 
 EXIT_OK = 0
@@ -45,42 +52,73 @@ class ConfigError(Exception):
     pass
 
 
-# key -> (converter, default, help)
+class Setting(NamedTuple):
+    """One configuration key: its type, default, help, and the flag that
+    sets it (None: config file only)."""
+
+    conv: type
+    default: object
+    help: str
+    flag: str | None = None
+    choices: tuple | None = None
+
+
 CONFIG_SCHEMA = {
-    "grid.n_u": (int, 256, "mesh cells along u"),
-    "grid.n_v": (int, 256, "mesh cells along v"),
-    "grid.n_w": (int, 8, "number of w planes"),
-    "grid.cell_size_lm": (float, 1e-3, "image pixel size in direction cosines"),
-    "kernel.kind": (str, "gaussian", f"gridding kernel, one of {KERNEL_KINDS}"),
-    "kernel.half_support": (int, 3, "kernel half support in cells"),
-    "kernel.shape_param": (float, 0.0, "sigma (gaussian) or beta (kaiser_bessel); 0 = default"),
-    "topo.n_nodes": (int, 1, "virtual nodes"),
-    "topo.ranks_per_node": (int, 1, "ranks per virtual node, one gridding thread each"),
-    "reduce.kind": (str, "direct", f"reduction strategy, one of {REDUCE_KINDS}"),
-    "meter.counter_file": (str, "", "energy counter file holding joules; if set, its "
-                           "change over a run replaces the CPU-seconds total"),
-    "meter.counter_command": (str, "", "command printing an energy counter in joules (run "
-                              "without a shell); used like meter.counter_file"),
-    "bench.repeats": (int, 4, "repeats per configuration"),
-    "bench.output_dir": (str, "bench_out", "bench output directory"),
-    "bench.topologies": (str, "1x1", "comma list of NODESxRANKS topologies"),
-    "bench.strategies": (str, "direct", "comma list of reduction strategies"),
-    "run.seed": (int, 1, "random seed"),
-    "run.label": (str, "run", "label attached to run records"),
-    "gen.records": (int, 1000, "synthetic record count"),
-    "gen.n_freq": (int, 1, "frequency channels"),
-    "gen.n_corr": (int, 1, "correlations per channel"),
-    "gen.n_time_slices": (int, 8, "time slices"),
-    "gen.sources": (str, "0,0,1", "sky sources as l,m,flux;l,m,flux;..."),
-    "gen.w_min_native": (float, 0.0, "native w lower bound"),
-    "gen.w_max_native": (float, 0.0, "native w upper bound"),
+    "grid.n_u": Setting(int, 256, "mesh cells along u", "--n-u"),
+    "grid.n_v": Setting(int, 256, "mesh cells along v", "--n-v"),
+    "grid.n_w": Setting(int, 8, "number of w planes", "--n-w"),
+    "grid.cell_size_lm": Setting(float, 1e-3, "image pixel size in direction cosines",
+                                 "--cell"),
+    "kernel.kind": Setting(str, "gaussian", "gridding kernel", "--kernel",
+                           KERNEL_KINDS),
+    "kernel.half_support": Setting(int, 3, "kernel half support in cells",
+                                   "--half-support"),
+    "kernel.shape_param": Setting(float, 0.0, "sigma (gaussian) or beta (kaiser_bessel); "
+                                  "0 = default", "--shape-param"),
+    "topo.n_nodes": Setting(int, 1, "virtual nodes"),
+    "topo.ranks_per_node": Setting(int, 1, "ranks per virtual node, one gridding thread each"),
+    "reduce.kind": Setting(str, "direct", "reduction strategy", "--strategy",
+                           REDUCE_KINDS),
+    "meter.counter_file": Setting(str, "", "energy counter file holding joules; if set, its "
+                                  "change over a run replaces the CPU-seconds total"),
+    "meter.counter_command": Setting(str, "", "command printing an energy counter in joules "
+                                     "(run without a shell); used like meter.counter_file"),
+    "bench.repeats": Setting(int, 4, "repeats per configuration", "--repeats"),
+    "bench.output_dir": Setting(str, "bench_out", "bench output directory", "--out-dir"),
+    "bench.topologies": Setting(str, "1x1", "comma list of NODESxRANKS topologies, e.g. 1x1,2x2",
+                                "--topos"),
+    "bench.strategies": Setting(str, "direct", "comma list of reduction strategies",
+                                "--strategies"),
+    "run.seed": Setting(int, 1, "random seed", "--seed"),
+    "run.label": Setting(str, "run", "label attached to run records", "--label"),
+    "gen.records": Setting(int, 1000, "synthetic record count", "--records"),
+    "gen.n_freq": Setting(int, 1, "frequency channels", "--n-freq"),
+    "gen.n_corr": Setting(int, 1, "correlations per channel", "--n-corr"),
+    "gen.n_time_slices": Setting(int, 8, "time slices", "--time-slices"),
+    "gen.sources": Setting(str, "0,0,1", "sky sources as l,m,flux;l,m,flux;...", "--sources"),
+    "gen.w_min_native": Setting(float, 0.0, "native w lower bound", "--w-min"),
+    "gen.w_max_native": Setting(float, 0.0, "native w upper bound", "--w-max"),
+}
+
+# The keys each command takes as flags, in --help order.
+COMMAND_KEYS = {
+    "gen": ("gen.records", "gen.sources", "run.seed", "gen.n_freq", "gen.n_corr",
+            "gen.n_time_slices", "grid.cell_size_lm", "gen.w_min_native",
+            "gen.w_max_native"),
+    "image": ("grid.n_u", "grid.n_v", "grid.n_w", "grid.cell_size_lm", "kernel.kind",
+              "kernel.half_support", "kernel.shape_param", "reduce.kind", "run.label",
+              "run.seed"),
+    "bench": ("gen.records", "gen.sources", "run.seed", "grid.n_u", "grid.n_v", "grid.n_w",
+              "grid.cell_size_lm", "bench.topologies", "bench.strategies",
+              "bench.repeats", "bench.output_dir"),
 }
 
 
 def config_help() -> str:
     lines = ["configuration keys (file: one 'key = value' per line, # comments):"]
-    for key, (_, default, help_text) in CONFIG_SCHEMA.items():
-        lines.append(f"  {key:<24} {help_text} (default: {default})")
+    for key, setting in CONFIG_SCHEMA.items():
+        one_of = f", one of {setting.choices}" if setting.choices else ""
+        lines.append(f"  {key:<24} {setting.help}{one_of} (default: {setting.default})")
     return "\n".join(lines)
 
 
@@ -100,9 +138,8 @@ def load_config_file(path) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in CONFIG_SCHEMA:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        conv = CONFIG_SCHEMA[key][0]
         try:
-            out[key] = conv(value)
+            out[key] = CONFIG_SCHEMA[key].conv(value)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return out
@@ -110,15 +147,21 @@ def load_config_file(path) -> dict:
 
 def resolve_config(config_path=None, overrides: dict | None = None) -> dict:
     """Defaults, then the config file, then explicit overrides."""
-    cfg = {key: default for key, (_, default, _) in CONFIG_SCHEMA.items()}
+    cfg = {key: setting.default for key, setting in CONFIG_SCHEMA.items()}
     if config_path:
         cfg.update(load_config_file(config_path))
     for key, value in (overrides or {}).items():
         if key not in CONFIG_SCHEMA:
             raise ConfigError(f"unknown config key {key!r}")
         if value is not None:
-            cfg[key] = CONFIG_SCHEMA[key][0](value)
+            cfg[key] = CONFIG_SCHEMA[key].conv(value)
     return cfg
+
+
+def _config(args) -> dict:
+    """The command's configuration: its flags are stored under their keys."""
+    return resolve_config(args.config, {key: value for key, value in vars(args).items()
+                                        if key in CONFIG_SCHEMA})
 
 
 def _parse_topology(text) -> Topology:
@@ -148,27 +191,26 @@ def _counter_from(cfg) -> PlatformCounterMeter | None:
                                 counter_command=counter_command or None)
 
 
+def _write_synthetic(cfg, path) -> visdata.DatasetHeader:
+    """Write the seeded synthetic dataset that the ``gen.*`` keys,
+    ``run.seed`` and ``grid.cell_size_lm`` describe to ``path``."""
+    if cfg["gen.records"] < 1:
+        raise ConfigError("gen.records must be >= 1")
+    header, chunk = visdata.generate_synthetic(
+        visdata.SkyModel.parse(cfg["gen.sources"]), cfg["gen.records"], cfg["gen.n_freq"],
+        cfg["run.seed"], n_corr=cfg["gen.n_corr"], n_time_slices=cfg["gen.n_time_slices"],
+        cell_size_lm=cfg["grid.cell_size_lm"],
+        w_min_native=cfg["gen.w_min_native"], w_max_native=cfg["gen.w_max_native"])
+    visdata.write_dataset(chunk, header, path)
+    return header
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
 def cmd_gen(args) -> int:
-    cfg = resolve_config(args.config, {
-        "gen.records": args.records, "gen.sources": args.sources,
-        "run.seed": args.seed, "gen.n_freq": args.n_freq,
-        "gen.n_corr": args.n_corr, "gen.n_time_slices": args.time_slices,
-        "grid.cell_size_lm": args.cell,
-        "gen.w_min_native": args.w_min, "gen.w_max_native": args.w_max,
-    })
-    if cfg["gen.records"] < 1:
-        raise ConfigError("gen.records must be >= 1")
-    sky = visdata.SkyModel.parse(cfg["gen.sources"])
-    header, chunk = visdata.generate_synthetic(
-        sky, cfg["gen.records"], cfg["gen.n_freq"], cfg["run.seed"],
-        n_corr=cfg["gen.n_corr"], n_time_slices=cfg["gen.n_time_slices"],
-        cell_size_lm=cfg["grid.cell_size_lm"],
-        w_min_native=cfg["gen.w_min_native"], w_max_native=cfg["gen.w_max_native"])
-    visdata.write_dataset(chunk, header, args.out)
+    header = _write_synthetic(_config(args), args.out)
     print(f"wrote {header.n_records} records "
           f"({header.n_freq} freq x {header.n_corr} corr, "
           f"{header.n_time_slices} time slices) to {args.out}")
@@ -176,12 +218,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_image(args) -> int:
-    cfg = resolve_config(args.config, {
-        "grid.n_u": args.n_u, "grid.n_v": args.n_v, "grid.n_w": args.n_w,
-        "grid.cell_size_lm": args.cell, "kernel.kind": args.kernel,
-        "kernel.half_support": args.half_support, "kernel.shape_param": args.shape_param,
-        "reduce.kind": args.strategy, "run.label": args.label, "run.seed": args.seed,
-    })
+    cfg = _config(args)
     dataset = Path(args.dataset)
     if not dataset.exists():
         print(f"dataset not found: {dataset}", file=sys.stderr)
@@ -209,37 +246,23 @@ def cmd_image(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    cfg = resolve_config(args.config, {
-        "grid.n_u": args.n_u, "grid.n_v": args.n_v, "grid.n_w": args.n_w,
-        "grid.cell_size_lm": args.cell,
-        "bench.repeats": args.repeats, "bench.output_dir": args.out_dir,
-        "bench.topologies": args.topos, "bench.strategies": args.strategies,
-        "run.seed": args.seed,
-        "gen.records": args.records, "gen.sources": args.sources,
-    })
+    cfg = _config(args)
     topologies = [_parse_topology(t) for t in cfg["bench.topologies"].split(",") if t.strip()]
     strategies = [ReduceStrategy(s.strip())
                   for s in cfg["bench.strategies"].split(",") if s.strip()]
-    synthetic = None
-    dataset = Path(args.dataset) if args.dataset else None
-    if dataset is None:
-        synthetic = {
-            "sky": visdata.SkyModel.parse(cfg["gen.sources"]),
-            "n_records": cfg["gen.records"], "n_freq": cfg["gen.n_freq"],
-            "seed": cfg["run.seed"], "n_corr": cfg["gen.n_corr"],
-            "n_time_slices": cfg["gen.n_time_slices"],
-            "w_min_native": cfg["gen.w_min_native"],
-            "w_max_native": cfg["gen.w_max_native"],
-        }
-    elif not dataset.exists():
+    output_dir = Path(cfg["bench.output_dir"])
+    dataset = Path(args.dataset) if args.dataset else output_dir / "dataset.rvis"
+    if args.dataset and not dataset.exists():
         print(f"dataset not found: {dataset}", file=sys.stderr)
         return EXIT_IO
     plan = bench.BenchPlan(
         n_u=cfg["grid.n_u"], n_v=cfg["grid.n_v"], n_w=cfg["grid.n_w"],
         cell_size_lm=cfg["grid.cell_size_lm"], kernel=_kernel_from(cfg),
-        topologies=topologies, strategies=strategies,
-        repeats=cfg["bench.repeats"], dataset=dataset, synthetic=synthetic,
-        counter=_counter_from(cfg), output_dir=Path(cfg["bench.output_dir"]))
+        topologies=topologies, strategies=strategies, dataset=dataset,
+        repeats=cfg["bench.repeats"], counter=_counter_from(cfg), output_dir=output_dir)
+    if not args.dataset:
+        output_dir.mkdir(parents=True, exist_ok=True)
+        _write_synthetic(cfg, dataset)
     result = bench.run_plan(plan)
     print(f"raw runs: {result.raw_path}")
     print(f"aggregates: {result.aggregate_path}")
@@ -332,12 +355,26 @@ def cmd_report(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = bench.verify_pipeline(scale=args.scale, force_fail=args.force_fail)
+    report = bench.verify_pipeline(scale=args.scale)
     print(report.render())
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
 # ---------------------------------------------------------------------------
+
+def _add_config_flags(parser, command, func):
+    """Add the flags of ``COMMAND_KEYS[command]``, each stored under its
+    key, and ``--config``."""
+    for key in COMMAND_KEYS[command]:
+        setting = CONFIG_SCHEMA[key]
+        parser.add_argument(
+            setting.flag, dest=key, type=setting.conv, choices=setting.choices,
+            metavar=None if setting.choices else setting.flag[2:].replace("-", "_").upper(),
+            help=f"{setting.help} ({key}, default: {setting.default})")
+    parser.add_argument("--config", help="config file; its values override the defaults "
+                                         "and flags override it")
+    parser.set_defaults(func=func)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -350,51 +387,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate a synthetic dataset")
     gen.add_argument("--out", required=True, help="output dataset path")
-    gen.add_argument("--records", type=int)
-    gen.add_argument("--sources", help="l,m,flux;l,m,flux;...")
-    gen.add_argument("--seed", type=int)
-    gen.add_argument("--n-freq", type=int, dest="n_freq")
-    gen.add_argument("--n-corr", type=int, dest="n_corr")
-    gen.add_argument("--time-slices", type=int, dest="time_slices")
-    gen.add_argument("--cell", type=float)
-    gen.add_argument("--w-min", type=float, dest="w_min")
-    gen.add_argument("--w-max", type=float, dest="w_max")
-    gen.add_argument("--config")
-    gen.set_defaults(func=cmd_gen)
+    _add_config_flags(gen, "gen", cmd_gen)
 
     image = sub.add_parser("image", help="run the imaging pipeline")
     image.add_argument("--dataset", required=True)
     image.add_argument("--out-dir", default="image_out")
-    image.add_argument("--n-u", type=int, dest="n_u")
-    image.add_argument("--n-v", type=int, dest="n_v")
-    image.add_argument("--n-w", type=int, dest="n_w")
-    image.add_argument("--cell", type=float)
-    image.add_argument("--kernel", choices=KERNEL_KINDS)
-    image.add_argument("--half-support", type=int, dest="half_support")
-    image.add_argument("--shape-param", type=float, dest="shape_param")
-    image.add_argument("--topo", help="NODESxRANKS, e.g. 2x2")
-    image.add_argument("--strategy", choices=REDUCE_KINDS)
-    image.add_argument("--label")
-    image.add_argument("--seed", type=int)
+    image.add_argument("--topo", help="NODESxRANKS, e.g. 2x2 (default: "
+                                      "topo.n_nodes x topo.ranks_per_node)")
     image.add_argument("--pgm", action="store_true", help="also write a PGM preview")
-    image.add_argument("--config")
-    image.set_defaults(func=cmd_image)
+    _add_config_flags(image, "image", cmd_image)
 
     bench_p = sub.add_parser("bench", help="run a benchmark sweep")
-    bench_p.add_argument("--dataset", help="dataset path (default: synthesize)")
-    bench_p.add_argument("--records", type=int)
-    bench_p.add_argument("--sources")
-    bench_p.add_argument("--seed", type=int)
-    bench_p.add_argument("--n-u", type=int, dest="n_u")
-    bench_p.add_argument("--n-v", type=int, dest="n_v")
-    bench_p.add_argument("--n-w", type=int, dest="n_w")
-    bench_p.add_argument("--cell", type=float)
-    bench_p.add_argument("--topos", help="comma list, e.g. 1x1,2x2")
-    bench_p.add_argument("--strategies", help="comma list of reduce kinds")
-    bench_p.add_argument("--repeats", type=int)
-    bench_p.add_argument("--out-dir", dest="out_dir")
-    bench_p.add_argument("--config")
-    bench_p.set_defaults(func=cmd_bench)
+    bench_p.add_argument("--dataset", help="dataset path (default: synthesize "
+                                           "<out-dir>/dataset.rvis as gen does)")
+    _add_config_flags(bench_p, "bench", cmd_bench)
 
     report = sub.add_parser("report", help="compute a report from trace CSVs")
     report.add_argument("kind", choices=REPORT_KINDS)
@@ -411,8 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run the self-verification suite")
     verify.add_argument("scale", choices=("small", "medium"))
-    verify.add_argument("--force-fail", action="store_true",
-                        help=argparse.SUPPRESS)
     verify.set_defaults(func=cmd_verify)
     return parser
 

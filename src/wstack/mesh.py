@@ -50,16 +50,14 @@ class GridSpec:
     needs even sizes, and only powers of two are tested) and the field of
     view implied by ``cell_size_lm`` must keep every image pixel inside
     the unit direction-cosine disc, corners included. Normalized w
-    spans ``[w_min, w_max] = [0, 1]``; ``w_min_native``/``w_max_native``
-    carry the physical w extent that range stands for.
+    spans ``[0, 1]``; ``w_min_native``/``w_max_native`` carry the
+    physical w extent that range stands for.
     """
 
     n_u: int
     n_v: int
     n_w: int
     cell_size_lm: float
-    w_min: float = 0.0
-    w_max: float = 1.0
     w_min_native: float = 0.0
     w_max_native: float = 0.0
 
@@ -111,7 +109,6 @@ class GridSpec:
 class SlabRange:
     """Contiguous block of v rows owned by one rank."""
 
-    rank: int
     v_start: int
     v_count: int
 
@@ -145,7 +142,7 @@ def slab_of(spec: GridSpec, rank: int, n_ranks: int) -> SlabRange:
     if n_ranks > spec.n_v:
         raise ValueError(f"n_ranks {n_ranks} exceeds n_v {spec.n_v}")
     start, count = partition_1d(spec.n_v, n_ranks, rank)
-    return SlabRange(rank=rank, v_start=start, v_count=count)
+    return SlabRange(v_start=start, v_count=count)
 
 
 def plane_of_w(spec: GridSpec, w):

@@ -27,7 +27,6 @@ import subprocess
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .comms import Topology
 from .visdata import FormatError
 
 __all__ = [
@@ -70,7 +69,7 @@ class RunRecord:
     """Per-phase wall times and joules for one pipeline execution."""
 
     label: str
-    topology: Topology | None
+    n_nodes: int
     freq_level: str
     phase_times: dict
     energy_joules: dict = field(default_factory=dict)
@@ -87,10 +86,6 @@ class RunRecord:
         listed = sum(v for k, v in self.phase_times.items() if k != "total")
         if self.phase_times["total"] < listed - 1e-9:
             raise ValueError("total time smaller than the sum of its phases")
-
-    @property
-    def n_nodes(self) -> int:
-        return self.topology.n_nodes if self.topology else 1
 
     @property
     def total_seconds(self) -> float:
@@ -312,7 +307,7 @@ def load_trace_records(path, label: str | None = None):
         try:
             records.append(RunRecord(
                 label=lbl,
-                topology=Topology(n_nodes=nodes, ranks_per_node=1),
+                n_nodes=nodes,
                 freq_level=level,
                 phase_times={phase: s for phase, (s, _) in phases.items()},
                 energy_joules={phase: j for phase, (_, j) in phases.items()},

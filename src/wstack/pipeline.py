@@ -212,7 +212,7 @@ def run_pipeline(
         "stack_pixels": spec.n_u * spec.n_v,
     }
     run = metrics.RunRecord(
-        label=label, topology=topo, freq_level="default",
+        label=label, n_nodes=topo.n_nodes, freq_level="default",
         phase_times=times, energy_joules=energy,
     )
     return PipelineResult(run=run, image=image, log=log, ops=ops, paths=paths)

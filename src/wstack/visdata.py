@@ -66,13 +66,15 @@ class FormatError(OSError, ValueError):
 
 @dataclass
 class DatasetHeader:
+    """Header fields; the format version is not one: :meth:`pack` writes
+    :data:`VERSION` and :meth:`unpack` rejects any other."""
+
     n_records: int
     n_freq: int
     n_corr: int
     n_time_slices: int
     w_min_native: float
     w_max_native: float
-    version: int = VERSION
     reserved: bytes = b"\x00" * 20
 
     def __post_init__(self):
@@ -94,7 +96,7 @@ class DatasetHeader:
 
     def pack(self) -> bytes:
         return _HEADER_STRUCT.pack(
-            MAGIC, self.version, self.n_records, self.n_freq, self.n_corr,
+            MAGIC, VERSION, self.n_records, self.n_freq, self.n_corr,
             self.n_time_slices, self.w_min_native, self.w_max_native,
             self.reserved,
         )
@@ -114,7 +116,7 @@ class DatasetHeader:
             return cls(
                 n_records=n_records, n_freq=n_freq, n_corr=n_corr,
                 n_time_slices=n_time, w_min_native=wmin, w_max_native=wmax,
-                version=version, reserved=res,
+                reserved=res,
             )
         except ValueError as exc:
             raise FormatError(f"bad header: {exc}") from exc

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import math
 import os
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import wstack
-from wstack import metrics, visdata
+from wstack import bench, cli, metrics, visdata
 from wstack.cli import EXIT_CHECK_FAILED, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 
 
@@ -36,8 +37,97 @@ def test_module_entry_point_gen_image_report(tmp_path):
         assert proc.returncode == EXIT_OK, argv[0] + ": " + proc.stdout + proc.stderr
 
 
-def test_verify_failure_exits_1():
-    assert main(["verify", "small", "--force-fail"]) == EXIT_CHECK_FAILED
+def test_verify_failure_exits_1(monkeypatch, capsys):
+    failing = bench.VerifyReport([bench.CheckResult("a check", "never", "failed", False)])
+    monkeypatch.setattr(bench, "verify_pipeline", lambda scale: failing)
+    assert main(["verify", "small"]) == EXIT_CHECK_FAILED
+    assert "FAILED: 0/1 checks passed" in capsys.readouterr().out
+
+
+# Each subcommand's flags and the config key each sets (None: not a key).
+FLAGS = {
+    "gen": {"--out": None, "--records": "gen.records", "--sources": "gen.sources",
+            "--seed": "run.seed", "--n-freq": "gen.n_freq", "--n-corr": "gen.n_corr",
+            "--time-slices": "gen.n_time_slices", "--cell": "grid.cell_size_lm",
+            "--w-min": "gen.w_min_native", "--w-max": "gen.w_max_native",
+            "--config": None},
+    "image": {"--dataset": None, "--out-dir": None, "--n-u": "grid.n_u",
+              "--n-v": "grid.n_v", "--n-w": "grid.n_w", "--cell": "grid.cell_size_lm",
+              "--kernel": "kernel.kind", "--half-support": "kernel.half_support",
+              "--shape-param": "kernel.shape_param", "--topo": None,
+              "--strategy": "reduce.kind", "--label": "run.label", "--seed": "run.seed",
+              "--pgm": None, "--config": None},
+    "bench": {"--dataset": None, "--records": "gen.records", "--sources": "gen.sources",
+              "--seed": "run.seed", "--n-u": "grid.n_u", "--n-v": "grid.n_v",
+              "--n-w": "grid.n_w", "--cell": "grid.cell_size_lm",
+              "--topos": "bench.topologies", "--strategies": "bench.strategies",
+              "--repeats": "bench.repeats", "--out-dir": "bench.output_dir",
+              "--config": None},
+    "report": {"--trace": None, "--ref": None, "--label": None, "--freq": None,
+               "--cpu-label": None, "--gpu-label": None, "--alpha": None, "--out": None},
+    "verify": {},
+}
+
+
+def subparser(command):
+    (sub,) = [a for a in cli.build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices[command]
+
+
+@pytest.mark.parametrize("command", FLAGS)
+def test_each_flag_sets_its_config_key(command):
+    parser = subparser(command)
+    flags = {opt for action in parser._actions for opt in action.option_strings}
+    assert flags - {"-h", "--help"} == set(FLAGS[command])
+    required = {"gen": ["--out", "d.rvis"], "image": ["--dataset", "d.rvis"],
+                "report": ["gp", "--trace", "t.csv"], "verify": ["small"]}.get(command, [])
+    for flag, key in FLAGS[command].items():
+        if key is None:
+            continue
+        setting = cli.CONFIG_SCHEMA[key]
+        text = setting.choices[-1] if setting.choices else "7"
+        args = parser.parse_args([*required, flag, text])
+        cfg = cli._config(args)
+        assert cfg[key] == setting.conv(text)
+        changed = {k for k, v in cfg.items() if v != cli.CONFIG_SCHEMA[k].default}
+        assert changed == {key}
+
+
+def test_gen_image_and_bench_read_every_config_key(tmp_path, monkeypatch):
+    """A key that no command reads, or a flag whose command ignores its
+    key, fails here."""
+    read = {}
+
+    class Recording(dict):
+        def __getitem__(self, key):
+            read.setdefault(command, set()).add(key)
+            return super().__getitem__(key)
+
+    real = cli.resolve_config
+    monkeypatch.setattr(cli, "resolve_config", lambda *a: Recording(real(*a)))
+    dataset = tmp_path / "d.rvis"
+    small = ["--n-u", "16", "--n-v", "16", "--n-w", "2"]
+    for command, argv in (
+            ("gen", ["--out", str(dataset), "--records", "100"]),
+            ("image", ["--dataset", str(dataset), "--out-dir", str(tmp_path / "i"), *small]),
+            ("bench", ["--records", "100", "--repeats", "1", "--out-dir",
+                       str(tmp_path / "b"), *small])):
+        assert main([command, *argv]) == EXIT_OK
+        flag_keys = {a.dest for a in subparser(command)._actions
+                     if a.dest in cli.CONFIG_SCHEMA}
+        assert flag_keys <= read[command], command
+    assert set().union(*read.values()) == set(cli.CONFIG_SCHEMA)
+
+
+def test_bench_without_a_dataset_writes_what_gen_writes(tmp_path):
+    gen_args = ["--records", "300", "--sources", "0.01,0.0,1;0,0.02,0.5", "--seed", "9",
+                "--cell", "0.002"]
+    assert main(["gen", "--out", str(tmp_path / "gen.rvis"), *gen_args]) == EXIT_OK
+    out = tmp_path / "bench"
+    assert main(["bench", "--out-dir", str(out), "--n-u", "16", "--n-v", "16", "--n-w", "2",
+                 "--repeats", "1", *gen_args]) == EXIT_OK
+    assert (out / "dataset.rvis").read_bytes() == (tmp_path / "gen.rvis").read_bytes()
 
 
 def test_malformed_topology_exits_2(tmp_path):

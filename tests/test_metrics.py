@@ -51,10 +51,10 @@ def test_counter_read_before_start_is_an_error(tmp_path):
 
 def test_negative_seconds_are_rejected_beside_positive_joules():
     with pytest.raises(ValueError, match="negative seconds for reduce"):
-        RunRecord("a", None, "default", {"reduce": -5.0, "total": 10.0},
+        RunRecord("a", 1, "default", {"reduce": -5.0, "total": 10.0},
                   {"reduce": 1.0, "total": 2.0})
     with pytest.raises(ValueError, match="negative joules for total"):
-        RunRecord("a", None, "default", {"total": 10.0}, {"total": -2.0})
+        RunRecord("a", 1, "default", {"total": 10.0}, {"total": -2.0})
 
 
 @pytest.fixture(scope="module")

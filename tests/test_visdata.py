@@ -133,6 +133,18 @@ def test_version_mismatch(tmp_path):
         visdata.read_dataset(path)
 
 
+def test_no_header_writes_an_unreadable_version(tmp_path):
+    chunk = small_chunk(2)
+    with pytest.raises(TypeError, match="version"):
+        DatasetHeader(n_records=2, n_freq=2, n_corr=1, n_time_slices=4,
+                      w_min_native=0.0, w_max_native=0.0, version=2)
+    path = tmp_path / "v.rvis"
+    visdata.write_dataset(chunk, header_for(chunk, 2, 1, 4), path)
+    assert struct.unpack_from("<I", path.read_bytes(), 4) == (visdata.VERSION,)
+    header, back = visdata.read_dataset(path)
+    assert header == header_for(chunk, 2, 1, 4) and np.array_equal(back.vis, chunk.vis)
+
+
 def test_truncated_file(tmp_path):
     chunk = small_chunk(4)
     path = tmp_path / "t.rvis"
