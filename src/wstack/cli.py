@@ -8,7 +8,10 @@ so ``wstack <command> --help`` shows each flag's key and default. A value
 comes from the default, then the ``--config`` file (a flat key-value
 file, one ``key = value`` per line, ``#`` comments, unknown keys
 rejected), then the flag. ``gen`` and ``bench`` without ``--dataset``
-write the same synthetic dataset from the ``gen.*`` keys. Exit codes: 0
+write the same synthetic dataset from the ``gen.*`` keys. ``bench``
+rejects a setting it would ignore: a ``gen.*`` or ``run.seed`` value
+beside ``--dataset``, or ``topo.*``, ``reduce.kind`` or ``run.label``
+(it takes ``--topos`` and ``--strategies``). Exit codes: 0
 success, 1 verification or acceptance failure, 2 usage/config error, 3
 I/O error (a missing or malformed input file).
 
@@ -113,6 +116,11 @@ COMMAND_KEYS = {
               "bench.repeats", "bench.output_dir"),
 }
 
+# Keys ``bench`` never reads (it takes ``--topos`` and ``--strategies``), and
+# the keys of the synthetic dataset, which it ignores given ``--dataset``.
+BENCH_UNREAD_KEYS = ("topo.n_nodes", "topo.ranks_per_node", "reduce.kind", "run.label")
+SYNTHETIC_KEYS = tuple(key for key in CONFIG_SCHEMA if key.startswith("gen.")) + ("run.seed",)
+
 
 def config_help() -> str:
     lines = ["configuration keys (file: one 'key = value' per line, # comments):"]
@@ -162,6 +170,15 @@ def _config(args) -> dict:
     """The command's configuration: its flags are stored under their keys."""
     return resolve_config(args.config, {key: value for key, value in vars(args).items()
                                         if key in CONFIG_SCHEMA})
+
+
+def _given_keys(args) -> set:
+    """The config keys that a flag or the ``--config`` file sets."""
+    given = {key for key, value in vars(args).items()
+             if key in CONFIG_SCHEMA and value is not None}
+    if args.config:
+        given.update(load_config_file(args.config))
+    return given
 
 
 def _parse_topology(text) -> Topology:
@@ -246,6 +263,15 @@ def cmd_image(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    given = _given_keys(args)
+    unread = [key for key in BENCH_UNREAD_KEYS if key in given]
+    if unread:
+        raise ConfigError(f"bench does not use {', '.join(unread)}; "
+                          "it takes --topos and --strategies")
+    synthetic = [f"{key} ({CONFIG_SCHEMA[key].flag})" for key in SYNTHETIC_KEYS if key in given]
+    if args.dataset and synthetic:
+        raise ConfigError(f"bench images --dataset as it is, so {', '.join(synthetic)} "
+                          "would change nothing")
     cfg = _config(args)
     topologies = [_parse_topology(t) for t in cfg["bench.topologies"].split(",") if t.strip()]
     strategies = [ReduceStrategy(s.strip())

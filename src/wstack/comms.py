@@ -504,7 +504,8 @@ def exchange_to_space_order(per_rank_records, spec: GridSpec, topo: Topology,
     in source-rank order, its own part in its own slot. Shares that are
     contiguous runs of the records in rank order (see
     :func:`~wstack.visdata.read_dataset`) thus arrive in global record
-    order, which no rank count changes; the gridder sums in that order.
+    order, which no rank count changes; the gridder's summation order
+    (see :mod:`wstack.gridder`) is set by that order alone.
     Returns one :class:`~wstack.gridder.SectorBatch` per rank.
     """
     R = topo.n_ranks

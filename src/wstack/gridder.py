@@ -9,7 +9,13 @@ the exchange), so every rank computes exactly the rows it owns.
 
 Both kernels are separable, so a record's weights are the outer product
 of its weights along u and along v. The contribution to a cell is
-``value * (w_u * w_v)``.
+``(value * w_v) * w_u``: each plane forms value times its v weights once,
+and each u offset scales that by its u weights.
+
+Offset-major layout. Every array with one entry per (offset, record)
+(cells, weights, value times w_v, contributions) is stored as
+``(offsets, records)``, so each elementwise operation runs over
+contiguous rows of one plane's records rather than rows of 2S+1 entries.
 
 Phase-centred storage. Every cell (row j, column i) is stored times
 ``(-1)^(i+j)``, the factor that moves the image's phase centre to pixel
@@ -48,21 +54,26 @@ Accumulation order. Records are taken plane by plane, in the order they
 are given (the exchange delivers them in global record order); one stable
 sort by plane keeps that order within each plane.
 For each plane and each u offset ``a`` in order, the block's
-contributions are summed per cell by an ordered ``np.bincount`` in record
-order, and the block sum is added to the cell; blocks are added in order
-of ``a``. In the touched space a block's cells are distinct (offset a
+contributions are summed per cell by one ordered ``np.bincount``, which
+takes them b-major: v offset b by v offset b, and within each b in record
+order. The block sum is added to the cell; blocks are added in order of
+``a``. In the touched space a block's cells are distinct (offset a
 shifts distinct cells by the same a columns), so the fancy-index add makes
 exactly one addition per cell, as the slice add does, and the two spaces
 give the same bits. So the sum at every cell has one fixed order, set by
 the global record order alone: the grid is bit-identical for any rank
-count, and, times the cell sign, to the masked per-offset form this
-gridder replaced.
+count, and, times the cell sign, to a masked per-offset form that drops
+the out-of-mesh, out-of-slab and beyond-support entries, takes the rest in
+the same (b, record) order within each u offset, and forms the same
+products ``(value * w_v) * w_u``.
 
 The grid is not bit-identical to a scatter-add that keeps one running
-sum per cell in record order, which associates the sums differently; the
-two agree to rounding. With the Gaussian, ``exp(-du^2/2s^2) * exp(-dv^2/2s^2)`` also
-differs from ``kernel_value(du, dv)`` by rounding; with Kaiser-Bessel the
-factored weight is the same float as ``kernel_value(du, dv)``.
+sum per cell in record order, which associates the sums differently, nor
+to a gridder that forms ``value * kernel_value(du, dv)``, which rounds
+the product ``w_u * w_v`` before value multiplies it; each agrees with
+this one to rounding. (With the Gaussian, ``kernel_value(du, dv)`` is one
+``exp`` of the summed exponents, so it also differs from ``w_u * w_v`` by
+rounding; with Kaiser-Bessel it is that product.)
 
 Kaiser-Bessel weights come from the power series of I0 in
 ``t = 1 - (x/S)^2``: ``I0(beta sqrt(t)) = sum_k c_k t^k`` with ``c_0 = 1``
@@ -261,7 +272,7 @@ def grid_sector(batch: SectorBatch, kern: KernelSpec, out: ComplexGrid) -> int:
 def _axis_window(g, lo: int, hi: int, kern: KernelSpec):
     """Footprint of the records along one axis: cell floors, the first
     offset of the window (-S only when some record is on a cell line),
-    signed kernel weights per (record, offset), and the number of offsets
+    signed kernel weights per (offset, record), and the number of offsets
     that land in cells ``lo..hi`` within the support.
 
     Each weight carries its cell's ``(-1)^cell`` and is 0.0 beyond the
@@ -272,21 +283,21 @@ def _axis_window(g, lo: int, hi: int, kern: KernelSpec):
     # -S+1..S passes it for any g.
     on_line = np.abs(g - (flo - S)) <= S
     first = -S if on_line.any() else 1 - S
-    cells = flo[:, None] + np.arange(first, S + 1)
+    cells = np.arange(first, S + 1)[:, None] + flo
     weights = np.empty(cells.shape)
     # Weights depend on each record alone, so they are evaluated in
     # blocks of records to bound the kernel's temporaries.
     for r in range(0, len(g), KERNEL_BLOCK):
-        rows = slice(r, r + KERNEL_BLOCK)
+        cols = slice(r, r + KERNEL_BLOCK)
         # Both kernels factor: k(du, dv) = k(du, 0) * k(0, dv), k(0, 0) = 1.
-        weights[rows] = kernel_value(kern, g[rows, None] - cells[rows], 0.0)
+        weights[:, cols] = kernel_value(kern, g[cols] - cells[:, cols], 0.0)
     if first == -S:
         # The Gaussian is not 0 beyond S, so such entries are zeroed here.
-        weights[~on_line, 0] = 0.0
+        weights[0, ~on_line] = 0.0
     flo = flo.astype(np.int64)
     # (-1)^cell = (-1)^(floor(g) + first) * (-1)^(offset - first).
-    weights *= (1.0 - 2.0 * ((flo + first) & 1))[:, None]
-    weights[:, 1::2] *= -1.0
+    weights *= 1.0 - 2.0 * ((flo + first) & 1)
+    weights[1::2] *= -1.0
     n_in = np.minimum(flo + S, hi) + 1 - np.maximum(flo + np.where(on_line, -S, 1 - S), lo)
     return flo, first, weights, np.maximum(n_in, 0)
 
@@ -304,19 +315,20 @@ def _grid_plane(gu, gv, value, kern: KernelSpec, out: ComplexGrid, p: int) -> in
     width = n_u + 2 * S + 1
     row0 = int(flo_v.min()) + first_v
     n_rows = int(flo_v.max()) + S + 1 - row0
-    cells = ((flo_v - row0) * width + flo_u + S)[:, None] + np.arange(first_v, S + 1) * width
+    cells = (np.arange(first_v, S + 1) * width)[:, None] + ((flo_v - row0) * width + flo_u + S)
     cells = cells.reshape(-1)
     # The accumulation space (module docstring) follows the plane's size.
     space = _window_space if len(cells) >= n_rows * width else _touched_space
     index, n_bins, add = space(cells, row0, n_rows, width, S, out.data[p], slab)
-    re, im = value.real[:, None], value.imag[:, None]
-    w = np.empty(wv.shape)
-    part = np.empty(wv.shape)
+    # value * w_v is formed once per plane, its imaginary part in wv's own
+    # buffer; each u offset then scales both parts by w_u.
+    re = wv * value.real
+    im = np.multiply(wv, value.imag, out=wv)
+    part = np.empty_like(re)
     for a in range(first_u, S + 1):
-        np.multiply(wu[:, a - first_u, None], wv, out=w)
         sums = []
-        for vals in (re, im):
-            np.multiply(vals, w, out=part)
+        for vw in (re, im):
+            np.multiply(vw, wu[a - first_u], out=part)
             sums.append(np.bincount(index, part.reshape(-1), n_bins))
         add(a, *sums)
     return int(np.dot(n_in_u, n_in_v))

@@ -118,6 +118,8 @@ def test_gen_image_and_bench_read_every_config_key(tmp_path, monkeypatch):
                      if a.dest in cli.CONFIG_SCHEMA}
         assert flag_keys <= read[command], command
     assert set().union(*read.values()) == set(cli.CONFIG_SCHEMA)
+    # bench rejects exactly the keys it never reads.
+    assert set(cli.CONFIG_SCHEMA) - read["bench"] == set(cli.BENCH_UNREAD_KEYS)
 
 
 def test_bench_without_a_dataset_writes_what_gen_writes(tmp_path):
@@ -128,6 +130,36 @@ def test_bench_without_a_dataset_writes_what_gen_writes(tmp_path):
     assert main(["bench", "--out-dir", str(out), "--n-u", "16", "--n-v", "16", "--n-w", "2",
                  "--repeats", "1", *gen_args]) == EXIT_OK
     assert (out / "dataset.rvis").read_bytes() == (tmp_path / "gen.rvis").read_bytes()
+
+
+@pytest.mark.parametrize("flags, config, named", [
+    (["--records", "5"], "", "gen.records (--records)"),
+    (["--seed", "3", "--sources", "0,0,2"], "", "gen.sources (--sources), run.seed (--seed)"),
+    ([], "gen.n_freq = 2", "gen.n_freq (--n-freq)"),
+    ([], "run.seed = 1", "run.seed (--seed)"),
+], ids=["records-flag", "seed-and-sources-flags", "n_freq-key", "seed-key"])
+def test_bench_rejects_synthetic_settings_beside_a_dataset(tmp_path, capsys, flags, config,
+                                                           named):
+    # With --dataset the file is imaged as it is; run.seed = 1 is the
+    # default, and is rejected all the same.
+    dataset, out, cfg = tmp_path / "d.rvis", tmp_path / "b", tmp_path / "c.cfg"
+    assert main(["gen", "--out", str(dataset), "--records", "50"]) == EXIT_OK
+    cfg.write_text(config + "\n")
+    capsys.readouterr()
+    assert main(["bench", "--dataset", str(dataset), "--out-dir", str(out),
+                 "--config", str(cfg), *flags]) == EXIT_USAGE
+    assert f"so {named} would change nothing" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("topo.n_nodes", "2"), ("topo.ranks_per_node", "2"),
+                                        ("reduce.kind", "hybrid_ring"), ("run.label", "x")])
+def test_bench_rejects_config_keys_it_never_reads(tmp_path, capsys, key, value):
+    cfg, out = tmp_path / "c.cfg", tmp_path / "b"
+    cfg.write_text(f"{key} = {value}\nrun.seed = 4\n")
+    assert main(["bench", "--config", str(cfg), "--out-dir", str(out)]) == EXIT_USAGE
+    assert f"bench does not use {key};" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_malformed_topology_exits_2(tmp_path):

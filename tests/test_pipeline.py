@@ -1,3 +1,4 @@
+import dataclasses
 import threading
 import tracemalloc
 from collections import Counter
@@ -11,14 +12,17 @@ from wstack.gridder import KernelSpec
 from wstack.mesh import ComplexGrid, GridSpec, slab_of
 from wstack.pipeline import image_sectors, peak_pixel, reduce_sectors, run_pipeline
 
+from perfbench import tracing
+from perfbench.workloads import WORKLOADS
+
 N, N_W, CELL = 64, 4, 1e-3
 KERNELS = [KernelSpec.gaussian(), KernelSpec.kaiser_bessel()]
 TOPOLOGIES = [(1, 1), (1, 2), (2, 1), (1, 3), (2, 2)]
 # End-to-end image sha256 of the 5k-record case below, computed with
 # numpy 2.4.6; another numpy may round the FFT differently.
 GOLDEN_SHA256 = {
-    "gaussian": "a849d2d0fe440452f9fefc2fa5a0f5e79319116dc8d8f30167a03ccd9c12a4d8",
-    "kaiser_bessel": "a519b34618bf54eda0bbaf3b16f746a5cd9bb1b6f8b6d892f20c4344438ff57d",
+    "gaussian": "a7d14c96a814fcd25d9602590f88efc5fa0eada702e1655a3618a1c9fbb17725",
+    "kaiser_bessel": "6575c74e3521e2fa24465c369964a240bfe0920b6609c96385a4ef08ab758124",
 }
 
 
@@ -162,3 +166,19 @@ def test_image_stage_hooks_are_each_called(tmp_path, monkeypatch):
     R = 2
     run_pipeline(path, N, N, N_W, CELL, kernel=KERNELS[0], topo=Topology(1, R))
     assert calls == {"apply_w_correction": N_W * R, "stack_planes": R, "fft2d_slab": N_W * R}
+
+
+@pytest.mark.parametrize("name", list(WORKLOADS))
+def test_benchmark_hooks_are_each_called(tmp_path, name):
+    # The benchmark's traced run times the layers at the hooks of
+    # ``perfbench.tracing``, and fails when one is never called: a kernel
+    # evaluation or gridding call that bypasses its hook would read as a
+    # layer taking 0 s. Each workload's kernel, topology and strategy, at a
+    # tiny size.
+    workload = WORKLOADS[name]
+    tiny = dataclasses.replace(workload, records=2000, n_chan=1, n_grid=N, n_w=N_W)
+    dataset = tmp_path / "d.rvis"
+    tiny.write_dataset(3, dataset)
+    with tracing.Tracer() as tracer:
+        tiny.image(dataset, tmp_path / "out", seed=3)
+    assert tracing.trace_problems(tracer, 1.0, workload.idle_hooks) == []
