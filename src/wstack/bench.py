@@ -24,7 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics, transform, visdata
-from .comms import MessageLog, ReduceStrategy, Topology, reduce_slabs, run_ranks
+from .comms import (REDUCE_KINDS, MessageLog, ReduceStrategy, Topology, reduce_slabs,
+                    run_ranks)
 from .gridder import KernelSpec, kernel_value
 from .mesh import ComplexGrid, GridSpec, partition_1d, pixel_n_block, slab_of
 from .pipeline import grid_sectors, peak_pixel, reduce_sectors, run_pipeline
@@ -447,7 +448,7 @@ def verify_pipeline(scale: str = "small") -> VerifyReport:
     checks.append(CheckResult("Parseval identity (1 and 3 ranks)", "relative <= 1e-10",
                               f"relative {parseval:.3e}", parseval <= 1e-10))
 
-    # reduce strategies agree and conserve the total
+    # the reduce strategies deliver the rank-order sum and conserve the total
     topo = Topology(n_nodes=2, ranks_per_node=2)
     rspec = GridSpec(n_u=32, n_v=32, n_w=2, cell_size_lm=1e-3)
     slab = slab_of(rspec, 0, 1)
@@ -456,14 +457,25 @@ def verify_pipeline(scale: str = "small") -> VerifyReport:
         data = (rng.standard_normal((2, 32, 32)) + 1j * rng.standard_normal((2, 32, 32)))
         partials.append(ComplexGrid(rspec, slab, data))
     before = [p.data.tobytes() for p in partials]
-    outs = {}
-    for kind in ("direct", "hybrid_ring", "ring_rdma_like"):
+    total = partials[0].data.copy()
+    for p in partials[1:]:
+        total += p.data
+    outs, repeats = {}, True
+    for kind in REDUCE_KINDS:
         red, _ = reduce_slabs(ReduceStrategy(kind), partials, 1, topo)
+        again, _ = reduce_slabs(ReduceStrategy(kind), partials, 1, topo)
+        repeats &= red.data.tobytes() == again.data.tobytes()
         outs[kind] = red.data
-    same = (outs["direct"].tobytes() == outs["hybrid_ring"].tobytes()
-            == outs["ring_rdma_like"].tobytes())
-    checks.append(CheckResult("reduce strategies agree",
-                              "bit-identical", "identical" if same else "differ", same))
+    direct_exact = outs["direct"].tobytes() == total.tobytes()
+    ring_err = max(np.linalg.norm(outs[kind] - total) for kind in REDUCE_KINDS
+                   if kind != "direct")
+    ring_err /= np.linalg.norm(total)
+    checks.append(CheckResult(
+        "reduce strategies deliver the rank-order sum (2x2)",
+        "direct bit-identical, rings relative <= 1e-15, each repeats bit for bit",
+        f"direct {'identical' if direct_exact else 'differs'}, rings relative "
+        f"{ring_err:.3e}, {'repeats' if repeats else 'does not repeat'}",
+        direct_exact and ring_err <= 1e-15 and repeats))
     changed = sum(p.data.tobytes() != b for p, b in zip(partials, before))
     checks.append(CheckResult("reduce leaves partials untouched", "bit-identical",
                               f"{changed} of {len(partials)} partials changed", changed == 0))

@@ -17,8 +17,10 @@ I/O error (a missing or malformed input file).
 
 The virtual topology (``--topo NODESxRANKS`` for ``image``, ``--topos``
 for ``bench``) is the only parallelism: each rank grids its sector on one
-thread, and every reduce strategy delivers the rank-ordered sum, so the
-image is bit-identical for any topology and strategy.
+thread. The image is bit-identical for any topology and reduce strategy
+because each sector is reduced with zero partials from every rank but its
+owner, so every strategy delivers the owner's slab exactly; the strategies
+differ only in their messages until the ranks reduce real partials.
 
 Every run meters itself: each phase's joules are its process CPU-seconds
 times ``metrics.WATTS_PER_CORE``. Setting ``meter.counter_file`` or
@@ -109,8 +111,7 @@ COMMAND_KEYS = {
             "gen.n_time_slices", "grid.cell_size_lm", "gen.w_min_native",
             "gen.w_max_native"),
     "image": ("grid.n_u", "grid.n_v", "grid.n_w", "grid.cell_size_lm", "kernel.kind",
-              "kernel.half_support", "kernel.shape_param", "reduce.kind", "run.label",
-              "run.seed"),
+              "kernel.half_support", "kernel.shape_param", "reduce.kind", "run.label"),
     "bench": ("gen.records", "gen.sources", "run.seed", "grid.n_u", "grid.n_v", "grid.n_w",
               "grid.cell_size_lm", "bench.topologies", "bench.strategies",
               "bench.repeats", "bench.output_dir"),
@@ -247,7 +248,7 @@ def cmd_image(args) -> int:
         dataset, cfg["grid.n_u"], cfg["grid.n_v"], cfg["grid.n_w"],
         cfg["grid.cell_size_lm"], kernel=_kernel_from(cfg), topo=topo,
         strategy=strategy, label=cfg["run.label"], out_dir=args.out_dir, pgm=args.pgm,
-        seed=cfg["run.seed"], counter=_counter_from(cfg))
+        counter=_counter_from(cfg))
     i, j = peak_pixel(res.image)
     print(f"image written to {args.out_dir} (sha256 {res.image_sha256[:16]}...)")
     print(f"peak pixel: ({i}, {j}); "

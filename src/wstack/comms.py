@@ -17,18 +17,23 @@ are provided:
     their segments directly to peer ranks on other nodes, bypassing the
     node masters; only the message pattern differs from ``hybrid_ring``.
 
-Every strategy runs and logs its message choreography, then delivers the
-canonical sum of the partials in rank order 0, 1, ..., R-1, so all
-strategies return bit-identical data. The ranks write that sum, each its
-share of the slab; it is deleted once the choreography carries real
-partials and its result is returned.
+Every strategy returns what its messages deliver to the target. ``direct``
+adds the payloads in rank order 0, 1, ..., R-1 whatever order they arrive
+in, so it is bit-identical to that rank-order sum on every topology. The
+rings add in the order their segments and chains travel, which differs
+from rank order in the last bits once a segment sums three or more
+partials; each call repeats its result bit for bit. The pipeline's image is
+nonetheless one hash for every topology and strategy, because
+:func:`~wstack.pipeline.reduce_sectors` reduces each slab with zero
+partials from every rank but its owner, and x + 0 = x in any order. That
+holds until the ranks grid real partials of each other's sectors.
 
 Copies: a message costs the one copy :meth:`Router.send` makes, so that no
 rank aliases another's arrays; a payload may be a view. Partials are
 read-only: ring segments are views of them, and only a tail segment cut
 short by the end of the slab (when P does not divide its length) is
-copied into a zero-padded one. Each sum is written into the buffer that
-just arrived.
+copied into a zero-padded one. Each sum is written into a buffer that
+arrived.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gridder import SectorBatch
-from .mesh import ComplexGrid, GridSpec, partition_1d, plane_of_w, slab_of
+from .mesh import ComplexGrid, GridSpec, plane_of_w, slab_of
 
 __all__ = [
     "REDUCE_KINDS",
@@ -348,10 +353,14 @@ def _reduce_collective(ctx, strategy, my_flat, target, phase):
         if ctx.rank != target:
             ctx.send(target, ("direct",), my_flat, phase)
             return None
-        acc = my_flat
+        # Kept by source and added in rank order, so the sum does not
+        # depend on the order in which the payloads arrive.
+        parts = [my_flat] * R
         for _ in range(R - 1):
-            _, payload = ctx.recv_any(("direct",))
-            acc = np.add(acc, payload, out=payload)
+            src, parts[src] = ctx.recv_any(("direct",))
+        acc = parts[0]
+        for r in range(1, R):
+            acc = np.add(acc, parts[r], out=parts[r] if acc is my_flat else acc)
         return acc
 
     node = topo.node_of(ctx.rank)
@@ -419,12 +428,12 @@ def reduce_slabs(strategy: ReduceStrategy, partials, target: int, topo: Topology
 
     All partials must share the grid spec and slab range; they are only
     read. The message choreography of the chosen strategy runs (and is
-    logged); each message costs the one copy :meth:`Router.send` makes. The
-    delivered values are then dropped: the returned data is the canonical
-    sum over partials in rank order 0..R-1, written by the ranks, each its
-    :func:`~wstack.mesh.partition_1d` share, so every strategy returns
-    bit-identical data. That sum goes once the choreography carries real
-    partials. Returns ``(reduced ComplexGrid, MessageLog)``.
+    logged); each message costs the one copy :meth:`Router.send` makes, and
+    each sum is written into a buffer that arrived. The result is what the
+    messages deliver to the target: for ``direct``, the partials summed in
+    rank order 0..R-1; for the rings, summed in the order their segments
+    travel (see the module docs). On one rank it is the target's own
+    partial, not a copy. Returns ``(reduced ComplexGrid, MessageLog)``.
     """
     R = topo.n_ranks
     if len(partials) != R:
@@ -438,26 +447,12 @@ def reduce_slabs(strategy: ReduceStrategy, partials, target: int, topo: Topology
             raise ValueError("partials must share spec and slab range")
     log = log if log is not None else MessageLog()
     flats = [p.data.reshape(-1) for p in partials]
-
-    run_ranks(
+    delivered = run_ranks(
         topo,
         lambda ctx: _reduce_collective(ctx, strategy, flats[ctx.rank], target, phase),
         log=log,
-    )
-    # Allocated only now, after the choreography's buffers are freed.
-    reduced = np.empty(len(flats[0]), dtype=np.complex128)
-
-    def sum_share(ctx):
-        lo, count = partition_1d(len(reduced), R, ctx.rank)
-        share = slice(lo, lo + count)
-        out = reduced[share]
-        out[...] = flats[0][share]
-        for flat in flats[1:]:
-            np.add(out, flat[share], out=out)
-
-    run_ranks(topo, sum_share)
-    out = ComplexGrid(spec, slab, reduced.reshape(partials[0].data.shape))
-    return out, log
+    )[target]
+    return ComplexGrid(spec, slab, delivered.reshape(partials[0].data.shape)), log
 
 
 def hybrid_reduce(partials, target: int, topo: Topology, log: MessageLog | None = None):

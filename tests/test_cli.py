@@ -55,8 +55,8 @@ FLAGS = {
               "--n-v": "grid.n_v", "--n-w": "grid.n_w", "--cell": "grid.cell_size_lm",
               "--kernel": "kernel.kind", "--half-support": "kernel.half_support",
               "--shape-param": "kernel.shape_param", "--topo": None,
-              "--strategy": "reduce.kind", "--label": "run.label", "--seed": "run.seed",
-              "--pgm": None, "--config": None},
+              "--strategy": "reduce.kind", "--label": "run.label", "--pgm": None,
+              "--config": None},
     "bench": {"--dataset": None, "--records": "gen.records", "--sources": "gen.sources",
               "--seed": "run.seed", "--n-u": "grid.n_u", "--n-v": "grid.n_v",
               "--n-w": "grid.n_w", "--cell": "grid.cell_size_lm",
