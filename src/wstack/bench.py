@@ -448,23 +448,31 @@ def verify_pipeline(scale: str = "small") -> VerifyReport:
     checks.append(CheckResult("Parseval identity (1 and 3 ranks)", "relative <= 1e-10",
                               f"relative {parseval:.3e}", parseval <= 1e-10))
 
-    # the reduce strategies deliver the rank-order sum and conserve the total
+    # the reduce strategies deliver the rank-order sum into the target's own
+    # partial, leave the others as they were, and conserve the total; the
+    # target's partial receives the sum, so every call gets fresh partials
     topo = Topology(n_nodes=2, ranks_per_node=2)
     rspec = GridSpec(n_u=32, n_v=32, n_w=2, cell_size_lm=1e-3)
     slab = slab_of(rspec, 0, 1)
-    partials = []
-    for r in range(topo.n_ranks):
-        data = (rng.standard_normal((2, 32, 32)) + 1j * rng.standard_normal((2, 32, 32)))
-        partials.append(ComplexGrid(rspec, slab, data))
-    before = [p.data.tobytes() for p in partials]
-    total = partials[0].data.copy()
-    for p in partials[1:]:
-        total += p.data
-    outs, repeats = {}, True
+    target = 1
+    datas = [rng.standard_normal((2, 32, 32)) + 1j * rng.standard_normal((2, 32, 32))
+             for _ in range(topo.n_ranks)]
+    total = datas[0].copy()
+    for d in datas[1:]:
+        total += d
+
+    def fresh_partials():
+        return [ComplexGrid(rspec, slab, d.copy()) for d in datas]
+
+    outs, repeats, in_place, changed = {}, True, True, 0
     for kind in REDUCE_KINDS:
-        red, _ = reduce_slabs(ReduceStrategy(kind), partials, 1, topo)
-        again, _ = reduce_slabs(ReduceStrategy(kind), partials, 1, topo)
+        partials = fresh_partials()
+        red, _ = reduce_slabs(ReduceStrategy(kind), partials, target, topo)
+        again, _ = reduce_slabs(ReduceStrategy(kind), fresh_partials(), target, topo)
         repeats &= red.data.tobytes() == again.data.tobytes()
+        in_place &= red is partials[target]
+        changed += sum(p.data.tobytes() != d.tobytes()
+                       for r, (p, d) in enumerate(zip(partials, datas)) if r != target)
         outs[kind] = red.data
     direct_exact = outs["direct"].tobytes() == total.tobytes()
     ring_err = max(np.linalg.norm(outs[kind] - total) for kind in REDUCE_KINDS
@@ -476,10 +484,14 @@ def verify_pipeline(scale: str = "small") -> VerifyReport:
         f"direct {'identical' if direct_exact else 'differs'}, rings relative "
         f"{ring_err:.3e}, {'repeats' if repeats else 'does not repeat'}",
         direct_exact and ring_err <= 1e-15 and repeats))
-    changed = sum(p.data.tobytes() != b for p, b in zip(partials, before))
-    checks.append(CheckResult("reduce leaves partials untouched", "bit-identical",
-                              f"{changed} of {len(partials)} partials changed", changed == 0))
-    conservation = abs(outs["direct"].sum() - sum(p.data.sum() for p in partials))
+    n_others = len(REDUCE_KINDS) * (topo.n_ranks - 1)
+    checks.append(CheckResult(
+        "reduce leaves partials untouched",
+        "non-target partials bit-identical, the sum in the target's partial",
+        f"{changed} of {n_others} non-target partials changed, the sum "
+        f"{'is' if in_place else 'is not'} the target's partial",
+        changed == 0 and in_place))
+    conservation = abs(outs["direct"].sum() - sum(d.sum() for d in datas))
     conservation /= max(abs(outs["direct"].sum()), 1.0)
     checks.append(CheckResult("reduce conservation", "relative <= 1e-12",
                               f"relative {conservation:.3e}", conservation <= 1e-12))

@@ -8,10 +8,11 @@ so ``wstack <command> --help`` shows each flag's key and default. A value
 comes from the default, then the ``--config`` file (a flat key-value
 file, one ``key = value`` per line, ``#`` comments, unknown keys
 rejected), then the flag. ``gen`` and ``bench`` without ``--dataset``
-write the same synthetic dataset from the ``gen.*`` keys. ``bench``
-rejects a setting it would ignore: a ``gen.*`` or ``run.seed`` value
-beside ``--dataset``, or ``topo.*``, ``reduce.kind`` or ``run.label``
-(it takes ``--topos`` and ``--strategies``). Exit codes: 0
+write the same synthetic dataset from the ``gen.*`` keys. ``image`` and
+``bench`` reject a setting they would ignore: ``image`` a ``gen.*``,
+``run.seed`` or ``bench.*`` value, and ``bench`` a ``gen.*`` or
+``run.seed`` value beside ``--dataset``, or ``topo.*``, ``reduce.kind``
+or ``run.label`` (it takes ``--topos`` and ``--strategies``). Exit codes: 0
 success, 1 verification or acceptance failure, 2 usage/config error, 3
 I/O error (a missing or malformed input file).
 
@@ -121,6 +122,9 @@ COMMAND_KEYS = {
 # the keys of the synthetic dataset, which it ignores given ``--dataset``.
 BENCH_UNREAD_KEYS = ("topo.n_nodes", "topo.ranks_per_node", "reduce.kind", "run.label")
 SYNTHETIC_KEYS = tuple(key for key in CONFIG_SCHEMA if key.startswith("gen.")) + ("run.seed",)
+# Keys ``image`` never reads: the synthetic dataset's and the sweep's.
+IMAGE_UNREAD_KEYS = SYNTHETIC_KEYS + tuple(key for key in CONFIG_SCHEMA
+                                           if key.startswith("bench."))
 
 
 def config_help() -> str:
@@ -236,6 +240,9 @@ def cmd_gen(args) -> int:
 
 
 def cmd_image(args) -> int:
+    unread = [key for key in IMAGE_UNREAD_KEYS if key in _given_keys(args)]
+    if unread:
+        raise ConfigError(f"image does not use {', '.join(unread)}")
     cfg = _config(args)
     dataset = Path(args.dataset)
     if not dataset.exists():

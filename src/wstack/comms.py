@@ -17,23 +17,31 @@ are provided:
     their segments directly to peer ranks on other nodes, bypassing the
     node masters; only the message pattern differs from ``hybrid_ring``.
 
-Every strategy returns what its messages deliver to the target. ``direct``
-adds the payloads in rank order 0, 1, ..., R-1 whatever order they arrive
-in, so it is bit-identical to that rank-order sum on every topology. The
-rings add in the order their segments and chains travel, which differs
-from rank order in the last bits once a segment sums three or more
-partials; each call repeats its result bit for bit. The pipeline's image is
-nonetheless one hash for every topology and strategy, because
-:func:`~wstack.pipeline.reduce_sectors` reduces each slab with zero
-partials from every rank but its owner, and x + 0 = x in any order. That
-holds until the ranks grid real partials of each other's sectors.
+Every strategy writes what its messages deliver into the target's own
+partial, which is thus the result (the root's ``MPI_IN_PLACE`` buffer of
+an MPI reduce). ``direct`` adds the payloads in rank order 0, 1, ..., R-1
+whatever order they arrive in, so it is bit-identical to that rank-order
+sum on every topology. The rings add in the order their segments and
+chains travel, which differs from rank order in the last bits once a
+segment sums three or more partials; each call repeats its result bit for
+bit. The pipeline's image is nonetheless one hash for every topology and
+strategy, because :func:`~wstack.pipeline.reduce_sectors` reduces each
+slab with zero partials from every rank but its owner, and x + 0 = x in
+any order. That holds until the ranks grid real partials of each other's
+sectors.
 
 Copies: a message costs the one copy :meth:`Router.send` makes, so that no
-rank aliases another's arrays; a payload may be a view. Partials are
-read-only: ring segments are views of them, and only a tail segment cut
-short by the end of the slab (when P does not divide its length) is
-copied into a zero-padded one. Each sum is written into a buffer that
-arrived.
+rank aliases another's arrays; a payload may be a view. The non-target
+partials are read-only: ring segments are views of them, and only a tail
+segment cut short by the end of the slab (when P does not divide its
+length) is copied into a zero-padded one. The target's partial is read
+until its own values have been added, then written: ``direct`` writes
+each add from the target's own rank-order step onward into it (the
+earlier adds go into a received buffer); in ``hybrid_ring`` a master that
+is the target gathers its node's segments, and adds the chain, into it,
+while a target that is not its node's master copies the delivered sum into
+it; in ``ring_rdma_like`` the target gathers the delivered segments into
+it. Every other sum is written into a buffer that arrived.
 """
 
 from __future__ import annotations
@@ -48,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gridder import SectorBatch
-from .mesh import ComplexGrid, GridSpec, plane_of_w, slab_of
+from .mesh import GridSpec, plane_of_w, slab_of
 
 __all__ = [
     "REDUCE_KINDS",
@@ -327,41 +335,49 @@ def _ring_reduce_scatter_ctx(ctx, group, my_flat, phase):
     return segs, seg
 
 
-def _gather_segments(ctx, group, segs, seg, length, tag):
+def _gather_segments(ctx, group, segs, seg, length, tag, out=None):
     """Assemble the node's P segments into one flat array of ``length``:
     the rank's own from ``segs``, the others received from their owners
-    under ``tag + (p,)``."""
+    under ``tag + (p,)``. They are written into ``out`` when given, else
+    into a new array; on one rank with no ``out``, the segment itself is
+    returned."""
     P = len(group)
     pos = group.index(ctx.rank)
-    if P == 1:
+    if P == 1 and (out is None or segs[0] is out):
         return segs[0]
-    buf = np.empty(seg * P, dtype=np.complex128)
+    if out is None:
+        out = np.empty(length, dtype=np.complex128)
     for p in range(P):
-        buf[p * seg:(p + 1) * seg] = segs[p] if p == pos else ctx.recv(group[p], tag + (p,))
-    return buf[:length]
+        part = segs[p] if p == pos else ctx.recv(group[p], tag + (p,))
+        dst = out[p * seg:(p + 1) * seg]
+        dst[...] = part[:len(dst)]
+    return out
 
 
 def _reduce_collective(ctx, strategy, my_flat, target, phase):
-    """One rank's part of the reduce; returns the summed flat array at the
-    target rank and None elsewhere. ``my_flat`` is only read: every sum is
-    written into a buffer this rank received."""
+    """One rank's part of the reduce. The target writes the sum into its
+    own ``my_flat``; every other rank only reads its ``my_flat``, and each
+    sum there is written into a buffer this rank received."""
     topo = ctx.topo
     R = topo.n_ranks
     length = len(my_flat)
+    is_target = ctx.rank == target
 
     if strategy.kind == "direct":
-        if ctx.rank != target:
+        if not is_target:
             ctx.send(target, ("direct",), my_flat, phase)
-            return None
+            return
         # Kept by source and added in rank order, so the sum does not
-        # depend on the order in which the payloads arrive.
+        # depend on the order in which the payloads arrive. The adds before
+        # the target's own step go into a received buffer, the rest into
+        # the target's partial.
         parts = [my_flat] * R
         for _ in range(R - 1):
             src, parts[src] = ctx.recv_any(("direct",))
         acc = parts[0]
         for r in range(1, R):
-            acc = np.add(acc, parts[r], out=parts[r] if acc is my_flat else acc)
-        return acc
+            acc = np.add(acc, parts[r], out=my_flat if r >= target else acc)
+        return
 
     node = topo.node_of(ctx.rank)
     group = list(topo.ranks_of_node(node))
@@ -379,25 +395,24 @@ def _reduce_collective(ctx, strategy, my_flat, target, phase):
             ctx.send(master, ("gather", pos), segs[pos], phase)
             # The segments are sent; the target waits without them.
             del segs
-            if ctx.rank == target:
-                return ctx.recv(topo.master_of(t_node), ("deliver",))
-            return None
-        # node master: reassemble this node's partial sum
-        node_flat = _gather_segments(ctx, group, segs, seg, length, ("gather",))
+            if is_target:
+                my_flat[...] = ctx.recv(topo.master_of(t_node), ("deliver",))
+            return
+        # node master: reassemble this node's partial sum, in place when it
+        # is the target
+        node_flat = _gather_segments(ctx, group, segs, seg, length, ("gather",),
+                                     out=my_flat if is_target else None)
         if topo.n_nodes > 1:
             k = node_chain.index(node)
             if k > 0:
                 incoming = ctx.recv(topo.master_of(node_chain[k - 1]), ("chain",))
-                node_flat = np.add(incoming, node_flat, out=incoming)
+                node_flat = np.add(incoming, node_flat,
+                                   out=node_flat if is_target else incoming)
             if k < len(node_chain) - 1:
                 ctx.send(topo.master_of(node_chain[k + 1]), ("chain",), node_flat, phase)
-        if node == t_node:
-            if target == ctx.rank:
-                return node_flat
+        if node == t_node and not is_target:
             ctx.send(target, ("deliver",), node_flat, phase)
-        if ctx.rank == target:
-            return ctx.recv(topo.master_of(t_node), ("deliver",))
-        return None
+        return
 
     # ring_rdma_like: segment owners forward straight to peer ranks on the
     # next node, no master involvement.
@@ -407,33 +422,32 @@ def _reduce_collective(ctx, strategy, my_flat, target, phase):
         if k > 0:
             prev_peer = topo.ranks_of_node(node_chain[k - 1])[pos]
             incoming = ctx.recv(prev_peer, ("rchain", pos))
-            my_seg = np.add(incoming, my_seg, out=incoming)
+            # the ring's buffer is dropped as soon as the chain's holds the sum
+            my_seg = segs[pos] = np.add(incoming, my_seg, out=incoming)
         if k < len(node_chain) - 1:
             next_peer = topo.ranks_of_node(node_chain[k + 1])[pos]
             ctx.send(next_peer, ("rchain", pos), my_seg, phase)
     if node == t_node:
-        if ctx.rank != target:
+        if not is_target:
             ctx.send(target, ("rdeliver", pos), my_seg, phase)
-            return None
-        segs[pos] = my_seg
-        return _gather_segments(ctx, group, segs, seg, length, ("rdeliver",))
-    if ctx.rank == target:
-        raise AssertionError("target must live on the target node")
-    return None
+            return
+        _gather_segments(ctx, group, segs, seg, length, ("rdeliver",), out=my_flat)
 
 
 def reduce_slabs(strategy: ReduceStrategy, partials, target: int, topo: Topology,
                  log: MessageLog | None = None, phase: str = "reduce"):
-    """Sum per-rank partial slabs onto the target rank.
+    """Sum per-rank partial slabs into the target rank's partial.
 
-    All partials must share the grid spec and slab range; they are only
-    read. The message choreography of the chosen strategy runs (and is
-    logged); each message costs the one copy :meth:`Router.send` makes, and
-    each sum is written into a buffer that arrived. The result is what the
-    messages deliver to the target: for ``direct``, the partials summed in
-    rank order 0..R-1; for the rings, summed in the order their segments
-    travel (see the module docs). On one rank it is the target's own
-    partial, not a copy. Returns ``(reduced ComplexGrid, MessageLog)``.
+    All partials must share the grid spec and slab range. The target's
+    partial is the receive buffer of the result: it is overwritten with the
+    sum and returned, as ``MPI_IN_PLACE`` does at an MPI reduce's root. The
+    other partials are only read, so one array may stand for several
+    non-target ranks. The message choreography of the chosen strategy runs
+    (and is logged); each message costs the one copy :meth:`Router.send`
+    makes. The sum is what the messages deliver to the target: for
+    ``direct``, the partials summed in rank order 0..R-1; for the rings,
+    summed in the order their segments travel (see the module docs).
+    Returns ``(partials[target], MessageLog)``.
     """
     R = topo.n_ranks
     if len(partials) != R:
@@ -447,12 +461,12 @@ def reduce_slabs(strategy: ReduceStrategy, partials, target: int, topo: Topology
             raise ValueError("partials must share spec and slab range")
     log = log if log is not None else MessageLog()
     flats = [p.data.reshape(-1) for p in partials]
-    delivered = run_ranks(
+    run_ranks(
         topo,
         lambda ctx: _reduce_collective(ctx, strategy, flats[ctx.rank], target, phase),
         log=log,
-    )[target]
-    return ComplexGrid(spec, slab, delivered.reshape(partials[0].data.shape)), log
+    )
+    return partials[target], log
 
 
 def hybrid_reduce(partials, target: int, topo: Topology, log: MessageLog | None = None):

@@ -15,15 +15,18 @@ order and into the block's sum by Horner's rule, with the step factor
 built once per rank over half the block. Its ``fft`` seconds are the
 busiest rank's time in ``fft2d_slab`` and its ``fft`` CPU the ranks'
 summed thread time there; ``wcorrect`` gets the rest of the stage's wall
-time and CPU. Each gridded slab is freed once its sector is reduced, and
-each reduced slab once its rank has transformed it.
+time and CPU.
+
+The reduce sums each sector one w plane at a time into its owner's own
+gridded slab, so its scratch is a few planes of one slab, not whole
+slabs; each slab is freed once its rank has transformed it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -78,15 +81,21 @@ def grid_sectors(parts, spec: GridSpec, kernel: KernelSpec, topo: Topology,
 
 
 def reduce_sectors(slabs, topo: Topology, strategy: ReduceStrategy, log: MessageLog):
-    """Per-sector reduce onto each slab's owner: every other rank
-    contributes a zero partial of that slab. Each gridded slab is dropped
-    from ``slabs`` once its sector is reduced. Returns the reduced slabs."""
+    """Per-sector reduce onto each slab's owner, one w plane at a time:
+    the owner's plane is the receive buffer of the sum, and every other
+    rank contributes one zero plane, made once per sector and shared. Each
+    gridded slab moves from ``slabs`` into the returned list, which holds
+    the owners' own slabs, reduced in place."""
     reduced = []
     for target in range(len(slabs)):
         own, slabs[target] = slabs[target], None
-        partials = [own if r == target else ComplexGrid(own.spec, own.slab)
-                    for r in range(topo.n_ranks)]
-        reduced.append(comms.reduce_slabs(strategy, partials, target, topo, log=log)[0])
+        plane_spec = replace(own.spec, n_w=1)
+        zero = ComplexGrid(plane_spec, own.slab)
+        for k in range(own.spec.n_w):
+            partials = [ComplexGrid(plane_spec, own.slab, own.data[k:k + 1])
+                        if r == target else zero for r in range(topo.n_ranks)]
+            comms.reduce_slabs(strategy, partials, target, topo, log=log)
+        reduced.append(own)
     return reduced
 
 
@@ -161,8 +170,8 @@ def run_pipeline(
     slabs, grid_updates = grid_sectors(parts, spec, kernel, topo, log)
     times["gridding"], cpu["gridding"] = time.perf_counter() - t0, time.process_time() - c0
 
-    # 3. reduce: per-sector collective summation onto the owner, which
-    #    frees each gridded slab once its sector is reduced
+    # 3. reduce: per-sector collective summation, plane by plane, into the
+    #    owner's own gridded slab
     t0, c0 = time.perf_counter(), time.process_time()
     reduced = reduce_sectors(slabs, topo, strategy, log)
     times["reduce"], cpu["reduce"] = time.perf_counter() - t0, time.process_time() - c0

@@ -118,7 +118,8 @@ def test_gen_image_and_bench_read_every_config_key(tmp_path, monkeypatch):
                      if a.dest in cli.CONFIG_SCHEMA}
         assert flag_keys <= read[command], command
     assert set().union(*read.values()) == set(cli.CONFIG_SCHEMA)
-    # bench rejects exactly the keys it never reads.
+    # image and bench reject exactly the keys they never read.
+    assert set(cli.CONFIG_SCHEMA) - read["image"] == set(cli.IMAGE_UNREAD_KEYS)
     assert set(cli.CONFIG_SCHEMA) - read["bench"] == set(cli.BENCH_UNREAD_KEYS)
 
 
@@ -159,6 +160,19 @@ def test_bench_rejects_config_keys_it_never_reads(tmp_path, capsys, key, value):
     cfg.write_text(f"{key} = {value}\nrun.seed = 4\n")
     assert main(["bench", "--config", str(cfg), "--out-dir", str(out)]) == EXIT_USAGE
     assert f"bench does not use {key};" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("run.seed", "4"), ("gen.records", "5"),
+                                        ("bench.repeats", "2")])
+def test_image_rejects_config_keys_it_never_reads(tmp_path, capsys, key, value):
+    dataset, cfg, out = tmp_path / "d.rvis", tmp_path / "c.cfg", tmp_path / "i"
+    assert main(["gen", "--out", str(dataset), "--records", "50"]) == EXIT_OK
+    cfg.write_text(f"{key} = {value}\ngrid.n_u = 16\n")
+    capsys.readouterr()
+    assert main(["image", "--dataset", str(dataset), "--config", str(cfg),
+                 "--out-dir", str(out)]) == EXIT_USAGE
+    assert f"image does not use {key}\n" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -89,21 +89,23 @@ def small_partials(topo):
 @pytest.mark.parametrize("kind", REDUCE_KINDS)
 @pytest.mark.parametrize("nodes,ranks", [(1, 1), (1, 2), (2, 1), (2, 2), (4, 2), (1, 3)])
 def test_reduce_message_counts_and_bytes_match_closed_form(kind, nodes, ranks):
+    # The target's partial receives the sum, so every call gets fresh ones.
     topo = Topology(nodes, ranks)
-    partials = small_partials(topo)
-    length = partials[0].data.size
-    total = rank_order_sum(partials)
+    length = small_partials(topo)[0].data.size
+    total = rank_order_sum(small_partials(topo))
     # direct adds in rank order; with two partials any order is rank order
     exact = kind == "direct" or topo.n_ranks <= 2
     for target in range(topo.n_ranks):
         log = MessageLog()
+        partials = small_partials(topo)
         red, _ = reduce_slabs(ReduceStrategy(kind), partials, target, topo, log=log)
+        assert red is partials[target], target
         if exact:
             assert red.data.tobytes() == total.tobytes(), target
         else:
             err = np.linalg.norm(red.data - total) / np.linalg.norm(total)
             assert err <= 1e-15, (target, err)
-            again, _ = reduce_slabs(ReduceStrategy(kind), partials, target, topo)
+            again, _ = reduce_slabs(ReduceStrategy(kind), small_partials(topo), target, topo)
             assert again.data.tobytes() == red.data.tobytes(), target
         got = {intra: (log.count("reduce", intra), log.total_bytes("reduce", intra))
                for intra in (True, False)}
@@ -115,14 +117,14 @@ def test_direct_sums_in_rank_order_whatever_the_arrival_order(nodes, ranks):
     # A switch every microsecond varies the order in which the payloads
     # reach the target; the sum must not follow it.
     topo = Topology(nodes, ranks)
-    partials = small_partials(topo)
-    total = rank_order_sum(partials).tobytes()
+    total = rank_order_sum(small_partials(topo)).tobytes()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for target in range(1, topo.n_ranks):
             for _ in range(10):
-                red, _ = reduce_slabs(ReduceStrategy("direct"), partials, target, topo)
+                red, _ = reduce_slabs(ReduceStrategy("direct"), small_partials(topo),
+                                      target, topo)
                 assert red.data.tobytes() == total, target
     finally:
         sys.setswitchinterval(interval)
@@ -201,29 +203,39 @@ def random_partials(topo, spec, slab, seed):
 @pytest.mark.parametrize("kind", REDUCE_KINDS)
 @pytest.mark.parametrize("nodes,ranks", [(1, 1), (1, 2), (2, 1), (2, 2), (4, 2), (1, 3)])
 def test_reduce_leaves_partials_untouched(kind, nodes, ranks):
-    # The ring adds into received buffers and slices segments as views of
-    # the partials; 32 elements on 1x3 pads the short tail segment.
+    # The target's partial is the receive buffer of the sum; the ring adds
+    # every other sum into received buffers and slices segments as views of
+    # the partials, which must stay as they were. 32 elements on 1x3 pads
+    # the short tail segment.
     topo = Topology(nodes, ranks)
     spec = GridSpec(n_u=4, n_v=8, n_w=2, cell_size_lm=1e-3)
-    partials = random_partials(topo, spec, slab_of(spec, 0, 2), nodes * 10 + ranks)
-    before = [p.data.tobytes() for p in partials]
     for target in range(topo.n_ranks):
-        reduce_slabs(ReduceStrategy(kind), partials, target, topo)
-        assert [p.data.tobytes() for p in partials] == before, target
+        partials = random_partials(topo, spec, slab_of(spec, 0, 2), nodes * 10 + ranks)
+        before = [p.data.tobytes() for p in partials]
+        total = rank_order_sum(partials)
+        red, _ = reduce_slabs(ReduceStrategy(kind), partials, target, topo)
+        assert red is partials[target], target
+        assert ([p.data.tobytes() for r, p in enumerate(partials) if r != target]
+                == [b for r, b in enumerate(before) if r != target]), target
+        err = np.linalg.norm(red.data - total) / np.linalg.norm(total)
+        assert err <= 1e-15, (target, err)
 
 
 # Peak allocation of one reduce_slabs call on 256^2 x 4 partials, in
-# partial sizes. Every message is one copy made by Router.send, every sum
-# goes into a received buffer, and the result is what arrives at the target;
-# nothing is allocated after the messages. direct on 1x2 holds only the
-# message it receives. Which ring buffers are alive at once depends on how
-# the rank threads interleave, so each target's least of three calls is
-# bounded. (The pipeline's image is one hash on every topology for another
-# reason: its non-owner partials are zero, see wstack.comms.)
+# partial sizes. Every message is one copy made by Router.send; the target
+# sums, or gathers, into its own partial and every other sum goes into a
+# received buffer, so nothing is allocated after the messages. direct on
+# 1x2 holds only the message it receives. Which ring buffers are alive at
+# once depends on how the rank threads interleave, so each target's least
+# of three calls is bounded. ring_rdma_like on 2x2 mostly peaks at 2.52,
+# but 3.01 stays reachable (all four ring buffers and both chain copies
+# alive at once) and was the least of three in about one run in a hundred.
+# (The pipeline's image is one hash on every topology for another reason:
+# its non-owner partials are zero, see wstack.comms.)
 ALLOCATION_BOUNDS = {
     ((1, 2), "direct"): 1.25,
     ((1, 2), "hybrid_ring"): 3.25,
-    ((1, 2), "ring_rdma_like"): 2.75,
+    ((1, 2), "ring_rdma_like"): 1.75,
     ((2, 2), "direct"): 3.25,
     ((2, 2), "hybrid_ring"): 5.25,
     ((2, 2), "ring_rdma_like"): 3.25,
@@ -235,12 +247,12 @@ ALLOCATION_BOUNDS = {
 def test_reduce_peak_allocation_within_budget(topo_shape, kind):
     topo = Topology(*topo_shape)
     spec = GridSpec(n_u=256, n_v=256, n_w=4, cell_size_lm=1e-3)
-    partials = random_partials(topo, spec, slab_of(spec, 0, 1), 3)
-    nbytes = partials[0].data.nbytes
+    nbytes = spec.n_w * spec.n_v * spec.n_u * 16
     worst = 0.0
     for target in range(topo.n_ranks):
         peaks = []
         for _ in range(3):
+            partials = random_partials(topo, spec, slab_of(spec, 0, 1), 3)
             tracemalloc.start()
             try:
                 reduce_slabs(ReduceStrategy(kind), partials, target, topo)
@@ -259,13 +271,13 @@ def test_hybrid_ring_target_peak_under_fine_thread_switching():
     # sizes; with either reference held, single calls reached 3.5.
     topo = Topology(1, 2)
     spec = GridSpec(n_u=256, n_v=256, n_w=4, cell_size_lm=1e-3)
-    partials = random_partials(topo, spec, slab_of(spec, 0, 1), 3)
-    nbytes = partials[0].data.nbytes
+    nbytes = spec.n_w * spec.n_v * spec.n_u * 16
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     peaks = []
     try:
         for _ in range(12):
+            partials = random_partials(topo, spec, slab_of(spec, 0, 1), 3)
             tracemalloc.start()
             try:
                 reduce_slabs(ReduceStrategy("hybrid_ring"), partials, 1, topo)
