@@ -15,8 +15,6 @@ is known.
                            frequency saving 25% of the energy for a 4.5%
                            slowdown, low frequency saving 30% for 9%, and
                            the GPU rows 6.5x greener / 10-11x faster
-  scaling_ideal.csv        perfect strong scaling at constant energy
-  scaling_memorybound.csv  flat runtime with energy growing with nodes
 """
 
 from __future__ import annotations
@@ -88,25 +86,11 @@ def multinode_rows():
     return rows
 
 
-def scaling_rows(label, totals):
-    rows = []
-    for nodes, (total_s, total_j) in sorted(totals.items()):
-        rows += phase_rows(label, nodes, "default", total_s, total_j, 0.5)
-    return rows
-
-
 def main():
     OUT_DIR.mkdir(parents=True, exist_ok=True)
     write_trace(OUT_DIR / "table2_single_node.csv", table2_rows())
     write_trace(OUT_DIR / "multinode.csv", multinode_rows())
-    # Ideal strong scaling: runtime halves per node doubling, energy flat.
-    write_trace(OUT_DIR / "scaling_ideal.csv", scaling_rows(
-        "ideal", {n: (6400.0 / n, 5000.0) for n in (2, 4, 8, 16, 32)}))
-    # Memory-bound: runtime flat, energy proportional to nodes.
-    write_trace(OUT_DIR / "scaling_memorybound.csv", scaling_rows(
-        "membound", {n: (100.0, 1000.0 * n) for n in (2, 4, 8, 16, 32)}))
-    for name in ("table2_single_node.csv", "multinode.csv",
-                 "scaling_ideal.csv", "scaling_memorybound.csv"):
+    for name in ("table2_single_node.csv", "multinode.csv"):
         print(f"wrote {OUT_DIR / name}")
 
 

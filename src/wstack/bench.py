@@ -518,24 +518,28 @@ def verify_pipeline(scale: str = "small") -> VerifyReport:
         "point-source recovery", "argmax within 1 pixel",
         f"peak at ({i}, {j}), expected ({want_i}, {want_j})", hit))
 
-    # w stacking by Horner's rule against one full-width exp per plane, on
-    # the 16 outermost image columns; every phase factor is a pure phase
+    # w stacking by Horner's rule against one full-width exp per plane, of
+    # n computed on every row, on the 16 outermost image columns; every
+    # phase factor is a pure phase
     n_pix = pixel_n_block(spec, 0, 16)
-    wplanes = (rng.standard_normal((64, *n_pix.shape))
-               + 1j * rng.standard_normal((64, *n_pix.shape)))
+    l_pix = (np.arange(16) - n_u // 2) * cell
+    m_pix = (np.arange(n_v) - n_v // 2) * cell
+    n_full = np.sqrt(1.0 - l_pix[:, None] ** 2 - m_pix[None, :] ** 2)
+    wplanes = (rng.standard_normal((64, *n_full.shape))
+               + 1j * rng.standard_normal((64, *n_full.shape)))
     horner_err = phase_err = 0.0
     for w_lo, w_hi in ((0.0, 20.0), (-10.0, 10.0), (5.0, 5.0), (0.0, 2000.0)):
         for nw in (1, 2, 3, 16, 64):
             wspec = GridSpec(n_u=n_u, n_v=n_v, n_w=nw, cell_size_lm=cell,
                              w_min_native=w_lo, w_max_native=w_hi)
-            ref = sum(wplanes[k] * np.exp(2j * np.pi * wspec.plane_w_native(k) * (n_pix - 1.0))
-                      for k in range(nw)) / nw * n_pix
+            ref = sum(wplanes[k] * np.exp(2j * np.pi * wspec.plane_w_native(k) * (n_full - 1.0))
+                      for k in range(nw)) / nw * n_full
             z = transform.w_phase_factor(n_pix, wspec.w_step_native)
             acc = None
             for k in reversed(range(nw)):
                 acc = transform.apply_w_correction(acc, wplanes[k], z)
-            got = transform.stack_planes(acc, 0, wspec).pixels
-            horner_err = max(horner_err, _max_abs(got, ref.real) / np.max(np.abs(ref.real)))
+            got = transform.stack_planes(acc, n_pix, 0, wspec).pixels
+            horner_err = max(horner_err, _max_abs(got, ref.real.T) / np.max(np.abs(ref.real)))
             w0_factor = transform.w_phase_factor(n_pix, wspec.plane_w_native(0))
             phase_err = max(phase_err, float(np.max(np.abs(np.abs(z) - 1.0))),
                             float(np.max(np.abs(np.abs(w0_factor) - 1.0))))

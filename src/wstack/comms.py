@@ -10,8 +10,11 @@ are provided:
     every rank sends its full partial slab to the target, which sums them.
 ``hybrid_ring``
     per node, a ring reduce-scatter over the node's ranks followed by a
-    gather to the node master; node masters then accumulate along a chain
-    that ends at the target's master, which delivers to the target.
+    gather of the segments: to the target on the target's node, to the
+    node master on every other node. The masters then accumulate the node
+    sums along a chain whose last hop goes to the target itself, which
+    adds it to its own node's sum (the SMP-aware reduce of Thakur,
+    Rabenseifner & Gropp 2005, IJHPCA 19:49, with no delivery hop).
 ``ring_rdma_like``
     the same intra-node ring, but the per-rank segment owners forward
     their segments directly to peer ranks on other nodes, bypassing the
@@ -37,11 +40,11 @@ segment cut short by the end of the slab (when P does not divide its
 length) is copied into a zero-padded one. The target's partial is read
 until its own values have been added, then written: ``direct`` writes
 each add from the target's own rank-order step onward into it (the
-earlier adds go into a received buffer); in ``hybrid_ring`` a master that
-is the target gathers its node's segments, and adds the chain, into it,
-while a target that is not its node's master copies the delivered sum into
-it; in ``ring_rdma_like`` the target gathers the delivered segments into
-it. Every other sum is written into a buffer that arrived.
+earlier adds go into a received buffer); in ``hybrid_ring`` the target
+gathers its node's segments into it and adds the chain there, and the
+master of every other node gathers into one new full-length buffer; in
+``ring_rdma_like`` the target gathers the delivered segments into it.
+Every other sum is written into a buffer that arrived.
 """
 
 from __future__ import annotations
@@ -357,7 +360,10 @@ def _gather_segments(ctx, group, segs, seg, length, tag, out=None):
 def _reduce_collective(ctx, strategy, my_flat, target, phase):
     """One rank's part of the reduce. The target writes the sum into its
     own ``my_flat``; every other rank only reads its ``my_flat``, and each
-    sum there is written into a buffer this rank received."""
+    sum there is written into a buffer this rank received, or, at a
+    ``hybrid_ring`` master of another node, into the buffer it gathers its
+    node's segments into. In ``hybrid_ring`` the target, not its master,
+    gathers its node's segments and receives the chain's last hop."""
     topo = ctx.topo
     R = topo.n_ranks
     length = len(my_flat)
@@ -390,28 +396,24 @@ def _reduce_collective(ctx, strategy, my_flat, target, phase):
     segs, seg = _ring_reduce_scatter_ctx(ctx, group, my_flat, phase)
 
     if strategy.kind == "hybrid_ring":
-        master = group[0]
-        if pos != 0:
-            ctx.send(master, ("gather", pos), segs[pos], phase)
-            # The segments are sent; the target waits without them.
-            del segs
-            if is_target:
-                my_flat[...] = ctx.recv(topo.master_of(t_node), ("deliver",))
+        # The target gathers its own node's sum; every other node gathers
+        # at its master.
+        head = target if node == t_node else group[0]
+        if ctx.rank != head:
+            ctx.send(head, ("gather", pos), segs[pos], phase)
             return
-        # node master: reassemble this node's partial sum, in place when it
-        # is the target
         node_flat = _gather_segments(ctx, group, segs, seg, length, ("gather",),
                                      out=my_flat if is_target else None)
         if topo.n_nodes > 1:
+            # masters chain the node sums; the last hop goes to the target
+            heads = [topo.master_of(n) for n in node_chain[:-1]] + [target]
             k = node_chain.index(node)
             if k > 0:
-                incoming = ctx.recv(topo.master_of(node_chain[k - 1]), ("chain",))
+                incoming = ctx.recv(heads[k - 1], ("chain",))
                 node_flat = np.add(incoming, node_flat,
                                    out=node_flat if is_target else incoming)
             if k < len(node_chain) - 1:
-                ctx.send(topo.master_of(node_chain[k + 1]), ("chain",), node_flat, phase)
-        if node == t_node and not is_target:
-            ctx.send(target, ("deliver",), node_flat, phase)
+                ctx.send(heads[k + 1], ("chain",), node_flat, phase)
         return
 
     # ring_rdma_like: segment owners forward straight to peer ranks on the

@@ -169,9 +169,10 @@ def pixel_to_lm(spec: GridSpec, i: int, j: int) -> tuple[float, float]:
 
 def pixel_n_block(spec: GridSpec, u_start: int, u_count: int) -> np.ndarray:
     """``n = sqrt((1 - l^2) - m^2)`` for a block of image columns in the
-    transposed layout, shaped ``(u_count, n_v)``, with (l, m) as in
-    :func:`pixel_to_lm`."""
+    transposed layout, on image rows ``0 ... n_v/2`` only: shaped
+    ``(u_count, n_v/2 + 1)``, with (l, m) as in :func:`pixel_to_lm`. Row
+    ``n_v - j`` has ``m`` negated exactly, so it holds row j's n bits."""
     cell = spec.cell_size_lm
     l = (np.arange(u_start, u_start + u_count, dtype=np.float64) - spec.n_u // 2) * cell
-    m = (np.arange(spec.n_v, dtype=np.float64) - spec.n_v // 2) * cell
+    m = (np.arange(spec.n_v // 2 + 1, dtype=np.float64) - spec.n_v // 2) * cell
     return np.sqrt((1.0 - l * l)[:, None] - m * m)

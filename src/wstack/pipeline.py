@@ -11,11 +11,11 @@ the run replaces the total joules.
 
 The image stage is one pass per rank in the transposed layout of
 :mod:`wstack.transform`: the planes go through ``fft2d_slab`` in reverse
-order and into the block's sum by Horner's rule, with the step factor
-built once per rank over half the block. Its ``fft`` seconds are the
-busiest rank's time in ``fft2d_slab`` and its ``fft`` CPU the ranks'
-summed thread time there; ``wcorrect`` gets the rest of the stage's wall
-time and CPU.
+order and into the block's sum by Horner's rule, with n and the step
+factor built once per rank over half the block's rows. Its ``fft``
+seconds are the busiest rank's time in ``fft2d_slab`` and its ``fft`` CPU
+the ranks' summed thread time there; ``wcorrect`` gets the rest of the
+stage's wall time and CPU.
 
 The reduce sums each sector one w plane at a time into its owner's own
 gridded slab, so its scratch is a few planes of one slab, not whole
@@ -113,7 +113,8 @@ def image_sectors(reduced, spec: GridSpec, topo: Topology, log: MessageLog):
         r = ctx.rank
         planes, reduced[r] = reduced[r].data, None
         u0, uc = partition_1d(spec.n_u, R, r)
-        z = transform.w_phase_factor(pixel_n_block(spec, u0, uc), spec.w_step_native)
+        n = pixel_n_block(spec, u0, uc)
+        z = transform.w_phase_factor(n, spec.w_step_native)
         acc = None
         for k in reversed(range(spec.n_w)):
             t0, c0 = time.perf_counter(), time.thread_time()
@@ -121,8 +122,10 @@ def image_sectors(reduced, spec: GridSpec, topo: Topology, log: MessageLog):
             fft_s[r] += time.perf_counter() - t0
             fft_cpu[r] += time.thread_time() - c0
             acc = transform.apply_w_correction(acc, plane, z)
-        del planes, plane, z
-        return transform.stack_planes(acc, u0, spec)
+            # freed before the next plane's transform, not after it
+            del plane
+        del planes, z
+        return transform.stack_planes(acc, n, u0, spec)
 
     return run_ranks(topo, image_fn, log=log), max(fft_s), sum(fft_cpu)
 

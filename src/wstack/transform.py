@@ -6,8 +6,9 @@ slab: library inverse FFTs (``np.fft``) along the rows, one block transpose
 across ranks (logged), and inverse FFTs along the columns it then holds.
 There is no transpose back: a rank keeps ``(columns, n_v)`` blocks, FFTW's
 transposed-out MPI layout (Frigo & Johnson 2005, Proc. IEEE 93:216), and
-:func:`assemble_image` transposes the real pixels once. The inverse kernel
-is ``exp(+2 pi i)`` and carries ``1/(n_u n_v)``.
+each rank transposes only its block's real pixels, once, in
+:func:`stack_planes`; :func:`assemble_image` then joins the blocks side by
+side. The inverse kernel is ``exp(+2 pi i)`` and carries ``1/(n_u n_v)``.
 
 The gridded origin sits at cell (0, 0). The gridder stores every cell
 times ``(-1)^(i+j)`` (see :mod:`wstack.gridder`), and on that grid the
@@ -18,14 +19,15 @@ The w correction and stacking are one pass per column block. The planes
 sample w uniformly, w_k = w_0 + k dw, so the corrected sum ``sum_k plane_k
 exp(2 pi i w_k (n - 1))`` is ``exp(2 pi i w_0 (n - 1)) sum_k plane_k z^k``
 with the step factor ``z = exp(2 pi i dw (n - 1))``, n = sqrt(1 - l^2 -
-m^2). A rank builds z once and transforms its planes in reverse order, k =
-n_w - 1 ... 0, each added by Horner's rule, ``acc = acc * z + plane_k``, in
-place; :func:`stack_planes` then applies the w_0 phase (skipped when w_0 =
-0) and ``/ n_w * n`` once. One plane sits at the midpoint w. Since ``m = (j
-- n_v/2) cell`` negates exactly under ``j -> n_v - j``, rows ``j`` and
-``n_v - j`` hold the same n bits, so each phase factor is evaluated on rows
-``0 ... n_v/2`` only and multiplied into rows ``n_v/2 + 1 ... n_v - 1``
-through a reversed view.
+m^2). A rank builds n and z once and transforms its planes in reverse
+order, k = n_w - 1 ... 0, each added by Horner's rule, ``acc = acc * z +
+plane_k``, in place; :func:`stack_planes` then applies the w_0 phase
+(skipped when w_0 = 0) and ``/ n_w * n`` once. One plane sits at the
+midpoint w. Since ``m = (j - n_v/2) cell`` negates exactly under ``j ->
+n_v - j``, rows ``j`` and ``n_v - j`` hold the same n bits, so n and each
+phase factor are evaluated on rows ``0 ... n_v/2`` only (see
+:func:`~wstack.mesh.pixel_n_block`) and multiplied into rows ``n_v/2 + 1
+... n_v - 1`` through a reversed view.
 
 The recurrence rounds differently from one ``exp`` per plane, so the image
 is no longer bit-identical to that per-plane form; ``wstack verify`` gates
@@ -46,7 +48,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .mesh import GridSpec, partition_1d, pixel_n_block
+from .mesh import GridSpec, partition_1d
 
 __all__ = [
     "ImageBlock",
@@ -65,7 +67,8 @@ __all__ = [
 @dataclass
 class ImageBlock:
     """Stacked real pixels of the image columns ``u_start ...`` one rank
-    holds, shaped ``(columns, n_v)``, plus residual diagnostics."""
+    holds, in image orientation ``(n_v, columns)``, plus residual
+    diagnostics."""
 
     spec: GridSpec
     u_start: int
@@ -123,14 +126,15 @@ def fft2d_slab(ctx, rows: np.ndarray, spec: GridSpec) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def w_phase_factor(n: np.ndarray, w: float) -> np.ndarray:
-    """``exp(2 pi i w (n - 1))`` over rows ``0 ... n_v/2`` (the last axis)
-    of a column block's ``n``; rows ``n_v/2 + 1 ... n_v - 1`` mirror them."""
-    h = n.shape[1] // 2
-    return np.exp(2j * np.pi * w * (n[:, :h + 1] - 1.0))
+    """``exp(2 pi i w (n - 1))`` for a column block's
+    :func:`~wstack.mesh.pixel_n_block`, rows ``0 ... n_v/2`` (the last
+    axis); rows ``n_v/2 + 1 ... n_v - 1`` mirror them."""
+    return np.exp(2j * np.pi * w * (n - 1.0))
 
 
 def _multiply_mirrored(acc: np.ndarray, factor: np.ndarray) -> None:
-    """``acc *= factor`` in place, for a :func:`w_phase_factor` half."""
+    """``acc *= factor`` in place, for a half over rows ``0 ... n_v/2``
+    (a :func:`w_phase_factor` or n)."""
     h = acc.shape[1] // 2
     acc[:, :h + 1] *= factor
     acc[:, h + 1:] *= factor[:, h - 1:0:-1]
@@ -154,10 +158,12 @@ def apply_w_correction(acc: np.ndarray | None, plane: np.ndarray,
     return np.add(acc, plane, out=acc)
 
 
-def stack_planes(acc: np.ndarray, u_start: int, spec: GridSpec) -> ImageBlock:
+def stack_planes(acc: np.ndarray, n: np.ndarray, u_start: int,
+                 spec: GridSpec) -> ImageBlock:
     """Finish one column block from the :func:`apply_w_correction` sum of
     its n_w planes: times ``exp(2 pi i w_0 (n - 1))`` unless w_0 = 0, then
-    ``/ n_w * n``, in place, then the real part. n is recomputed here.
+    ``/ n_w * n``, in place, then the real part, transposed into image
+    orientation. ``n`` is the block's :func:`~wstack.mesh.pixel_n_block`.
 
     The w integral discretizes to ``n / w_range * sum_k (w_range / n_w) *
     plane_k``, i.e. the plane mean scaled by the direction-cosine factor
@@ -166,23 +172,24 @@ def stack_planes(acc: np.ndarray, u_start: int, spec: GridSpec) -> ImageBlock:
     """
     if acc.ndim != 2 or acc.shape[1] != spec.n_v:
         raise ValueError(f"sum shape {acc.shape} is not (columns, {spec.n_v})")
-    n = pixel_n_block(spec, u_start, acc.shape[0])
+    if n.shape != (acc.shape[0], spec.n_v // 2 + 1):
+        raise ValueError(f"n shape {n.shape} does not match sum shape {acc.shape}")
     w_0 = spec.plane_w_native(0)
     if w_0 != 0.0:
         _multiply_mirrored(acc, w_phase_factor(n, w_0))
     acc /= spec.n_w
-    acc *= n
+    _multiply_mirrored(acc, n)
     return ImageBlock(
-        spec=spec, u_start=u_start, pixels=np.ascontiguousarray(acc.real),
+        spec=spec, u_start=u_start, pixels=np.ascontiguousarray(acc.real.T),
         imag_sq_sum=float((acc.imag ** 2).sum()),
         real_sq_sum=float((acc.real ** 2).sum()),
     )
 
 
 def assemble_image(spec: GridSpec, blocks) -> FinalImage:
-    """Join the per-rank column blocks and transpose them into the image."""
+    """Join the per-rank column blocks side by side into the image."""
     blocks = sorted(blocks, key=lambda b: b.u_start)
-    pixels = np.concatenate([b.pixels for b in blocks], axis=0).T
+    pixels = np.concatenate([b.pixels for b in blocks], axis=1)
     imag_sq = sum(b.imag_sq_sum for b in blocks)
     real_sq = sum(b.real_sq_sum for b in blocks)
     return FinalImage(spec=spec, pixels=pixels,

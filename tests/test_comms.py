@@ -57,10 +57,11 @@ def expected_reduce_traffic(kind, topo, target, length):
         return {True: (P - 1, (P - 1) * full), False: (R - P, (R - P) * full)}
     ring = N * P * (P - 1)  # reduce-scatter: P - 1 steps per rank, every node
     if kind == "hybrid_ring":
-        gather = N * (P - 1)  # segments to each node master
-        deliver = int(topo.intra_index(target) != 0)  # target's master to target
-        # masters chain the whole node sum across the N nodes
-        return {True: (ring + gather + deliver, (ring + gather) * seg + deliver * full),
+        # segments to the target on its node, to the master on every other
+        gather = N * (P - 1)
+        # masters chain the whole node sum across the N nodes, the last hop
+        # to the target
+        return {True: (ring + gather, (ring + gather) * seg),
                 False: (N - 1, (N - 1) * full)}
     # ring_rdma_like: each segment owner chains its segment across the nodes,
     # and the target node's owners deliver theirs to the target
@@ -230,14 +231,17 @@ def test_reduce_leaves_partials_untouched(kind, nodes, ranks):
 # of three calls is bounded. ring_rdma_like on 2x2 mostly peaks at 2.52,
 # but 3.01 stays reachable (all four ring buffers and both chain copies
 # alive at once) and was the least of three in about one run in a hundred.
+# hybrid_ring on 2x2: the least of three stayed at or below 3.52 in 200
+# repeats, but single calls peaked at 4.02 in up to 17 of 100 on one
+# target, so 4.02 stays reachable as the least of three.
 # (The pipeline's image is one hash on every topology for another reason:
 # its non-owner partials are zero, see wstack.comms.)
 ALLOCATION_BOUNDS = {
     ((1, 2), "direct"): 1.25,
-    ((1, 2), "hybrid_ring"): 3.25,
+    ((1, 2), "hybrid_ring"): 1.75,
     ((1, 2), "ring_rdma_like"): 1.75,
     ((2, 2), "direct"): 3.25,
-    ((2, 2), "hybrid_ring"): 5.25,
+    ((2, 2), "hybrid_ring"): 4.25,
     ((2, 2), "ring_rdma_like"): 3.25,
 }
 
@@ -266,9 +270,10 @@ def test_reduce_peak_allocation_within_budget(topo_shape, kind):
 def test_hybrid_ring_target_peak_under_fine_thread_switching():
     # With a switch every microsecond, the rank threads interleave in ways
     # the least-of-three bound above absorbs. Router.send drops its copy
-    # once queued, and the target drops its ring segments before it waits
-    # for the delivery, so even the worst call stays within 3.25 partial
-    # sizes; with either reference held, single calls reached 3.5.
+    # once queued, and the target gathers its node's segments into its own
+    # partial, with no delivered full-length sum, so every call peaked at
+    # 1.51 partial sizes: the two ring messages and the gathered segment,
+    # half a partial each. A delivery to the target took 2.51-3.01.
     topo = Topology(1, 2)
     spec = GridSpec(n_u=256, n_v=256, n_w=4, cell_size_lm=1e-3)
     nbytes = spec.n_w * spec.n_v * spec.n_u * 16
@@ -286,4 +291,4 @@ def test_hybrid_ring_target_peak_under_fine_thread_switching():
                 tracemalloc.stop()
     finally:
         sys.setswitchinterval(interval)
-    assert max(peaks) <= 3.25, peaks
+    assert max(peaks) <= 1.75, peaks

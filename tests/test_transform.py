@@ -69,6 +69,13 @@ def test_rows_of_wrong_shape_rejected(plane):
         run_ranks(Topology(1, 2), lambda ctx: fft2d_slab(ctx, plane, SPEC))
 
 
+def mirrored(half):
+    """A half over rows ``0 ... n_v/2`` (n or a phase factor) extended to
+    all n_v rows, as a multiply by it through a reversed view sees it."""
+    h = half.shape[1] - 1
+    return np.concatenate([half, half[:, h - 1:0:-1]], axis=1)
+
+
 # A column block's rows are image columns, its last axis the n_v image rows.
 @pytest.mark.parametrize("n_v", [2, 4, 64, 1024])
 @pytest.mark.parametrize("cell", [1e-3, 7.3e-4])
@@ -76,16 +83,14 @@ def test_rows_of_wrong_shape_rejected(plane):
 @pytest.mark.parametrize("u_start", [2, 3], ids=["even-row", "odd-row"])
 def test_mirrored_phase_factor_equals_full_width_exp(n_v, cell, w, u_start):
     spec = GridSpec(n_u=8, n_v=n_v, n_w=1, cell_size_lm=cell)
+    # n and the factor hold rows 0 ... n_v/2; a multiply by them mirrors them.
     n = pixel_n_block(spec, u_start, 3)
-    per_pixel = [[math.sqrt(1.0 - l * l - m * m)
-                  for l, m in (pixel_to_lm(spec, i, j) for j in range(n_v))]
-                 for i in range(u_start, u_start + 3)]
-    assert n.tobytes() == np.array(per_pixel).tobytes()
-    # The factor holds rows 0 ... n_v/2; a multiply by it mirrors them.
+    per_pixel = np.array([[math.sqrt(1.0 - l * l - m * m)
+                           for l, m in (pixel_to_lm(spec, i, j) for j in range(n_v))]
+                          for i in range(u_start, u_start + 3)])
+    assert mirrored(n).tobytes() == per_pixel.tobytes()
     half = w_phase_factor(n, w)
-    h = n_v // 2
-    mirrored = np.concatenate([half, half[:, h - 1:0:-1]], axis=1)
-    assert mirrored.tobytes() == np.exp(2j * np.pi * w * (n - 1.0)).tobytes()
+    assert mirrored(half).tobytes() == np.exp(2j * np.pi * w * (per_pixel - 1.0)).tobytes()
 
 
 def per_plane_stack(planes, spec, n):
@@ -115,7 +120,7 @@ def horner_stack(planes, spec, u_start):
     acc = None
     for plane in reversed(planes):
         acc = apply_w_correction(acc, plane, z)
-    return stack_planes(acc, u_start, spec)
+    return stack_planes(acc, n, u_start, spec)
 
 
 @pytest.mark.parametrize("n_w, w_range", [(4, (0.0, 20.0)), (3, (-10.0, 10.0)), (1, (0.0, 20.0))],
@@ -125,14 +130,16 @@ def test_accumulated_stack_matches_per_plane_form(n_w, w_range):
     spec = GridSpec(n_u=256, n_v=256, n_w=n_w, cell_size_lm=1e-3,
                     w_min_native=w_range[0], w_max_native=w_range[1])
     u_start, u_count = partition_1d(spec.n_u, 3, 1)
-    n = pixel_n_block(spec, u_start, u_count)
+    n = mirrored(pixel_n_block(spec, u_start, u_count))
     rng = np.random.default_rng(5)
     planes = [rng.standard_normal(n.shape) + 1j * rng.standard_normal(n.shape)
               for _ in range(n_w)]
     inputs = [p.copy() for p in planes]
     block = horner_stack(planes, spec, u_start)
     ref = per_plane_stack(inputs, spec, n)
-    assert np.max(np.abs(block.pixels - ref.real)) <= 1e-12 * np.max(np.abs(ref))
+    # the block comes in image orientation, (rows, its columns)
+    assert block.pixels.shape == (spec.n_v, u_count)
+    assert np.max(np.abs(block.pixels - ref.real.T)) <= 1e-12 * np.max(np.abs(ref))
     assert block.imag_sq_sum == pytest.approx(float((ref.imag ** 2).sum()), rel=1e-12)
     assert all(p.tobytes() == q.tobytes() for p, q in zip(planes, inputs))
 
@@ -142,3 +149,10 @@ def test_w_correction_rejects_plane_of_wrong_shape():
     z = w_phase_factor(pixel_n_block(spec, 0, 8), 5.0)
     with pytest.raises(ValueError, match="plane shape"):
         apply_w_correction(None, np.zeros((8, 8), dtype=np.complex128), z)
+
+
+def test_stack_rejects_n_of_wrong_shape():
+    spec = GridSpec(n_u=16, n_v=16, n_w=2, cell_size_lm=1e-3, w_max_native=5.0)
+    acc = np.zeros((8, 16), dtype=np.complex128)
+    with pytest.raises(ValueError, match="n shape"):
+        stack_planes(acc, np.ones((8, 16)), 0, spec)
