@@ -467,8 +467,8 @@ def verify_pipeline(scale: str = "small") -> VerifyReport:
     outs, repeats, in_place, changed = {}, True, True, 0
     for kind in REDUCE_KINDS:
         partials = fresh_partials()
-        red, _ = reduce_slabs(ReduceStrategy(kind), partials, target, topo)
-        again, _ = reduce_slabs(ReduceStrategy(kind), fresh_partials(), target, topo)
+        red = reduce_slabs(ReduceStrategy(kind), partials, target, topo)
+        again = reduce_slabs(ReduceStrategy(kind), fresh_partials(), target, topo)
         repeats &= red.data.tobytes() == again.data.tobytes()
         in_place &= red is partials[target]
         changed += sum(p.data.tobytes() != d.tobytes()

@@ -8,16 +8,21 @@ so ``wstack <command> --help`` shows each flag's key and default. A value
 comes from the default, then the ``--config`` file (a flat key-value
 file, one ``key = value`` per line, ``#`` comments, unknown keys
 rejected), then the flag. ``gen`` and ``bench`` without ``--dataset``
-write the same synthetic dataset from the ``gen.*`` keys. ``image`` and
+write the same synthetic dataset from the ``gen.*`` keys.
+
+The two choices a run is compared by are one key each: ``topo.layout``
+(``--topo``), the virtual ``NODESxRANKS`` topology, and ``reduce.kind``
+(``--strategy``), the reduce strategy. Both take a comma list: ``image``
+runs exactly one value of each, and ``bench`` sweeps every pair, one
+cell labelled ``<topo>_<kind>`` each. So a config file written for
+``image`` runs under ``bench`` as a one-cell sweep. ``image`` and
 ``bench`` reject a setting they would ignore: ``image`` a ``gen.*``,
-``run.seed`` or ``bench.*`` value, and ``bench`` a ``gen.*`` or
-``run.seed`` value beside ``--dataset``, or ``topo.*``, ``reduce.kind``
-or ``run.label`` (it takes ``--topos`` and ``--strategies``). Exit codes: 0
+``run.seed`` or ``bench.*`` value, and ``bench`` ``run.label``, or a
+``gen.*`` or ``run.seed`` value beside ``--dataset``. Exit codes: 0
 success, 1 verification or acceptance failure, 2 usage/config error, 3
 I/O error (a missing or malformed input file).
 
-The virtual topology (``--topo NODESxRANKS`` for ``image``, ``--topos``
-for ``bench``) is the only parallelism: each rank grids its sector on one
+The topology is the only parallelism: each rank grids its sector on one
 thread. The image is bit-identical for any topology and reduce strategy
 because each sector is reduced with zero partials from every rank but its
 owner, so every strategy delivers the owner's slab exactly; the strategies
@@ -81,26 +86,20 @@ CONFIG_SCHEMA = {
                                    "--half-support"),
     "kernel.shape_param": Setting(float, 0.0, "sigma (gaussian) or beta (kaiser_bessel); "
                                   "0 = default", "--shape-param"),
-    "topo.n_nodes": Setting(int, 1, "virtual nodes"),
-    "topo.ranks_per_node": Setting(int, 1, "ranks per virtual node, one gridding thread each"),
-    "reduce.kind": Setting(str, "direct", "reduction strategy", "--strategy",
-                           REDUCE_KINDS),
+    "topo.layout": Setting(str, "1x1", "virtual NODESxRANKS topology, one gridding thread "
+                           "per rank; bench sweeps a comma list, e.g. 1x1,2x2", "--topo"),
+    "reduce.kind": Setting(str, "direct", f"reduce strategy, one of {', '.join(REDUCE_KINDS)}; "
+                           "bench sweeps a comma list", "--strategy"),
     "meter.counter_file": Setting(str, "", "energy counter file holding joules; if set, its "
                                   "change over a run replaces the CPU-seconds total"),
     "meter.counter_command": Setting(str, "", "command printing an energy counter in joules "
                                      "(run without a shell); used like meter.counter_file"),
     "bench.repeats": Setting(int, 4, "repeats per configuration", "--repeats"),
     "bench.output_dir": Setting(str, "bench_out", "bench output directory", "--out-dir"),
-    "bench.topologies": Setting(str, "1x1", "comma list of NODESxRANKS topologies, e.g. 1x1,2x2",
-                                "--topos"),
-    "bench.strategies": Setting(str, "direct", "comma list of reduction strategies",
-                                "--strategies"),
     "run.seed": Setting(int, 1, "random seed", "--seed"),
     "run.label": Setting(str, "run", "label attached to run records", "--label"),
     "gen.records": Setting(int, 1000, "synthetic record count", "--records"),
     "gen.n_freq": Setting(int, 1, "frequency channels", "--n-freq"),
-    "gen.n_corr": Setting(int, 1, "correlations per channel", "--n-corr"),
-    "gen.n_time_slices": Setting(int, 8, "time slices", "--time-slices"),
     "gen.sources": Setting(str, "0,0,1", "sky sources as l,m,flux;l,m,flux;...", "--sources"),
     "gen.w_min_native": Setting(float, 0.0, "native w lower bound", "--w-min"),
     "gen.w_max_native": Setting(float, 0.0, "native w upper bound", "--w-max"),
@@ -108,19 +107,19 @@ CONFIG_SCHEMA = {
 
 # The keys each command takes as flags, in --help order.
 COMMAND_KEYS = {
-    "gen": ("gen.records", "gen.sources", "run.seed", "gen.n_freq", "gen.n_corr",
-            "gen.n_time_slices", "grid.cell_size_lm", "gen.w_min_native",
-            "gen.w_max_native"),
+    "gen": ("gen.records", "gen.sources", "run.seed", "gen.n_freq", "grid.cell_size_lm",
+            "gen.w_min_native", "gen.w_max_native"),
     "image": ("grid.n_u", "grid.n_v", "grid.n_w", "grid.cell_size_lm", "kernel.kind",
-              "kernel.half_support", "kernel.shape_param", "reduce.kind", "run.label"),
+              "kernel.half_support", "kernel.shape_param", "topo.layout", "reduce.kind",
+              "run.label"),
     "bench": ("gen.records", "gen.sources", "run.seed", "grid.n_u", "grid.n_v", "grid.n_w",
-              "grid.cell_size_lm", "bench.topologies", "bench.strategies",
-              "bench.repeats", "bench.output_dir"),
+              "grid.cell_size_lm", "topo.layout", "reduce.kind", "bench.repeats",
+              "bench.output_dir"),
 }
 
-# Keys ``bench`` never reads (it takes ``--topos`` and ``--strategies``), and
-# the keys of the synthetic dataset, which it ignores given ``--dataset``.
-BENCH_UNREAD_KEYS = ("topo.n_nodes", "topo.ranks_per_node", "reduce.kind", "run.label")
+# The key ``bench`` never reads (it labels each run by its cell), and the
+# keys of the synthetic dataset, which it ignores given ``--dataset``.
+BENCH_UNREAD_KEYS = ("run.label",)
 SYNTHETIC_KEYS = tuple(key for key in CONFIG_SCHEMA if key.startswith("gen.")) + ("run.seed",)
 # Keys ``image`` never reads: the synthetic dataset's and the sweep's.
 IMAGE_UNREAD_KEYS = SYNTHETIC_KEYS + tuple(key for key in CONFIG_SCHEMA
@@ -194,6 +193,15 @@ def _parse_topology(text) -> Topology:
         raise ConfigError(f"bad topology {text!r}, expected NODESxRANKS") from exc
 
 
+def _sweep(cfg) -> tuple[list, list]:
+    """The topologies of ``topo.layout`` and the strategies of
+    ``reduce.kind``, each a comma list, in the order given."""
+    def items(key):
+        return [item.strip() for item in cfg[key].split(",") if item.strip()]
+    return ([_parse_topology(t) for t in items("topo.layout")],
+            [ReduceStrategy(kind) for kind in items("reduce.kind")])
+
+
 def _kernel_from(cfg) -> KernelSpec:
     kind = cfg["kernel.kind"]
     support = cfg["kernel.half_support"]
@@ -220,8 +228,7 @@ def _write_synthetic(cfg, path) -> visdata.DatasetHeader:
         raise ConfigError("gen.records must be >= 1")
     header, chunk = visdata.generate_synthetic(
         visdata.SkyModel.parse(cfg["gen.sources"]), cfg["gen.records"], cfg["gen.n_freq"],
-        cfg["run.seed"], n_corr=cfg["gen.n_corr"], n_time_slices=cfg["gen.n_time_slices"],
-        cell_size_lm=cfg["grid.cell_size_lm"],
+        cfg["run.seed"], cell_size_lm=cfg["grid.cell_size_lm"],
         w_min_native=cfg["gen.w_min_native"], w_max_native=cfg["gen.w_max_native"])
     visdata.write_dataset(chunk, header, path)
     return header
@@ -233,9 +240,7 @@ def _write_synthetic(cfg, path) -> visdata.DatasetHeader:
 
 def cmd_gen(args) -> int:
     header = _write_synthetic(_config(args), args.out)
-    print(f"wrote {header.n_records} records "
-          f"({header.n_freq} freq x {header.n_corr} corr, "
-          f"{header.n_time_slices} time slices) to {args.out}")
+    print(f"wrote {header.n_records} records ({header.n_freq} freq) to {args.out}")
     return EXIT_OK
 
 
@@ -248,9 +253,11 @@ def cmd_image(args) -> int:
     if not dataset.exists():
         print(f"dataset not found: {dataset}", file=sys.stderr)
         return EXIT_IO
-    topo = _parse_topology(args.topo or
-                           f"{cfg['topo.n_nodes']}x{cfg['topo.ranks_per_node']}")
-    strategy = ReduceStrategy(cfg["reduce.kind"])
+    topologies, strategies = _sweep(cfg)
+    if len(topologies) != 1 or len(strategies) != 1:
+        raise ConfigError("image runs one topology and one reduce strategy; "
+                          "bench sweeps comma lists")
+    (topo,), (strategy,) = topologies, strategies
     res = run_pipeline(
         dataset, cfg["grid.n_u"], cfg["grid.n_v"], cfg["grid.n_w"],
         cfg["grid.cell_size_lm"], kernel=_kernel_from(cfg), topo=topo,
@@ -275,15 +282,13 @@ def cmd_bench(args) -> int:
     unread = [key for key in BENCH_UNREAD_KEYS if key in given]
     if unread:
         raise ConfigError(f"bench does not use {', '.join(unread)}; "
-                          "it takes --topos and --strategies")
+                          "it labels each run <topo>_<kind>/r<repeat>")
     synthetic = [f"{key} ({CONFIG_SCHEMA[key].flag})" for key in SYNTHETIC_KEYS if key in given]
     if args.dataset and synthetic:
         raise ConfigError(f"bench images --dataset as it is, so {', '.join(synthetic)} "
                           "would change nothing")
     cfg = _config(args)
-    topologies = [_parse_topology(t) for t in cfg["bench.topologies"].split(",") if t.strip()]
-    strategies = [ReduceStrategy(s.strip())
-                  for s in cfg["bench.strategies"].split(",") if s.strip()]
+    topologies, strategies = _sweep(cfg)
     output_dir = Path(cfg["bench.output_dir"])
     dataset = Path(args.dataset) if args.dataset else output_dir / "dataset.rvis"
     if args.dataset and not dataset.exists():
@@ -426,8 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
     image = sub.add_parser("image", help="run the imaging pipeline")
     image.add_argument("--dataset", required=True)
     image.add_argument("--out-dir", default="image_out")
-    image.add_argument("--topo", help="NODESxRANKS, e.g. 2x2 (default: "
-                                      "topo.n_nodes x topo.ranks_per_node)")
     image.add_argument("--pgm", action="store_true", help="also write a PGM preview")
     _add_config_flags(image, "image", cmd_image)
 

@@ -35,9 +35,9 @@ sectors.
 
 Copies: a message costs the one copy :meth:`Router.send` makes, so that no
 rank aliases another's arrays; a payload may be a view. The non-target
-partials are read-only: ring segments are views of them, and only a tail
-segment cut short by the end of the slab (when P does not divide its
-length) is copied into a zero-padded one. The target's partial is read
+partials are read-only: ring segments are views of them, the P
+:func:`~wstack.mesh.partition_1d` shares of the flat slab, so each
+message carries exactly its share. The target's partial is read
 until its own values have been added, then written: ``direct`` writes
 each add from the target's own rank-order step onward into it (the
 earlier adds go into a received buffer); in ``hybrid_ring`` the target
@@ -50,7 +50,6 @@ Every other sum is written into a buffer that arrived.
 from __future__ import annotations
 
 import csv
-import math
 import queue
 import threading
 import time
@@ -59,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gridder import SectorBatch
-from .mesh import GridSpec, plane_of_w, slab_of
+from .mesh import GridSpec, partition_1d, plane_of_w, slab_of
 
 __all__ = [
     "REDUCE_KINDS",
@@ -270,14 +269,14 @@ class RankCtx:
         return self.router.recv_any(self.rank, tag)
 
 
-def run_ranks(topo: Topology, fn, log: MessageLog | None = None, router: Router | None = None):
+def run_ranks(topo: Topology, fn, log: MessageLog | None = None):
     """Run ``fn(ctx)`` on one worker thread per rank; return per-rank results.
 
     The first rank to raise marks the router as failed, so peers waiting
     on a receive stop at once; its exception is re-raised after all
     workers stop.
     """
-    router = router or Router(topo, log)
+    router = Router(topo, log)
     results = [None] * topo.n_ranks
 
     def work(rank):
@@ -301,48 +300,39 @@ def run_ranks(topo: Topology, fn, log: MessageLog | None = None, router: Router 
 # Reduce strategies (collective choreographies)
 # ---------------------------------------------------------------------------
 
-def _ring_reduce_scatter_ctx(ctx, group, my_flat, phase):
+def _ring_reduce_scatter_ctx(ctx, group, my_flat):
     """One rank's part of a ring reduce-scatter over ``group``.
 
-    The flat array is cut into P segments of ``ceil(length / P)``; they are
-    views of ``my_flat``, which is only read. A segment cut short by the end
-    of the array (only when P does not divide the length) is copied into a
-    zero-padded one, so every message has the same size. At step s the
-    rank sends its accumulated segment ``(pos - 1 - s) mod P`` to the next
-    group member, receives segment ``(pos - 2 - s) mod P`` from the
-    previous one and adds its own into that received buffer, so after P-1
-    steps segment ``pos`` holds the group's full sum. Returns (per-segment
-    buffers, segment length).
+    The flat array is cut into its P :func:`~wstack.mesh.partition_1d`
+    shares, views of ``my_flat``, which is only read. At step s the rank
+    sends its accumulated segment ``(pos - 1 - s) mod P`` to the next group
+    member, receives segment ``(pos - 2 - s) mod P`` from the previous one
+    and adds its own into that received buffer, so after P-1 steps segment
+    ``pos`` holds the group's full sum. Returns the per-segment buffers.
     """
     P = len(group)
     pos = group.index(ctx.rank)
-    length = len(my_flat)
     if P == 1:
-        return [my_flat], length
-    seg = math.ceil(length / P)
-    segs = []
-    for j in range(P):
-        part = my_flat[j * seg:(j + 1) * seg]
-        if len(part) < seg:
-            padded = np.zeros(seg, dtype=np.complex128)
-            padded[:len(part)] = part
-            part = padded
-        segs.append(part)
+        return [my_flat]
+    length = len(my_flat)
+    segs = [my_flat[start:start + count]
+            for start, count in (partition_1d(length, P, j) for j in range(P))]
     nxt = group[(pos + 1) % P]
     prv = group[(pos - 1) % P]
     for s in range(P - 1):
-        ctx.send(nxt, ("ring", s), segs[(pos - 1 - s) % P], phase)
+        ctx.send(nxt, ("ring", s), segs[(pos - 1 - s) % P], "reduce")
         j = (pos - 2 - s) % P
         incoming = ctx.recv(prv, ("ring", s))
         segs[j] = np.add(segs[j], incoming, out=incoming)
-    return segs, seg
+    return segs
 
 
-def _gather_segments(ctx, group, segs, seg, length, tag, out=None):
-    """Assemble the node's P segments into one flat array of ``length``:
-    the rank's own from ``segs``, the others received from their owners
-    under ``tag + (p,)``. They are written into ``out`` when given, else
-    into a new array; on one rank with no ``out``, the segment itself is
+def _gather_segments(ctx, group, segs, length, tag, out=None):
+    """Assemble the node's P segments into one flat array of ``length``,
+    each at its :func:`~wstack.mesh.partition_1d` offset: the rank's own
+    from ``segs``, the others received from their owners under
+    ``tag + (p,)``. They are written into ``out`` when given, else into a
+    new array; on one rank with no ``out``, the segment itself is
     returned."""
     P = len(group)
     pos = group.index(ctx.rank)
@@ -351,13 +341,12 @@ def _gather_segments(ctx, group, segs, seg, length, tag, out=None):
     if out is None:
         out = np.empty(length, dtype=np.complex128)
     for p in range(P):
-        part = segs[p] if p == pos else ctx.recv(group[p], tag + (p,))
-        dst = out[p * seg:(p + 1) * seg]
-        dst[...] = part[:len(dst)]
+        start, count = partition_1d(length, P, p)
+        out[start:start + count] = segs[p] if p == pos else ctx.recv(group[p], tag + (p,))
     return out
 
 
-def _reduce_collective(ctx, strategy, my_flat, target, phase):
+def _reduce_collective(ctx, strategy, my_flat, target):
     """One rank's part of the reduce. The target writes the sum into its
     own ``my_flat``; every other rank only reads its ``my_flat``, and each
     sum there is written into a buffer this rank received, or, at a
@@ -371,7 +360,7 @@ def _reduce_collective(ctx, strategy, my_flat, target, phase):
 
     if strategy.kind == "direct":
         if not is_target:
-            ctx.send(target, ("direct",), my_flat, phase)
+            ctx.send(target, ("direct",), my_flat, "reduce")
             return
         # Kept by source and added in rank order, so the sum does not
         # depend on the order in which the payloads arrive. The adds before
@@ -393,16 +382,16 @@ def _reduce_collective(ctx, strategy, my_flat, target, phase):
     nodes = list(range(topo.n_nodes))
     node_chain = [n for n in nodes if n != t_node] + [t_node]
 
-    segs, seg = _ring_reduce_scatter_ctx(ctx, group, my_flat, phase)
+    segs = _ring_reduce_scatter_ctx(ctx, group, my_flat)
 
     if strategy.kind == "hybrid_ring":
         # The target gathers its own node's sum; every other node gathers
         # at its master.
         head = target if node == t_node else group[0]
         if ctx.rank != head:
-            ctx.send(head, ("gather", pos), segs[pos], phase)
+            ctx.send(head, ("gather", pos), segs[pos], "reduce")
             return
-        node_flat = _gather_segments(ctx, group, segs, seg, length, ("gather",),
+        node_flat = _gather_segments(ctx, group, segs, length, ("gather",),
                                      out=my_flat if is_target else None)
         if topo.n_nodes > 1:
             # masters chain the node sums; the last hop goes to the target
@@ -413,7 +402,7 @@ def _reduce_collective(ctx, strategy, my_flat, target, phase):
                 node_flat = np.add(incoming, node_flat,
                                    out=node_flat if is_target else incoming)
             if k < len(node_chain) - 1:
-                ctx.send(heads[k + 1], ("chain",), node_flat, phase)
+                ctx.send(heads[k + 1], ("chain",), node_flat, "reduce")
         return
 
     # ring_rdma_like: segment owners forward straight to peer ranks on the
@@ -428,28 +417,28 @@ def _reduce_collective(ctx, strategy, my_flat, target, phase):
             my_seg = segs[pos] = np.add(incoming, my_seg, out=incoming)
         if k < len(node_chain) - 1:
             next_peer = topo.ranks_of_node(node_chain[k + 1])[pos]
-            ctx.send(next_peer, ("rchain", pos), my_seg, phase)
+            ctx.send(next_peer, ("rchain", pos), my_seg, "reduce")
     if node == t_node:
         if not is_target:
-            ctx.send(target, ("rdeliver", pos), my_seg, phase)
+            ctx.send(target, ("rdeliver", pos), my_seg, "reduce")
             return
-        _gather_segments(ctx, group, segs, seg, length, ("rdeliver",), out=my_flat)
+        _gather_segments(ctx, group, segs, length, ("rdeliver",), out=my_flat)
 
 
 def reduce_slabs(strategy: ReduceStrategy, partials, target: int, topo: Topology,
-                 log: MessageLog | None = None, phase: str = "reduce"):
+                 log: MessageLog | None = None):
     """Sum per-rank partial slabs into the target rank's partial.
 
     All partials must share the grid spec and slab range. The target's
     partial is the receive buffer of the result: it is overwritten with the
     sum and returned, as ``MPI_IN_PLACE`` does at an MPI reduce's root. The
     other partials are only read, so one array may stand for several
-    non-target ranks. The message choreography of the chosen strategy runs
-    (and is logged); each message costs the one copy :meth:`Router.send`
-    makes. The sum is what the messages deliver to the target: for
-    ``direct``, the partials summed in rank order 0..R-1; for the rings,
-    summed in the order their segments travel (see the module docs).
-    Returns ``(partials[target], MessageLog)``.
+    non-target ranks. The message choreography of the chosen strategy runs,
+    each message in phase ``reduce`` (logged in ``log`` when given); each
+    costs the one copy :meth:`Router.send` makes. The sum is what the
+    messages deliver to the target: for ``direct``, the partials summed in
+    rank order 0..R-1; for the rings, summed in the order their segments
+    travel (see the module docs). Returns ``partials[target]``.
     """
     R = topo.n_ranks
     if len(partials) != R:
@@ -461,14 +450,10 @@ def reduce_slabs(strategy: ReduceStrategy, partials, target: int, topo: Topology
     for p in partials[1:]:
         if p.spec != spec or (p.slab.v_start, p.slab.v_count) != (slab.v_start, slab.v_count):
             raise ValueError("partials must share spec and slab range")
-    log = log if log is not None else MessageLog()
     flats = [p.data.reshape(-1) for p in partials]
-    run_ranks(
-        topo,
-        lambda ctx: _reduce_collective(ctx, strategy, flats[ctx.rank], target, phase),
-        log=log,
-    )
-    return partials[target], log
+    run_ranks(topo, lambda ctx: _reduce_collective(ctx, strategy, flats[ctx.rank], target),
+              log=log)
+    return partials[target]
 
 
 def hybrid_reduce(partials, target: int, topo: Topology, log: MessageLog | None = None):

@@ -291,15 +291,13 @@ def _read_trace_rows(path):
     return table
 
 
-def load_trace_records(path, label: str | None = None):
+def load_trace_records(path):
     """Group a trace file into RunRecords, ordered by (label, nodes, level).
     A group without a ``total`` row, or whose total time is below the sum
     of its phases, raises ``FormatError`` naming the group."""
     table = _read_trace_rows(path)
     groups = {}
     for (lbl, nodes, level, phase), (seconds, joules) in table.items():
-        if label is not None and lbl != label:
-            continue
         groups.setdefault((lbl, nodes, level), {})[phase] = (seconds, joules)
     records = []
     for (lbl, nodes, level), phases in sorted(
@@ -314,9 +312,6 @@ def load_trace_records(path, label: str | None = None):
             ))
         except ValueError as exc:
             raise FormatError(f"{path}: run ({lbl}, {nodes}, {level}): {exc}") from exc
-    if not records:
-        raise ValueError(f"no runs found in {path}"
-                         + (f" for label {label!r}" if label else ""))
     return records
 
 

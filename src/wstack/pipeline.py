@@ -51,7 +51,7 @@ class PipelineResult:
 
     @property
     def image_sha256(self) -> str:
-        return hashlib.sha256(self.image.pixels.astype("<f8").tobytes()).hexdigest()
+        return hashlib.sha256(np.ascontiguousarray(self.image.pixels, dtype="<f8")).hexdigest()
 
 
 def peak_pixel(image: FinalImage) -> tuple[int, int]:

@@ -208,7 +208,7 @@ def write_image(img: FinalImage, base_path, provenance: dict | None = None,
     base = Path(base_path)
     base.parent.mkdir(parents=True, exist_ok=True)
     raw_path = base.with_suffix(".f64")
-    raw_path.write_bytes(img.pixels.astype("<f8").tobytes())
+    img.pixels.astype("<f8", copy=False).tofile(raw_path)
     spec = img.spec
     sidecar = {
         "layout": "row-major (n_v, n_u) little-endian float64",

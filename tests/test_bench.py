@@ -80,8 +80,8 @@ def test_failed_cell_is_recorded_and_spares_the_other_cells(tmp_path, dataset, b
 
 def test_bench_with_a_failed_cell_exits_1(tmp_path, dataset, broken_2x1):
     code = main(["bench", "--dataset", str(dataset), "--out-dir", str(tmp_path / "out"),
-                 "--n-u", "16", "--n-v", "16", "--n-w", "2", "--topos", "1x1,2x1",
-                 "--strategies", "direct", "--repeats", "2"])
+                 "--n-u", "16", "--n-v", "16", "--n-w", "2", "--topo", "1x1,2x1",
+                 "--strategy", "direct", "--repeats", "2"])
     assert code == EXIT_CHECK_FAILED
     assert broken_2x1 == ["1x1", "1x1", "2x1"]
 

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import hashlib
 import math
 import os
 import struct
@@ -47,20 +48,19 @@ def test_verify_failure_exits_1(monkeypatch, capsys):
 # Each subcommand's flags and the config key each sets (None: not a key).
 FLAGS = {
     "gen": {"--out": None, "--records": "gen.records", "--sources": "gen.sources",
-            "--seed": "run.seed", "--n-freq": "gen.n_freq", "--n-corr": "gen.n_corr",
-            "--time-slices": "gen.n_time_slices", "--cell": "grid.cell_size_lm",
+            "--seed": "run.seed", "--n-freq": "gen.n_freq", "--cell": "grid.cell_size_lm",
             "--w-min": "gen.w_min_native", "--w-max": "gen.w_max_native",
             "--config": None},
     "image": {"--dataset": None, "--out-dir": None, "--n-u": "grid.n_u",
               "--n-v": "grid.n_v", "--n-w": "grid.n_w", "--cell": "grid.cell_size_lm",
               "--kernel": "kernel.kind", "--half-support": "kernel.half_support",
-              "--shape-param": "kernel.shape_param", "--topo": None,
+              "--shape-param": "kernel.shape_param", "--topo": "topo.layout",
               "--strategy": "reduce.kind", "--label": "run.label", "--pgm": None,
               "--config": None},
     "bench": {"--dataset": None, "--records": "gen.records", "--sources": "gen.sources",
               "--seed": "run.seed", "--n-u": "grid.n_u", "--n-v": "grid.n_v",
               "--n-w": "grid.n_w", "--cell": "grid.cell_size_lm",
-              "--topos": "bench.topologies", "--strategies": "bench.strategies",
+              "--topo": "topo.layout", "--strategy": "reduce.kind",
               "--repeats": "bench.repeats", "--out-dir": "bench.output_dir",
               "--config": None},
     "report": {"--trace": None, "--ref": None, "--label": None, "--freq": None,
@@ -153,13 +153,54 @@ def test_bench_rejects_synthetic_settings_beside_a_dataset(tmp_path, capsys, fla
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key, value", [("topo.n_nodes", "2"), ("topo.ranks_per_node", "2"),
-                                        ("reduce.kind", "hybrid_ring"), ("run.label", "x")])
+@pytest.mark.parametrize("key, value", [("run.label", "x")])
 def test_bench_rejects_config_keys_it_never_reads(tmp_path, capsys, key, value):
     cfg, out = tmp_path / "c.cfg", tmp_path / "b"
     cfg.write_text(f"{key} = {value}\nrun.seed = 4\n")
     assert main(["bench", "--config", str(cfg), "--out-dir", str(out)]) == EXIT_USAGE
     assert f"bench does not use {key};" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_one_config_file_runs_under_image_and_bench(tmp_path):
+    # The file image runs is bench's one-cell sweep, with the same image.
+    dataset, cfg = tmp_path / "d.rvis", tmp_path / "run.cfg"
+    assert main(["gen", "--out", str(dataset), "--records", "500"]) == EXIT_OK
+    cfg.write_text("topo.layout = 1x2\nreduce.kind = hybrid_ring\n"
+                   "grid.n_u = 32\ngrid.n_v = 32\ngrid.n_w = 2\n")
+    assert main(["image", "--dataset", str(dataset), "--config", str(cfg),
+                 "--out-dir", str(tmp_path / "i")]) == EXIT_OK
+    image_sha = hashlib.sha256((tmp_path / "i" / "image.f64").read_bytes()).hexdigest()
+    assert main(["bench", "--dataset", str(dataset), "--config", str(cfg), "--repeats", "1",
+                 "--out-dir", str(tmp_path / "b")]) == EXIT_OK
+    with open(tmp_path / "b" / "runs_raw.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert (row["label"], row["status"]) == ("1x2_hybrid_ring", "ok")
+    assert row["image_sha256"] == image_sha
+
+
+def test_bench_sweeps_the_listed_topologies_and_strategies(tmp_path):
+    out = tmp_path / "b"
+    assert main(["bench", "--records", "200", "--n-u", "16", "--n-v", "16", "--n-w", "2",
+                 "--topo", "1x1,1x2", "--strategy", "direct,hybrid_ring", "--repeats", "1",
+                 "--out-dir", str(out)]) == EXIT_OK
+    with open(out / "runs_raw.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["label"] for row in rows] == [
+        "1x1_direct", "1x1_hybrid_ring", "1x2_direct", "1x2_hybrid_ring"]
+    assert len({row["image_sha256"] for row in rows}) == 1
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--topo", "1x1,1x2"], "image runs one topology and one reduce strategy"),
+    (["--strategy", "direct,hybrid_ring"], "image runs one topology and one reduce strategy"),
+    (["--strategy", "ring"], "reduce kind must be one of"),
+], ids=["two-topologies", "two-strategies", "unknown-strategy"])
+def test_image_takes_one_topology_and_one_known_strategy(tmp_path, capsys, flags, message):
+    dataset, out = tmp_path / "d.rvis", tmp_path / "i"
+    assert main(["gen", "--out", str(dataset), "--records", "50"]) == EXIT_OK
+    assert main(["image", "--dataset", str(dataset), "--out-dir", str(out), *flags]) == EXIT_USAGE
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -337,6 +378,8 @@ def test_counter_command_total_replaces_the_cpu_total(tmp_path):
     "meter.kind = synthetic_model", "meter.trace_path = t.csv", "meter.trace_label = a",
     "meter.watts_high = 500", "meter.watts_default = 500", "meter.watts_medium = 375",
     "meter.watts_low = 350", "run.freq_level = high", "bench.freq_levels = high,low",
+    "topo.n_nodes = 2", "topo.ranks_per_node = 2", "bench.topologies = 1x1",
+    "bench.strategies = direct", "gen.n_corr = 2", "gen.n_time_slices = 4",
 ])
 def test_threads_and_deterministic_config_keys_exit_2(tmp_path, capsys, line):
     dataset = tmp_path / "d.rvis"
@@ -360,9 +403,13 @@ def test_threads_and_deterministic_config_keys_exit_2(tmp_path, capsys, line):
     ["image", "--dataset", "d.rvis", "--trace-label", "a"],
     ["bench", "--freqs", "high,low"],
     ["bench", "--meter", "synthetic_model"],
+    ["gen", "--out", "d.rvis", "--n-corr", "2"],
+    ["gen", "--out", "d.rvis", "--time-slices", "4"],
+    ["bench", "--topos", "1x1"],
+    ["bench", "--strategies", "direct"],
 ], ids=["image-threads", "image-deterministic", "bench-threads", "bench-deterministic",
         "image-freq", "image-meter", "image-trace", "image-trace-label", "bench-freqs",
-        "bench-meter"])
+        "bench-meter", "gen-n-corr", "gen-time-slices", "bench-topos", "bench-strategies"])
 def test_threads_and_deterministic_flags_exit_2(argv):
     with pytest.raises(SystemExit) as info:
         main(argv)
@@ -449,7 +496,7 @@ def test_records_out_of_time_order_exit_3(tmp_path, capsys, command, topo):
     visdata.write_dataset(chunk.rows(np.r_[25:50, 0:25]), header, dataset)
     code = main([command, "--dataset", str(dataset), "--out-dir", str(tmp_path / "out"),
                  "--n-u", "16", "--n-v", "16", "--n-w", "2",
-                 "--topo" if command == "image" else "--topos", topo])
+                 "--topo", topo])
     err = capsys.readouterr().err
     assert code == EXIT_IO, err
     assert "i/o error: records must be sorted by time_index" in err

@@ -1,4 +1,3 @@
-import math
 import sys
 import time
 import tracemalloc
@@ -11,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from wstack import visdata
 from wstack.comms import (REDUCE_KINDS, MessageLog, ReduceStrategy, Router, Topology,
                           exchange_to_space_order, reduce_slabs, run_ranks)
-from wstack.mesh import ComplexGrid, GridSpec, slab_of
+from wstack.mesh import ComplexGrid, GridSpec, partition_1d, slab_of
 
 
 def test_failing_rank_stops_waiting_peers_at_once():
@@ -48,25 +47,34 @@ def test_recv_still_times_out():
 def expected_reduce_traffic(kind, topo, target, length):
     """``{intra_node: (messages, bytes)}`` of one ``reduce_slabs`` call on
     complex partials of ``length`` elements, as ``_reduce_collective``
-    sends them. The rings cut the slab into P segments of ceil(L / P)."""
+    sends them. The rings cut the slab into its P ``partition_1d`` shares,
+    so a message carries exactly its share: 32 elements on 1x3 make
+    segments of 11, 11 and 10."""
     N, P, R = topo.n_nodes, topo.ranks_per_node, topo.n_ranks
     full = 16 * length
-    seg = 16 * math.ceil(length / P)
+
+    def all_but(pos):
+        """Bytes of every segment but ``pos``: what the others send it."""
+        return full - 16 * partition_1d(length, P, pos)[1]
+
     if kind == "direct":
         # every other rank sends its whole partial to the target
         return {True: (P - 1, (P - 1) * full), False: (R - P, (R - P) * full)}
-    ring = N * P * (P - 1)  # reduce-scatter: P - 1 steps per rank, every node
+    # reduce-scatter: P - 1 steps per rank, every node; each rank sends
+    # every segment but its own once
+    ring_msgs, ring_bytes = N * P * (P - 1), N * (P - 1) * full
+    t_pos = topo.intra_index(target)
     if kind == "hybrid_ring":
-        # segments to the target on its node, to the master on every other
-        gather = N * (P - 1)
+        # segments to the target on its node, to the master on every other;
         # masters chain the whole node sum across the N nodes, the last hop
         # to the target
-        return {True: (ring + gather, (ring + gather) * seg),
+        return {True: (ring_msgs + N * (P - 1),
+                       ring_bytes + all_but(t_pos) + (N - 1) * all_but(0)),
                 False: (N - 1, (N - 1) * full)}
     # ring_rdma_like: each segment owner chains its segment across the nodes,
     # and the target node's owners deliver theirs to the target
-    return {True: (ring + P - 1, (ring + P - 1) * seg),
-            False: (P * (N - 1), P * (N - 1) * seg)}
+    return {True: (ring_msgs + P - 1, ring_bytes + all_but(t_pos)),
+            False: (P * (N - 1), (N - 1) * full)}
 
 
 def rank_order_sum(partials):
@@ -99,14 +107,14 @@ def test_reduce_message_counts_and_bytes_match_closed_form(kind, nodes, ranks):
     for target in range(topo.n_ranks):
         log = MessageLog()
         partials = small_partials(topo)
-        red, _ = reduce_slabs(ReduceStrategy(kind), partials, target, topo, log=log)
+        red = reduce_slabs(ReduceStrategy(kind), partials, target, topo, log=log)
         assert red is partials[target], target
         if exact:
             assert red.data.tobytes() == total.tobytes(), target
         else:
             err = np.linalg.norm(red.data - total) / np.linalg.norm(total)
             assert err <= 1e-15, (target, err)
-            again, _ = reduce_slabs(ReduceStrategy(kind), small_partials(topo), target, topo)
+            again = reduce_slabs(ReduceStrategy(kind), small_partials(topo), target, topo)
             assert again.data.tobytes() == red.data.tobytes(), target
         got = {intra: (log.count("reduce", intra), log.total_bytes("reduce", intra))
                for intra in (True, False)}
@@ -124,8 +132,8 @@ def test_direct_sums_in_rank_order_whatever_the_arrival_order(nodes, ranks):
     try:
         for target in range(1, topo.n_ranks):
             for _ in range(10):
-                red, _ = reduce_slabs(ReduceStrategy("direct"), small_partials(topo),
-                                      target, topo)
+                red = reduce_slabs(ReduceStrategy("direct"), small_partials(topo),
+                                   target, topo)
                 assert red.data.tobytes() == total, target
     finally:
         sys.setswitchinterval(interval)
@@ -206,15 +214,15 @@ def random_partials(topo, spec, slab, seed):
 def test_reduce_leaves_partials_untouched(kind, nodes, ranks):
     # The target's partial is the receive buffer of the sum; the ring adds
     # every other sum into received buffers and slices segments as views of
-    # the partials, which must stay as they were. 32 elements on 1x3 pads
-    # the short tail segment.
+    # the partials, which must stay as they were. 32 elements on 1x3 make
+    # segments of 11, 11 and 10.
     topo = Topology(nodes, ranks)
     spec = GridSpec(n_u=4, n_v=8, n_w=2, cell_size_lm=1e-3)
     for target in range(topo.n_ranks):
         partials = random_partials(topo, spec, slab_of(spec, 0, 2), nodes * 10 + ranks)
         before = [p.data.tobytes() for p in partials]
         total = rank_order_sum(partials)
-        red, _ = reduce_slabs(ReduceStrategy(kind), partials, target, topo)
+        red = reduce_slabs(ReduceStrategy(kind), partials, target, topo)
         assert red is partials[target], target
         assert ([p.data.tobytes() for r, p in enumerate(partials) if r != target]
                 == [b for r, b in enumerate(before) if r != target]), target

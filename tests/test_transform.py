@@ -5,7 +5,8 @@ import pytest
 
 from wstack.comms import MessageLog, Topology, run_ranks
 from wstack.mesh import GridSpec, partition_1d, pixel_n_block, pixel_to_lm
-from wstack.transform import apply_w_correction, fft2d_slab, stack_planes, w_phase_factor
+from wstack.transform import (FinalImage, apply_w_correction, fft2d_slab, stack_planes,
+                               w_phase_factor, write_image)
 
 N_V, N_U = 16, 32
 SPEC = GridSpec(n_u=N_U, n_v=N_V, n_w=1, cell_size_lm=1e-3)
@@ -156,3 +157,12 @@ def test_stack_rejects_n_of_wrong_shape():
     acc = np.zeros((8, 16), dtype=np.complex128)
     with pytest.raises(ValueError, match="n shape"):
         stack_planes(acc, np.ones((8, 16)), 0, spec)
+
+
+def test_write_image_raw_file_holds_the_little_endian_pixels(tmp_path):
+    # The pixels are written from the array itself, with no copy; the file
+    # must still be the row-major little-endian float64 image.
+    rng = np.random.default_rng(5)
+    img = FinalImage(SPEC, rng.standard_normal((N_V, N_U)))
+    paths = write_image(img, tmp_path / "image")
+    assert paths["raw"].read_bytes() == img.pixels.astype("<f8").tobytes()
