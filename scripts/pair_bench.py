@@ -11,14 +11,18 @@ parent in pairs 1, 3, 5, ..., the change in pairs 2, 4, 6, .... The last
 line a run prints is its summary JSON. For every end-to-end metric that
 ``CHANGE_DIR/BENCHMARK.json`` declares (each ``<workload>.<metric>`` with
 ``--workload all``) it prints the parent's median and quartiles, the
-change's median, the pairs the change won (ties count for neither), every
-pair's values, and two verdicts:
+change's median and quartiles, the pairs the change won (ties count for
+neither), every pair's values, and three verdicts:
 
 - claim met: the change won at least nine tenths of the pairs, and its
   median is better than the parent's by more than the parent's
   interquartile range;
 - regression: the change's median is worse than the parent's by more than
-  the metric's bound, a fraction of the parent's median.
+  the metric's bound, a fraction of the parent's median;
+- unresolved: the parent's interquartile range is wider than the bound
+  times its median, so the runs spread too widely to tell a regression
+  from noise, unless every run of the change is better than every run of
+  the parent.
 
 Quartiles are taken with ``statistics.quantiles(method="inclusive")``.
 Exits 1 when a run reports failed operations or a metric regresses, else 0.
@@ -61,14 +65,18 @@ def compare(metric: dict, parent: list, change: list) -> dict:
     two sides' values, pair by pair."""
     sign = 1 if metric["better"] == "lower" else -1  # > 0: the change is better
     q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+    change_q1, _, change_q3 = statistics.quantiles(change, n=4, method="inclusive")
     parent_median, change_median = statistics.median(parent), statistics.median(change)
     gain = sign * (parent_median - change_median)
     won = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+    all_better = all(sign * (p - c) > 0 for p in parent for c in change)
     return {
         "parent_median": parent_median, "parent_q1": q1, "parent_q3": q3,
-        "change_median": change_median, "won": won, "pairs": len(parent),
+        "change_median": change_median, "change_q1": change_q1, "change_q3": change_q3,
+        "won": won, "pairs": len(parent),
         "claim_met": won >= 0.9 * len(parent) and gain > q3 - q1,
         "regression": -gain > metric["bound"] * abs(parent_median),
+        "unresolved": q3 - q1 > metric["bound"] * abs(parent_median) and not all_better,
     }
 
 
@@ -103,9 +111,11 @@ def main(argv=None) -> int:
         print(f"{name} [{metric['unit']}, {metric['better']} is better, bound "
               f"{metric['bound']:g}]: parent median {c['parent_median']:.6g} "
               f"[q1 {c['parent_q1']:.6g}, q3 {c['parent_q3']:.6g}], change median "
-              f"{c['change_median']:.6g}, won {c['won']}/{c['pairs']}, claim met: "
+              f"{c['change_median']:.6g} [q1 {c['change_q1']:.6g}, q3 "
+              f"{c['change_q3']:.6g}], won {c['won']}/{c['pairs']}, claim met: "
               f"{'yes' if c['claim_met'] else 'no'}, regression: "
-              f"{'yes' if c['regression'] else 'no'}")
+              f"{'yes' if c['regression'] else 'no'}, unresolved: "
+              f"{'yes' if c['unresolved'] else 'no'}")
         print("  parent: " + " ".join(f"{v:.6g}" for v in parent))
         print("  change: " + " ".join(f"{v:.6g}" for v in change))
     return 1 if failed or regressed else 0

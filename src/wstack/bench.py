@@ -27,7 +27,7 @@ from . import metrics, transform, visdata
 from .comms import (REDUCE_KINDS, MessageLog, ReduceStrategy, Topology, reduce_slabs,
                     run_ranks)
 from .gridder import KernelSpec, kernel_value
-from .mesh import ComplexGrid, GridSpec, partition_1d, pixel_n_block, slab_of
+from .mesh import GridSpec, partition_1d, pixel_n_block
 from .pipeline import grid_sectors, peak_pixel, reduce_sectors, run_pipeline
 
 __all__ = [
@@ -70,7 +70,7 @@ class BenchPlan:
 
 PHASE_COLUMNS = [f"{p}_s" for p in metrics.PHASES] + ["total_s"]
 OPS_COLUMNS = ["records", "grid_updates", "exchange_bytes", "reduce_bytes",
-               "fft_bytes", "reduce_messages", "stack_pixels"]
+               "fft_bytes", "reduce_messages"]
 RAW_COLUMNS = (
     ["config", "label", "topology", "strategy", "repeat",
      "status", "failure_reason", "image_sha256"]
@@ -452,8 +452,6 @@ def verify_pipeline(scale: str = "small") -> VerifyReport:
     # partial, leave the others as they were, and conserve the total; the
     # target's partial receives the sum, so every call gets fresh partials
     topo = Topology(n_nodes=2, ranks_per_node=2)
-    rspec = GridSpec(n_u=32, n_v=32, n_w=2, cell_size_lm=1e-3)
-    slab = slab_of(rspec, 0, 1)
     target = 1
     datas = [rng.standard_normal((2, 32, 32)) + 1j * rng.standard_normal((2, 32, 32))
              for _ in range(topo.n_ranks)]
@@ -462,18 +460,18 @@ def verify_pipeline(scale: str = "small") -> VerifyReport:
         total += d
 
     def fresh_partials():
-        return [ComplexGrid(rspec, slab, d.copy()) for d in datas]
+        return [d.copy() for d in datas]
 
     outs, repeats, in_place, changed = {}, True, True, 0
     for kind in REDUCE_KINDS:
         partials = fresh_partials()
         red = reduce_slabs(ReduceStrategy(kind), partials, target, topo)
         again = reduce_slabs(ReduceStrategy(kind), fresh_partials(), target, topo)
-        repeats &= red.data.tobytes() == again.data.tobytes()
+        repeats &= red.tobytes() == again.tobytes()
         in_place &= red is partials[target]
-        changed += sum(p.data.tobytes() != d.tobytes()
+        changed += sum(p.tobytes() != d.tobytes()
                        for r, (p, d) in enumerate(zip(partials, datas)) if r != target)
-        outs[kind] = red.data
+        outs[kind] = red
     direct_exact = outs["direct"].tobytes() == total.tobytes()
     ring_err = max(np.linalg.norm(outs[kind] - total) for kind in REDUCE_KINDS
                    if kind != "direct")
@@ -538,7 +536,7 @@ def verify_pipeline(scale: str = "small") -> VerifyReport:
             acc = None
             for k in reversed(range(nw)):
                 acc = transform.apply_w_correction(acc, wplanes[k], z)
-            got = transform.stack_planes(acc, n_pix, 0, wspec).pixels
+            got = transform.stack_planes(acc, n_pix, wspec).pixels
             horner_err = max(horner_err, _max_abs(got, ref.real.T) / np.max(np.abs(ref.real)))
             w0_factor = transform.w_phase_factor(n_pix, wspec.plane_w_native(0))
             phase_err = max(phase_err, float(np.max(np.abs(np.abs(z) - 1.0))),

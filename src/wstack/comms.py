@@ -33,18 +33,20 @@ slab with zero partials from every rank but its owner, and x + 0 = x in
 any order. That holds until the ranks grid real partials of each other's
 sectors.
 
-Copies: a message costs the one copy :meth:`Router.send` makes, so that no
-rank aliases another's arrays; a payload may be a view. The non-target
-partials are read-only: ring segments are views of them, the P
-:func:`~wstack.mesh.partition_1d` shares of the flat slab, so each
-message carries exactly its share. The target's partial is read
-until its own values have been added, then written: ``direct`` writes
-each add from the target's own rank-order step onward into it (the
-earlier adds go into a received buffer); in ``hybrid_ring`` the target
-gathers its node's segments into it and adds the chain there, and the
-master of every other node gathers into one new full-length buffer; in
-``ring_rdma_like`` the target gathers the delivered segments into it.
-Every other sum is written into a buffer that arrived.
+Buffers and copies: the partials are complex128 buffers of one shape, as
+at an MPI reduce, with no mesh geometry; :func:`reduce_slabs` rejects any
+others, and a target whose flat view would be a copy. A message costs the
+one copy :meth:`Router.send` makes, so that no rank aliases another's
+arrays; a payload may be a view. The non-target partials are read-only:
+ring segments are views of them, the P :func:`~wstack.mesh.partition_1d`
+shares of the flat buffer, so each message carries exactly its share. The
+target's partial is read until its own values have been added, then
+written: ``direct`` writes each add from the target's own rank-order step
+onward into it (the earlier adds go into a received buffer); in
+``hybrid_ring`` the target gathers its node's segments into it and adds
+the chain there, and the master of every other node gathers into one new
+full-length buffer; in ``ring_rdma_like`` the target gathers the delivered
+segments into it. Every other sum is written into a buffer that arrived.
 """
 
 from __future__ import annotations
@@ -88,6 +90,10 @@ FAILURE_POLL_S = 0.05
 # c128, plane u32, padded to 40 so that gu, gv and value stay 8-byte aligned
 # in every record of an array.
 PREPARED_RECORD_BYTES = 40
+
+# Records per block of ``prepare_chunk``'s weighted channel sum, which
+# bounds its (records, channels) complex128 temporaries.
+PREPARE_BLOCK = 16384
 
 
 @dataclass(frozen=True)
@@ -427,33 +433,35 @@ def _reduce_collective(ctx, strategy, my_flat, target):
 
 def reduce_slabs(strategy: ReduceStrategy, partials, target: int, topo: Topology,
                  log: MessageLog | None = None):
-    """Sum per-rank partial slabs into the target rank's partial.
+    """Sum R complex128 buffers of one shape into the target rank's.
 
-    All partials must share the grid spec and slab range. The target's
-    partial is the receive buffer of the result: it is overwritten with the
-    sum and returned, as ``MPI_IN_PLACE`` does at an MPI reduce's root. The
-    other partials are only read, so one array may stand for several
-    non-target ranks. The message choreography of the chosen strategy runs,
-    each message in phase ``reduce`` (logged in ``log`` when given); each
-    costs the one copy :meth:`Router.send` makes. The sum is what the
-    messages deliver to the target: for ``direct``, the partials summed in
-    rank order 0..R-1; for the rings, summed in the order their segments
-    travel (see the module docs). Returns ``partials[target]``.
+    ``partials[r]`` is rank r's buffer. The target's is the receive buffer:
+    it is overwritten with the sum and returned, as ``MPI_IN_PLACE`` does
+    at an MPI reduce's root, so it must be C-contiguous and writeable; the
+    others are only read, so one array may stand for several non-target
+    ranks. Anything else raises ValueError. The chosen strategy's messages
+    run in phase ``reduce`` (logged in ``log`` when given), each costing
+    the one copy :meth:`Router.send` makes. The sum is what they deliver
+    to the target: for ``direct``, the partials summed in rank order
+    0..R-1; for the rings, in the order their segments travel (see the
+    module docs).
     """
     R = topo.n_ranks
     if len(partials) != R:
         raise ValueError(f"expected {R} partials, got {len(partials)}")
     if not (0 <= target < R):
         raise ValueError(f"target {target} outside range(0, {R})")
-    spec = partials[0].spec
-    slab = partials[0].slab
-    for p in partials[1:]:
-        if p.spec != spec or (p.slab.v_start, p.slab.v_count) != (slab.v_start, slab.v_count):
-            raise ValueError("partials must share spec and slab range")
-    flats = [p.data.reshape(-1) for p in partials]
+    out = partials[target]
+    for p in partials:
+        if not (isinstance(p, np.ndarray) and p.dtype == np.complex128
+                and p.shape == out.shape):
+            raise ValueError("partials must be complex128 arrays of one shape")
+    if not (out.flags.c_contiguous and out.flags.writeable):
+        raise ValueError("the target's partial must be C-contiguous and writeable")
+    flats = [p.reshape(-1) for p in partials]
     run_ranks(topo, lambda ctx: _reduce_collective(ctx, strategy, flats[ctx.rank], target),
               log=log)
-    return partials[target]
+    return out
 
 
 def hybrid_reduce(partials, target: int, topo: Topology, log: MessageLog | None = None):
@@ -482,7 +490,12 @@ def prepare_chunk(chunk, spec: GridSpec) -> np.ndarray:
     out["gu"] = chunk.u * spec.n_u
     out["gv"] = chunk.v * spec.n_v
     out["plane"] = plane_of_w(spec, chunk.w)
-    out["value"] = (chunk.vis.astype(np.complex128) * chunk.weight).sum(axis=1)
+    # Each record's sum depends on its own row alone, so the blocks give
+    # the bits of the one-shot expression.
+    for r in range(0, len(out), PREPARE_BLOCK):
+        rows = slice(r, r + PREPARE_BLOCK)
+        out["value"][rows] = (chunk.vis[rows].astype(np.complex128)
+                              * chunk.weight[rows]).sum(axis=1)
     return out
 
 
@@ -529,11 +542,7 @@ def exchange_to_space_order(per_rank_records, spec: GridSpec, topo: Topology,
             if s != r:
                 parts[s] = ctx.recv(s, ("exchange",))
         allp = np.concatenate(parts)
-        return SectorBatch(
-            slab=slabs[r],
-            gu=allp["gu"].copy(), gv=allp["gv"].copy(),
-            plane=allp["plane"].copy(), value=allp["value"].copy(),
-            halo_rows=halo_rows,
-        )
+        return SectorBatch(gu=allp["gu"].copy(), gv=allp["gv"].copy(),
+                           plane=allp["plane"].copy(), value=allp["value"].copy())
 
     return run_ranks(topo, fn, log=log)

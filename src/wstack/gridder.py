@@ -3,9 +3,9 @@
 Each record's weighted value is spread over the cells within
 ``half_support`` of its fractional (gu, gv) position on its w plane,
 using a Gaussian or Kaiser-Bessel kernel with unit peak. Footprints are
-clipped at mesh edges and at slab boundaries; records whose footprint
-crosses a slab boundary are present on both ranks (halo duplicates from
-the exchange), so every rank computes exactly the rows it owns.
+clipped at mesh edges and at slab boundaries, so every rank computes
+exactly the rows it owns; which records a sector's batch holds, halo
+copies from neighbouring slabs included, is the exchange's business.
 
 Both kernels are separable, so a record's weights are the outer product
 of its weights along u and along v. The contribution to a cell is
@@ -93,7 +93,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .mesh import ComplexGrid, SlabRange
+from .mesh import ComplexGrid
 
 __all__ = [
     "KERNEL_KINDS",
@@ -206,18 +206,13 @@ def _kb_axis(kern: KernelSpec, x):
 
 @dataclass
 class SectorBatch:
-    """Records prepared for one sector, in global record order.
+    """Records prepared for one sector, in global record order: one column
+    per field, of one length."""
 
-    Records within ``halo_rows`` of the slab but owned by a neighbouring
-    slab are included; they contribute only the rows this slab owns.
-    """
-
-    slab: SlabRange
     gu: np.ndarray
     gv: np.ndarray
     plane: np.ndarray
     value: np.ndarray
-    halo_rows: int = 0
 
     def __post_init__(self):
         self.gu = np.ascontiguousarray(self.gu, dtype=np.float64)
@@ -228,24 +223,18 @@ class SectorBatch:
         for arr in (self.gv, self.plane, self.value):
             if len(arr) != n:
                 raise ValueError("batch columns must share one length")
-        lo = self.slab.v_start - self.halo_rows - 1
-        hi = self.slab.v_end + self.halo_rows
-        # Written as "inside" so that NaN is rejected too.
-        if n and not (lo <= np.floor(self.gv.min()) and np.floor(self.gv.max()) <= hi):
-            raise ValueError("record outside slab+halo")
 
     def __len__(self) -> int:
         return len(self.gu)
 
 
 def grid_sector(batch: SectorBatch, kern: KernelSpec, out: ComplexGrid) -> int:
-    """Accumulate one sector's records into the rows its slab owns, each
-    cell times ``(-1)^(i+j)``, in the order the module docstring states;
-    returns the number of cell updates performed (a deterministic work
-    surrogate)."""
+    """Accumulate one sector's records into the rows ``out``'s slab owns,
+    each cell times ``(-1)^(i+j)``, in the order the module docstring
+    states; returns the number of cell updates performed (a deterministic
+    work surrogate). A record whose footprint reaches no owned row, or off
+    ``out``'s columns or planes, raises ValueError."""
     slab = out.slab
-    if (slab.v_start, slab.v_count) != (batch.slab.v_start, batch.slab.v_count):
-        raise ValueError("batch and output slab ranges differ")
     gu, gv, plane, value = batch.gu, batch.gv, batch.plane, batch.value
     S = kern.half_support
     n_u, n_w = out.spec.n_u, out.spec.n_w

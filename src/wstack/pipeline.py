@@ -18,15 +18,16 @@ the ranks' summed thread time there; ``wcorrect`` gets the rest of the
 stage's wall time and CPU.
 
 The reduce sums each sector one w plane at a time into its owner's own
-gridded slab, so its scratch is a few planes of one slab, not whole
-slabs; each slab is freed once its rank has transformed it.
+gridded slab, handing :func:`~wstack.comms.reduce_slabs` plain plane
+buffers, so its scratch is a few planes of one slab, not whole slabs;
+each slab is freed once its rank has transformed it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -82,18 +83,17 @@ def grid_sectors(parts, spec: GridSpec, kernel: KernelSpec, topo: Topology,
 
 def reduce_sectors(slabs, topo: Topology, strategy: ReduceStrategy, log: MessageLog):
     """Per-sector reduce onto each slab's owner, one w plane at a time:
-    the owner's plane is the receive buffer of the sum, and every other
-    rank contributes one zero plane, made once per sector and shared. Each
-    gridded slab moves from ``slabs`` into the returned list, which holds
-    the owners' own slabs, reduced in place."""
+    the owner's plane ``data[k]``, a view, is the receive buffer of the
+    sum, and every other rank contributes one zero plane, made once per
+    sector and shared. Each gridded slab moves from ``slabs`` into the
+    returned list, which holds the owners' own slabs, reduced in place."""
     reduced = []
     for target in range(len(slabs)):
         own, slabs[target] = slabs[target], None
-        plane_spec = replace(own.spec, n_w=1)
-        zero = ComplexGrid(plane_spec, own.slab)
-        for k in range(own.spec.n_w):
-            partials = [ComplexGrid(plane_spec, own.slab, own.data[k:k + 1])
-                        if r == target else zero for r in range(topo.n_ranks)]
+        # np.zeros leaves the pages untouched until read; zeros_like writes them
+        zero = np.zeros(own.data.shape[1:], dtype=np.complex128)
+        for plane in own.data:
+            partials = [plane if r == target else zero for r in range(topo.n_ranks)]
             comms.reduce_slabs(strategy, partials, target, topo, log=log)
         reduced.append(own)
     return reduced
@@ -104,8 +104,8 @@ def image_sectors(reduced, spec: GridSpec, topo: Topology, log: MessageLog):
     inverse transform of its reduced slab into its column block and the
     Horner step of the w correction into the block's sum, then the
     stacking. A rank drops its ``reduced`` entry once it has transformed
-    it. Returns ``(ImageBlocks, the busiest rank's seconds in fft2d_slab,
-    the ranks' summed thread CPU-seconds in it)``."""
+    it. Returns ``(ImageBlocks in rank order, the busiest rank's seconds in
+    fft2d_slab, the ranks' summed thread CPU-seconds in it)``."""
     R = topo.n_ranks
     fft_s, fft_cpu = [0.0] * R, [0.0] * R
 
@@ -125,7 +125,7 @@ def image_sectors(reduced, spec: GridSpec, topo: Topology, log: MessageLog):
             # freed before the next plane's transform, not after it
             del plane
         del planes, z
-        return transform.stack_planes(acc, n, u0, spec)
+        return transform.stack_planes(acc, n, spec)
 
     return run_ranks(topo, image_fn, log=log), max(fft_s), sum(fft_cpu)
 
@@ -221,7 +221,6 @@ def run_pipeline(
         "reduce_bytes": log.total_bytes(phase="reduce"),
         "fft_bytes": log.total_bytes(phase="fft"),
         "reduce_messages": log.count(phase="reduce"),
-        "stack_pixels": spec.n_u * spec.n_v,
     }
     run = metrics.RunRecord(
         label=label, n_nodes=topo.n_nodes, freq_level="default",

@@ -8,7 +8,8 @@ There is no transpose back: a rank keeps ``(columns, n_v)`` blocks, FFTW's
 transposed-out MPI layout (Frigo & Johnson 2005, Proc. IEEE 93:216), and
 each rank transposes only its block's real pixels, once, in
 :func:`stack_planes`; :func:`assemble_image` then joins the blocks side by
-side. The inverse kernel is ``exp(+2 pi i)`` and carries ``1/(n_u n_v)``.
+side, in rank order. The inverse kernel is ``exp(+2 pi i)`` and carries
+``1/(n_u n_v)``.
 
 The gridded origin sits at cell (0, 0). The gridder stores every cell
 times ``(-1)^(i+j)`` (see :mod:`wstack.gridder`), and on that grid the
@@ -66,12 +67,9 @@ __all__ = [
 
 @dataclass
 class ImageBlock:
-    """Stacked real pixels of the image columns ``u_start ...`` one rank
-    holds, in image orientation ``(n_v, columns)``, plus residual
-    diagnostics."""
+    """Stacked real pixels of the image columns one rank holds, in image
+    orientation ``(n_v, columns)``, plus residual diagnostics."""
 
-    spec: GridSpec
-    u_start: int
     pixels: np.ndarray
     imag_sq_sum: float
     real_sq_sum: float
@@ -158,8 +156,7 @@ def apply_w_correction(acc: np.ndarray | None, plane: np.ndarray,
     return np.add(acc, plane, out=acc)
 
 
-def stack_planes(acc: np.ndarray, n: np.ndarray, u_start: int,
-                 spec: GridSpec) -> ImageBlock:
+def stack_planes(acc: np.ndarray, n: np.ndarray, spec: GridSpec) -> ImageBlock:
     """Finish one column block from the :func:`apply_w_correction` sum of
     its n_w planes: times ``exp(2 pi i w_0 (n - 1))`` unless w_0 = 0, then
     ``/ n_w * n``, in place, then the real part, transposed into image
@@ -180,15 +177,15 @@ def stack_planes(acc: np.ndarray, n: np.ndarray, u_start: int,
     acc /= spec.n_w
     _multiply_mirrored(acc, n)
     return ImageBlock(
-        spec=spec, u_start=u_start, pixels=np.ascontiguousarray(acc.real.T),
+        pixels=np.ascontiguousarray(acc.real.T),
         imag_sq_sum=float((acc.imag ** 2).sum()),
         real_sq_sum=float((acc.real ** 2).sum()),
     )
 
 
 def assemble_image(spec: GridSpec, blocks) -> FinalImage:
-    """Join the per-rank column blocks side by side into the image."""
-    blocks = sorted(blocks, key=lambda b: b.u_start)
+    """Join the column blocks side by side, in the order given: rank
+    order, which is the order of their columns."""
     pixels = np.concatenate([b.pixels for b in blocks], axis=1)
     imag_sq = sum(b.imag_sq_sum for b in blocks)
     real_sq = sum(b.real_sq_sum for b in blocks)

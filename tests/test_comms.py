@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wstack import visdata
-from wstack.comms import (REDUCE_KINDS, MessageLog, ReduceStrategy, Router, Topology,
-                          exchange_to_space_order, reduce_slabs, run_ranks)
-from wstack.mesh import ComplexGrid, GridSpec, partition_1d, slab_of
+from wstack.comms import (PREPARE_BLOCK, REDUCE_KINDS, MessageLog, ReduceStrategy, Router,
+                          Topology, exchange_to_space_order, prepare_chunk, reduce_slabs,
+                          run_ranks)
+from wstack.mesh import GridSpec, partition_1d, slab_of
 
 
 def test_failing_rank_stops_waiting_peers_at_once():
@@ -79,20 +80,21 @@ def expected_reduce_traffic(kind, topo, target, length):
 
 def rank_order_sum(partials):
     """The partials summed left to right in rank order 0, 1, ..., R-1."""
-    total = partials[0].data.copy()
+    total = partials[0].copy()
     for p in partials[1:]:
-        total += p.data
+        total += p
     return total
 
 
-def small_partials(topo):
-    # 2 planes x 4 rows x 4 columns: 32 elements, not a multiple of 3
-    spec = GridSpec(n_u=4, n_v=8, n_w=2, cell_size_lm=1e-3)
-    slab = slab_of(spec, 0, 2)
-    rng = np.random.default_rng(topo.n_nodes * 10 + topo.ranks_per_node)
-    return [ComplexGrid(spec, slab, rng.standard_normal((2, 4, 4))
-                        + 1j * rng.standard_normal((2, 4, 4)))
+def random_partials(topo, shape, seed):
+    rng = np.random.default_rng(seed)
+    return [rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
             for _ in range(topo.n_ranks)]
+
+
+def small_partials(topo):
+    # 2 x 4 x 4: 32 elements, not a multiple of 3
+    return random_partials(topo, (2, 4, 4), topo.n_nodes * 10 + topo.ranks_per_node)
 
 
 @pytest.mark.parametrize("kind", REDUCE_KINDS)
@@ -100,7 +102,7 @@ def small_partials(topo):
 def test_reduce_message_counts_and_bytes_match_closed_form(kind, nodes, ranks):
     # The target's partial receives the sum, so every call gets fresh ones.
     topo = Topology(nodes, ranks)
-    length = small_partials(topo)[0].data.size
+    length = small_partials(topo)[0].size
     total = rank_order_sum(small_partials(topo))
     # direct adds in rank order; with two partials any order is rank order
     exact = kind == "direct" or topo.n_ranks <= 2
@@ -110,12 +112,12 @@ def test_reduce_message_counts_and_bytes_match_closed_form(kind, nodes, ranks):
         red = reduce_slabs(ReduceStrategy(kind), partials, target, topo, log=log)
         assert red is partials[target], target
         if exact:
-            assert red.data.tobytes() == total.tobytes(), target
+            assert red.tobytes() == total.tobytes(), target
         else:
-            err = np.linalg.norm(red.data - total) / np.linalg.norm(total)
+            err = np.linalg.norm(red - total) / np.linalg.norm(total)
             assert err <= 1e-15, (target, err)
             again = reduce_slabs(ReduceStrategy(kind), small_partials(topo), target, topo)
-            assert again.data.tobytes() == red.data.tobytes(), target
+            assert again.tobytes() == red.tobytes(), target
         got = {intra: (log.count("reduce", intra), log.total_bytes("reduce", intra))
                for intra in (True, False)}
         assert got == expected_reduce_traffic(kind, topo, target, length), target
@@ -134,9 +136,66 @@ def test_direct_sums_in_rank_order_whatever_the_arrival_order(nodes, ranks):
             for _ in range(10):
                 red = reduce_slabs(ReduceStrategy("direct"), small_partials(topo),
                                    target, topo)
-                assert red.data.tobytes() == total, target
+                assert red.tobytes() == total, target
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_reduce_rejects_partials_it_cannot_sum_in_place():
+    # The partials are buffers of one shape and dtype; the target's is the
+    # receive buffer, and a flat view of a strided or read-only one would
+    # not write the sum into it.
+    topo = Topology(1, 2)
+    a, b = small_partials(topo)
+    read_only = b.copy()
+    read_only.flags.writeable = False
+    cases = {
+        "shapes": [a, b[:1]],
+        "complex64": [a, b.astype(np.complex64)],
+        "strided target": [a, np.zeros((2, 4, 8), dtype=np.complex128)[:, :, ::2]],
+        "read-only target": [a, read_only],
+    }
+    for name, partials in cases.items():
+        with pytest.raises(ValueError, match="partial"):
+            reduce_slabs(ReduceStrategy("direct"), partials, 1, topo)
+        assert partials[0].tobytes() == a.tobytes(), name
+
+
+# ---------------------------------------------------------------------------
+# record preparation
+# ---------------------------------------------------------------------------
+
+def random_chunk(n, n_chan, seed):
+    rng = np.random.default_rng(seed)
+    vis = rng.standard_normal((n, n_chan)) + 1j * rng.standard_normal((n, n_chan))
+    return visdata.VisChunk(u=rng.random(n), v=rng.random(n), w=rng.random(n),
+                            time_index=np.zeros(n), vis=vis,
+                            weight=rng.random((n, n_chan)))
+
+
+@pytest.mark.parametrize("n_chan", [1, 3, 4, 8])
+def test_prepared_value_is_the_one_shot_weighted_channel_sum(n_chan):
+    # A record count that no block divides, so the last block is short.
+    chunk = random_chunk(2 * PREPARE_BLOCK + 5, n_chan, n_chan)
+    spec = GridSpec(n_u=16, n_v=16, n_w=4, cell_size_lm=1e-3)
+    want = (chunk.vis.astype(np.complex128) * chunk.weight).sum(axis=1)
+    assert prepare_chunk(chunk, spec)["value"].tobytes() == want.tobytes()
+
+
+def test_prepare_chunk_temporaries_stay_within_a_block():
+    # 100k records x 4 channels; the unit is the prepared array itself. The
+    # blocked channel sum peaked at 1.40 units, the one-shot expression's
+    # two (records, channels) complex128 temporaries at 3.00.
+    chunk = random_chunk(100_003, 4, 1)
+    spec = GridSpec(n_u=256, n_v=256, n_w=4, cell_size_lm=1e-3)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = prepare_chunk(chunk, spec)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * out.nbytes, f"{peak / out.nbytes:.2f} units"
 
 
 # ---------------------------------------------------------------------------
@@ -202,13 +261,6 @@ def test_exchange_frees_the_records_it_prepared():
 # reduce copies
 # ---------------------------------------------------------------------------
 
-def random_partials(topo, spec, slab, seed):
-    rng = np.random.default_rng(seed)
-    shape = (spec.n_w, slab.v_count, spec.n_u)
-    return [ComplexGrid(spec, slab, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-            for _ in range(topo.n_ranks)]
-
-
 @pytest.mark.parametrize("kind", REDUCE_KINDS)
 @pytest.mark.parametrize("nodes,ranks", [(1, 1), (1, 2), (2, 1), (2, 2), (4, 2), (1, 3)])
 def test_reduce_leaves_partials_untouched(kind, nodes, ranks):
@@ -217,16 +269,15 @@ def test_reduce_leaves_partials_untouched(kind, nodes, ranks):
     # the partials, which must stay as they were. 32 elements on 1x3 make
     # segments of 11, 11 and 10.
     topo = Topology(nodes, ranks)
-    spec = GridSpec(n_u=4, n_v=8, n_w=2, cell_size_lm=1e-3)
     for target in range(topo.n_ranks):
-        partials = random_partials(topo, spec, slab_of(spec, 0, 2), nodes * 10 + ranks)
-        before = [p.data.tobytes() for p in partials]
+        partials = small_partials(topo)
+        before = [p.tobytes() for p in partials]
         total = rank_order_sum(partials)
         red = reduce_slabs(ReduceStrategy(kind), partials, target, topo)
         assert red is partials[target], target
-        assert ([p.data.tobytes() for r, p in enumerate(partials) if r != target]
+        assert ([p.tobytes() for r, p in enumerate(partials) if r != target]
                 == [b for r, b in enumerate(before) if r != target]), target
-        err = np.linalg.norm(red.data - total) / np.linalg.norm(total)
+        err = np.linalg.norm(red - total) / np.linalg.norm(total)
         assert err <= 1e-15, (target, err)
 
 
@@ -258,13 +309,13 @@ ALLOCATION_BOUNDS = {
                          ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else v)
 def test_reduce_peak_allocation_within_budget(topo_shape, kind):
     topo = Topology(*topo_shape)
-    spec = GridSpec(n_u=256, n_v=256, n_w=4, cell_size_lm=1e-3)
-    nbytes = spec.n_w * spec.n_v * spec.n_u * 16
+    shape = (4, 256, 256)
+    nbytes = np.prod(shape) * 16
     worst = 0.0
     for target in range(topo.n_ranks):
         peaks = []
         for _ in range(3):
-            partials = random_partials(topo, spec, slab_of(spec, 0, 1), 3)
+            partials = random_partials(topo, shape, 3)
             tracemalloc.start()
             try:
                 reduce_slabs(ReduceStrategy(kind), partials, target, topo)
@@ -283,14 +334,14 @@ def test_hybrid_ring_target_peak_under_fine_thread_switching():
     # 1.51 partial sizes: the two ring messages and the gathered segment,
     # half a partial each. A delivery to the target took 2.51-3.01.
     topo = Topology(1, 2)
-    spec = GridSpec(n_u=256, n_v=256, n_w=4, cell_size_lm=1e-3)
-    nbytes = spec.n_w * spec.n_v * spec.n_u * 16
+    shape = (4, 256, 256)
+    nbytes = np.prod(shape) * 16
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     peaks = []
     try:
         for _ in range(12):
-            partials = random_partials(topo, spec, slab_of(spec, 0, 1), 3)
+            partials = random_partials(topo, shape, 3)
             tracemalloc.start()
             try:
                 reduce_slabs(ReduceStrategy("hybrid_ring"), partials, 1, topo)

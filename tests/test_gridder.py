@@ -53,11 +53,10 @@ def brute_force_grid(chunk, spec, kern):
     return grid, updates
 
 
-def batch_for(spec, slab, gu, gv, plane, value, halo=3):
-    return SectorBatch(
-        slab=slab, gu=np.asarray(gu, float), gv=np.asarray(gv, float),
-        plane=np.asarray(plane, np.uint32), value=np.asarray(value, np.complex128),
-        halo_rows=halo)
+def batch_for(gu, gv, plane, value):
+    return SectorBatch(gu=np.asarray(gu, float), gv=np.asarray(gv, float),
+                       plane=np.asarray(plane, np.uint32),
+                       value=np.asarray(value, np.complex128))
 
 
 def checker_sign(spec, slab):
@@ -188,7 +187,7 @@ def test_near_delta_kernel_hits_single_cell():
     spec = GridSpec(n_u=16, n_v=16, n_w=1, cell_size_lm=1e-3)
     slab = slab_of(spec, 0, 1)
     out = ComplexGrid(spec, slab)
-    batch = batch_for(spec, slab, [8.0], [8.0], [0], [1.0 + 0j], halo=1)
+    batch = batch_for([8.0], [8.0], [0], [1.0 + 0j])
     grid_sector(batch, KernelSpec.gaussian(1, 1e-3), out)
     assert out.data[0, 8, 8] == pytest.approx(1.0)
     masked = out.data.copy()
@@ -201,7 +200,7 @@ def test_on_center_record_closed_form_neighbourhood():
     slab = slab_of(spec, 0, 1)
     out = ComplexGrid(spec, slab)
     # value 2+0j with weight 0.5 folded in -> unit effective value
-    batch = batch_for(spec, slab, [8.0], [8.0], [0], [(2 + 0j) * 0.5])
+    batch = batch_for([8.0], [8.0], [0], [(2 + 0j) * 0.5])
     grid_sector(batch, KernelSpec.gaussian(3, 1.0), out)
     sign = checker_sign(spec, slab)
     assert out.data[0, 8, 8] == pytest.approx(sign[8, 8] * 1.0, abs=1e-14)
@@ -216,9 +215,9 @@ def test_two_identical_records_double_the_grid():
     slab = slab_of(spec, 0, 1)
     one = ComplexGrid(spec, slab)
     two = ComplexGrid(spec, slab)
-    grid_sector(batch_for(spec, slab, [5.3], [7.8], [1], [1.5 - 0.5j]),
+    grid_sector(batch_for([5.3], [7.8], [1], [1.5 - 0.5j]),
                 KernelSpec.gaussian(3, 1.0), one)
-    grid_sector(batch_for(spec, slab, [5.3, 5.3], [7.8, 7.8], [1, 1],
+    grid_sector(batch_for([5.3, 5.3], [7.8, 7.8], [1, 1],
                           [1.5 - 0.5j, 1.5 - 0.5j]),
                 KernelSpec.gaussian(3, 1.0), two)
     assert np.allclose(two.data, 2.0 * one.data, rtol=0, atol=1e-15)
@@ -228,14 +227,10 @@ def test_record_outside_slab_halo_rejected():
     spec = GridSpec(n_u=16, n_v=16, n_w=1, cell_size_lm=1e-3)
     slab = slab_of(spec, 0, 2)  # rows 0..7
     kern = KernelSpec.gaussian(3, 1.0)
-    # Row 11 passes the batch's row test (at most 8 + 3) but its footprint
-    # reaches no owned row; NaN and +-inf fail both tests.
+    # Row 11 lies within the exchange's halo of 3 rows, but its footprint
+    # reaches no owned row; NaN and +-inf reach none either.
     for gv in (14.0, 11.0, math.nan, math.inf, -math.inf):
-        if gv != 11.0:
-            with pytest.raises(ValueError, match="outside slab"):
-                batch_for(spec, slab, [3.0, 4.0], [2.5, gv], [0, 0], [1.0, 1.0], halo=3)
-        batch = batch_for(spec, slab, [3.0, 4.0], [2.5, 3.5], [0, 0], [1.0, 1.0], halo=3)
-        batch.gv[1] = gv  # past the batch's own test
+        batch = batch_for([3.0, 4.0], [2.5, gv], [0, 0], [1.0, 1.0])
         with pytest.raises(ValueError, match="outside slab"):
             grid_sector(batch, kern, ComplexGrid(spec, slab))
 
@@ -250,7 +245,7 @@ def test_gridded_mass_matches_kernel_sums():
     gv = rng.uniform(10, 54, n)
     value = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     kern = KernelSpec.gaussian(3, 1.0)
-    grid_sector(batch_for(spec, slab, gu, gv, rng.integers(0, 2, n), value), kern, out)
+    grid_sector(batch_for(gu, gv, rng.integers(0, 2, n), value), kern, out)
     expected = sum(v * signed_footprint_sum(kern, u, w) for u, w, v in zip(gu, gv, value))
     assert abs(out.data.sum() - expected) < 1e-10
 
@@ -269,7 +264,7 @@ def test_matches_brute_force_with_edge_clipping_on_every_plane(kern):
         parts = visdata.split_records(chunk, n_ranks)
         grid = grid_and_reduce(parts, spec, kern, Topology(1, n_ranks))
         assert np.max(np.abs(grid - ref)) <= 1e-12
-    batch = batch_for(spec, slab_of(spec, 0, 1), chunk.u * 32, chunk.v * 32,
+    batch = batch_for(chunk.u * 32, chunk.v * 32,
                       np.clip(np.floor(chunk.w * 3 + 0.5), 0, 3),
                       (chunk.vis.astype(np.complex128) * chunk.weight).sum(axis=1))
     out = ComplexGrid(spec, slab_of(spec, 0, 1))
@@ -420,7 +415,7 @@ ON_LINE_CASES = {
                          ids=["gaussian", "kaiser_bessel"])
 def test_grid_sector_bit_identical_to_masked_reference(case, kern, monkeypatch):
     spec, slab, gu, gv, plane, value = on_line_case(case, np.random.default_rng(17))
-    batch = batch_for(spec, slab, gu, gv, plane, value)
+    batch = batch_for(gu, gv, plane, value)
     ref, got = ComplexGrid(spec, slab), ComplexGrid(spec, slab)
     ref_count = masked_grid_sector(batch, kern, ref)
     spaces = []
@@ -445,8 +440,8 @@ def test_beyond_support_weight_is_zeroed_for_the_gaussian():
     slab = slab_of(spec, 0, 1)
     kern = KernelSpec.gaussian(3, 1.0)
     alone, with_line = ComplexGrid(spec, slab), ComplexGrid(spec, slab)
-    assert grid_sector(batch_for(spec, slab, [10.5], [20.5], [0], [1.0]), kern, alone) == 36
-    assert grid_sector(batch_for(spec, slab, [10.5, 3.0], [20.5, 8.0], [0, 0], [1.0, 0.0]),
+    assert grid_sector(batch_for([10.5], [20.5], [0], [1.0]), kern, alone) == 36
+    assert grid_sector(batch_for([10.5, 3.0], [20.5, 8.0], [0, 0], [1.0, 0.0]),
                        kern, with_line) == 36 + 49
     assert with_line.data.tobytes() == alone.data.tobytes()
     assert not np.any(alone.data[0, :, 7]) and not np.any(alone.data[0, 17, :])
@@ -465,7 +460,7 @@ def test_grid_sector_temporaries_on_a_dense_plane():
     n = 50_000
     gu, gv = rng.uniform(4, 60, n), rng.uniform(4, 60, n)
     gu[0], gv[0] = 30.0, 30.0
-    batch = batch_for(spec, slab, gu, gv, np.zeros(n), rng.standard_normal(n) + 1j)
+    batch = batch_for(gu, gv, np.zeros(n), rng.standard_normal(n) + 1j)
     out = ComplexGrid(spec, slab)
     unit = n * (2 * kern.half_support + 1) * 8
     tracemalloc.start()
@@ -482,7 +477,7 @@ def test_grid_sector_temporaries_on_a_dense_plane():
 def test_plane_outside_mesh_rejected(plane, n_w):
     spec = GridSpec(n_u=16, n_v=16, n_w=n_w, cell_size_lm=1e-3)
     slab = slab_of(spec, 0, 1)
-    batch = batch_for(spec, slab, [3.5, 4.5], [3.5, 4.5], [0, plane], [1.0, 1.0])
+    batch = batch_for([3.5, 4.5], [3.5, 4.5], [0, plane], [1.0, 1.0])
     with pytest.raises(ValueError, match="plane"):
         grid_sector(batch, KernelSpec.gaussian(3, 1.0), ComplexGrid(spec, slab))
 
@@ -491,7 +486,7 @@ def test_plane_outside_mesh_rejected(plane, n_w):
 def test_record_outside_mesh_columns_rejected(gu):
     spec = GridSpec(n_u=16, n_v=16, n_w=1, cell_size_lm=1e-3)
     slab = slab_of(spec, 0, 1)
-    batch = batch_for(spec, slab, [3.5, gu], [3.5, 4.5], [0, 0], [1.0, 1.0])
+    batch = batch_for([3.5, gu], [3.5, 4.5], [0, 0], [1.0, 1.0])
     with pytest.raises(ValueError, match="mesh columns"):
         grid_sector(batch, KernelSpec.gaussian(3, 1.0), ComplexGrid(spec, slab))
 

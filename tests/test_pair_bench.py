@@ -72,15 +72,17 @@ def test_pairs_alternate_and_verdicts_follow_the_rules(pair_bench, checkouts, ca
     assert lines[:2] == ["parent: 0 of 30 operations failed",
                          "change: 0 of 30 operations failed"]
     rows = {line.split(" ", 1)[0]: line for line in lines if " median " in line}
+    # image_s: the parent's IQR 0.45 exceeds 0.25 x 1.45, and the change's
+    # last run is slower than every parent run
     assert rows["image_s"].endswith(
-        "parent median 1.45 [q1 1.225, q3 1.675], change median 0.95, won 9/10, "
-        "claim met: yes, regression: no")
+        "parent median 1.45 [q1 1.225, q3 1.675], change median 0.95 [q1 0.725, q3 1.175], "
+        "won 9/10, claim met: yes, regression: no, unresolved: yes")
     assert rows["records_per_s"].endswith(
-        "parent median 100 [q1 100, q3 100], change median 70, won 0/10, "
-        "claim met: no, regression: yes")
+        "parent median 100 [q1 100, q3 100], change median 70 [q1 70, q3 70], won 0/10, "
+        "claim met: no, regression: yes, unresolved: no")
     assert rows["peak_rss_mb"].endswith(
-        "parent median 300 [q1 300, q3 300], change median 309, won 0/10, "
-        "claim met: no, regression: no")
+        "parent median 300 [q1 300, q3 300], change median 309 [q1 309, q3 309], won 0/10, "
+        "claim met: no, regression: no, unresolved: no")
     assert "  change: 0.5 0.6 0.7 0.8 0.9 1 1.1 1.2 1.3 2" in lines
 
 
@@ -94,3 +96,21 @@ def test_claim_needs_nine_tenths_of_pairs_and_a_gap_beyond_the_iqr(pair_bench, c
     c = pair_bench.compare(BENCHMARK["end_to_end"][0], PARENT_IMAGE_S, change)
     assert c["claim_met"] is claim_met
     assert c["regression"] is False
+
+
+PARENT_RECORDS = [100.0 + 10.0 * k for k in range(10)]  # median 145, IQR 45 > 0.25 x 145
+
+
+@pytest.mark.parametrize("metric, parent, change, unresolved", [
+    (0, PARENT_IMAGE_S, [v + 0.01 for v in PARENT_IMAGE_S], True),
+    (0, PARENT_IMAGE_S, [0.5 + 0.05 * k for k in range(10)], False),  # all faster
+    (0, PARENT_IMAGE_S, [v - 0.5 for v in PARENT_IMAGE_S[:9]] + [1.0], True),  # one tie
+    (0, [1.4 + 0.01 * k for k in range(10)], [2.0 - 0.1 * k for k in range(10)], False),
+    (1, PARENT_RECORDS, [v + 1.0 for v in PARENT_RECORDS], True),
+    (1, PARENT_RECORDS, [200.0 + k for k in range(10)], False),  # all more
+], ids=["spread", "every-run-better", "tie-is-not-better", "parent-within-bound",
+        "higher-spread", "higher-every-run-better"])
+def test_unresolved_when_the_parent_spreads_wider_than_the_bound(pair_bench, metric, parent,
+                                                                 change, unresolved):
+    c = pair_bench.compare(BENCHMARK["end_to_end"][metric], parent, change)
+    assert c["unresolved"] is unresolved

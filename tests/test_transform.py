@@ -121,7 +121,7 @@ def horner_stack(planes, spec, u_start):
     acc = None
     for plane in reversed(planes):
         acc = apply_w_correction(acc, plane, z)
-    return stack_planes(acc, n, u_start, spec)
+    return stack_planes(acc, n, spec)
 
 
 @pytest.mark.parametrize("n_w, w_range", [(4, (0.0, 20.0)), (3, (-10.0, 10.0)), (1, (0.0, 20.0))],
@@ -156,7 +156,7 @@ def test_stack_rejects_n_of_wrong_shape():
     spec = GridSpec(n_u=16, n_v=16, n_w=2, cell_size_lm=1e-3, w_max_native=5.0)
     acc = np.zeros((8, 16), dtype=np.complex128)
     with pytest.raises(ValueError, match="n shape"):
-        stack_planes(acc, np.ones((8, 16)), 0, spec)
+        stack_planes(acc, np.ones((8, 16)), spec)
 
 
 def test_write_image_raw_file_holds_the_little_endian_pixels(tmp_path):
