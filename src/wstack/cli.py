@@ -25,8 +25,8 @@ I/O error (a missing or malformed input file).
 The topology is the only parallelism: each rank grids its sector on one
 thread. The image is bit-identical for any topology and reduce strategy
 because each sector is reduced with zero partials from every rank but its
-owner, so every strategy delivers the owner's slab exactly; the strategies
-differ only in their messages until the ranks reduce real partials.
+owner, so both strategies deliver the owner's slab exactly; they differ
+only in their messages until the ranks reduce real partials.
 
 Every run meters itself: each phase's joules are its process CPU-seconds
 times ``metrics.WATTS_PER_CORE``. Setting ``meter.counter_file`` or
@@ -382,9 +382,8 @@ def cmd_report(args) -> int:
                and r.freq_level == args.freq]
         if not sel:
             raise ConfigError("no runs match the label/freq selection")
-        gp = metrics.scaling_gp_report(sel, alpha)
         header = ["label", "n_nodes", "green_productivity"]
-        rows = [(sel[0].label, nodes, value) for nodes, value in gp]
+        rows = metrics.scaling_gp_report(sel, alpha)
 
     print(metrics.render_table(header, rows))
     if args.out:

@@ -3,11 +3,12 @@
 Ranks are in-process worker threads grouped into virtual nodes. All
 inter-rank traffic flows through a :class:`Router` of queues and is
 recorded in a :class:`MessageLog` with byte counts; "inter-node" transfers
-are tagged rather than crossing a real network. Three reduction strategies
-are provided:
+are tagged rather than crossing a real network. The two reduction
+strategies are the paper's:
 
 ``direct``
-    every rank sends its full partial slab to the target, which sums them.
+    every rank sends its full partial slab to the target, which sums them
+    (plain MPI).
 ``hybrid_ring``
     per node, a ring reduce-scatter over the node's ranks followed by a
     gather of the segments: to the target on the target's node, to the
@@ -15,19 +16,15 @@ are provided:
     sums along a chain whose last hop goes to the target itself, which
     adds it to its own node's sum (the SMP-aware reduce of Thakur,
     Rabenseifner & Gropp 2005, IJHPCA 19:49, with no delivery hop).
-``ring_rdma_like``
-    the same intra-node ring, but the per-rank segment owners forward
-    their segments directly to peer ranks on other nodes, bypassing the
-    node masters; only the message pattern differs from ``hybrid_ring``.
 
-Every strategy writes what its messages deliver into the target's own
+Both strategies write what their messages deliver into the target's own
 partial, which is thus the result (the root's ``MPI_IN_PLACE`` buffer of
 an MPI reduce). ``direct`` adds the payloads in rank order 0, 1, ..., R-1
 whatever order they arrive in, so it is bit-identical to that rank-order
-sum on every topology. The rings add in the order their segments and
-chains travel, which differs from rank order in the last bits once a
-segment sums three or more partials; each call repeats its result bit for
-bit. The pipeline's image is nonetheless one hash for every topology and
+sum on every topology. The ring adds in the order its segments and chain
+travel, which differs from rank order in the last bits once a segment
+sums three or more partials; each call repeats its result bit for bit.
+The pipeline's image is nonetheless one hash for every topology and
 strategy, because :func:`~wstack.pipeline.reduce_sectors` reduces each
 slab with zero partials from every rank but its owner, and x + 0 = x in
 any order. That holds until the ranks grid real partials of each other's
@@ -45,8 +42,7 @@ written: ``direct`` writes each add from the target's own rank-order step
 onward into it (the earlier adds go into a received buffer); in
 ``hybrid_ring`` the target gathers its node's segments into it and adds
 the chain there, and the master of every other node gathers into one new
-full-length buffer; in ``ring_rdma_like`` the target gathers the delivered
-segments into it. Every other sum is written into a buffer that arrived.
+full-length buffer. Every other sum is written into a buffer that arrived.
 """
 
 from __future__ import annotations
@@ -60,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gridder import SectorBatch
-from .mesh import GridSpec, partition_1d, plane_of_w, slab_of
+from .mesh import GridSpec, partition_1d, plane_of_w
 
 __all__ = [
     "REDUCE_KINDS",
@@ -79,7 +75,7 @@ __all__ = [
     "prepare_chunk",
 ]
 
-REDUCE_KINDS = ("direct", "hybrid_ring", "ring_rdma_like")
+REDUCE_KINDS = ("direct", "hybrid_ring")
 
 RECV_TIMEOUT_S = 120.0
 
@@ -333,12 +329,12 @@ def _ring_reduce_scatter_ctx(ctx, group, my_flat):
     return segs
 
 
-def _gather_segments(ctx, group, segs, length, tag, out=None):
+def _gather_segments(ctx, group, segs, length, out=None):
     """Assemble the node's P segments into one flat array of ``length``,
     each at its :func:`~wstack.mesh.partition_1d` offset: the rank's own
     from ``segs``, the others received from their owners under
-    ``tag + (p,)``. They are written into ``out`` when given, else into a
-    new array; on one rank with no ``out``, the segment itself is
+    ``("gather", p)``. They are written into ``out`` when given, else into
+    a new array; on one rank with no ``out``, the segment itself is
     returned."""
     P = len(group)
     pos = group.index(ctx.rank)
@@ -348,7 +344,7 @@ def _gather_segments(ctx, group, segs, length, tag, out=None):
         out = np.empty(length, dtype=np.complex128)
     for p in range(P):
         start, count = partition_1d(length, P, p)
-        out[start:start + count] = segs[p] if p == pos else ctx.recv(group[p], tag + (p,))
+        out[start:start + count] = segs[p] if p == pos else ctx.recv(group[p], ("gather", p))
     return out
 
 
@@ -361,7 +357,6 @@ def _reduce_collective(ctx, strategy, my_flat, target):
     gathers its node's segments and receives the chain's last hop."""
     topo = ctx.topo
     R = topo.n_ranks
-    length = len(my_flat)
     is_target = ctx.rank == target
 
     if strategy.kind == "direct":
@@ -380,55 +375,30 @@ def _reduce_collective(ctx, strategy, my_flat, target):
             acc = np.add(acc, parts[r], out=my_flat if r >= target else acc)
         return
 
+    # hybrid_ring: the target gathers its own node's sum; every other node
+    # gathers at its master.
     node = topo.node_of(ctx.rank)
     group = list(topo.ranks_of_node(node))
-    P = len(group)
     pos = group.index(ctx.rank)
     t_node = topo.node_of(target)
-    nodes = list(range(topo.n_nodes))
-    node_chain = [n for n in nodes if n != t_node] + [t_node]
-
     segs = _ring_reduce_scatter_ctx(ctx, group, my_flat)
-
-    if strategy.kind == "hybrid_ring":
-        # The target gathers its own node's sum; every other node gathers
-        # at its master.
-        head = target if node == t_node else group[0]
-        if ctx.rank != head:
-            ctx.send(head, ("gather", pos), segs[pos], "reduce")
-            return
-        node_flat = _gather_segments(ctx, group, segs, length, ("gather",),
-                                     out=my_flat if is_target else None)
-        if topo.n_nodes > 1:
-            # masters chain the node sums; the last hop goes to the target
-            heads = [topo.master_of(n) for n in node_chain[:-1]] + [target]
-            k = node_chain.index(node)
-            if k > 0:
-                incoming = ctx.recv(heads[k - 1], ("chain",))
-                node_flat = np.add(incoming, node_flat,
-                                   out=node_flat if is_target else incoming)
-            if k < len(node_chain) - 1:
-                ctx.send(heads[k + 1], ("chain",), node_flat, "reduce")
+    head = target if node == t_node else group[0]
+    if ctx.rank != head:
+        ctx.send(head, ("gather", pos), segs[pos], "reduce")
         return
-
-    # ring_rdma_like: segment owners forward straight to peer ranks on the
-    # next node, no master involvement.
-    my_seg = segs[pos]
+    node_flat = _gather_segments(ctx, group, segs, len(my_flat),
+                                 out=my_flat if is_target else None)
     if topo.n_nodes > 1:
+        # masters chain the node sums; the last hop goes to the target
+        node_chain = [n for n in range(topo.n_nodes) if n != t_node] + [t_node]
+        heads = [topo.master_of(n) for n in node_chain[:-1]] + [target]
         k = node_chain.index(node)
         if k > 0:
-            prev_peer = topo.ranks_of_node(node_chain[k - 1])[pos]
-            incoming = ctx.recv(prev_peer, ("rchain", pos))
-            # the ring's buffer is dropped as soon as the chain's holds the sum
-            my_seg = segs[pos] = np.add(incoming, my_seg, out=incoming)
+            incoming = ctx.recv(heads[k - 1], ("chain",))
+            node_flat = np.add(incoming, node_flat,
+                               out=node_flat if is_target else incoming)
         if k < len(node_chain) - 1:
-            next_peer = topo.ranks_of_node(node_chain[k + 1])[pos]
-            ctx.send(next_peer, ("rchain", pos), my_seg, "reduce")
-    if node == t_node:
-        if not is_target:
-            ctx.send(target, ("rdeliver", pos), my_seg, "reduce")
-            return
-        _gather_segments(ctx, group, segs, length, ("rdeliver",), out=my_flat)
+            ctx.send(heads[k + 1], ("chain",), node_flat, "reduce")
 
 
 def reduce_slabs(strategy: ReduceStrategy, partials, target: int, topo: Topology,
@@ -443,7 +413,7 @@ def reduce_slabs(strategy: ReduceStrategy, partials, target: int, topo: Topology
     run in phase ``reduce`` (logged in ``log`` when given), each costing
     the one copy :meth:`Router.send` makes. The sum is what they deliver
     to the target: for ``direct``, the partials summed in rank order
-    0..R-1; for the rings, in the order their segments travel (see the
+    0..R-1; for ``hybrid_ring``, in the order its segments travel (see the
     module docs).
     """
     R = topo.n_ranks
@@ -505,7 +475,9 @@ def exchange_to_space_order(per_rank_records, spec: GridSpec, topo: Topology,
 
     ``per_rank_records`` is a list of rank r's records at index r; each rank
     sets its entry to None once it has prepared them, so the records are
-    freed before the sectors are gridded. Every record lands on the rank
+    freed before the sectors are gridded. Rank r's slab is its
+    :func:`~wstack.mesh.partition_1d` share of the ``n_v`` rows, so more
+    ranks than rows raise ValueError. Every record lands on the rank
     whose slab contains ``floor(gv)``; a copy also goes to any neighbouring
     rank whose slab lies within ``halo_rows`` of gv, so each rank can grid
     its sector without further communication. Each rank sends exactly one
@@ -522,17 +494,19 @@ def exchange_to_space_order(per_rank_records, spec: GridSpec, topo: Topology,
         raise ValueError(f"expected {R} record partitions, got {len(per_rank_records)}")
     if halo_rows < 0:
         raise ValueError("halo_rows must be >= 0")
-    slabs = [slab_of(spec, r, R) for r in range(R)]
+    # A rank with no rows would have no sector to grid
+    if R > spec.n_v:
+        raise ValueError(f"{R} ranks exceed the mesh's {spec.n_v} rows")
+    slabs = [partition_1d(spec.n_v, R, r) for r in range(R)]
 
     def fn(ctx):
         r = ctx.rank
         prep = prepare_chunk(per_rank_records[r], spec)
         per_rank_records[r] = None
         parts = [None] * R
-        for d in range(R):
-            sl = slabs[d]
-            mask = ((prep["gv"] + halo_rows >= sl.v_start)
-                    & (prep["gv"] - halo_rows <= sl.v_end - 1))
+        for d, (start, count) in enumerate(slabs):
+            mask = ((prep["gv"] + halo_rows >= start)
+                    & (prep["gv"] - halo_rows <= start + count - 1))
             if d == r:
                 parts[r] = prep[mask]
             else:

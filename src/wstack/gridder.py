@@ -93,8 +93,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .mesh import ComplexGrid
-
 __all__ = [
     "KERNEL_KINDS",
     "KernelSpec",
@@ -228,18 +226,23 @@ class SectorBatch:
         return len(self.gu)
 
 
-def grid_sector(batch: SectorBatch, kern: KernelSpec, out: ComplexGrid) -> int:
-    """Accumulate one sector's records into the rows ``out``'s slab owns,
+def grid_sector(batch: SectorBatch, kern: KernelSpec, out: np.ndarray, v_start: int) -> int:
+    """Accumulate one sector's records into ``out``, a ``(n_w, rows, n_u)``
+    complex128 array holding mesh rows ``v_start ... v_start + rows - 1``,
     each cell times ``(-1)^(i+j)``, in the order the module docstring
     states; returns the number of cell updates performed (a deterministic
-    work surrogate). A record whose footprint reaches no owned row, or off
-    ``out``'s columns or planes, raises ValueError."""
-    slab = out.slab
+    work surrogate). ``out`` is summed into through flat views, so one that
+    is not complex128, not 3-D, not C-contiguous or not writeable raises
+    ValueError, as does a record whose footprint reaches no row of
+    ``out``, or that lies off its columns or planes."""
+    if not (isinstance(out, np.ndarray) and out.dtype == np.complex128 and out.ndim == 3
+            and out.flags.c_contiguous and out.flags.writeable):
+        raise ValueError("out must be a writeable, C-contiguous 3-D complex128 array")
+    n_w, rows, n_u = out.shape
     gu, gv, plane, value = batch.gu, batch.gv, batch.plane, batch.value
     S = kern.half_support
-    n_u, n_w = out.spec.n_u, out.spec.n_w
     # Written as "inside" so that NaN is rejected too.
-    if len(gv) and not (gv.min() + S >= slab.v_start and gv.max() - S <= slab.v_end - 1):
+    if len(gv) and not (gv.min() + S >= v_start and gv.max() - S <= v_start + rows - 1):
         raise ValueError("record outside slab+halo")
     if len(gu) and not (gu.min() >= 0.0 and gu.max() <= n_u):
         raise ValueError("record outside the mesh columns")
@@ -254,7 +257,7 @@ def grid_sector(batch: SectorBatch, kern: KernelSpec, out: ComplexGrid) -> int:
     for p in range(n_w):
         rec = slice(bounds[p], bounds[p + 1])
         if rec.start < rec.stop:
-            count += _grid_plane(gu[rec], gv[rec], value[rec], kern, out, p)
+            count += _grid_plane(gu[rec], gv[rec], value[rec], kern, out[p], v_start)
     return count
 
 
@@ -291,12 +294,13 @@ def _axis_window(g, lo: int, hi: int, kern: KernelSpec):
     return flo, first, weights, np.maximum(n_in, 0)
 
 
-def _grid_plane(gu, gv, value, kern: KernelSpec, out: ComplexGrid, p: int) -> int:
-    """Grid one plane's records (in record order) into ``out.data[p]``."""
+def _grid_plane(gu, gv, value, kern: KernelSpec, plane, v_start: int) -> int:
+    """Grid one plane's records (in record order) into ``plane``, the
+    ``(rows, n_u)`` block of mesh rows from ``v_start``."""
     S = kern.half_support
-    slab, n_u = out.slab, out.spec.n_u
+    rows, n_u = plane.shape
     flo_u, first_u, wu, n_in_u = _axis_window(gu, 0, n_u - 1, kern)
-    flo_v, first_v, wv, n_in_v = _axis_window(gv, slab.v_start, slab.v_end - 1, kern)
+    flo_v, first_v, wv, n_in_v = _axis_window(gv, v_start, v_start + rows - 1, kern)
     # ``cells`` indexes the padded row window (see the module docstring)
     # at u offset 0, where mesh column c is window column c + S. Offset a
     # moves every entry a columns along, so its sums for column c are
@@ -308,7 +312,7 @@ def _grid_plane(gu, gv, value, kern: KernelSpec, out: ComplexGrid, p: int) -> in
     cells = cells.reshape(-1)
     # The accumulation space (module docstring) follows the plane's size.
     space = _window_space if len(cells) >= n_rows * width else _touched_space
-    index, n_bins, add = space(cells, row0, n_rows, width, S, out.data[p], slab)
+    index, n_bins, add = space(cells, row0, n_rows, width, S, plane, v_start)
     # value * w_v is formed once per plane, its imaginary part in wv's own
     # buffer; each u offset then scales both parts by w_u.
     re = wv * value.real
@@ -323,13 +327,13 @@ def _grid_plane(gu, gv, value, kern: KernelSpec, out: ComplexGrid, p: int) -> in
     return int(np.dot(n_in_u, n_in_v))
 
 
-def _window_space(cells, row0: int, n_rows: int, width: int, S: int, plane, slab):
+def _window_space(cells, row0: int, n_rows: int, width: int, S: int, plane, v_start: int):
     """Accumulation over the plane's whole row window: ``(bincount index,
     bin count, add)``, where ``add(a, re, im)`` adds the owned rows and
     columns of offset a's window sums into ``plane``."""
-    n_u = plane.shape[1]
-    r0, r1 = max(row0, slab.v_start), min(row0 + n_rows, slab.v_end)
-    dst = slice(r0 - slab.v_start, r1 - slab.v_start)
+    rows, n_u = plane.shape
+    r0, r1 = max(row0, v_start), min(row0 + n_rows, v_start + rows)
+    dst = slice(r0 - v_start, r1 - v_start)
     src = slice(r0 - row0, r1 - row0)
 
     def add(a, re, im):
@@ -339,21 +343,22 @@ def _window_space(cells, row0: int, n_rows: int, width: int, S: int, plane, slab
     return cells, n_rows * width, add
 
 
-def _touched_space(cells, row0: int, n_rows: int, width: int, S: int, plane, slab):
+def _touched_space(cells, row0: int, n_rows: int, width: int, S: int, plane,
+                   v_start: int):
     """Accumulation over the window cells the plane touches at u offset 0:
     ``(bincount index, bin count, add)``, where ``add(a, re, im)`` adds
     offset a's sums of the owned cells into ``plane`` by fancy index."""
-    n_u = plane.shape[1]
+    n_owned, n_u = plane.shape
     touched = np.zeros(n_rows * width, dtype=bool)
     touched[cells] = True
     keys = np.flatnonzero(touched)
     index = np.empty(n_rows * width, dtype=np.intp)
     index[keys] = np.arange(len(keys))
     rows, cols = np.divmod(keys, width)
-    rows += row0 - slab.v_start
+    rows += row0 - v_start
     # Keys run row by row, so the owned rows' keys are one slice of them;
     # it is never empty, as every record reaches an owned row.
-    own = slice(*np.searchsorted(rows, [0, slab.v_count]))
+    own = slice(*np.searchsorted(rows, [0, n_owned]))
     cols = cols[own] - S
     dest = rows[own] * n_u + cols
     lo, hi = int(cols.min()), int(cols.max())

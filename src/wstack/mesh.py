@@ -2,22 +2,22 @@
 
 The computational mesh has ``n_u x n_v x n_w`` cells. The v axis is split
 into contiguous row blocks (slabs), one per rank, balanced to within one
-row. Complex mesh data is stored ``(plane, v_row, u_col)``, row-major.
+row: rank r's slab is ``partition_1d(n_v, R, r)``, a ``(start, count)``
+pair. Complex mesh data is stored ``(plane, v_row, u_col)``, row-major; a
+slab is a plain ``(n_w, count, n_u)`` complex128 array, and its ``start``
+travels beside it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "GridSpec",
-    "SlabRange",
-    "ComplexGrid",
     "partition_1d",
-    "slab_of",
     "plane_of_w",
     "pixel_to_lm",
     "pixel_n_block",
@@ -103,46 +103,6 @@ class GridSpec:
             return 0.5 * (self.w_min_native + self.w_max_native)
         frac = k / (self.n_w - 1)
         return self.w_min_native + frac * self.w_range_native
-
-
-@dataclass(frozen=True)
-class SlabRange:
-    """Contiguous block of v rows owned by one rank."""
-
-    v_start: int
-    v_count: int
-
-    @property
-    def v_end(self) -> int:
-        return self.v_start + self.v_count
-
-
-@dataclass
-class ComplexGrid:
-    """Gridded complex values on one slab, laid out (plane, v_row, u_col)."""
-
-    spec: GridSpec
-    slab: SlabRange
-    data: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        shape = (self.spec.n_w, self.slab.v_count, self.spec.n_u)
-        if self.data is None:
-            self.data = np.zeros(shape, dtype=np.complex128)
-        else:
-            self.data = np.ascontiguousarray(self.data, dtype=np.complex128)
-            if self.data.shape != shape:
-                raise ValueError(f"grid data shape {self.data.shape} != {shape}")
-
-
-def slab_of(spec: GridSpec, rank: int, n_ranks: int) -> SlabRange:
-    """Slab owned by ``rank`` when ``n_v`` rows are split over ``n_ranks``."""
-    if n_ranks < 1 or not (0 <= rank < n_ranks):
-        raise ValueError(f"invalid rank {rank} of {n_ranks}")
-    if n_ranks > spec.n_v:
-        raise ValueError(f"n_ranks {n_ranks} exceeds n_v {spec.n_v}")
-    start, count = partition_1d(spec.n_v, n_ranks, rank)
-    return SlabRange(v_start=start, v_count=count)
 
 
 def plane_of_w(spec: GridSpec, w):

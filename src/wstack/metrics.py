@@ -220,15 +220,23 @@ def ratio_report(cpu_runs, gpu_runs):
 
 
 def scaling_gp_report(runs, alpha: float = 1.0):
-    """GP per node count against the lowest-node entry (the first run)."""
-    runs = list(runs)
-    if not runs:
+    """``(label, n_nodes, GP)`` per run. The runs are grouped by label, in
+    the order each label first appears, and each label's series is
+    measured against its own first run, which must have the lowest node
+    count: within a label, node counts must strictly increase."""
+    series: dict = {}
+    for r in runs:
+        series.setdefault(r.label, []).append(r)
+    if not series:
         raise ValueError("no runs given")
-    nodes = [r.n_nodes for r in runs]
-    if any(b <= a for a, b in zip(nodes, nodes[1:])):
-        raise ValueError(f"node counts must be strictly increasing, got {nodes}")
-    ref = runs[0]
-    return [(r.n_nodes, green_productivity(ref, r, alpha)) for r in runs]
+    rows = []
+    for label, group in series.items():
+        nodes = [r.n_nodes for r in group]
+        if any(b <= a for a, b in zip(nodes, nodes[1:])):
+            raise ValueError(f"node counts of {label!r} must be strictly increasing, "
+                             f"got {nodes}")
+        rows += [(label, r.n_nodes, green_productivity(group[0], r, alpha)) for r in group]
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,13 @@ seconds are the busiest rank's time in ``fft2d_slab`` and its ``fft`` CPU
 the ranks' summed thread time there; ``wcorrect`` gets the rest of the
 stage's wall time and CPU.
 
-The reduce sums each sector one w plane at a time into its owner's own
-gridded slab, handing :func:`~wstack.comms.reduce_slabs` plain plane
-buffers, so its scratch is a few planes of one slab, not whole slabs;
-each slab is freed once its rank has transformed it.
+Stages hand on plain complex128 arrays, with no mesh geometry: each
+rank grids its slab, its :func:`~wstack.mesh.partition_1d` share of the
+rows, into one ``(n_w, rows, n_u)`` array. The reduce sums each sector
+one w plane at a time into its owner's own gridded slab, handing
+:func:`~wstack.comms.reduce_slabs` plane buffers, so its scratch is a few
+planes of one slab, not whole slabs; each slab is freed once its rank has
+transformed it.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import numpy as np
 from . import comms, metrics, transform, visdata
 from .comms import MessageLog, ReduceStrategy, Topology, run_ranks
 from .gridder import KernelSpec, grid_sector
-from .mesh import ComplexGrid, GridSpec, partition_1d, pixel_n_block, slab_of
+from .mesh import GridSpec, partition_1d, pixel_n_block
 from .transform import FinalImage
 
 __all__ = ["PipelineResult", "run_pipeline", "grid_sectors", "reduce_sectors",
@@ -65,16 +68,19 @@ def grid_sectors(parts, spec: GridSpec, kernel: KernelSpec, topo: Topology,
                  log: MessageLog):
     """Move each rank's records (``parts[r]``, a contiguous run of the
     records in rank order) to their sector owners, then grid every sector
-    on its rank. The exchange takes the records out of the ``parts`` list.
-    Returns ``(one ComplexGrid slab per rank, total cell updates)``."""
+    on its rank into a plain ``(n_w, count, n_u)`` complex128 array, where
+    ``(start, count)`` is the rank's :func:`~wstack.mesh.partition_1d`
+    share of the rows. The exchange takes the records out of the ``parts``
+    list. Returns ``(one slab array per rank, total cell updates)``."""
     R = topo.n_ranks
     batches = comms.exchange_to_space_order(parts, spec, topo,
                                             halo_rows=kernel.half_support, log=log)
     updates = [0] * R
 
     def grid_fn(ctx):
-        out = ComplexGrid(spec, slab_of(spec, ctx.rank, R))
-        updates[ctx.rank] = grid_sector(batches[ctx.rank], kernel, out)
+        start, count = partition_1d(spec.n_v, R, ctx.rank)
+        out = np.zeros((spec.n_w, count, spec.n_u), dtype=np.complex128)
+        updates[ctx.rank] = grid_sector(batches[ctx.rank], kernel, out, start)
         return out
 
     slabs = run_ranks(topo, grid_fn, log=log)
@@ -83,16 +89,17 @@ def grid_sectors(parts, spec: GridSpec, kernel: KernelSpec, topo: Topology,
 
 def reduce_sectors(slabs, topo: Topology, strategy: ReduceStrategy, log: MessageLog):
     """Per-sector reduce onto each slab's owner, one w plane at a time:
-    the owner's plane ``data[k]``, a view, is the receive buffer of the
+    the owner's plane ``slab[k]``, a view, is the receive buffer of the
     sum, and every other rank contributes one zero plane, made once per
-    sector and shared. Each gridded slab moves from ``slabs`` into the
-    returned list, which holds the owners' own slabs, reduced in place."""
+    sector and shared. Each gridded slab array moves from ``slabs`` into
+    the returned list, which holds the owners' own arrays, reduced in
+    place."""
     reduced = []
     for target in range(len(slabs)):
         own, slabs[target] = slabs[target], None
         # np.zeros leaves the pages untouched until read; zeros_like writes them
-        zero = np.zeros(own.data.shape[1:], dtype=np.complex128)
-        for plane in own.data:
+        zero = np.zeros(own.shape[1:], dtype=np.complex128)
+        for plane in own:
             partials = [plane if r == target else zero for r in range(topo.n_ranks)]
             comms.reduce_slabs(strategy, partials, target, topo, log=log)
         reduced.append(own)
@@ -111,7 +118,7 @@ def image_sectors(reduced, spec: GridSpec, topo: Topology, log: MessageLog):
 
     def image_fn(ctx):
         r = ctx.rank
-        planes, reduced[r] = reduced[r].data, None
+        planes, reduced[r] = reduced[r], None
         u0, uc = partition_1d(spec.n_u, R, r)
         n = pixel_n_block(spec, u0, uc)
         z = transform.w_phase_factor(n, spec.w_step_native)

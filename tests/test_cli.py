@@ -191,15 +191,28 @@ def test_bench_sweeps_the_listed_topologies_and_strategies(tmp_path):
     assert len({row["image_sha256"] for row in rows}) == 1
 
 
-@pytest.mark.parametrize("flags, message", [
-    (["--topo", "1x1,1x2"], "image runs one topology and one reduce strategy"),
-    (["--strategy", "direct,hybrid_ring"], "image runs one topology and one reduce strategy"),
-    (["--strategy", "ring"], "reduce kind must be one of"),
-], ids=["two-topologies", "two-strategies", "unknown-strategy"])
-def test_image_takes_one_topology_and_one_known_strategy(tmp_path, capsys, flags, message):
-    dataset, out = tmp_path / "d.rvis", tmp_path / "i"
+KNOWN_KINDS = "reduce kind must be one of ('direct', 'hybrid_ring')"
+
+
+@pytest.mark.parametrize("command, flags, config, message", [
+    ("image", ["--topo", "1x1,1x2"], "", "image runs one topology and one reduce strategy"),
+    ("image", ["--strategy", "direct,hybrid_ring"], "",
+     "image runs one topology and one reduce strategy"),
+    ("image", ["--strategy", "ring"], "", KNOWN_KINDS),
+    ("image", ["--strategy", "ring_rdma_like"], "", KNOWN_KINDS),
+    ("bench", ["--strategy", "direct,ring_rdma_like"], "", KNOWN_KINDS),
+    ("image", [], "reduce.kind = ring_rdma_like\n", KNOWN_KINDS),
+], ids=["two-topologies", "two-strategies", "unknown-strategy", "removed-strategy",
+        "bench-removed-strategy", "config-removed-strategy"])
+def test_image_takes_one_topology_and_one_known_strategy(tmp_path, capsys, command, flags,
+                                                         config, message):
+    dataset, out, cfg = tmp_path / "d.rvis", tmp_path / "i", tmp_path / "c.cfg"
     assert main(["gen", "--out", str(dataset), "--records", "50"]) == EXIT_OK
-    assert main(["image", "--dataset", str(dataset), "--out-dir", str(out), *flags]) == EXIT_USAGE
+    if config:
+        cfg.write_text(config)
+        flags = [*flags, "--config", str(cfg)]
+    assert main([command, "--dataset", str(dataset), "--out-dir", str(out),
+                 *flags]) == EXIT_USAGE
     assert message in capsys.readouterr().err
     assert not out.exists()
 

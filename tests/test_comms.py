@@ -11,7 +11,7 @@ from wstack import visdata
 from wstack.comms import (PREPARE_BLOCK, REDUCE_KINDS, MessageLog, ReduceStrategy, Router,
                           Topology, exchange_to_space_order, prepare_chunk, reduce_slabs,
                           run_ranks)
-from wstack.mesh import GridSpec, partition_1d, slab_of
+from wstack.mesh import GridSpec, partition_1d
 
 
 def test_failing_rank_stops_waiting_peers_at_once():
@@ -48,7 +48,7 @@ def test_recv_still_times_out():
 def expected_reduce_traffic(kind, topo, target, length):
     """``{intra_node: (messages, bytes)}`` of one ``reduce_slabs`` call on
     complex partials of ``length`` elements, as ``_reduce_collective``
-    sends them. The rings cut the slab into its P ``partition_1d`` shares,
+    sends them. The ring cuts the slab into its P ``partition_1d`` shares,
     so a message carries exactly its share: 32 elements on 1x3 make
     segments of 11, 11 and 10."""
     N, P, R = topo.n_nodes, topo.ranks_per_node, topo.n_ranks
@@ -64,18 +64,12 @@ def expected_reduce_traffic(kind, topo, target, length):
     # reduce-scatter: P - 1 steps per rank, every node; each rank sends
     # every segment but its own once
     ring_msgs, ring_bytes = N * P * (P - 1), N * (P - 1) * full
-    t_pos = topo.intra_index(target)
-    if kind == "hybrid_ring":
-        # segments to the target on its node, to the master on every other;
-        # masters chain the whole node sum across the N nodes, the last hop
-        # to the target
-        return {True: (ring_msgs + N * (P - 1),
-                       ring_bytes + all_but(t_pos) + (N - 1) * all_but(0)),
-                False: (N - 1, (N - 1) * full)}
-    # ring_rdma_like: each segment owner chains its segment across the nodes,
-    # and the target node's owners deliver theirs to the target
-    return {True: (ring_msgs + P - 1, ring_bytes + all_but(t_pos)),
-            False: (P * (N - 1), (N - 1) * full)}
+    # hybrid_ring: segments to the target on its node, to the master on
+    # every other; masters chain the whole node sum across the N nodes, the
+    # last hop to the target
+    return {True: (ring_msgs + N * (P - 1),
+                   ring_bytes + all_but(topo.intra_index(target)) + (N - 1) * all_but(0)),
+            False: (N - 1, (N - 1) * full)}
 
 
 def rank_order_sum(partials):
@@ -226,18 +220,26 @@ def test_exchange_owns_each_record_once_and_copies_only_within_halo(
     gv = v * spec.n_v
     owners = np.zeros(n, dtype=int)
     for d, batch in enumerate(batches):
-        sl = slab_of(spec, d, n_ranks)
+        start, count = partition_1d(spec.n_v, n_ranks, d)
         ids = batch.value.real.astype(int)
         assert np.array_equal(batch.gv, gv[ids])
         # in ascending global index: the shares joined in source-rank
         # order, whatever the (unsorted) time indices
         assert np.all(np.diff(ids) > 0)
-        owned = (np.floor(gv[ids]) >= sl.v_start) & (np.floor(gv[ids]) < sl.v_end)
+        owned = (np.floor(gv[ids]) >= start) & (np.floor(gv[ids]) < start + count)
         owners[ids[owned]] += 1
         # a copy sits here exactly when the record is within the halo
-        near = (gv + half_support >= sl.v_start) & (gv - half_support <= sl.v_end - 1)
+        near = (gv + half_support >= start) & (gv - half_support <= start + count - 1)
         assert set(ids) == set(np.flatnonzero(near))
     assert np.all(owners == 1)
+
+
+def test_more_ranks_than_rows_rejected():
+    # Five ranks over four rows: the fifth would own no row to grid.
+    spec = GridSpec(n_u=4, n_v=4, n_w=1, cell_size_lm=1e-3)
+    chunk = random_chunk(10, 1, 0)
+    with pytest.raises(ValueError, match="5 ranks exceed the mesh's 4 rows"):
+        exchange_to_space_order(visdata.split_records(chunk, 5), spec, Topology(1, 5), 1)
 
 
 def test_exchange_frees_the_records_it_prepared():
@@ -287,10 +289,7 @@ def test_reduce_leaves_partials_untouched(kind, nodes, ranks):
 # received buffer, so nothing is allocated after the messages. direct on
 # 1x2 holds only the message it receives. Which ring buffers are alive at
 # once depends on how the rank threads interleave, so each target's least
-# of three calls is bounded. ring_rdma_like on 2x2 mostly peaks at 2.52,
-# but 3.01 stays reachable (all four ring buffers and both chain copies
-# alive at once) and was the least of three in about one run in a hundred.
-# hybrid_ring on 2x2: the least of three stayed at or below 3.52 in 200
+# of three calls is bounded. hybrid_ring on 2x2: the least of three stayed at or below 3.52 in 200
 # repeats, but single calls peaked at 4.02 in up to 17 of 100 on one
 # target, so 4.02 stays reachable as the least of three.
 # (The pipeline's image is one hash on every topology for another reason:
@@ -298,10 +297,8 @@ def test_reduce_leaves_partials_untouched(kind, nodes, ranks):
 ALLOCATION_BOUNDS = {
     ((1, 2), "direct"): 1.25,
     ((1, 2), "hybrid_ring"): 1.75,
-    ((1, 2), "ring_rdma_like"): 1.75,
     ((2, 2), "direct"): 3.25,
     ((2, 2), "hybrid_ring"): 4.25,
-    ((2, 2), "ring_rdma_like"): 3.25,
 }
 
 

@@ -9,7 +9,7 @@ from wstack import gridder, visdata
 from wstack.bench import edge_chunk
 from wstack.comms import MessageLog, ReduceStrategy, Topology
 from wstack.gridder import KernelSpec, SectorBatch, grid_sector, kernel_value
-from wstack.mesh import ComplexGrid, GridSpec, slab_of
+from wstack.mesh import GridSpec, partition_1d
 from wstack.pipeline import grid_sectors, reduce_sectors
 
 
@@ -59,12 +59,18 @@ def batch_for(gu, gv, plane, value):
                        value=np.asarray(value, np.complex128))
 
 
+def slab_grid(spec, slab):
+    """A zeroed ``(n_w, rows, n_u)`` complex128 array for ``slab``, a
+    ``partition_1d`` pair ``(start, rows)``: what ``grid_sector`` writes."""
+    return np.zeros((spec.n_w, slab[1], spec.n_u), dtype=np.complex128)
+
+
 def checker_sign(spec, slab):
-    """(-1)^(i + j) over a slab: the factor ``grid_sector`` stores each cell
-    (row j, column i) with. Multiplying k-space by it shifts the image by
-    half the grid along both axes."""
+    """(-1)^(i + j) over a slab ``(start, rows)``: the factor ``grid_sector``
+    stores each cell (row j, column i) with. Multiplying k-space by it
+    shifts the image by half the grid along both axes."""
     i = np.arange(spec.n_u, dtype=np.int64)
-    j = np.arange(slab.v_start, slab.v_end, dtype=np.int64)
+    j = np.arange(slab[0], slab[0] + slab[1], dtype=np.int64)
     return (1.0 - 2.0 * ((i[None, :] + j[:, None]) & 1)).astype(np.float64)
 
 
@@ -185,69 +191,85 @@ def test_kaiser_bessel_beta_that_overflows_i0_rejected():
 
 def test_near_delta_kernel_hits_single_cell():
     spec = GridSpec(n_u=16, n_v=16, n_w=1, cell_size_lm=1e-3)
-    slab = slab_of(spec, 0, 1)
-    out = ComplexGrid(spec, slab)
+    out = slab_grid(spec, (0, 16))
     batch = batch_for([8.0], [8.0], [0], [1.0 + 0j])
-    grid_sector(batch, KernelSpec.gaussian(1, 1e-3), out)
-    assert out.data[0, 8, 8] == pytest.approx(1.0)
-    masked = out.data.copy()
+    grid_sector(batch, KernelSpec.gaussian(1, 1e-3), out, 0)
+    assert out[0, 8, 8] == pytest.approx(1.0)
+    masked = out.copy()
     masked[0, 8, 8] = 0.0
     assert np.max(np.abs(masked)) < 1e-10
 
 
 def test_on_center_record_closed_form_neighbourhood():
     spec = GridSpec(n_u=16, n_v=16, n_w=1, cell_size_lm=1e-3)
-    slab = slab_of(spec, 0, 1)
-    out = ComplexGrid(spec, slab)
+    slab = partition_1d(spec.n_v, 1, 0)
+    out = slab_grid(spec, slab)
     # value 2+0j with weight 0.5 folded in -> unit effective value
     batch = batch_for([8.0], [8.0], [0], [(2 + 0j) * 0.5])
-    grid_sector(batch, KernelSpec.gaussian(3, 1.0), out)
+    grid_sector(batch, KernelSpec.gaussian(3, 1.0), out, 0)
     sign = checker_sign(spec, slab)
-    assert out.data[0, 8, 8] == pytest.approx(sign[8, 8] * 1.0, abs=1e-14)
+    assert out[0, 8, 8] == pytest.approx(sign[8, 8] * 1.0, abs=1e-14)
     for j, i in ((7, 8), (9, 8), (8, 7), (8, 9)):
-        assert out.data[0, j, i].real == pytest.approx(sign[j, i] * math.exp(-0.5), abs=1e-12)
+        assert out[0, j, i].real == pytest.approx(sign[j, i] * math.exp(-0.5), abs=1e-12)
     for j, i in ((7, 7), (9, 9), (7, 9), (9, 7)):
-        assert out.data[0, j, i].real == pytest.approx(sign[j, i] * math.exp(-1.0), abs=1e-12)
+        assert out[0, j, i].real == pytest.approx(sign[j, i] * math.exp(-1.0), abs=1e-12)
 
 
 def test_two_identical_records_double_the_grid():
     spec = GridSpec(n_u=16, n_v=16, n_w=2, cell_size_lm=1e-3)
-    slab = slab_of(spec, 0, 1)
-    one = ComplexGrid(spec, slab)
-    two = ComplexGrid(spec, slab)
+    one = slab_grid(spec, (0, 16))
+    two = slab_grid(spec, (0, 16))
     grid_sector(batch_for([5.3], [7.8], [1], [1.5 - 0.5j]),
-                KernelSpec.gaussian(3, 1.0), one)
+                KernelSpec.gaussian(3, 1.0), one, 0)
     grid_sector(batch_for([5.3, 5.3], [7.8, 7.8], [1, 1],
                           [1.5 - 0.5j, 1.5 - 0.5j]),
-                KernelSpec.gaussian(3, 1.0), two)
-    assert np.allclose(two.data, 2.0 * one.data, rtol=0, atol=1e-15)
+                KernelSpec.gaussian(3, 1.0), two, 0)
+    assert np.allclose(two, 2.0 * one, rtol=0, atol=1e-15)
 
 
 def test_record_outside_slab_halo_rejected():
     spec = GridSpec(n_u=16, n_v=16, n_w=1, cell_size_lm=1e-3)
-    slab = slab_of(spec, 0, 2)  # rows 0..7
+    slab = partition_1d(spec.n_v, 2, 0)  # rows 0..7
     kern = KernelSpec.gaussian(3, 1.0)
     # Row 11 lies within the exchange's halo of 3 rows, but its footprint
     # reaches no owned row; NaN and +-inf reach none either.
     for gv in (14.0, 11.0, math.nan, math.inf, -math.inf):
         batch = batch_for([3.0, 4.0], [2.5, gv], [0, 0], [1.0, 1.0])
         with pytest.raises(ValueError, match="outside slab"):
-            grid_sector(batch, kern, ComplexGrid(spec, slab))
+            grid_sector(batch, kern, slab_grid(spec, slab), slab[0])
+
+
+def test_grid_sector_rejects_out_it_cannot_sum_into_in_place():
+    # The gridder adds into flat views of out's planes; a flat view of a
+    # strided or read-only array would not write into it.
+    kern = KernelSpec.gaussian(3, 1.0)
+    batch = batch_for([3.5], [3.5], [0], [1.0])
+    read_only = np.zeros((1, 16, 16), dtype=np.complex128)
+    read_only.flags.writeable = False
+    cases = {
+        "complex64": np.zeros((1, 16, 16), dtype=np.complex64),
+        "2-D": np.zeros((16, 16), dtype=np.complex128),
+        "strided": np.zeros((1, 16, 32), dtype=np.complex128)[:, :, ::2],
+        "read-only": read_only,
+    }
+    for name, out in cases.items():
+        with pytest.raises(ValueError, match="out must be"):
+            grid_sector(batch, kern, out, 0)
+        assert not np.any(out), name
 
 
 def test_gridded_mass_matches_kernel_sums():
     spec = GridSpec(n_u=64, n_v=64, n_w=2, cell_size_lm=1e-3)
-    slab = slab_of(spec, 0, 1)
-    out = ComplexGrid(spec, slab)
+    out = slab_grid(spec, (0, 64))
     rng = np.random.default_rng(3)
     n = 50
     gu = rng.uniform(10, 54, n)  # clear of the mesh edges
     gv = rng.uniform(10, 54, n)
     value = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     kern = KernelSpec.gaussian(3, 1.0)
-    grid_sector(batch_for(gu, gv, rng.integers(0, 2, n), value), kern, out)
+    grid_sector(batch_for(gu, gv, rng.integers(0, 2, n), value), kern, out, 0)
     expected = sum(v * signed_footprint_sum(kern, u, w) for u, w, v in zip(gu, gv, value))
-    assert abs(out.data.sum() - expected) < 1e-10
+    assert abs(out.sum() - expected) < 1e-10
 
 
 @pytest.mark.parametrize("kern", [KernelSpec.gaussian(3, 1.0), KernelSpec.kaiser_bessel(3)],
@@ -258,7 +280,7 @@ def test_matches_brute_force_with_edge_clipping_on_every_plane(kern):
     chunk = edge_chunk()
     ref, ref_updates = brute_force_grid(chunk, spec, kern)
     assert all(np.any(ref[p]) for p in range(spec.n_w))
-    ref *= checker_sign(spec, slab_of(spec, 0, 1))
+    ref *= checker_sign(spec, partition_1d(spec.n_v, 1, 0))
     # one rank, then two ranks with a slab boundary at row 16
     for n_ranks in (1, 2):
         parts = visdata.split_records(chunk, n_ranks)
@@ -267,23 +289,22 @@ def test_matches_brute_force_with_edge_clipping_on_every_plane(kern):
     batch = batch_for(chunk.u * 32, chunk.v * 32,
                       np.clip(np.floor(chunk.w * 3 + 0.5), 0, 3),
                       (chunk.vis.astype(np.complex128) * chunk.weight).sum(axis=1))
-    out = ComplexGrid(spec, slab_of(spec, 0, 1))
-    assert grid_sector(batch, kern, out) == ref_updates
-    assert np.max(np.abs(out.data - ref)) <= 1e-12
+    out = slab_grid(spec, partition_1d(spec.n_v, 1, 0))
+    assert grid_sector(batch, kern, out, 0) == ref_updates
+    assert np.max(np.abs(out - ref)) <= 1e-12
 
 
-def masked_grid_sector(batch, kern, out):
+def masked_grid_sector(batch, kern, out, v_start):
     """The masked per-offset gridder, kept as the reference for bit
     identity: a (2S+1) x (2S+1) footprint per record, with out-of-mesh,
     out-of-slab and beyond-support entries masked away, one ``plane == p``
     scan per plane and one bincount per (plane, u offset) over the span of
     the cells it touches. Each bincount takes its entries in (v offset,
     record) order, and each entry is ``(value * w_v) * w_u``."""
-    slab = out.slab
     gu, gv, plane, value = batch.gu, batch.gv, batch.plane, batch.value
     S = kern.half_support
     offsets = np.arange(-S, S + 1)
-    n_u = out.spec.n_u
+    _, rows, n_u = out.shape
     count = 0
     for p in np.unique(plane):
         sel = np.flatnonzero(plane == p)
@@ -294,14 +315,14 @@ def masked_grid_sector(batch, kern, out):
         du = gu[sel, None] - i
         dv = gv[sel, None] - j
         ok_u = (i >= 0) & (i < n_u) & (np.abs(du) <= S)
-        ok_v = (j >= slab.v_start) & (j < slab.v_end) & (np.abs(dv) <= S)
+        ok_v = (j >= v_start) & (j < v_start + rows) & (np.abs(dv) <= S)
         wu = kernel_value(kern, du, 0.0)
         wv = kernel_value(kern, dv, 0.0)
-        row_base = (j - slab.v_start) * n_u
+        row_base = (j - v_start) * n_u
         # Transposed to (v offset, record), so that masking takes entries
         # in that order.
         re, im = (value.real[sel, None] * wv).T, (value.imag[sel, None] * wv).T
-        flat = out.data[p].reshape(-1)
+        flat = out[p].reshape(-1)
         for a in range(len(offsets)):
             ok = (ok_u[:, a, None] & ok_v).T
             cells = (row_base + (flo_u + offsets[a])[:, None]).T[ok]
@@ -318,7 +339,8 @@ def masked_grid_sector(batch, kern, out):
 
 
 def on_line_case(name, rng):
-    """``(spec, slab, gu, gv, plane, value)`` of one bit-identity case.
+    """``(spec, slab, gu, gv, plane, value)`` of one bit-identity case, the
+    slab a ``partition_1d`` pair ``(start, rows)``.
 
     Records pile up on few cells, so that the per-cell sums have many
     terms and a change of summation order would show. The ``sparse_``
@@ -326,7 +348,7 @@ def on_line_case(name, rng):
     if name.startswith("sparse_"):
         return sparse_case(name, rng)
     spec = GridSpec(n_u=32, n_v=32, n_w=4, cell_size_lm=1e-3)
-    slab = slab_of(spec, 0, 1)
+    slab = partition_1d(spec.n_v, 1, 0)
     n = 600
     gu = rng.integers(4, 28, n) + rng.choice([0.25, 0.5, 0.8125], n)
     gv = rng.integers(4, 28, n) + rng.choice([0.125, 0.5, 0.75], n)
@@ -349,12 +371,12 @@ def on_line_case(name, rng):
         gu[2 * len(edge):3 * len(edge)] = edge
         gv[2 * len(edge):3 * len(edge)] = edge[::-1] % 32.0
     elif name == "halo_1x3":  # middle slab of three, halo records on both sides
-        slab = slab_of(spec, 1, 3)
-        S = 3
-        gv = rng.uniform(slab.v_start - S, slab.v_end - 1 + S, n)
-        gv[:40] = rng.integers(slab.v_start - S, slab.v_start, 40) + rng.choice([0.0, 0.5], 40)
-        gv[40:80] = rng.integers(slab.v_end, slab.v_end + S - 1, 40) + rng.choice([0.0, 0.5], 40)
-        gv[80:84] = [slab.v_start - S, slab.v_end - 1 + S, slab.v_start - 1, slab.v_end]
+        slab = partition_1d(spec.n_v, 3, 1)
+        start, end, S = slab[0], slab[0] + slab[1], 3
+        gv = rng.uniform(start - S, end - 1 + S, n)
+        gv[:40] = rng.integers(start - S, start, 40) + rng.choice([0.0, 0.5], 40)
+        gv[40:80] = rng.integers(end, end + S - 1, 40) + rng.choice([0.0, 0.5], 40)
+        gv[80:84] = [start - S, end - 1 + S, start - 1, end]
     elif name == "empty_plane":
         plane[plane == 2] = 3
     elif name == "one_plane":
@@ -375,17 +397,17 @@ def sparse_case(name, rng):
     """A few records per plane on a 256-column mesh, so that every plane
     bincounts into the cells it touches."""
     spec = GridSpec(n_u=256, n_v=128, n_w=4, cell_size_lm=1e-3)
-    slab = slab_of(spec, 0, 1)
+    slab = partition_1d(spec.n_v, 1, 0)
     n = 40
     gu = rng.uniform(8, 248, n)
     gv = rng.uniform(8, 120, n)
     plane = rng.integers(0, spec.n_w, n)
     if name == "sparse_halo":  # middle slab of three, records in its halo rows only
-        slab = slab_of(spec, 1, 3)
-        S = 3
-        gv = np.where(rng.random(n) < 0.5, rng.uniform(slab.v_start - S, slab.v_start, n),
-                      rng.uniform(slab.v_end, slab.v_end - 1 + S, n))
-        gv[:4] = [slab.v_start - S, slab.v_end - 1 + S, slab.v_start - 1, slab.v_end]
+        slab = partition_1d(spec.n_v, 3, 1)
+        start, end, S = slab[0], slab[0] + slab[1], 3
+        gv = np.where(rng.random(n) < 0.5, rng.uniform(start - S, start, n),
+                      rng.uniform(end, end - 1 + S, n))
+        gv[:4] = [start - S, end - 1 + S, start - 1, end]
         plane[:4] = [0, 1, 2, 3]
     elif name == "sparse_edges":  # gu == 0 and gu == n_u, on every plane
         gu[:8] = [0.0, 256.0] * 4
@@ -416,20 +438,20 @@ ON_LINE_CASES = {
 def test_grid_sector_bit_identical_to_masked_reference(case, kern, monkeypatch):
     spec, slab, gu, gv, plane, value = on_line_case(case, np.random.default_rng(17))
     batch = batch_for(gu, gv, plane, value)
-    ref, got = ComplexGrid(spec, slab), ComplexGrid(spec, slab)
-    ref_count = masked_grid_sector(batch, kern, ref)
+    ref, got = slab_grid(spec, slab), slab_grid(spec, slab)
+    ref_count = masked_grid_sector(batch, kern, ref, slab[0])
     spaces = []
     for name, tag in (("_window_space", "w"), ("_touched_space", "t")):
         def record(*args, _space=getattr(gridder, name), _tag=tag):
             spaces.append(_tag)
             return _space(*args)
         monkeypatch.setattr(gridder, name, record)
-    assert grid_sector(batch, kern, got) == ref_count
+    assert grid_sector(batch, kern, got, slab[0]) == ref_count
     assert "".join(spaces) == ON_LINE_CASES[case]
-    assert got.data.tobytes() == signed(ref.data, spec, slab).tobytes()
-    assert np.any(got.data)
+    assert got.tobytes() == signed(ref, spec, slab).tobytes()
+    assert np.any(got)
     if case == "empty_plane":
-        assert not np.any(got.data[2])
+        assert not np.any(got[2])
 
 
 def test_beyond_support_weight_is_zeroed_for_the_gaussian():
@@ -437,14 +459,13 @@ def test_beyond_support_weight_is_zeroed_for_the_gaussian():
     # exp(-(S + frac)^2 / 2) > 0 at every other record's -S entry; those
     # entries must add nothing.
     spec = GridSpec(n_u=32, n_v=32, n_w=1, cell_size_lm=1e-3)
-    slab = slab_of(spec, 0, 1)
     kern = KernelSpec.gaussian(3, 1.0)
-    alone, with_line = ComplexGrid(spec, slab), ComplexGrid(spec, slab)
-    assert grid_sector(batch_for([10.5], [20.5], [0], [1.0]), kern, alone) == 36
+    alone, with_line = slab_grid(spec, (0, 32)), slab_grid(spec, (0, 32))
+    assert grid_sector(batch_for([10.5], [20.5], [0], [1.0]), kern, alone, 0) == 36
     assert grid_sector(batch_for([10.5, 3.0], [20.5, 8.0], [0, 0], [1.0, 0.0]),
-                       kern, with_line) == 36 + 49
-    assert with_line.data.tobytes() == alone.data.tobytes()
-    assert not np.any(alone.data[0, :, 7]) and not np.any(alone.data[0, 17, :])
+                       kern, with_line, 0) == 36 + 49
+    assert with_line.tobytes() == alone.tobytes()
+    assert not np.any(alone[0, :, 7]) and not np.any(alone[0, 17, :])
 
 
 def test_grid_sector_temporaries_on_a_dense_plane():
@@ -454,19 +475,18 @@ def test_grid_sector_temporaries_on_a_dense_plane():
     # such array reads 7.3, and one that builds a (u offset, v offset,
     # record) product 13.3.
     spec = GridSpec(n_u=64, n_v=64, n_w=1, cell_size_lm=1e-3)
-    slab = slab_of(spec, 0, 1)
     kern = KernelSpec.kaiser_bessel(3)
     rng = np.random.default_rng(5)
     n = 50_000
     gu, gv = rng.uniform(4, 60, n), rng.uniform(4, 60, n)
     gu[0], gv[0] = 30.0, 30.0
     batch = batch_for(gu, gv, np.zeros(n), rng.standard_normal(n) + 1j)
-    out = ComplexGrid(spec, slab)
+    out = slab_grid(spec, (0, 64))
     unit = n * (2 * kern.half_support + 1) * 8
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        grid_sector(batch, kern, out)
+        grid_sector(batch, kern, out, 0)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -476,19 +496,17 @@ def test_grid_sector_temporaries_on_a_dense_plane():
 @pytest.mark.parametrize("plane, n_w", [(4, 4), (1, 1), (2 ** 20, 4)])
 def test_plane_outside_mesh_rejected(plane, n_w):
     spec = GridSpec(n_u=16, n_v=16, n_w=n_w, cell_size_lm=1e-3)
-    slab = slab_of(spec, 0, 1)
     batch = batch_for([3.5, 4.5], [3.5, 4.5], [0, plane], [1.0, 1.0])
     with pytest.raises(ValueError, match="plane"):
-        grid_sector(batch, KernelSpec.gaussian(3, 1.0), ComplexGrid(spec, slab))
+        grid_sector(batch, KernelSpec.gaussian(3, 1.0), slab_grid(spec, (0, 16)), 0)
 
 
 @pytest.mark.parametrize("gu", [-0.5, 16.0 + 1e-9, math.nan])
 def test_record_outside_mesh_columns_rejected(gu):
     spec = GridSpec(n_u=16, n_v=16, n_w=1, cell_size_lm=1e-3)
-    slab = slab_of(spec, 0, 1)
     batch = batch_for([3.5, gu], [3.5, 4.5], [0, 0], [1.0, 1.0])
     with pytest.raises(ValueError, match="mesh columns"):
-        grid_sector(batch, KernelSpec.gaussian(3, 1.0), ComplexGrid(spec, slab))
+        grid_sector(batch, KernelSpec.gaussian(3, 1.0), slab_grid(spec, (0, 16)), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +522,7 @@ def make_dataset(n=1000, seed=11):
 
 
 def gather(slabs):
-    return np.concatenate([s.data for s in slabs], axis=1)
+    return np.concatenate(slabs, axis=1)
 
 
 def grid_and_reduce(parts, spec, kern, topo):
@@ -521,7 +539,7 @@ def test_single_rank_equals_sequential_gridding():
     kern = KernelSpec.gaussian(3, 1.0)
     grid = grid_and_reduce([chunk], spec, kern, Topology(1, 1))
     ref, _ = brute_force_grid(chunk, spec, kern)
-    assert np.max(np.abs(grid - ref * checker_sign(spec, slab_of(spec, 0, 1)))) <= 1e-12
+    assert np.max(np.abs(grid - ref * checker_sign(spec, partition_1d(spec.n_v, 1, 0)))) <= 1e-12
 
 
 def test_rank_counts_agree_bitwise_in_deterministic_mode():

@@ -8,15 +8,12 @@ from wstack import mesh
 
 
 def test_slab_matches_published_mesh_split():
-    spec = mesh.GridSpec(n_u=4096, n_v=4096, n_w=64, cell_size_lm=1e-4)
-    s = mesh.slab_of(spec, 3, 16)
-    assert (s.v_start, s.v_count) == (768, 256)
+    # 4096 rows over 16 ranks
+    assert mesh.partition_1d(4096, 16, 3) == (768, 256)
 
 
 def test_single_rank_slab_is_whole_mesh():
-    spec = mesh.GridSpec(n_u=64, n_v=64, n_w=4, cell_size_lm=1e-3)
-    s = mesh.slab_of(spec, 0, 1)
-    assert (s.v_start, s.v_count) == (0, 64)
+    assert mesh.partition_1d(64, 1, 0) == (0, 64)
 
 
 def test_unbalanced_split_counts_and_starts():
@@ -24,24 +21,17 @@ def test_unbalanced_split_counts_and_starts():
         (0, 3), (3, 3), (6, 2), (8, 2)]
 
 
-def test_more_ranks_than_rows_rejected():
-    spec = mesh.GridSpec(n_u=4, n_v=4, n_w=1, cell_size_lm=1e-3)
-    with pytest.raises(ValueError):
-        mesh.slab_of(spec, 0, 5)
-
-
 @given(n_v_pow=st.integers(1, 12), n_ranks=st.integers(1, 64))
 def test_slabs_cover_and_balance(n_v_pow, n_ranks):
     n_v = 2 ** n_v_pow
     if n_ranks > n_v:
         n_ranks = n_v
-    spec = mesh.GridSpec(n_u=4, n_v=n_v, n_w=1, cell_size_lm=1e-4)
-    slabs = [mesh.slab_of(spec, r, n_ranks) for r in range(n_ranks)]
-    assert slabs[0].v_start == 0
-    for a, b in zip(slabs, slabs[1:]):
-        assert b.v_start == a.v_end
-    assert slabs[-1].v_end == n_v
-    counts = {s.v_count for s in slabs}
+    slabs = [mesh.partition_1d(n_v, n_ranks, r) for r in range(n_ranks)]
+    assert slabs[0][0] == 0
+    for (start, count), (next_start, _) in zip(slabs, slabs[1:]):
+        assert next_start == start + count
+    assert sum(slabs[-1]) == n_v
+    counts = {count for _, count in slabs}
     assert max(counts) - min(counts) <= 1
 
 

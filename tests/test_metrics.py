@@ -117,6 +117,34 @@ def test_multinode_gpu_greener_and_faster(tmp_path):
     assert times == pytest.approx([10.0, 10.35, 10.51], abs=5e-3)
 
 
+def test_scaling_gp_gives_each_label_its_own_series(tmp_path):
+    # With no --label, b at 2 nodes is measured against b's own first run,
+    # not against a at 1 node, and printed under b.
+    trace = tmp_path / "trace.csv"
+    trace.write_text("label,n_nodes,freq_level,phase,seconds,joules\n"
+                     "a,1,default,total,10.0,100.0\nb,2,default,total,6.0,120.0\n")
+    out = tmp_path / "gp.csv"
+    assert main(["report", "scaling_gp", "--trace", str(trace), "--out", str(out)]) == EXIT_OK
+    with open(out, newline="") as fh:
+        rows = [(r["label"], int(r["n_nodes"]), float(r["green_productivity"]))
+                for r in csv.DictReader(fh)]
+    assert rows == [("a", 1, 1.0), ("b", 2, 1.0)]
+
+
+def test_multinode_scaling_gp_against_two_nodes(tmp_path):
+    rows = report(tmp_path, "scaling_gp", "multinode.csv", "--label", "cpu", "--freq", "high")
+    assert [(r["label"], int(r["n_nodes"])) for r in rows] == [
+        ("cpu", n) for n in (2, 4, 8, 16, 32)]
+    assert float(rows[0]["green_productivity"]) == 1.0
+
+
+@pytest.mark.parametrize("nodes", [(2, 1), (2, 2)], ids=["decreasing", "repeated"])
+def test_scaling_gp_rejects_node_counts_that_do_not_increase(nodes):
+    runs = [RunRecord("a", n, "default", {"total": 1.0}, {"total": 1.0}) for n in nodes]
+    with pytest.raises(ValueError, match="strictly increasing"):
+        metrics.scaling_gp_report(runs)
+
+
 def test_table2_green_productivity_against_gpu(tmp_path):
     rows = report(tmp_path, "gp", "table2_single_node.csv", "--ref", "gpu")
     gp = {r["label"]: float(r["green_productivity"]) for r in rows}
