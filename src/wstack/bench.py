@@ -24,11 +24,11 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics, transform, visdata
-from .comms import (REDUCE_KINDS, MessageLog, ReduceStrategy, Topology, reduce_slabs,
-                    run_ranks)
-from .gridder import KernelSpec, kernel_value
+from .comms import (REDUCE_KINDS, ReduceStrategy, Topology, exchange_to_space_order,
+                    reduce_partials, run_ranks)
+from .gridder import KernelSpec, grid_sector, kernel_value
 from .mesh import GridSpec, partition_1d, pixel_n_block
-from .pipeline import grid_sectors, peak_pixel, reduce_sectors, run_pipeline
+from .pipeline import peak_pixel, run_pipeline
 
 __all__ = [
     "BenchPlan",
@@ -40,6 +40,7 @@ __all__ = [
     "VerifyReport",
     "verify_pipeline",
     "direct_convolution_grid",
+    "gridded_mesh",
     "edge_chunk",
     "reference_dft2d",
 ]
@@ -272,6 +273,21 @@ class VerifyReport:
         return "\n".join(lines)
 
 
+def gridded_mesh(parts, spec: GridSpec, kern: KernelSpec, topo: Topology):
+    """The pipeline's gridding as one ``(n_w, n_v, n_u)`` mesh: the exchange
+    of ``parts`` (rank r's records at index r), then every rank's planes
+    gridded into its rows; the pipeline's reduce adds only zero planes to
+    them. Returns ``(mesh, cell updates)``."""
+    batches = exchange_to_space_order(parts, spec, topo, kern.half_support)
+    mesh = np.zeros((spec.n_w, spec.n_v, spec.n_u), dtype=np.complex128)
+    updates = 0
+    for r, batch in enumerate(batches):
+        v0, rows = partition_1d(spec.n_v, topo.n_ranks, r)
+        for k, plane in enumerate(batch.plane_batches(spec.n_w)):
+            updates += grid_sector(plane, kern, mesh[k, v0:v0 + rows], v0)
+    return mesh, updates
+
+
 def _max_abs(a, b) -> float:
     return float(np.max(np.abs(np.asarray(a) - np.asarray(b)))) if np.size(a) else 0.0
 
@@ -334,12 +350,8 @@ def verify_pipeline(scale: str = "small") -> VerifyReport:
 
     # gridding vs the direct reference, and rank-count independence
     def run_grid(n_ranks):
-        topo = Topology(n_nodes=1, ranks_per_node=n_ranks)
-        parts = visdata.split_records(chunk, n_ranks)
-        log = MessageLog()
-        slabs, _ = grid_sectors(parts, spec, kern, topo, log)
-        slabs = reduce_sectors(slabs, topo, ReduceStrategy(), log)
-        return np.concatenate(slabs, axis=1)
+        return gridded_mesh(visdata.split_records(chunk, n_ranks), spec, kern,
+                            Topology(n_nodes=1, ranks_per_node=n_ranks))[0]
 
     g1 = run_grid(1)
     g2 = run_grid(2)
@@ -397,11 +409,8 @@ def verify_pipeline(scale: str = "small") -> VerifyReport:
     for ekern in (kern, KernelSpec.kaiser_bessel(half_support=3)):
         eref, ref_updates = direct_convolution_grid(echunk, espec, ekern)
         eref *= _cell_sign(espec)
-        log = MessageLog()
-        eslabs, updates = grid_sectors(visdata.split_records(echunk, 2),
-                                       espec, ekern, etopo, log)
-        eslabs = reduce_sectors(eslabs, etopo, ReduceStrategy(), log)
-        err_edge = max(err_edge, _max_abs(np.concatenate(eslabs, axis=1), eref))
+        egrid, updates = gridded_mesh(visdata.split_records(echunk, 2), espec, ekern, etopo)
+        err_edge = max(err_edge, _max_abs(egrid, eref))
         counts.append((updates, ref_updates))
     edge_ok = err_edge <= 1e-12 and all(a == b for a, b in counts)
     checks.append(CheckResult(
@@ -426,7 +435,7 @@ def verify_pipeline(scale: str = "small") -> VerifyReport:
 
         def fn(ctx):
             v0, vc = partition_1d(fspec.n_v, n_ranks, ctx.rank)
-            return transform.fft2d_slab(ctx, a[v0:v0 + vc], fspec)
+            return transform.fft2d_slab(ctx, a[v0:v0 + vc].copy(), fspec)
         return np.concatenate(run_ranks(Topology(1, n_ranks), fn), axis=0).T
 
     fft_ranks = (1, 3)
@@ -464,8 +473,8 @@ def verify_pipeline(scale: str = "small") -> VerifyReport:
     outs, repeats, in_place, changed = {}, True, True, 0
     for kind in REDUCE_KINDS:
         partials = fresh_partials()
-        red = reduce_slabs(ReduceStrategy(kind), partials, target, topo)
-        again = reduce_slabs(ReduceStrategy(kind), fresh_partials(), target, topo)
+        red = reduce_partials(ReduceStrategy(kind), partials, target, topo)
+        again = reduce_partials(ReduceStrategy(kind), fresh_partials(), target, topo)
         repeats &= red.tobytes() == again.tobytes()
         in_place &= red is partials[target]
         changed += sum(p.tobytes() != d.tobytes()

@@ -22,11 +22,10 @@ cell labelled ``<topo>_<kind>`` each. So a config file written for
 success, 1 verification or acceptance failure, 2 usage/config error, 3
 I/O error (a missing or malformed input file).
 
-The topology is the only parallelism: each rank grids its sector on one
-thread. The image is bit-identical for any topology and reduce strategy
-because each sector is reduced with zero partials from every rank but its
-owner, so both strategies deliver the owner's slab exactly; they differ
-only in their messages until the ranks reduce real partials.
+The topology is the only parallelism: each rank is one thread. The image
+is bit-identical for any topology and reduce strategy because each plane
+is reduced with zero partials from every rank but its owner; the
+strategies differ only in their messages.
 
 Every run meters itself: each phase's joules are its process CPU-seconds
 times ``metrics.WATTS_PER_CORE``. Setting ``meter.counter_file`` or

@@ -17,32 +17,40 @@ strategies are the paper's:
     adds it to its own node's sum (the SMP-aware reduce of Thakur,
     Rabenseifner & Gropp 2005, IJHPCA 19:49, with no delivery hop).
 
+Each rank takes part in a reduce by calling :func:`reduce_slabs` with its
+own complex128 buffer, as at an ``MPI_Reduce``; :func:`reduce_partials`
+runs one reduce on ranks of its own, for callers outside a rank program.
 Both strategies write what their messages deliver into the target's own
-partial, which is thus the result (the root's ``MPI_IN_PLACE`` buffer of
-an MPI reduce). ``direct`` adds the payloads in rank order 0, 1, ..., R-1
-whatever order they arrive in, so it is bit-identical to that rank-order
-sum on every topology. The ring adds in the order its segments and chain
-travel, which differs from rank order in the last bits once a segment
-sums three or more partials; each call repeats its result bit for bit.
-The pipeline's image is nonetheless one hash for every topology and
-strategy, because :func:`~wstack.pipeline.reduce_sectors` reduces each
-slab with zero partials from every rank but its owner, and x + 0 = x in
-any order. That holds until the ranks grid real partials of each other's
-sectors.
+buffer, which is thus the result (the root's ``MPI_IN_PLACE`` buffer).
+``direct`` adds the payloads in rank order 0, 1, ..., R-1 whatever order
+they arrive in, so it is bit-identical to that rank-order sum on every
+topology. The ring adds in the order its segments and chain travel,
+which differs from rank order in the last bits once a segment sums three
+or more partials; each call repeats its result bit for bit. The
+pipeline's image is nonetheless one hash for every topology and
+strategy, because every rank but a plane's owner contributes a zero
+plane, and x + 0 = x in any order. That holds until the ranks grid real
+partials of each other's sectors.
 
-Buffers and copies: the partials are complex128 buffers of one shape, as
-at an MPI reduce, with no mesh geometry; :func:`reduce_slabs` rejects any
-others, and a target whose flat view would be a copy. A message costs the
-one copy :meth:`Router.send` makes, so that no rank aliases another's
-arrays; a payload may be a view. The non-target partials are read-only:
-ring segments are views of them, the P :func:`~wstack.mesh.partition_1d`
-shares of the flat buffer, so each message carries exactly its share. The
-target's partial is read until its own values have been added, then
-written: ``direct`` writes each add from the target's own rank-order step
-onward into it (the earlier adds go into a received buffer); in
+Ordering. A rank program's reduces share one :class:`Router`, with no
+tag per collective. Messages from one rank under one tag arrive in the
+order sent, so only ``direct``'s ``recv_any`` could take a payload of a
+later reduce onto the same target. In the pipeline it cannot: a rank
+sends its block of plane k's ``fft`` all-to-all only after it has sent
+its payloads of plane k and, as a target, taken all of its own, so no
+rank sends a payload of plane k - 1 before every target has taken those
+of plane k.
+
+Buffers and copies: a message costs the one copy :meth:`Router.send`
+makes, so that no rank aliases another's arrays. The non-target buffers
+are only read: ring segments are views of them, the P
+:func:`~wstack.mesh.partition_1d` shares of the flat buffer. The
+target's buffer is read until its own values have been added, then
+written: ``direct`` writes each add from the target's own rank-order
+step onward into it (the earlier adds go into a received buffer); in
 ``hybrid_ring`` the target gathers its node's segments into it and adds
-the chain there, and the master of every other node gathers into one new
-full-length buffer. Every other sum is written into a buffer that arrived.
+the chain there, and the master of every other node gathers into one
+new full-length buffer. Every other sum goes into a buffer that arrived.
 """
 
 from __future__ import annotations
@@ -68,6 +76,7 @@ __all__ = [
     "RankCtx",
     "run_ranks",
     "reduce_slabs",
+    "reduce_partials",
     "hybrid_reduce",
     "exchange_to_space_order",
     "PREPARED_RECORD_BYTES",
@@ -193,22 +202,16 @@ class Router:
         self.topo = topo
         self.log = log
         self._lock = threading.Lock()
-        self._boxes: dict = {}
-        self._arrivals: dict = {}
+        # (src, dst, tag): that sender's payloads; (dst, tag): the senders
+        # in arrival order
+        self._queues: dict = {}
         self.failure: BaseException | None = None
 
-    def _box(self, key):
+    def _queue(self, key):
         with self._lock:
-            q = self._boxes.get(key)
+            q = self._queues.get(key)
             if q is None:
-                q = self._boxes[key] = queue.Queue()
-            return q
-
-    def _arrival(self, key):
-        with self._lock:
-            q = self._arrivals.get(key)
-            if q is None:
-                q = self._arrivals[key] = queue.Queue()
+                q = self._queues[key] = queue.Queue()
             return q
 
     def send(self, src, dst, tag, payload, phase, nbytes=None):
@@ -221,11 +224,11 @@ class Router:
                 intra_node=self.topo.node_of(src) == self.topo.node_of(dst),
                 nbytes=int(nbytes),
             ))
-        self._box((src, dst, tag)).put(payload)
+        self._queue((src, dst, tag)).put(payload)
         # The receiver owns the copy now; holding it here would keep it
         # alive after the receiver has freed it.
         del payload
-        self._arrival((dst, tag)).put(src)
+        self._queue((dst, tag)).put(src)
 
     def fail(self, exc: BaseException):
         """Mark the run as failed by ``exc``; receives waiting now or later
@@ -246,13 +249,13 @@ class Router:
         raise RuntimeError(f"{waiting_for}: another rank failed") from self.failure
 
     def recv(self, dst, src, tag, timeout=RECV_TIMEOUT_S):
-        return self._get(self._box((src, dst, tag)), timeout,
+        return self._get(self._queue((src, dst, tag)), timeout,
                          f"rank {dst} waiting for {tag!r} from rank {src}")
 
     def recv_any(self, dst, tag, timeout=RECV_TIMEOUT_S):
         waiting_for = f"rank {dst} waiting for any {tag!r}"
-        src = self._get(self._arrival((dst, tag)), timeout, waiting_for)
-        return src, self._get(self._box((src, dst, tag)), timeout, waiting_for)
+        src = self._get(self._queue((dst, tag)), timeout, waiting_for)
+        return src, self._get(self._queue((src, dst, tag)), timeout, waiting_for)
 
 
 @dataclass
@@ -302,6 +305,14 @@ def run_ranks(topo: Topology, fn, log: MessageLog | None = None):
 # Reduce strategies (collective choreographies)
 # ---------------------------------------------------------------------------
 
+def _checked(payload, length: int, ctx, src: int):
+    """A received segment or payload, which must hold ``length`` elements."""
+    if payload.size != length:
+        raise ValueError(f"rank {ctx.rank} received a partial of {payload.size} elements "
+                         f"from rank {src}, expected {length}")
+    return payload
+
+
 def _ring_reduce_scatter_ctx(ctx, group, my_flat):
     """One rank's part of a ring reduce-scatter over ``group``.
 
@@ -324,7 +335,7 @@ def _ring_reduce_scatter_ctx(ctx, group, my_flat):
     for s in range(P - 1):
         ctx.send(nxt, ("ring", s), segs[(pos - 1 - s) % P], "reduce")
         j = (pos - 2 - s) % P
-        incoming = ctx.recv(prv, ("ring", s))
+        incoming = _checked(ctx.recv(prv, ("ring", s)), len(segs[j]), ctx, prv)
         segs[j] = np.add(segs[j], incoming, out=incoming)
     return segs
 
@@ -344,36 +355,51 @@ def _gather_segments(ctx, group, segs, length, out=None):
         out = np.empty(length, dtype=np.complex128)
     for p in range(P):
         start, count = partition_1d(length, P, p)
-        out[start:start + count] = segs[p] if p == pos else ctx.recv(group[p], ("gather", p))
+        out[start:start + count] = (segs[p] if p == pos else
+                                    _checked(ctx.recv(group[p], ("gather", p)), count, ctx,
+                                             group[p]))
     return out
 
 
-def _reduce_collective(ctx, strategy, my_flat, target):
-    """One rank's part of the reduce. The target writes the sum into its
-    own ``my_flat``; every other rank only reads its ``my_flat``, and each
-    sum there is written into a buffer this rank received, or, at a
-    ``hybrid_ring`` master of another node, into the buffer it gathers its
-    node's segments into. In ``hybrid_ring`` the target, not its master,
-    gathers its node's segments and receives the chain's last hop."""
-    topo = ctx.topo
-    R = topo.n_ranks
+def reduce_slabs(ctx, strategy: ReduceStrategy, buf: np.ndarray, target: int):
+    """This rank's part of one reduce of the ranks' complex128 buffers, of
+    one shape, onto ``target``'s (see the module docs).
+
+    The target's buffer receives the sum and is returned, so it must be
+    C-contiguous and writeable; every other rank's is only read, and the
+    call returns None there. A buffer that is not complex128, or a target's
+    that is not a receive buffer, raises ValueError on its rank, as does a
+    received segment or payload of another length than this rank's own;
+    :meth:`Router.fail` then stops the peers. The messages run in phase
+    ``reduce``.
+    """
+    topo, R = ctx.topo, ctx.topo.n_ranks
+    if not (0 <= target < R):
+        raise ValueError(f"target {target} outside range(0, {R})")
     is_target = ctx.rank == target
+    if not (isinstance(buf, np.ndarray) and buf.dtype == np.complex128):
+        raise ValueError(f"rank {ctx.rank}'s partial must be a complex128 array")
+    if is_target and not (buf.flags.c_contiguous and buf.flags.writeable):
+        raise ValueError("the target's partial must be C-contiguous and writeable")
+    my_flat = buf.reshape(-1)
+    length = len(my_flat)
 
     if strategy.kind == "direct":
         if not is_target:
             ctx.send(target, ("direct",), my_flat, "reduce")
-            return
+            return None
         # Kept by source and added in rank order, so the sum does not
         # depend on the order in which the payloads arrive. The adds before
         # the target's own step go into a received buffer, the rest into
         # the target's partial.
         parts = [my_flat] * R
         for _ in range(R - 1):
-            src, parts[src] = ctx.recv_any(("direct",))
+            src, payload = ctx.recv_any(("direct",))
+            parts[src] = _checked(payload, length, ctx, src)
         acc = parts[0]
         for r in range(1, R):
             acc = np.add(acc, parts[r], out=my_flat if r >= target else acc)
-        return
+        return buf
 
     # hybrid_ring: the target gathers its own node's sum; every other node
     # gathers at its master.
@@ -385,8 +411,8 @@ def _reduce_collective(ctx, strategy, my_flat, target):
     head = target if node == t_node else group[0]
     if ctx.rank != head:
         ctx.send(head, ("gather", pos), segs[pos], "reduce")
-        return
-    node_flat = _gather_segments(ctx, group, segs, len(my_flat),
+        return None
+    node_flat = _gather_segments(ctx, group, segs, length,
                                  out=my_flat if is_target else None)
     if topo.n_nodes > 1:
         # masters chain the node sums; the last hop goes to the target
@@ -394,49 +420,28 @@ def _reduce_collective(ctx, strategy, my_flat, target):
         heads = [topo.master_of(n) for n in node_chain[:-1]] + [target]
         k = node_chain.index(node)
         if k > 0:
-            incoming = ctx.recv(heads[k - 1], ("chain",))
+            incoming = _checked(ctx.recv(heads[k - 1], ("chain",)), length, ctx, heads[k - 1])
             node_flat = np.add(incoming, node_flat,
                                out=node_flat if is_target else incoming)
         if k < len(node_chain) - 1:
             ctx.send(heads[k + 1], ("chain",), node_flat, "reduce")
+    return buf if is_target else None
 
 
-def reduce_slabs(strategy: ReduceStrategy, partials, target: int, topo: Topology,
-                 log: MessageLog | None = None):
-    """Sum R complex128 buffers of one shape into the target rank's.
-
-    ``partials[r]`` is rank r's buffer. The target's is the receive buffer:
-    it is overwritten with the sum and returned, as ``MPI_IN_PLACE`` does
-    at an MPI reduce's root, so it must be C-contiguous and writeable; the
-    others are only read, so one array may stand for several non-target
-    ranks. Anything else raises ValueError. The chosen strategy's messages
-    run in phase ``reduce`` (logged in ``log`` when given), each costing
-    the one copy :meth:`Router.send` makes. The sum is what they deliver
-    to the target: for ``direct``, the partials summed in rank order
-    0..R-1; for ``hybrid_ring``, in the order its segments travel (see the
-    module docs).
-    """
-    R = topo.n_ranks
-    if len(partials) != R:
-        raise ValueError(f"expected {R} partials, got {len(partials)}")
-    if not (0 <= target < R):
-        raise ValueError(f"target {target} outside range(0, {R})")
-    out = partials[target]
-    for p in partials:
-        if not (isinstance(p, np.ndarray) and p.dtype == np.complex128
-                and p.shape == out.shape):
-            raise ValueError("partials must be complex128 arrays of one shape")
-    if not (out.flags.c_contiguous and out.flags.writeable):
-        raise ValueError("the target's partial must be C-contiguous and writeable")
-    flats = [p.reshape(-1) for p in partials]
-    run_ranks(topo, lambda ctx: _reduce_collective(ctx, strategy, flats[ctx.rank], target),
+def reduce_partials(strategy: ReduceStrategy, partials, target: int, topo: Topology,
+                    log: MessageLog | None = None):
+    """One reduce on ranks of its own, rank r calling :func:`reduce_slabs`
+    with ``partials[r]``; returns ``partials[target]``, the sum."""
+    if len(partials) != topo.n_ranks:
+        raise ValueError(f"expected {topo.n_ranks} partials, got {len(partials)}")
+    run_ranks(topo, lambda ctx: reduce_slabs(ctx, strategy, partials[ctx.rank], target),
               log=log)
-    return out
+    return partials[target]
 
 
 def hybrid_reduce(partials, target: int, topo: Topology, log: MessageLog | None = None):
     """Intra-node ring reduce plus inter-node master chain (see module docs)."""
-    return reduce_slabs(ReduceStrategy("hybrid_ring"), partials, target, topo, log=log)
+    return reduce_partials(ReduceStrategy("hybrid_ring"), partials, target, topo, log=log)
 
 
 # ---------------------------------------------------------------------------
@@ -479,15 +484,14 @@ def exchange_to_space_order(per_rank_records, spec: GridSpec, topo: Topology,
     :func:`~wstack.mesh.partition_1d` share of the ``n_v`` rows, so more
     ranks than rows raise ValueError. Every record lands on the rank
     whose slab contains ``floor(gv)``; a copy also goes to any neighbouring
-    rank whose slab lies within ``halo_rows`` of gv, so each rank can grid
-    its sector without further communication. Each rank sends exactly one
-    (possibly empty) message to every other rank, and joins what it holds
-    in source-rank order, its own part in its own slot. Shares that are
+    rank whose slab lies within ``halo_rows`` of gv. Each rank sends one
+    (possibly empty) message to every other rank, joins what it holds in
+    source-rank order and sorts it by plane, stably. Shares that are
     contiguous runs of the records in rank order (see
-    :func:`~wstack.visdata.read_dataset`) thus arrive in global record
-    order, which no rank count changes; the gridder's summation order
-    (see :mod:`wstack.gridder`) is set by that order alone.
-    Returns one :class:`~wstack.gridder.SectorBatch` per rank.
+    :func:`~wstack.visdata.read_dataset`) thus stay in global record order
+    within each plane, which sets the gridder's summation order (see
+    :mod:`wstack.gridder`) for any rank count. Returns one
+    :class:`~wstack.gridder.SectorBatch` per rank.
     """
     R = topo.n_ranks
     if len(per_rank_records) != R:
@@ -516,7 +520,11 @@ def exchange_to_space_order(per_rank_records, spec: GridSpec, topo: Topology,
             if s != r:
                 parts[s] = ctx.recv(s, ("exchange",))
         allp = np.concatenate(parts)
-        return SectorBatch(gu=allp["gu"].copy(), gv=allp["gv"].copy(),
-                           plane=allp["plane"].copy(), value=allp["value"].copy())
+        # Planes are below n_w, so the narrowest type that holds them sorts
+        # them fastest (a radix sort for 8- and 16-bit keys).
+        order = np.argsort(allp["plane"].astype(np.min_scalar_type(spec.n_w - 1)),
+                           kind="stable")
+        return SectorBatch(gu=allp["gu"][order], gv=allp["gv"][order],
+                           plane=allp["plane"][order], value=allp["value"][order])
 
     return run_ranks(topo, fn, log=log)

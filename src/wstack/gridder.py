@@ -2,10 +2,12 @@
 
 Each record's weighted value is spread over the cells within
 ``half_support`` of its fractional (gu, gv) position on its w plane,
-using a Gaussian or Kaiser-Bessel kernel with unit peak. Footprints are
-clipped at mesh edges and at slab boundaries, so every rank computes
-exactly the rows it owns; which records a sector's batch holds, halo
-copies from neighbouring slabs included, is the exchange's business.
+using a Gaussian or Kaiser-Bessel kernel with unit peak. One
+:func:`grid_sector` call grids one plane of one slab, so a rank holds one
+plane at a time. Footprints are clipped at mesh edges and at slab
+boundaries, so every rank computes exactly the rows it owns; which
+records a sector's batch holds, halo copies from neighbouring slabs
+included, and their sort by plane are the exchange's business.
 
 Both kernels are separable, so a record's weights are the outer product
 of its weights along u and along v. The contribution to a cell is
@@ -50,10 +52,9 @@ and both parts, and adds each block sum into the plane by fancy index.
 Dense planes (many records per cell) thus pay no index work, and sparse
 ones do not sweep a window that is nearly all zeros.
 
-Accumulation order. Records are taken plane by plane, in the order they
-are given (the exchange delivers them in global record order); one stable
-sort by plane keeps that order within each plane.
-For each plane and each u offset ``a`` in order, the block's
+Accumulation order. A plane's records are taken in the order they are
+given: the exchange sorts them by plane, stably, from global record
+order. For each u offset ``a`` in order, the block's
 contributions are summed per cell by one ordered ``np.bincount``, which
 takes them b-major: v offset b by v offset b, and within each b in record
 order. The block sum is added to the cell; blocks are added in order of
@@ -225,20 +226,31 @@ class SectorBatch:
     def __len__(self) -> int:
         return len(self.gu)
 
+    def plane_batches(self, n_w: int) -> list["SectorBatch"]:
+        """Views of the records of each plane 0 ... n_w - 1. The batch must
+        be sorted by plane, as the exchange leaves it; else ValueError."""
+        plane = self.plane
+        if len(plane) and not (np.all(plane[1:] >= plane[:-1]) and plane[-1] < n_w):
+            raise ValueError(f"batch not sorted by plane, or a plane outside range(0, {n_w})")
+        bounds = np.searchsorted(plane, np.arange(n_w + 1))
+        return [SectorBatch(gu=self.gu[a:b], gv=self.gv[a:b], plane=plane[a:b],
+                            value=self.value[a:b])
+                for a, b in zip(bounds[:-1], bounds[1:])]
+
 
 def grid_sector(batch: SectorBatch, kern: KernelSpec, out: np.ndarray, v_start: int) -> int:
-    """Accumulate one sector's records into ``out``, a ``(n_w, rows, n_u)``
-    complex128 array holding mesh rows ``v_start ... v_start + rows - 1``,
-    each cell times ``(-1)^(i+j)``, in the order the module docstring
-    states; returns the number of cell updates performed (a deterministic
+    """Grid one plane: zero ``out``, a ``(rows, n_u)`` complex128 array of
+    mesh rows ``v_start ... v_start + rows - 1``, then add the batch's
+    records into it, each cell times ``(-1)^(i+j)``, in the order the
+    module docstring states; returns the cell updates made (a deterministic
     work surrogate). ``out`` is summed into through flat views, so one that
-    is not complex128, not 3-D, not C-contiguous or not writeable raises
-    ValueError, as does a record whose footprint reaches no row of
-    ``out``, or that lies off its columns or planes."""
-    if not (isinstance(out, np.ndarray) and out.dtype == np.complex128 and out.ndim == 3
+    is not complex128, not 2-D, not C-contiguous or not writeable raises
+    ValueError, as do records of more than one plane, and a record whose
+    footprint reaches no row of ``out`` or that lies off its columns."""
+    if not (isinstance(out, np.ndarray) and out.dtype == np.complex128 and out.ndim == 2
             and out.flags.c_contiguous and out.flags.writeable):
-        raise ValueError("out must be a writeable, C-contiguous 3-D complex128 array")
-    n_w, rows, n_u = out.shape
+        raise ValueError("out must be a writeable, C-contiguous 2-D complex128 array")
+    rows, n_u = out.shape
     gu, gv, plane, value = batch.gu, batch.gv, batch.plane, batch.value
     S = kern.half_support
     # Written as "inside" so that NaN is rejected too.
@@ -246,19 +258,10 @@ def grid_sector(batch: SectorBatch, kern: KernelSpec, out: np.ndarray, v_start: 
         raise ValueError("record outside slab+halo")
     if len(gu) and not (gu.min() >= 0.0 and gu.max() <= n_u):
         raise ValueError("record outside the mesh columns")
-    if len(plane) and plane.max() >= n_w:
-        raise ValueError(f"plane {plane.max()} outside range(0, {n_w})")
-    # Planes are below n_w, so the narrowest type that holds them sorts
-    # them fastest (a radix sort for 8- and 16-bit keys).
-    order = np.argsort(plane.astype(np.min_scalar_type(n_w - 1)), kind="stable")
-    bounds = np.searchsorted(plane[order], np.arange(n_w + 1))
-    gu, gv, value = gu[order], gv[order], value[order]
-    count = 0
-    for p in range(n_w):
-        rec = slice(bounds[p], bounds[p + 1])
-        if rec.start < rec.stop:
-            count += _grid_plane(gu[rec], gv[rec], value[rec], kern, out[p], v_start)
-    return count
+    if len(plane) and plane.min() != plane.max():
+        raise ValueError("records of more than one plane; out holds one plane")
+    out.fill(0.0)
+    return _grid_plane(gu, gv, value, kern, out, v_start) if len(gu) else 0
 
 
 def _axis_window(g, lo: int, hi: int, kern: KernelSpec):

@@ -1,35 +1,37 @@
 """Five-phase imaging pipeline: read, grid, reduce, transform, write.
 
 One call runs the whole chain on the virtual topology and returns the
-image, the per-phase wall times (collective wall clock, i.e. the max over
-ranks), deterministic operation-count surrogates, and the message log.
-Each phase is also metered: its joules are the process CPU-seconds spent
-in it times :data:`~wstack.metrics.WATTS_PER_CORE`, and the total is the
-whole run's. Both land in a :class:`~wstack.metrics.RunRecord` at the
-``default`` frequency level. Given a platform counter, its reading over
-the run replaces the total joules.
+image, the per-phase wall times, deterministic operation-count
+surrogates, and the message log. Each phase is also metered: its joules
+are its CPU-seconds times :data:`~wstack.metrics.WATTS_PER_CORE`, and the
+total is the whole run's process CPU. Both land in a
+:class:`~wstack.metrics.RunRecord` at the ``default`` frequency level.
+Given a platform counter, its reading over the run replaces the total
+joules.
 
-The image stage is one pass per rank in the transposed layout of
-:mod:`wstack.transform`: the planes go through ``fft2d_slab`` in reverse
-order and into the block's sum by Horner's rule, with n and the step
-factor built once per rank over half the block's rows. Its ``fft``
-seconds are the busiest rank's time in ``fft2d_slab`` and its ``fft`` CPU
-the ranks' summed thread time there; ``wcorrect`` gets the rest of the
-stage's wall time and CPU.
+The ranks read their shares, and the exchange moves each record to the
+ranks whose row slabs (:func:`~wstack.mesh.partition_1d` shares of the
+rows) it reaches, sorted by w plane. Then one rank program streams the
+planes: for k = n_w - 1 ... 0, each rank grids plane k into one
+``(rows, n_u)`` buffer it reuses, reduces the plane onto every owner in
+rank order (its buffer as the owner's, a never-written zero plane as
+everyone else's), transforms it in place with
+:func:`~wstack.transform.fft2d_slab` and adds it into its column block by
+Horner's rule; it then stacks the block. A rank holds one plane, not n_w.
 
-Stages hand on plain complex128 arrays, with no mesh geometry: each
-rank grids its slab, its :func:`~wstack.mesh.partition_1d` share of the
-rows, into one ``(n_w, rows, n_u)`` array. The reduce sums each sector
-one w plane at a time into its owner's own gridded slab, handing
-:func:`~wstack.comms.reduce_slabs` plane buffers, so its scratch is a few
-planes of one slab, not whole slabs; each slab is freed once its rank has
-transformed it.
+Phase accounting: each rank charges its wall time and thread CPU to
+gridding, reduce, fft or wcorrect (n, the step factor and the stacking
+included) as it goes. A phase's seconds are the exchange's (in
+gridding) plus those of the rank whose charges sum highest, so the
+phases never sum to more than the run; its CPU is the exchange's process
+CPU (in gridding) plus the ranks' summed thread CPU.
 """
 
 from __future__ import annotations
 
 import hashlib
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -41,8 +43,7 @@ from .gridder import KernelSpec, grid_sector
 from .mesh import GridSpec, partition_1d, pixel_n_block
 from .transform import FinalImage
 
-__all__ = ["PipelineResult", "run_pipeline", "grid_sectors", "reduce_sectors",
-           "image_sectors", "peak_pixel"]
+__all__ = ["PipelineResult", "run_pipeline", "peak_pixel"]
 
 
 @dataclass
@@ -64,77 +65,45 @@ def peak_pixel(image: FinalImage) -> tuple[int, int]:
     return int(i), int(j)
 
 
-def grid_sectors(parts, spec: GridSpec, kernel: KernelSpec, topo: Topology,
-                 log: MessageLog):
-    """Move each rank's records (``parts[r]``, a contiguous run of the
-    records in rank order) to their sector owners, then grid every sector
-    on its rank into a plain ``(n_w, count, n_u)`` complex128 array, where
-    ``(start, count)`` is the rank's :func:`~wstack.mesh.partition_1d`
-    share of the rows. The exchange takes the records out of the ``parts``
-    list. Returns ``(one slab array per rank, total cell updates)``."""
-    R = topo.n_ranks
-    batches = comms.exchange_to_space_order(parts, spec, topo,
-                                            halo_rows=kernel.half_support, log=log)
-    updates = [0] * R
+def _stream_planes(ctx, batch, spec: GridSpec, kernel: KernelSpec,
+                   strategy: ReduceStrategy):
+    """One rank's program after the exchange (see the module docs): returns
+    ``(ImageBlock, cell updates, wall seconds and thread CPU per phase)``."""
+    R, r = ctx.topo.n_ranks, ctx.rank
+    wall, cpu, last = Counter(), Counter(), [time.perf_counter(), time.thread_time()]
 
-    def grid_fn(ctx):
-        start, count = partition_1d(spec.n_v, R, ctx.rank)
-        out = np.zeros((spec.n_w, count, spec.n_u), dtype=np.complex128)
-        updates[ctx.rank] = grid_sector(batches[ctx.rank], kernel, out, start)
-        return out
+    def charge(phase):
+        now = time.perf_counter(), time.thread_time()
+        wall[phase] += now[0] - last[0]
+        cpu[phase] += now[1] - last[1]
+        last[:] = now
 
-    slabs = run_ranks(topo, grid_fn, log=log)
-    return slabs, sum(updates)
-
-
-def reduce_sectors(slabs, topo: Topology, strategy: ReduceStrategy, log: MessageLog):
-    """Per-sector reduce onto each slab's owner, one w plane at a time:
-    the owner's plane ``slab[k]``, a view, is the receive buffer of the
-    sum, and every other rank contributes one zero plane, made once per
-    sector and shared. Each gridded slab array moves from ``slabs`` into
-    the returned list, which holds the owners' own arrays, reduced in
-    place."""
-    reduced = []
-    for target in range(len(slabs)):
-        own, slabs[target] = slabs[target], None
-        # np.zeros leaves the pages untouched until read; zeros_like writes them
-        zero = np.zeros(own.shape[1:], dtype=np.complex128)
-        for plane in own:
-            partials = [plane if r == target else zero for r in range(topo.n_ranks)]
-            comms.reduce_slabs(strategy, partials, target, topo, log=log)
-        reduced.append(own)
-    return reduced
-
-
-def image_sectors(reduced, spec: GridSpec, topo: Topology, log: MessageLog):
-    """The image stage: per rank, for each w plane in reverse order, the
-    inverse transform of its reduced slab into its column block and the
-    Horner step of the w correction into the block's sum, then the
-    stacking. A rank drops its ``reduced`` entry once it has transformed
-    it. Returns ``(ImageBlocks in rank order, the busiest rank's seconds in
-    fft2d_slab, the ranks' summed thread CPU-seconds in it)``."""
-    R = topo.n_ranks
-    fft_s, fft_cpu = [0.0] * R, [0.0] * R
-
-    def image_fn(ctx):
-        r = ctx.rank
-        planes, reduced[r] = reduced[r], None
-        u0, uc = partition_1d(spec.n_u, R, r)
-        n = pixel_n_block(spec, u0, uc)
-        z = transform.w_phase_factor(n, spec.w_step_native)
-        acc = None
-        for k in reversed(range(spec.n_w)):
-            t0, c0 = time.perf_counter(), time.thread_time()
-            plane = transform.fft2d_slab(ctx, planes[k], spec)
-            fft_s[r] += time.perf_counter() - t0
-            fft_cpu[r] += time.thread_time() - c0
-            acc = transform.apply_w_correction(acc, plane, z)
-            # freed before the next plane's transform, not after it
-            del plane
-        del planes, z
-        return transform.stack_planes(acc, n, spec)
-
-    return run_ranks(topo, image_fn, log=log), max(fft_s), sum(fft_cpu)
+    v0, rows = partition_1d(spec.n_v, R, r)
+    u0, uc = partition_1d(spec.n_u, R, r)
+    grid = np.empty((rows, spec.n_u), dtype=np.complex128)
+    cols = np.empty((uc, spec.n_v), dtype=np.complex128)
+    # Every other owner's partial: leading rows of one zero plane as tall as
+    # rank 0's slab, the tallest; np.zeros maps no pages, nor does reading.
+    zero = np.zeros((partition_1d(spec.n_v, R, 0)[1], spec.n_u), dtype=np.complex128)
+    planes = batch.plane_batches(spec.n_w)
+    updates, acc, z = 0, None, None
+    for k in reversed(range(spec.n_w)):
+        updates += grid_sector(planes[k], kernel, grid, v0)
+        charge("gridding")
+        for t in range(R):
+            comms.reduce_slabs(ctx, strategy, grid if t == r else
+                               zero[:partition_1d(spec.n_v, R, t)[1]], t)
+        charge("reduce")
+        plane = transform.fft2d_slab(ctx, grid, spec, out=cols)
+        charge("fft")
+        if z is None:
+            n = pixel_n_block(spec, u0, uc)
+            z = transform.w_phase_factor(n, spec.w_step_native)
+        acc = transform.apply_w_correction(acc, plane, z)
+        charge("wcorrect")
+    block = transform.stack_planes(acc, n, spec)
+    charge("wcorrect")
+    return block, updates, wall, cpu
 
 
 def run_pipeline(
@@ -157,8 +126,7 @@ def run_pipeline(
     if counter is not None:
         counter.start()
     t_begin, c_begin = time.perf_counter(), time.process_time()
-    times: dict[str, float] = {}
-    cpu: dict[str, float] = {}
+    times, cpu = {}, {}
 
     # 1. read: each rank reads its own contiguous share of the records
     t0, c0 = time.perf_counter(), time.process_time()
@@ -174,29 +142,25 @@ def run_pipeline(
     )
     times["read"], cpu["read"] = time.perf_counter() - t0, time.process_time() - c0
 
-    # 2. gridding: records move to their sector owners, sectors convolve;
-    #    the exchange frees each rank's records once it has prepared them
+    # 2. exchange: records move to their sector owners, sorted by plane;
+    #    it frees each rank's records once it has prepared them
     t0, c0 = time.perf_counter(), time.process_time()
-    slabs, grid_updates = grid_sectors(parts, spec, kernel, topo, log)
+    batches = comms.exchange_to_space_order(parts, spec, topo,
+                                            halo_rows=kernel.half_support, log=log)
     times["gridding"], cpu["gridding"] = time.perf_counter() - t0, time.process_time() - c0
 
-    # 3. reduce: per-sector collective summation, plane by plane, into the
-    #    owner's own gridded slab
-    t0, c0 = time.perf_counter(), time.process_time()
-    reduced = reduce_sectors(slabs, topo, strategy, log)
-    times["reduce"], cpu["reduce"] = time.perf_counter() - t0, time.process_time() - c0
-
-    # 4-5a. image: per rank, each w plane's inverse transform into the
-    #    rank's image columns and its w correction, then the stacking; the
-    #    gridder stored each cell times (-1)^(i+j), which centres the phase
-    t0, c0 = time.perf_counter(), time.process_time()
-    blocks, times["fft"], cpu["fft"] = image_sectors(reduced, spec, topo, log)
-    times["wcorrect"] = time.perf_counter() - t0 - times["fft"]
-    cpu["wcorrect"] = time.process_time() - c0 - cpu["fft"]
+    # 3-5a. one rank program streams the planes (see the module docs)
+    ranks = run_ranks(topo, lambda ctx: _stream_planes(ctx, batches[ctx.rank], spec, kernel,
+                                                       strategy), log=log)
+    del batches
+    busiest = max((wall for _, _, wall, _ in ranks), key=lambda wall: sum(wall.values()))
+    for phase in ("gridding", "reduce", "fft", "wcorrect"):
+        times[phase] = times.get(phase, 0.0) + busiest[phase]
+        cpu[phase] = cpu.get(phase, 0.0) + sum(rank_cpu[phase] for *_, rank_cpu in ranks)
 
     # 5b. write
     t0, c0 = time.perf_counter(), time.process_time()
-    image = transform.assemble_image(spec, blocks)
+    image = transform.assemble_image(spec, [block for block, *_ in ranks])
     paths = {}
     if out_dir is not None:
         out_dir = Path(out_dir)
@@ -223,7 +187,7 @@ def run_pipeline(
 
     ops = {
         "records": n_records,
-        "grid_updates": int(grid_updates),
+        "grid_updates": sum(int(updates) for _, updates, *_ in ranks),
         "exchange_bytes": log.total_bytes(phase="exchange"),
         "reduce_bytes": log.total_bytes(phase="reduce"),
         "fft_bytes": log.total_bytes(phase="fft"),

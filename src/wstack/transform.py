@@ -1,15 +1,16 @@
 """Inverse 2D FFT of each w plane into transposed layout, w-term
 correction, stacking, image output.
 
-For each w plane, each rank runs :func:`fft2d_slab` on its row
-slab: library inverse FFTs (``np.fft``) along the rows, one block transpose
-across ranks (logged), and inverse FFTs along the columns it then holds.
-There is no transpose back: a rank keeps ``(columns, n_v)`` blocks, FFTW's
-transposed-out MPI layout (Frigo & Johnson 2005, Proc. IEEE 93:216), and
-each rank transposes only its block's real pixels, once, in
-:func:`stack_planes`; :func:`assemble_image` then joins the blocks side by
-side, in rank order. The inverse kernel is ``exp(+2 pi i)`` and carries
-``1/(n_u n_v)``.
+For each w plane, each rank runs :func:`fft2d_slab` on its row slab:
+library inverse FFTs (``np.fft``) along the rows, one block transpose
+across ranks (logged), and inverse FFTs along the columns it then holds,
+each in place through ``out=`` (numpy >= 2.0): into the slab, then into a
+column-block buffer the rank reuses. There is no transpose back: a rank
+keeps ``(columns, n_v)`` blocks, FFTW's transposed-out MPI layout (Frigo
+& Johnson 2005, Proc. IEEE 93:216), and each rank transposes only its
+block's real pixels, once, in :func:`stack_planes`;
+:func:`assemble_image` then joins the blocks side by side, in rank order.
+The inverse kernel is ``exp(+2 pi i)`` and carries ``1/(n_u n_v)``.
 
 The gridded origin sits at cell (0, 0). The gridder stores every cell
 times ``(-1)^(i+j)`` (see :mod:`wstack.gridder`), and on that grid the
@@ -89,34 +90,47 @@ class FinalImage:
                              f"{(self.spec.n_v, self.spec.n_u)}")
 
 
-def fft1d(a: np.ndarray) -> np.ndarray:
-    """Library inverse FFT along the last axis; it carries ``1/n``."""
-    return np.fft.ifft(a)
+def fft1d(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Library inverse FFT along the last axis, into ``out`` when given
+    (which may be ``a`` itself); it carries ``1/n``."""
+    return np.fft.ifft(a, out=out)
 
 
-def fft2d_slab(ctx, rows: np.ndarray, spec: GridSpec) -> np.ndarray:
+def _check_buffer(a: np.ndarray, shape: tuple, name: str):
+    if not (a.shape == shape and a.dtype == np.complex128 and a.flags.c_contiguous
+            and a.flags.writeable):
+        raise ValueError(f"{name} shape {a.shape}, {a.dtype}: must be a writeable, "
+                         f"C-contiguous {shape} complex128 array")
+
+
+def fft2d_slab(ctx, rows: np.ndarray, spec: GridSpec,
+               out: np.ndarray | None = None) -> np.ndarray:
     """One rank's part of the inverse 2D transform of one plane, from its
     ``(v_count, n_u)`` row slab to its :func:`~wstack.mesh.partition_1d`
     share of the columns, ``(u_count, n_v)``: row transforms, each column
-    block sent to its owner as an ``fft`` message, column transforms."""
+    block sent to its owner as an ``fft`` message, column transforms.
+
+    The row transforms overwrite ``rows``, so a caller that needs them
+    afterwards passes a copy; the column transforms go into ``out`` when
+    given, else into a new array, which is returned. Each must be a
+    writeable, C-contiguous complex128 array, else ValueError."""
     R, r = ctx.topo.n_ranks, ctx.rank
     v0, vc = partition_1d(spec.n_v, R, r)
     u0, uc = partition_1d(spec.n_u, R, r)
-    if rows.shape != (vc, spec.n_u):
-        raise ValueError(f"rows shape {rows.shape} != {(vc, spec.n_u)}")
-    a = fft1d(rows)
+    _check_buffer(rows, (vc, spec.n_u), "rows")
+    out = np.empty((uc, spec.n_v), dtype=np.complex128) if out is None else out
+    _check_buffer(out, (uc, spec.n_v), "out")
+    a = fft1d(rows, out=rows)
     for d in range(R):
         if d != r:
             d0, dc = partition_1d(spec.n_u, R, d)
             ctx.send(d, ("fft",), a[:, d0:d0 + dc], "fft")
-    b = np.empty((uc, spec.n_v), dtype=np.complex128)
-    b[:, v0:v0 + vc] = a[:, u0:u0 + uc].T
-    del a
+    out[:, v0:v0 + vc] = a[:, u0:u0 + uc].T
     for s in range(R):
         if s != r:
             s0, sc = partition_1d(spec.n_v, R, s)
-            b[:, s0:s0 + sc] = ctx.recv(s, ("fft",)).T
-    return fft1d(b)
+            out[:, s0:s0 + sc] = ctx.recv(s, ("fft",)).T
+    return fft1d(out, out=out)
 
 
 # ---------------------------------------------------------------------------

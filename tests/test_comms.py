@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from wstack import visdata
 from wstack.comms import (PREPARE_BLOCK, REDUCE_KINDS, MessageLog, ReduceStrategy, Router,
-                          Topology, exchange_to_space_order, prepare_chunk, reduce_slabs,
-                          run_ranks)
-from wstack.mesh import GridSpec, partition_1d
+                          Topology, exchange_to_space_order, prepare_chunk, reduce_partials,
+                          reduce_slabs, run_ranks)
+from wstack.mesh import GridSpec, partition_1d, plane_of_w
 
 
 def test_failing_rank_stops_waiting_peers_at_once():
@@ -46,9 +46,8 @@ def test_recv_still_times_out():
 # ---------------------------------------------------------------------------
 
 def expected_reduce_traffic(kind, topo, target, length):
-    """``{intra_node: (messages, bytes)}`` of one ``reduce_slabs`` call on
-    complex partials of ``length`` elements, as ``_reduce_collective``
-    sends them. The ring cuts the slab into its P ``partition_1d`` shares,
+    """``{intra_node: (messages, bytes)}`` of one reduce of complex
+    partials of ``length`` elements, as ``reduce_slabs`` sends them. The ring cuts the slab into its P ``partition_1d`` shares,
     so a message carries exactly its share: 32 elements on 1x3 make
     segments of 11, 11 and 10."""
     N, P, R = topo.n_nodes, topo.ranks_per_node, topo.n_ranks
@@ -103,14 +102,14 @@ def test_reduce_message_counts_and_bytes_match_closed_form(kind, nodes, ranks):
     for target in range(topo.n_ranks):
         log = MessageLog()
         partials = small_partials(topo)
-        red = reduce_slabs(ReduceStrategy(kind), partials, target, topo, log=log)
+        red = reduce_partials(ReduceStrategy(kind), partials, target, topo, log=log)
         assert red is partials[target], target
         if exact:
             assert red.tobytes() == total.tobytes(), target
         else:
             err = np.linalg.norm(red - total) / np.linalg.norm(total)
             assert err <= 1e-15, (target, err)
-            again = reduce_slabs(ReduceStrategy(kind), small_partials(topo), target, topo)
+            again = reduce_partials(ReduceStrategy(kind), small_partials(topo), target, topo)
             assert again.tobytes() == red.tobytes(), target
         got = {intra: (log.count("reduce", intra), log.total_bytes("reduce", intra))
                for intra in (True, False)}
@@ -128,7 +127,7 @@ def test_direct_sums_in_rank_order_whatever_the_arrival_order(nodes, ranks):
     try:
         for target in range(1, topo.n_ranks):
             for _ in range(10):
-                red = reduce_slabs(ReduceStrategy("direct"), small_partials(topo),
+                red = reduce_partials(ReduceStrategy("direct"), small_partials(topo),
                                    target, topo)
                 assert red.tobytes() == total, target
     finally:
@@ -136,9 +135,10 @@ def test_direct_sums_in_rank_order_whatever_the_arrival_order(nodes, ranks):
 
 
 def test_reduce_rejects_partials_it_cannot_sum_in_place():
-    # The partials are buffers of one shape and dtype; the target's is the
-    # receive buffer, and a flat view of a strided or read-only one would
-    # not write the sum into it.
+    # Each rank checks its own buffer: complex128, and the target's a
+    # receive buffer, which a flat view of a strided or read-only one would
+    # not write the sum into. A partial of another size shows as a payload
+    # of another length at the target.
     topo = Topology(1, 2)
     a, b = small_partials(topo)
     read_only = b.copy()
@@ -151,8 +151,39 @@ def test_reduce_rejects_partials_it_cannot_sum_in_place():
     }
     for name, partials in cases.items():
         with pytest.raises(ValueError, match="partial"):
-            reduce_slabs(ReduceStrategy("direct"), partials, 1, topo)
+            reduce_partials(ReduceStrategy("direct"), partials, 1, topo)
         assert partials[0].tobytes() == a.tobytes(), name
+    with pytest.raises(ValueError, match="complex128"):
+        run_ranks(Topology(1, 1), lambda ctx: reduce_slabs(
+            ctx, ReduceStrategy("direct"), a.astype(np.complex64), 0))
+
+
+@pytest.mark.parametrize("kind", REDUCE_KINDS)
+@pytest.mark.parametrize("nodes,ranks", [(1, 3), (2, 2)])
+def test_a_shorter_partial_fails_every_rank_at_once(kind, nodes, ranks):
+    # Every rank reduces onto each owner in turn, as the pipeline does; the
+    # last rank passes a partial of half the length. The rank that receives
+    # a payload or segment of the wrong length raises, and Router.fail
+    # stops the ranks waiting on it, long before RECV_TIMEOUT_S (120 s).
+    topo = Topology(nodes, ranks)
+    R = topo.n_ranks
+    outcome = [None] * R
+
+    def fn(ctx):
+        try:
+            for target in range(R):
+                buf = small_partials(topo)[ctx.rank]
+                reduce_slabs(ctx, ReduceStrategy(kind), buf[:1] if ctx.rank == R - 1 else buf,
+                             target)
+        except BaseException as exc:
+            outcome[ctx.rank] = exc
+            raise
+
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="partial of"):
+        run_ranks(topo, fn)
+    assert time.perf_counter() - t0 < 5.0
+    assert all(isinstance(exc, (ValueError, RuntimeError)) for exc in outcome), outcome
 
 
 # ---------------------------------------------------------------------------
@@ -207,11 +238,12 @@ V_VALUES = st.one_of(st.floats(0.0, 1.0, exclude_max=True),
        n_ranks=st.integers(1, 4), half_support=st.integers(1, 4))
 def test_exchange_owns_each_record_once_and_copies_only_within_halo(
         records, n_ranks, half_support):
-    spec = GridSpec(n_u=16, n_v=16, n_w=1, cell_size_lm=1e-3)
+    spec = GridSpec(n_u=16, n_v=16, n_w=4, cell_size_lm=1e-3)
     n = len(records)
     u, v, t = (np.array([r[k] for r in records], dtype=float) for k in range(3))
-    # The visibility carries the record's global index, to find it again.
-    chunk = visdata.VisChunk(u=u, v=v, w=np.zeros(n), time_index=t,
+    # The visibility carries the record's global index, to find it again;
+    # w follows the time index, which spreads the records over the planes.
+    chunk = visdata.VisChunk(u=u, v=v, w=t / 7.0, time_index=t,
                              vis=np.arange(n).reshape(n, 1), weight=np.ones((n, 1)))
     cuts = np.linspace(0, n, n_ranks + 1).astype(int)
     parts = [chunk.rows(slice(cuts[r], cuts[r + 1])) for r in range(n_ranks)]
@@ -223,9 +255,11 @@ def test_exchange_owns_each_record_once_and_copies_only_within_halo(
         start, count = partition_1d(spec.n_v, n_ranks, d)
         ids = batch.value.real.astype(int)
         assert np.array_equal(batch.gv, gv[ids])
-        # in ascending global index: the shares joined in source-rank
-        # order, whatever the (unsorted) time indices
-        assert np.all(np.diff(ids) > 0)
+        # sorted by plane, and within each plane in ascending global index:
+        # the shares joined in source-rank order, then sorted stably
+        key = batch.plane.astype(np.int64) * n + ids
+        assert np.all(np.diff(key) > 0)
+        assert np.array_equal(batch.plane, plane_of_w(spec, t[ids] / 7.0))
         owned = (np.floor(gv[ids]) >= start) & (np.floor(gv[ids]) < start + count)
         owners[ids[owned]] += 1
         # a copy sits here exactly when the record is within the halo
@@ -275,7 +309,7 @@ def test_reduce_leaves_partials_untouched(kind, nodes, ranks):
         partials = small_partials(topo)
         before = [p.tobytes() for p in partials]
         total = rank_order_sum(partials)
-        red = reduce_slabs(ReduceStrategy(kind), partials, target, topo)
+        red = reduce_partials(ReduceStrategy(kind), partials, target, topo)
         assert red is partials[target], target
         assert ([p.tobytes() for r, p in enumerate(partials) if r != target]
                 == [b for r, b in enumerate(before) if r != target]), target
@@ -315,7 +349,7 @@ def test_reduce_peak_allocation_within_budget(topo_shape, kind):
             partials = random_partials(topo, shape, 3)
             tracemalloc.start()
             try:
-                reduce_slabs(ReduceStrategy(kind), partials, target, topo)
+                reduce_partials(ReduceStrategy(kind), partials, target, topo)
                 peaks.append(tracemalloc.get_traced_memory()[1] / nbytes)
             finally:
                 tracemalloc.stop()
@@ -341,7 +375,7 @@ def test_hybrid_ring_target_peak_under_fine_thread_switching():
             partials = random_partials(topo, shape, 3)
             tracemalloc.start()
             try:
-                reduce_slabs(ReduceStrategy("hybrid_ring"), partials, 1, topo)
+                reduce_partials(ReduceStrategy("hybrid_ring"), partials, 1, topo)
                 peaks.append(tracemalloc.get_traced_memory()[1] / nbytes)
             finally:
                 tracemalloc.stop()

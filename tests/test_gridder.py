@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wstack import gridder, visdata
-from wstack.bench import edge_chunk
-from wstack.comms import MessageLog, ReduceStrategy, Topology
+from wstack.bench import edge_chunk, gridded_mesh
+from wstack.comms import Topology
 from wstack.gridder import KernelSpec, SectorBatch, grid_sector, kernel_value
 from wstack.mesh import GridSpec, partition_1d
-from wstack.pipeline import grid_sectors, reduce_sectors
 
 
 def bessel_i0_series(x, tol=1e-12):
@@ -61,8 +60,20 @@ def batch_for(gu, gv, plane, value):
 
 def slab_grid(spec, slab):
     """A zeroed ``(n_w, rows, n_u)`` complex128 array for ``slab``, a
-    ``partition_1d`` pair ``(start, rows)``: what ``grid_sector`` writes."""
+    ``partition_1d`` pair ``(start, rows)``: ``grid_sector`` writes one of
+    its planes per call."""
     return np.zeros((spec.n_w, slab[1], spec.n_u), dtype=np.complex128)
+
+
+def grid_planes(batch, kern, out, v_start):
+    """Grid a batch of several planes into ``out``, a :func:`slab_grid`, one
+    ``grid_sector`` call per plane, after the exchange's stable sort by
+    plane; returns the cell updates."""
+    order = np.argsort(batch.plane, kind="stable")
+    ordered = SectorBatch(gu=batch.gu[order], gv=batch.gv[order], plane=batch.plane[order],
+                          value=batch.value[order])
+    return sum(grid_sector(plane, kern, out[p], v_start)
+               for p, plane in enumerate(ordered.plane_batches(len(out))))
 
 
 def checker_sign(spec, slab):
@@ -193,7 +204,7 @@ def test_near_delta_kernel_hits_single_cell():
     spec = GridSpec(n_u=16, n_v=16, n_w=1, cell_size_lm=1e-3)
     out = slab_grid(spec, (0, 16))
     batch = batch_for([8.0], [8.0], [0], [1.0 + 0j])
-    grid_sector(batch, KernelSpec.gaussian(1, 1e-3), out, 0)
+    grid_planes(batch, KernelSpec.gaussian(1, 1e-3), out, 0)
     assert out[0, 8, 8] == pytest.approx(1.0)
     masked = out.copy()
     masked[0, 8, 8] = 0.0
@@ -206,7 +217,7 @@ def test_on_center_record_closed_form_neighbourhood():
     out = slab_grid(spec, slab)
     # value 2+0j with weight 0.5 folded in -> unit effective value
     batch = batch_for([8.0], [8.0], [0], [(2 + 0j) * 0.5])
-    grid_sector(batch, KernelSpec.gaussian(3, 1.0), out, 0)
+    grid_planes(batch, KernelSpec.gaussian(3, 1.0), out, 0)
     sign = checker_sign(spec, slab)
     assert out[0, 8, 8] == pytest.approx(sign[8, 8] * 1.0, abs=1e-14)
     for j, i in ((7, 8), (9, 8), (8, 7), (8, 9)):
@@ -219,9 +230,9 @@ def test_two_identical_records_double_the_grid():
     spec = GridSpec(n_u=16, n_v=16, n_w=2, cell_size_lm=1e-3)
     one = slab_grid(spec, (0, 16))
     two = slab_grid(spec, (0, 16))
-    grid_sector(batch_for([5.3], [7.8], [1], [1.5 - 0.5j]),
+    grid_planes(batch_for([5.3], [7.8], [1], [1.5 - 0.5j]),
                 KernelSpec.gaussian(3, 1.0), one, 0)
-    grid_sector(batch_for([5.3, 5.3], [7.8, 7.8], [1, 1],
+    grid_planes(batch_for([5.3, 5.3], [7.8, 7.8], [1, 1],
                           [1.5 - 0.5j, 1.5 - 0.5j]),
                 KernelSpec.gaussian(3, 1.0), two, 0)
     assert np.allclose(two, 2.0 * one, rtol=0, atol=1e-15)
@@ -236,20 +247,20 @@ def test_record_outside_slab_halo_rejected():
     for gv in (14.0, 11.0, math.nan, math.inf, -math.inf):
         batch = batch_for([3.0, 4.0], [2.5, gv], [0, 0], [1.0, 1.0])
         with pytest.raises(ValueError, match="outside slab"):
-            grid_sector(batch, kern, slab_grid(spec, slab), slab[0])
+            grid_sector(batch, kern, slab_grid(spec, slab)[0], slab[0])
 
 
 def test_grid_sector_rejects_out_it_cannot_sum_into_in_place():
-    # The gridder adds into flat views of out's planes; a flat view of a
+    # The gridder adds into a flat view of out, one plane; a flat view of a
     # strided or read-only array would not write into it.
     kern = KernelSpec.gaussian(3, 1.0)
     batch = batch_for([3.5], [3.5], [0], [1.0])
-    read_only = np.zeros((1, 16, 16), dtype=np.complex128)
+    read_only = np.zeros((16, 16), dtype=np.complex128)
     read_only.flags.writeable = False
     cases = {
-        "complex64": np.zeros((1, 16, 16), dtype=np.complex64),
-        "2-D": np.zeros((16, 16), dtype=np.complex128),
-        "strided": np.zeros((1, 16, 32), dtype=np.complex128)[:, :, ::2],
+        "complex64": np.zeros((16, 16), dtype=np.complex64),
+        "3-D": np.zeros((1, 16, 16), dtype=np.complex128),
+        "strided": np.zeros((16, 32), dtype=np.complex128)[:, ::2],
         "read-only": read_only,
     }
     for name, out in cases.items():
@@ -267,7 +278,7 @@ def test_gridded_mass_matches_kernel_sums():
     gv = rng.uniform(10, 54, n)
     value = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     kern = KernelSpec.gaussian(3, 1.0)
-    grid_sector(batch_for(gu, gv, rng.integers(0, 2, n), value), kern, out, 0)
+    grid_planes(batch_for(gu, gv, rng.integers(0, 2, n), value), kern, out, 0)
     expected = sum(v * signed_footprint_sum(kern, u, w) for u, w, v in zip(gu, gv, value))
     assert abs(out.sum() - expected) < 1e-10
 
@@ -290,7 +301,7 @@ def test_matches_brute_force_with_edge_clipping_on_every_plane(kern):
                       np.clip(np.floor(chunk.w * 3 + 0.5), 0, 3),
                       (chunk.vis.astype(np.complex128) * chunk.weight).sum(axis=1))
     out = slab_grid(spec, partition_1d(spec.n_v, 1, 0))
-    assert grid_sector(batch, kern, out, 0) == ref_updates
+    assert grid_planes(batch, kern, out, 0) == ref_updates
     assert np.max(np.abs(out - ref)) <= 1e-12
 
 
@@ -446,7 +457,7 @@ def test_grid_sector_bit_identical_to_masked_reference(case, kern, monkeypatch):
             spaces.append(_tag)
             return _space(*args)
         monkeypatch.setattr(gridder, name, record)
-    assert grid_sector(batch, kern, got, slab[0]) == ref_count
+    assert grid_planes(batch, kern, got, slab[0]) == ref_count
     assert "".join(spaces) == ON_LINE_CASES[case]
     assert got.tobytes() == signed(ref, spec, slab).tobytes()
     assert np.any(got)
@@ -461,8 +472,8 @@ def test_beyond_support_weight_is_zeroed_for_the_gaussian():
     spec = GridSpec(n_u=32, n_v=32, n_w=1, cell_size_lm=1e-3)
     kern = KernelSpec.gaussian(3, 1.0)
     alone, with_line = slab_grid(spec, (0, 32)), slab_grid(spec, (0, 32))
-    assert grid_sector(batch_for([10.5], [20.5], [0], [1.0]), kern, alone, 0) == 36
-    assert grid_sector(batch_for([10.5, 3.0], [20.5, 8.0], [0, 0], [1.0, 0.0]),
+    assert grid_planes(batch_for([10.5], [20.5], [0], [1.0]), kern, alone, 0) == 36
+    assert grid_planes(batch_for([10.5, 3.0], [20.5, 8.0], [0, 0], [1.0, 0.0]),
                        kern, with_line, 0) == 36 + 49
     assert with_line.tobytes() == alone.tobytes()
     assert not np.any(alone[0, :, 7]) and not np.any(alone[0, 17, :])
@@ -481,7 +492,7 @@ def test_grid_sector_temporaries_on_a_dense_plane():
     gu, gv = rng.uniform(4, 60, n), rng.uniform(4, 60, n)
     gu[0], gv[0] = 30.0, 30.0
     batch = batch_for(gu, gv, np.zeros(n), rng.standard_normal(n) + 1j)
-    out = slab_grid(spec, (0, 64))
+    out = slab_grid(spec, (0, 64))[0]
     unit = n * (2 * kern.half_support + 1) * 8
     tracemalloc.start()
     try:
@@ -495,10 +506,23 @@ def test_grid_sector_temporaries_on_a_dense_plane():
 
 @pytest.mark.parametrize("plane, n_w", [(4, 4), (1, 1), (2 ** 20, 4)])
 def test_plane_outside_mesh_rejected(plane, n_w):
+    # grid_sector's out holds one plane, so a second plane is outside it;
+    # a batch split into planes must hold none at or beyond n_w.
     spec = GridSpec(n_u=16, n_v=16, n_w=n_w, cell_size_lm=1e-3)
     batch = batch_for([3.5, 4.5], [3.5, 4.5], [0, plane], [1.0, 1.0])
     with pytest.raises(ValueError, match="plane"):
-        grid_sector(batch, KernelSpec.gaussian(3, 1.0), slab_grid(spec, (0, 16)), 0)
+        grid_sector(batch, KernelSpec.gaussian(3, 1.0), slab_grid(spec, (0, 16))[0], 0)
+    with pytest.raises(ValueError, match="plane"):
+        batch.plane_batches(n_w)
+
+
+def test_plane_batches_are_the_sorted_batch_cut_by_plane():
+    batch = batch_for([1.0, 2.0, 3.0, 4.0, 5.0], [1.0] * 5, [0, 0, 2, 2, 2], [1.0] * 5)
+    planes = batch.plane_batches(4)
+    assert [list(p.gu) for p in planes] == [[1.0, 2.0], [], [3.0, 4.0, 5.0], []]
+    assert all(np.shares_memory(p.gu, batch.gu) for p in planes if len(p))
+    with pytest.raises(ValueError, match="not sorted"):
+        batch_for([1.0, 2.0], [1.0, 1.0], [1, 0], [1.0, 1.0]).plane_batches(2)
 
 
 @pytest.mark.parametrize("gu", [-0.5, 16.0 + 1e-9, math.nan])
@@ -506,7 +530,7 @@ def test_record_outside_mesh_columns_rejected(gu):
     spec = GridSpec(n_u=16, n_v=16, n_w=1, cell_size_lm=1e-3)
     batch = batch_for([3.5, gu], [3.5, 4.5], [0, 0], [1.0, 1.0])
     with pytest.raises(ValueError, match="mesh columns"):
-        grid_sector(batch, KernelSpec.gaussian(3, 1.0), slab_grid(spec, (0, 16)), 0)
+        grid_sector(batch, KernelSpec.gaussian(3, 1.0), slab_grid(spec, (0, 16))[0], 0)
 
 
 # ---------------------------------------------------------------------------
@@ -521,15 +545,10 @@ def make_dataset(n=1000, seed=11):
     return chunk
 
 
-def gather(slabs):
-    return np.concatenate(slabs, axis=1)
-
-
 def grid_and_reduce(parts, spec, kern, topo):
-    """Pipeline steps 2 and 3 (exchange and grid, then reduce); the full mesh."""
-    log = MessageLog()
-    slabs, _ = grid_sectors(parts, spec, kern, topo, log)
-    return gather(reduce_sectors(slabs, topo, ReduceStrategy(), log))
+    """The pipeline's exchange and gridding, one plane at a time on every
+    rank; its reduce leaves each plane as gridded. The full mesh."""
+    return gridded_mesh(parts, spec, kern, topo)[0]
 
 
 def test_single_rank_equals_sequential_gridding():

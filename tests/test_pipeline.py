@@ -1,24 +1,23 @@
 import dataclasses
+import sys
 import threading
+import time
 import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from wstack import bench, transform, visdata
-from wstack.comms import REDUCE_KINDS, MessageLog, ReduceStrategy, Topology
+from wstack import bench, pipeline, transform, visdata
+from wstack.comms import REDUCE_KINDS, ReduceStrategy, Topology
 from wstack.gridder import KernelSpec
 from wstack.mesh import GridSpec, partition_1d
-from wstack.pipeline import image_sectors, peak_pixel, reduce_sectors, run_pipeline
+from wstack.pipeline import peak_pixel, run_pipeline
 
 from perfbench import tracing
 from perfbench.workloads import WORKLOADS
 
-try:
-    from numpy._core._multiarray_umath import __cpu_features__
-except ImportError:  # numpy < 2
-    from numpy.core._multiarray_umath import __cpu_features__
+from numpy._core._multiarray_umath import __cpu_features__
 
 N, N_W, CELL = 64, 4, 1e-3
 KERNELS = [KernelSpec.gaussian(), KernelSpec.kaiser_bessel()]
@@ -147,60 +146,83 @@ def test_hybrid_ring_reduce_traffic_on_one_node(tmp_path):
     assert {m.nbytes for m in res.log.entries(phase="reduce")} == {segment}
 
 
-def random_slabs(spec, topo, seed):
-    rng = np.random.default_rng(seed)
-    slabs = []
-    for r in range(topo.n_ranks):
-        shape = (spec.n_w, partition_1d(spec.n_v, topo.n_ranks, r)[1], spec.n_u)
-        slabs.append(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    return slabs
+def reduce_traffic(kind, topo, n_u, n_v):
+    """``(messages, bytes)`` of reducing one plane onto each of its row
+    slabs' owners in turn, in closed form (see ``wstack.comms``)."""
+    N, P, R = topo.n_nodes, topo.ranks_per_node, topo.n_ranks
+    messages = nbytes = 0
+    for target in range(R):
+        length = partition_1d(n_v, R, target)[1] * n_u
+        full = 16 * length
+        if kind == "direct":
+            messages += R - 1
+            nbytes += (R - 1) * full
+            continue
+
+        def all_but(pos):
+            return full - 16 * partition_1d(length, P, pos)[1]
+        # ring steps, segments gathered at the target and at every other
+        # node's master, then the chain of node sums
+        messages += N * P * (P - 1) + N * (P - 1) + N - 1
+        nbytes += ((N * (P - 1) + N - 1) * full + all_but(topo.intra_index(target))
+                   + (N - 1) * all_but(0))
+    return messages, nbytes
 
 
 @pytest.mark.parametrize("kind", REDUCE_KINDS)
-@pytest.mark.parametrize("nodes, ranks", [(1, 2), (2, 2), (1, 3)])
-def test_reduce_stage_sums_into_the_owners_slabs_within_a_few_planes(nodes, ranks, kind):
-    # 256^2 x 8: reducing each sector one w plane at a time, into the
-    # owner's own slab, peaked at under 1.8 full planes of new allocations;
-    # whole-slab messages, a zero slab and a result slab per sector took
-    # 12 to 21.
-    spec = GridSpec(256, 256, 8, CELL, w_max_native=20.0)
+@pytest.mark.parametrize("nodes, ranks", [(1, 3), (2, 2)])
+def test_slow_rank_leaves_the_image_and_the_reduce_traffic_as_they_are(
+        tmp_path, monkeypatch, nodes, ranks, kind):
+    # Consecutive reduces share one Router, and direct's target takes its
+    # payloads in arrival order. Rank 1 grids each plane late, so its
+    # peers reach each plane's reduce first, and a thread switch every
+    # 10 microseconds varies the rest; a payload of the next plane taken
+    # in place of one of this plane would change the image.
+    path = write(tmp_path, ((0.008, -0.006, 1.0), (0.0, 0.0, 0.5)), 5000, seed=5)
+    grid_sector = pipeline.grid_sector
+
+    def slow_on_rank_1(*args):
+        if threading.current_thread().name == "rank-1":
+            time.sleep(0.02)
+        return grid_sector(*args)
+
+    monkeypatch.setattr(pipeline, "grid_sector", slow_on_rank_1)
     topo = Topology(nodes, ranks)
-    slabs = random_slabs(spec, topo, nodes * 10 + ranks)
-    owners = list(slabs)
-    gridded = [s.tobytes() for s in slabs]
-    plane_bytes = spec.n_u * spec.n_v * 16
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        res = run_pipeline(path, N, N, N_W, CELL, kernel=KERNELS[0], topo=topo,
+                           strategy=ReduceStrategy(kind))
+    finally:
+        sys.setswitchinterval(interval)
+    assert res.image_sha256 == GOLDEN_SHA256["gaussian"]
+    messages, nbytes = reduce_traffic(kind, topo, N, N)
+    assert (res.ops["reduce_messages"], res.ops["reduce_bytes"]) == (N_W * messages,
+                                                                      N_W * nbytes)
+
+
+# Whole-run tracemalloc peak, in planes of the mesh, at 256^2 with 2000
+# records. Streaming the planes peaked at 5.6-6.8 planes at n_w = 8 and
+# 5.7-6.9 at n_w = 32, over 35 runs of each cell (tracemalloc counts each
+# rank's untouched zero plane in full); holding every plane of every slab
+# from gridding to the image pass took 11.8-12.6 and 36.0-36.6.
+RUN_PEAK_PLANES = 7.5
+
+
+@pytest.mark.parametrize("n_w", [8, 32])
+@pytest.mark.parametrize("kind", REDUCE_KINDS)
+@pytest.mark.parametrize("nodes, ranks", [(1, 2), (1, 3), (2, 2)])
+def test_run_holds_a_few_planes(tmp_path, nodes, ranks, kind, n_w):
+    path = write(tmp_path, ((0.008, -0.006, 1.0),), 2000, seed=19)
+    plane_bytes = 256 * 256 * 16
     tracemalloc.start()
     try:
-        reduced = reduce_sectors(slabs, topo, ReduceStrategy(kind), MessageLog())
+        run_pipeline(path, 256, 256, n_w, CELL, kernel=KERNELS[0],
+                     topo=Topology(nodes, ranks), strategy=ReduceStrategy(kind))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert all(got is own for got, own in zip(reduced, owners, strict=True))
-    # the other ranks' partials are zero, and x + 0 = x in any order
-    assert [s.tobytes() for s in reduced] == gridded
-    assert peak <= 2.5 * plane_bytes, f"{peak / plane_bytes:.2f} planes"
-
-
-def test_reduce_and_image_stages_free_their_inputs_and_hold_a_few_planes():
-    # 1x2 at 256^2 x 8: the image stage peaked at 3.8-4.4 planes of new
-    # allocations (200 repeats). A stage that keeps every transformed plane
-    # until the w correction holds at least n_w = 8; one that keeps the
-    # previous plane through the next plane's transform holds 5.3.
-    spec = GridSpec(256, 256, 8, CELL, w_max_native=20.0)
-    topo = Topology(1, 2)
-    slabs = random_slabs(spec, topo, 0)
-    reduced = reduce_sectors(slabs, topo, ReduceStrategy(), MessageLog())
-    assert slabs == [None, None]
-    plane_bytes = spec.n_u * spec.n_v * 16
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        image_sectors(reduced, spec, topo, MessageLog())
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert reduced == [None, None]
-    assert peak <= 4.75 * plane_bytes, f"{peak / plane_bytes:.2f} planes"
+    assert peak <= RUN_PEAK_PLANES * plane_bytes, f"{peak / plane_bytes:.2f} planes"
 
 
 def test_image_stage_hooks_are_each_called(tmp_path, monkeypatch):

@@ -15,10 +15,11 @@ TOPOLOGIES = [Topology(1, 1), Topology(1, 2), Topology(1, 3), Topology(2, 2)]
 
 
 def column_blocks(plane, topo, log=None):
-    """Each rank's :func:`fft2d_slab` of its rows of ``plane``."""
+    """Each rank's :func:`fft2d_slab` of a copy of its rows of ``plane``,
+    which the row transforms overwrite."""
     def fn(ctx):
         v0, vc = partition_1d(N_V, topo.n_ranks, ctx.rank)
-        return fft2d_slab(ctx, plane[v0:v0 + vc], SPEC)
+        return fft2d_slab(ctx, plane[v0:v0 + vc].copy(), SPEC)
     return run_ranks(topo, fn, log=log)
 
 
@@ -58,16 +59,37 @@ def test_transpose_messages_and_bytes(plane, topo):
 @pytest.mark.parametrize("topo", [Topology(1, 2), Topology(1, 3)],
                          ids=lambda t: f"{t.n_nodes}x{t.ranks_per_node}")
 @pytest.mark.parametrize("direction", ["inverse"])
-def test_transform_leaves_input_slabs_untouched(plane, topo, direction):
-    # The transpose sends column blocks as views; Router.send copies them.
-    before = plane.tobytes()
-    column_blocks(plane, topo)
-    assert plane.tobytes() == before
+def test_transform_overwrites_only_its_own_rows(plane, topo, direction):
+    # The row transforms go into each rank's rows in place, the column
+    # transforms into the out buffer it passes; the transpose sends column
+    # blocks as views, which Router.send copies, so no rank writes into
+    # another's rows.
+    R = topo.n_ranks
+    slabs = []
+    for r in range(R):
+        v0, vc = partition_1d(N_V, R, r)
+        slabs.append(plane[v0:v0 + vc].copy())
+    outs = [np.empty((partition_1d(N_U, R, r)[1], N_V), dtype=np.complex128) for r in range(R)]
+    got = run_ranks(topo, lambda ctx: fft2d_slab(ctx, slabs[ctx.rank], SPEC, out=outs[ctx.rank]))
+    assert all(g is o for g, o in zip(got, outs, strict=True))
+    assert np.concatenate(slabs).tobytes() == np.fft.ifft(plane).tobytes()
 
 
 def test_rows_of_wrong_shape_rejected(plane):
     with pytest.raises(ValueError, match="rows shape"):
         run_ranks(Topology(1, 2), lambda ctx: fft2d_slab(ctx, plane, SPEC))
+
+
+def test_rows_and_out_it_cannot_write_in_place_rejected(plane):
+    read_only = plane.copy()
+    read_only.flags.writeable = False
+    for rows in (read_only, plane.astype(np.complex64), np.asfortranarray(plane)):
+        with pytest.raises(ValueError, match="rows shape .* must be"):
+            run_ranks(Topology(1, 1), lambda ctx: fft2d_slab(ctx, rows, SPEC))
+    for out in (np.empty((N_V, N_U), dtype=np.complex128),
+                np.empty((N_U, N_V), dtype=np.complex64)):
+        with pytest.raises(ValueError, match="out shape .* must be"):
+            run_ranks(Topology(1, 1), lambda ctx: fft2d_slab(ctx, plane.copy(), SPEC, out=out))
 
 
 def mirrored(half):
