@@ -23,9 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import metrics, transform, visdata
-from .comms import (REDUCE_KINDS, ReduceStrategy, Topology, exchange_to_space_order,
-                    reduce_partials, run_ranks)
+from . import comms, metrics, transform, visdata
+from .comms import REDUCE_KINDS, ReduceStrategy, Topology, reduce_partials, run_ranks
 from .gridder import KernelSpec, grid_sector, kernel_value
 from .mesh import GridSpec, partition_1d, pixel_n_block
 from .pipeline import peak_pixel, run_pipeline
@@ -191,9 +190,7 @@ def direct_convolution_grid(chunk, spec: GridSpec, kern: KernelSpec):
     """Reference gridder: plain triple loop over records x kernel footprint
     onto the full mesh. Slow by design; used only to check the fast path.
     Returns ``(grid, number of cell updates)``."""
-    from .comms import prepare_chunk
-
-    prep = prepare_chunk(chunk, spec)
+    prep = comms.prepare_chunk(chunk, spec)
     grid = np.zeros((spec.n_w, spec.n_v, spec.n_u), dtype=np.complex128)
     S = kern.half_support
     updates = 0
@@ -274,18 +271,20 @@ class VerifyReport:
 
 
 def gridded_mesh(parts, spec: GridSpec, kern: KernelSpec, topo: Topology):
-    """The pipeline's gridding as one ``(n_w, n_v, n_u)`` mesh: the exchange
-    of ``parts`` (rank r's records at index r), then every rank's planes
-    gridded into its rows; the pipeline's reduce adds only zero planes to
-    them. Returns ``(mesh, cell updates)``."""
-    batches = exchange_to_space_order(parts, spec, topo, kern.half_support)
+    """The pipeline's gridding as one ``(n_w, n_v, n_u)`` mesh: on ranks of
+    its own, rank r prepares ``parts[r]``, takes part in the exchange and
+    grids its planes into its rows; the pipeline's reduce adds only zero
+    planes to them. Returns ``(mesh, cell updates)``."""
     mesh = np.zeros((spec.n_w, spec.n_v, spec.n_u), dtype=np.complex128)
-    updates = 0
-    for r, batch in enumerate(batches):
-        v0, rows = partition_1d(spec.n_v, topo.n_ranks, r)
-        for k, plane in enumerate(batch.plane_batches(spec.n_w)):
-            updates += grid_sector(plane, kern, mesh[k, v0:v0 + rows], v0)
-    return mesh, updates
+
+    def fn(ctx):
+        v0, rows = partition_1d(spec.n_v, topo.n_ranks, ctx.rank)
+        prepared = comms.prepare_chunk(parts[ctx.rank], spec)
+        planes = comms.exchange_to_space_order(ctx, prepared, spec, kern.half_support)
+        return sum(grid_sector(batch, kern, mesh[k, v0:v0 + rows], v0)
+                   for k, batch in enumerate(planes))
+
+    return mesh, sum(run_ranks(topo, fn))
 
 
 def _max_abs(a, b) -> float:
@@ -374,9 +373,7 @@ def verify_pipeline(scale: str = "small") -> VerifyReport:
         # so each record's clipped, signed footprint weight is a product of
         # per-axis sums; that gives an independent, vectorized expectation
         # for the total gridded mass.
-        from .comms import prepare_chunk
-
-        prep = prepare_chunk(chunk, spec)
+        prep = comms.prepare_chunk(chunk, spec)
         S = kern.half_support
         s2 = 2.0 * kern.shape_param ** 2
         su = np.zeros(len(prep))

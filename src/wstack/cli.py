@@ -27,13 +27,16 @@ is bit-identical for any topology and reduce strategy because each plane
 is reduced with zero partials from every rank but its owner; the
 strategies differ only in their messages.
 
-Every run meters itself: each phase's joules are its process CPU-seconds
-times ``metrics.WATTS_PER_CORE``. Setting ``meter.counter_file`` or
-``meter.counter_command`` reads an external energy counter around each
-run, and its reading replaces the total joules. ``image --out-dir D``
-writes the run's phases to ``D/trace.csv``, the trace format that
-``report`` reads, so ``report gp --trace D/trace.csv`` works on live runs
-as on the shipped ``traces/*.csv``.
+Every run meters itself: a phase's joules are the CPU-seconds spent in it
+times ``metrics.WATTS_PER_CORE``, the ranks' summed thread CPU for every
+phase but write, and the process CPU for write. Setting
+``meter.counter_file`` or ``meter.counter_command`` reads an external
+energy counter around each run, and its reading replaces the total
+joules. ``image --out-dir D`` writes the run's phases to
+``D/trace.csv``, the trace format that ``report`` reads, so ``report gp
+--trace D/trace.csv`` works on live runs as on the shipped
+``traces/*.csv``. ``bench`` rejects a topology or strategy listed twice,
+which would run its cells twice under one label.
 """
 
 from __future__ import annotations
@@ -194,11 +197,16 @@ def _parse_topology(text) -> Topology:
 
 def _sweep(cfg) -> tuple[list, list]:
     """The topologies of ``topo.layout`` and the strategies of
-    ``reduce.kind``, each a comma list, in the order given."""
-    def items(key):
-        return [item.strip() for item in cfg[key].split(",") if item.strip()]
-    return ([_parse_topology(t) for t in items("topo.layout")],
-            [ReduceStrategy(kind) for kind in items("reduce.kind")])
+    ``reduce.kind``, each a comma list, in the order given. A value listed
+    twice would run its cells twice under one label, so it is rejected."""
+    def items(key, parse, name):
+        values = [parse(item.strip()) for item in cfg[key].split(",") if item.strip()]
+        for k, value in enumerate(values):
+            if value in values[:k]:
+                raise ConfigError(f"{key} lists {name(value)} twice")
+        return values
+    return (items("topo.layout", _parse_topology, Topology.label),
+            items("reduce.kind", ReduceStrategy, lambda strategy: strategy.kind))
 
 
 def _kernel_from(cfg) -> KernelSpec:

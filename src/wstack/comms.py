@@ -32,14 +32,19 @@ strategy, because every rank but a plane's owner contributes a zero
 plane, and x + 0 = x in any order. That holds until the ranks grid real
 partials of each other's sectors.
 
-Ordering. A rank program's reduces share one :class:`Router`, with no
-tag per collective. Messages from one rank under one tag arrive in the
-order sent, so only ``direct``'s ``recv_any`` could take a payload of a
-later reduce onto the same target. In the pipeline it cannot: a rank
-sends its block of plane k's ``fft`` all-to-all only after it has sent
-its payloads of plane k and, as a target, taken all of its own, so no
-rank sends a payload of plane k - 1 before every target has taken those
-of plane k.
+The exchange is a collective too: each rank calls
+:func:`exchange_to_space_order` with the records it prepared and gets
+back the records of its own row slab, one batch per w plane.
+
+Ordering. A rank program's collectives share one :class:`Router`, with
+no tag per call. The ``("exchange",)`` messages are received by source,
+one from each rank, so they cannot be taken for any other. Messages from
+one rank under one tag arrive in the order sent, so only ``direct``'s
+``recv_any`` could take a payload of a later reduce onto the same target.
+In the pipeline it cannot: a rank sends its block of plane k's ``fft``
+all-to-all only after it has sent its payloads of plane k and, as a
+target, taken all of its own, so no rank sends a payload of plane k - 1
+before every target has taken those of plane k.
 
 Buffers and copies: a message costs the one copy :meth:`Router.send`
 makes, so that no rank aliases another's arrays. The non-target buffers
@@ -474,57 +479,45 @@ def prepare_chunk(chunk, spec: GridSpec) -> np.ndarray:
     return out
 
 
-def exchange_to_space_order(per_rank_records, spec: GridSpec, topo: Topology,
-                            halo_rows: int, log: MessageLog | None = None):
-    """Redistribute each rank's records to the ranks owning their rows.
+def exchange_to_space_order(ctx, prepared: np.ndarray, spec: GridSpec, halo_rows: int):
+    """This rank's part of moving the prepared records (see
+    :func:`prepare_chunk`) to the ranks owning their rows, as each rank
+    calls it with its own share.
 
-    ``per_rank_records`` is a list of rank r's records at index r; each rank
-    sets its entry to None once it has prepared them, so the records are
-    freed before the sectors are gridded. Rank r's slab is its
-    :func:`~wstack.mesh.partition_1d` share of the ``n_v`` rows, so more
-    ranks than rows raise ValueError. Every record lands on the rank
-    whose slab contains ``floor(gv)``; a copy also goes to any neighbouring
-    rank whose slab lies within ``halo_rows`` of gv. Each rank sends one
-    (possibly empty) message to every other rank, joins what it holds in
-    source-rank order and sorts it by plane, stably. Shares that are
-    contiguous runs of the records in rank order (see
+    Rank r's slab is its :func:`~wstack.mesh.partition_1d` share of the
+    ``n_v`` rows, so more ranks than rows raise ValueError. Every record
+    lands on the rank whose slab contains ``floor(gv)``; a copy also goes
+    to any neighbouring rank whose slab lies within ``halo_rows`` of gv.
+    The rank sends one (possibly empty) message to every other rank,
+    receives one from each by source, joins what it holds in source-rank
+    order, sorts it by plane, stably, and cuts it at the plane boundaries.
+    Shares that are contiguous runs of the records in rank order (see
     :func:`~wstack.visdata.read_dataset`) thus stay in global record order
     within each plane, which sets the gridder's summation order (see
-    :mod:`wstack.gridder`) for any rank count. Returns one
-    :class:`~wstack.gridder.SectorBatch` per rank.
+    :mod:`wstack.gridder`) for any rank count. Returns this rank's records
+    as a list of n_w :class:`~wstack.gridder.SectorBatch`, plane k's at
+    index k.
     """
-    R = topo.n_ranks
-    if len(per_rank_records) != R:
-        raise ValueError(f"expected {R} record partitions, got {len(per_rank_records)}")
+    R, r = ctx.topo.n_ranks, ctx.rank
     if halo_rows < 0:
         raise ValueError("halo_rows must be >= 0")
     # A rank with no rows would have no sector to grid
     if R > spec.n_v:
         raise ValueError(f"{R} ranks exceed the mesh's {spec.n_v} rows")
-    slabs = [partition_1d(spec.n_v, R, r) for r in range(R)]
-
-    def fn(ctx):
-        r = ctx.rank
-        prep = prepare_chunk(per_rank_records[r], spec)
-        per_rank_records[r] = None
-        parts = [None] * R
-        for d, (start, count) in enumerate(slabs):
-            mask = ((prep["gv"] + halo_rows >= start)
-                    & (prep["gv"] - halo_rows <= start + count - 1))
-            if d == r:
-                parts[r] = prep[mask]
-            else:
-                ctx.send(d, ("exchange",), prep[mask], phase="exchange",
-                         nbytes=int(mask.sum()) * PREPARED_RECORD_BYTES)
-        for s in range(R):
-            if s != r:
-                parts[s] = ctx.recv(s, ("exchange",))
-        allp = np.concatenate(parts)
-        # Planes are below n_w, so the narrowest type that holds them sorts
-        # them fastest (a radix sort for 8- and 16-bit keys).
-        order = np.argsort(allp["plane"].astype(np.min_scalar_type(spec.n_w - 1)),
-                           kind="stable")
-        return SectorBatch(gu=allp["gu"][order], gv=allp["gv"][order],
-                           plane=allp["plane"][order], value=allp["value"][order])
-
-    return run_ranks(topo, fn, log=log)
+    gv = prepared["gv"]
+    for d in range(R):
+        start, count = partition_1d(spec.n_v, R, d)
+        mask = (gv + halo_rows >= start) & (gv - halo_rows <= start + count - 1)
+        if d == r:
+            own = prepared[mask]
+        else:
+            ctx.send(d, ("exchange",), prepared[mask], phase="exchange",
+                     nbytes=int(mask.sum()) * PREPARED_RECORD_BYTES)
+    held = np.concatenate([own if s == r else ctx.recv(s, ("exchange",)) for s in range(R)])
+    # Planes are below n_w, so the narrowest type that holds them sorts
+    # them fastest (a radix sort for 8- and 16-bit keys).
+    order = np.argsort(held["plane"].astype(np.min_scalar_type(spec.n_w - 1)), kind="stable")
+    bounds = np.searchsorted(held["plane"][order], np.arange(spec.n_w + 1))
+    gu, gv, value = (held[name][order] for name in ("gu", "gv", "value"))
+    return [SectorBatch(gu=gu[a:b], gv=gv[a:b], value=value[a:b])
+            for a, b in zip(bounds[:-1], bounds[1:])]

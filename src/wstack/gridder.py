@@ -2,12 +2,13 @@
 
 Each record's weighted value is spread over the cells within
 ``half_support`` of its fractional (gu, gv) position on its w plane,
-using a Gaussian or Kaiser-Bessel kernel with unit peak. One
-:func:`grid_sector` call grids one plane of one slab, so a rank holds one
-plane at a time. Footprints are clipped at mesh edges and at slab
-boundaries, so every rank computes exactly the rows it owns; which
-records a sector's batch holds, halo copies from neighbouring slabs
-included, and their sort by plane are the exchange's business.
+using a Gaussian or Kaiser-Bessel kernel with unit peak. A
+:class:`SectorBatch` holds the records of one plane of one slab, and one
+:func:`grid_sector` call grids it, so a rank holds one plane at a time.
+Footprints are clipped at mesh edges and at slab boundaries, so every
+rank computes exactly the rows it owns; which records a batch holds,
+halo copies from neighbouring slabs included, and the cut by plane are
+the exchange's business.
 
 Both kernels are separable, so a record's weights are the outer product
 of its weights along u and along v. The contribution to a cell is
@@ -53,11 +54,10 @@ Dense planes (many records per cell) thus pay no index work, and sparse
 ones do not sweep a window that is nearly all zeros.
 
 Accumulation order. A plane's records are taken in the order they are
-given: the exchange sorts them by plane, stably, from global record
-order. For each u offset ``a`` in order, the block's
-contributions are summed per cell by one ordered ``np.bincount``, which
-takes them b-major: v offset b by v offset b, and within each b in record
-order. The block sum is added to the cell; blocks are added in order of
+given: the exchange leaves each plane's records in global record order.
+For each u offset ``a`` in order, the block's contributions are summed
+per cell by one ordered ``np.bincount``, which takes them b-major: v
+offset b by v offset b, and within each b in record order. The block sum is added to the cell; blocks are added in order of
 ``a``. In the touched space a block's cells are distinct (offset a
 shifts distinct cells by the same a columns), so the fancy-index add makes
 exactly one addition per cell, as the slice add does, and the two spaces
@@ -205,37 +205,22 @@ def _kb_axis(kern: KernelSpec, x):
 
 @dataclass
 class SectorBatch:
-    """Records prepared for one sector, in global record order: one column
-    per field, of one length."""
+    """The records of one plane of one sector, in global record order: one
+    column per field, of one length."""
 
     gu: np.ndarray
     gv: np.ndarray
-    plane: np.ndarray
     value: np.ndarray
 
     def __post_init__(self):
         self.gu = np.ascontiguousarray(self.gu, dtype=np.float64)
         self.gv = np.ascontiguousarray(self.gv, dtype=np.float64)
-        self.plane = np.ascontiguousarray(self.plane, dtype=np.uint32)
         self.value = np.ascontiguousarray(self.value, dtype=np.complex128)
-        n = len(self.gu)
-        for arr in (self.gv, self.plane, self.value):
-            if len(arr) != n:
-                raise ValueError("batch columns must share one length")
+        if not len(self.gu) == len(self.gv) == len(self.value):
+            raise ValueError("batch columns must share one length")
 
     def __len__(self) -> int:
         return len(self.gu)
-
-    def plane_batches(self, n_w: int) -> list["SectorBatch"]:
-        """Views of the records of each plane 0 ... n_w - 1. The batch must
-        be sorted by plane, as the exchange leaves it; else ValueError."""
-        plane = self.plane
-        if len(plane) and not (np.all(plane[1:] >= plane[:-1]) and plane[-1] < n_w):
-            raise ValueError(f"batch not sorted by plane, or a plane outside range(0, {n_w})")
-        bounds = np.searchsorted(plane, np.arange(n_w + 1))
-        return [SectorBatch(gu=self.gu[a:b], gv=self.gv[a:b], plane=plane[a:b],
-                            value=self.value[a:b])
-                for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def grid_sector(batch: SectorBatch, kern: KernelSpec, out: np.ndarray, v_start: int) -> int:
@@ -245,21 +230,19 @@ def grid_sector(batch: SectorBatch, kern: KernelSpec, out: np.ndarray, v_start: 
     module docstring states; returns the cell updates made (a deterministic
     work surrogate). ``out`` is summed into through flat views, so one that
     is not complex128, not 2-D, not C-contiguous or not writeable raises
-    ValueError, as do records of more than one plane, and a record whose
-    footprint reaches no row of ``out`` or that lies off its columns."""
+    ValueError, as does a record whose footprint reaches no row of ``out``
+    or that lies off its columns."""
     if not (isinstance(out, np.ndarray) and out.dtype == np.complex128 and out.ndim == 2
             and out.flags.c_contiguous and out.flags.writeable):
         raise ValueError("out must be a writeable, C-contiguous 2-D complex128 array")
     rows, n_u = out.shape
-    gu, gv, plane, value = batch.gu, batch.gv, batch.plane, batch.value
+    gu, gv, value = batch.gu, batch.gv, batch.value
     S = kern.half_support
     # Written as "inside" so that NaN is rejected too.
     if len(gv) and not (gv.min() + S >= v_start and gv.max() - S <= v_start + rows - 1):
         raise ValueError("record outside slab+halo")
     if len(gu) and not (gu.min() >= 0.0 and gu.max() <= n_u):
         raise ValueError("record outside the mesh columns")
-    if len(plane) and plane.min() != plane.max():
-        raise ValueError("records of more than one plane; out holds one plane")
     out.fill(0.0)
     return _grid_plane(gu, gv, value, kern, out, v_start) if len(gu) else 0
 

@@ -3,9 +3,9 @@
 The computational mesh has ``n_u x n_v x n_w`` cells. The v axis is split
 into contiguous row blocks (slabs), one per rank, balanced to within one
 row: rank r's slab is ``partition_1d(n_v, R, r)``, a ``(start, count)``
-pair. Complex mesh data is stored ``(plane, v_row, u_col)``, row-major; a
-slab is a plain ``(n_w, count, n_u)`` complex128 array, and its ``start``
-travels beside it.
+pair. Complex mesh data is stored ``(v_row, u_col)`` per plane,
+row-major; a rank holds one plane of its slab at a time, a plain
+``(count, n_u)`` complex128 array, and its ``start`` travels beside it.
 """
 
 from __future__ import annotations

@@ -7,9 +7,10 @@ Green productivity relates a test configuration to a reference one:
 i.e. speedup divided by the alpha-weighted relative energy consumption.
 ``alpha`` defaults to 1: runtime and energy weigh the same.
 
-A live run meters itself: a phase's joules are the CPU-seconds the
-process spent in it times :data:`WATTS_PER_CORE`. Where a machine has an
-energy counter (a file or a command, :class:`PlatformCounterMeter`), its
+A live run meters itself: a phase's joules are the CPU-seconds spent in
+it times :data:`WATTS_PER_CORE`, the ranks' summed thread CPU for every
+phase but write, and the process CPU for write; the total is the run's
+process CPU. Where a machine has an energy counter (a file or a command, :class:`PlatformCounterMeter`), its
 reading over the run replaces the total. Runs are exchanged as trace CSV
 files with columns ``label, n_nodes, freq_level, phase, seconds,
 joules``; one (label, n_nodes, freq_level) group forms a
@@ -56,7 +57,7 @@ FREQ_LEVELS = ("default", "high", "medium", "low")
 
 # Watts per busy core: the 280 W TDP of an AMD EPYC 7763 over its 64
 # cores, the CPU of Setonix's compute nodes. A phase's joules are its
-# process CPU-seconds times this.
+# CPU-seconds times this.
 WATTS_PER_CORE = 280.0 / 64
 
 

@@ -9,22 +9,28 @@ total is the whole run's process CPU. Both land in a
 Given a platform counter, its reading over the run replaces the total
 joules.
 
-The ranks read their shares, and the exchange moves each record to the
-ranks whose row slabs (:func:`~wstack.mesh.partition_1d` shares of the
-rows) it reaches, sorted by w plane. Then one rank program streams the
-planes: for k = n_w - 1 ... 0, each rank grids plane k into one
-``(rows, n_u)`` buffer it reuses, reduces the plane onto every owner in
-rank order (its buffer as the owner's, a never-written zero plane as
-everyone else's), transforms it in place with
+One rank program runs from the read to the stacked image, one
+:func:`~wstack.comms.run_ranks` call. Each rank reads its share of the
+records, builds the mesh geometry from its own header, prepares its
+records and drops them, and takes part in the exchange, which hands it
+the records that reach its row slab (its
+:func:`~wstack.mesh.partition_1d` share of the rows), one batch per w
+plane. It then streams the planes: for k = n_w - 1 ... 0, it grids plane
+k into one ``(rows, n_u)`` buffer it reuses, reduces the plane onto
+every owner in rank order (its buffer as the owner's, a never-written
+zero plane as everyone else's), transforms it in place with
 :func:`~wstack.transform.fft2d_slab` and adds it into its column block by
-Horner's rule; it then stacks the block. A rank holds one plane, not n_w.
+Horner's rule; it then stacks the block. A rank holds one plane, not
+n_w. The coordinator only assembles the blocks, writes the image and
+builds the run record.
 
-Phase accounting: each rank charges its wall time and thread CPU to
-gridding, reduce, fft or wcorrect (n, the step factor and the stacking
-included) as it goes. A phase's seconds are the exchange's (in
-gridding) plus those of the rank whose charges sum highest, so the
-phases never sum to more than the run; its CPU is the exchange's process
-CPU (in gridding) plus the ranks' summed thread CPU.
+Phase accounting, one rule: each rank charges its wall time and thread
+CPU to read (the geometry included), gridding (prepare and exchange
+included), reduce, fft or wcorrect (n, the step factor and the stacking
+included) as it goes. A phase's seconds are those of the rank whose
+charges sum highest, so the phases never sum to more than the run; its
+CPU is the ranks' summed thread CPU. Write, which the coordinator runs
+alone, is its process CPU.
 """
 
 from __future__ import annotations
@@ -65,10 +71,11 @@ def peak_pixel(image: FinalImage) -> tuple[int, int]:
     return int(i), int(j)
 
 
-def _stream_planes(ctx, batch, spec: GridSpec, kernel: KernelSpec,
-                   strategy: ReduceStrategy):
-    """One rank's program after the exchange (see the module docs): returns
-    ``(ImageBlock, cell updates, wall seconds and thread CPU per phase)``."""
+def _rank_program(ctx, dataset_path, geometry: tuple, kernel: KernelSpec,
+                  strategy: ReduceStrategy):
+    """One rank's program (see the module docs); ``geometry`` is ``(n_u,
+    n_v, n_w, cell_size_lm)``. Returns ``(GridSpec, records read, ImageBlock,
+    cell updates, wall seconds and thread CPU per phase)``."""
     R, r = ctx.topo.n_ranks, ctx.rank
     wall, cpu, last = Counter(), Counter(), [time.perf_counter(), time.thread_time()]
 
@@ -78,6 +85,17 @@ def _stream_planes(ctx, batch, spec: GridSpec, kernel: KernelSpec,
         cpu[phase] += now[1] - last[1]
         last[:] = now
 
+    header, chunk = visdata.read_dataset(dataset_path, r, R)
+    n_records = len(chunk)
+    spec = GridSpec(*geometry, w_min_native=header.w_min_native,
+                    w_max_native=header.w_max_native)
+    charge("read")
+    prepared = comms.prepare_chunk(chunk, spec)
+    del chunk
+    planes = comms.exchange_to_space_order(ctx, prepared, spec, kernel.half_support)
+    del prepared
+    charge("gridding")
+
     v0, rows = partition_1d(spec.n_v, R, r)
     u0, uc = partition_1d(spec.n_u, R, r)
     grid = np.empty((rows, spec.n_u), dtype=np.complex128)
@@ -85,7 +103,6 @@ def _stream_planes(ctx, batch, spec: GridSpec, kernel: KernelSpec,
     # Every other owner's partial: leading rows of one zero plane as tall as
     # rank 0's slab, the tallest; np.zeros maps no pages, nor does reading.
     zero = np.zeros((partition_1d(spec.n_v, R, 0)[1], spec.n_u), dtype=np.complex128)
-    planes = batch.plane_batches(spec.n_w)
     updates, acc, z = 0, None, None
     for k in reversed(range(spec.n_w)):
         updates += grid_sector(planes[k], kernel, grid, v0)
@@ -103,7 +120,7 @@ def _stream_planes(ctx, batch, spec: GridSpec, kernel: KernelSpec,
         charge("wcorrect")
     block = transform.stack_planes(acc, n, spec)
     charge("wcorrect")
-    return block, updates, wall, cpu
+    return spec, n_records, block, updates, wall, cpu
 
 
 def run_pipeline(
@@ -126,41 +143,19 @@ def run_pipeline(
     if counter is not None:
         counter.start()
     t_begin, c_begin = time.perf_counter(), time.process_time()
-    times, cpu = {}, {}
 
-    # 1. read: each rank reads its own contiguous share of the records
+    # read ... wcorrect: one rank program (see the module docs)
+    specs, records, blocks, updates, walls, cpus = zip(*run_ranks(
+        topo, lambda ctx: _rank_program(ctx, dataset_path, (n_u, n_v, n_w, cell_size_lm),
+                                        kernel, strategy), log=log))
+    spec = specs[0]
+    busiest = max(walls, key=lambda wall: sum(wall.values()))
+    times = {phase: busiest[phase] for phase in metrics.PHASES if phase != "write"}
+    cpu = {phase: sum(rank_cpu[phase] for rank_cpu in cpus) for phase in times}
+
+    # write
     t0, c0 = time.perf_counter(), time.process_time()
-    shares = run_ranks(topo, lambda ctx: visdata.read_dataset(dataset_path, ctx.rank,
-                                                              topo.n_ranks))
-    header = shares[0][0]
-    parts = [chunk for _, chunk in shares]
-    del shares
-    n_records = sum(len(chunk) for chunk in parts)
-    spec = GridSpec(
-        n_u=n_u, n_v=n_v, n_w=n_w, cell_size_lm=cell_size_lm,
-        w_min_native=header.w_min_native, w_max_native=header.w_max_native,
-    )
-    times["read"], cpu["read"] = time.perf_counter() - t0, time.process_time() - c0
-
-    # 2. exchange: records move to their sector owners, sorted by plane;
-    #    it frees each rank's records once it has prepared them
-    t0, c0 = time.perf_counter(), time.process_time()
-    batches = comms.exchange_to_space_order(parts, spec, topo,
-                                            halo_rows=kernel.half_support, log=log)
-    times["gridding"], cpu["gridding"] = time.perf_counter() - t0, time.process_time() - c0
-
-    # 3-5a. one rank program streams the planes (see the module docs)
-    ranks = run_ranks(topo, lambda ctx: _stream_planes(ctx, batches[ctx.rank], spec, kernel,
-                                                       strategy), log=log)
-    del batches
-    busiest = max((wall for _, _, wall, _ in ranks), key=lambda wall: sum(wall.values()))
-    for phase in ("gridding", "reduce", "fft", "wcorrect"):
-        times[phase] = times.get(phase, 0.0) + busiest[phase]
-        cpu[phase] = cpu.get(phase, 0.0) + sum(rank_cpu[phase] for *_, rank_cpu in ranks)
-
-    # 5b. write
-    t0, c0 = time.perf_counter(), time.process_time()
-    image = transform.assemble_image(spec, [block for block, *_ in ranks])
+    image = transform.assemble_image(spec, blocks)
     paths = {}
     if out_dir is not None:
         out_dir = Path(out_dir)
@@ -186,8 +181,8 @@ def run_pipeline(
         energy["total"] = counter.joules()
 
     ops = {
-        "records": n_records,
-        "grid_updates": sum(int(updates) for _, updates, *_ in ranks),
+        "records": sum(records),
+        "grid_updates": sum(updates),
         "exchange_bytes": log.total_bytes(phase="exchange"),
         "reduce_bytes": log.total_bytes(phase="reduce"),
         "fft_bytes": log.total_bytes(phase="fft"),

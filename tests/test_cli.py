@@ -191,6 +191,20 @@ def test_bench_sweeps_the_listed_topologies_and_strategies(tmp_path):
     assert len({row["image_sha256"] for row in rows}) == 1
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--topo", "1x1,1x2,1X1"], "topo.layout lists 1x1 twice"),
+    (["--strategy", "direct,hybrid_ring,direct"], "reduce.kind lists direct twice"),
+], ids=["topology", "strategy"])
+def test_bench_rejects_a_repeated_sweep_entry(tmp_path, capsys, flags, message):
+    # A repeated cell would run twice under one label, and the trace it
+    # writes would repeat that label's rows, which report rejects.
+    out = tmp_path / "b"
+    assert main(["bench", "--records", "50", "--repeats", "1", "--out-dir", str(out),
+                 *flags]) == EXIT_USAGE
+    assert f"config error: {message}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
 KNOWN_KINDS = "reduce kind must be one of ('direct', 'hybrid_ring')"
 
 

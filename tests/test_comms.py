@@ -1,7 +1,6 @@
 import sys
 import time
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -227,6 +226,12 @@ def test_prepare_chunk_temporaries_stay_within_a_block():
 # exchange ownership
 # ---------------------------------------------------------------------------
 
+def exchanged(parts, spec, topo, halo_rows):
+    """Each rank's planes from the exchange, rank r preparing ``parts[r]``."""
+    return run_ranks(topo, lambda ctx: exchange_to_space_order(
+        ctx, prepare_chunk(parts[ctx.rank], spec), spec, halo_rows))
+
+
 # v on and next to slab boundaries as well as anywhere in [0, 1)
 V_VALUES = st.one_of(st.floats(0.0, 1.0, exclude_max=True),
                      st.integers(0, 63).map(lambda k: k / 64))
@@ -247,19 +252,23 @@ def test_exchange_owns_each_record_once_and_copies_only_within_halo(
                              vis=np.arange(n).reshape(n, 1), weight=np.ones((n, 1)))
     cuts = np.linspace(0, n, n_ranks + 1).astype(int)
     parts = [chunk.rows(slice(cuts[r], cuts[r + 1])) for r in range(n_ranks)]
-    batches = exchange_to_space_order(parts, spec, Topology(1, n_ranks), half_support)
+    per_rank = exchanged(parts, spec, Topology(1, n_ranks), half_support)
 
     gv = v * spec.n_v
     owners = np.zeros(n, dtype=int)
-    for d, batch in enumerate(batches):
+    for d, planes in enumerate(per_rank):
+        assert len(planes) == spec.n_w
         start, count = partition_1d(spec.n_v, n_ranks, d)
-        ids = batch.value.real.astype(int)
-        assert np.array_equal(batch.gv, gv[ids])
+        # the rank's records in (plane, global index) order, rebuilt from
+        # its per-plane lists
+        plane = np.concatenate([np.full(len(b), k) for k, b in enumerate(planes)])
+        ids = np.concatenate([b.value.real for b in planes]).astype(int)
+        assert np.array_equal(np.concatenate([b.gv for b in planes]), gv[ids])
         # sorted by plane, and within each plane in ascending global index:
         # the shares joined in source-rank order, then sorted stably
-        key = batch.plane.astype(np.int64) * n + ids
+        key = plane * n + ids
         assert np.all(np.diff(key) > 0)
-        assert np.array_equal(batch.plane, plane_of_w(spec, t[ids] / 7.0))
+        assert np.array_equal(plane, plane_of_w(spec, t[ids] / 7.0))
         owned = (np.floor(gv[ids]) >= start) & (np.floor(gv[ids]) < start + count)
         owners[ids[owned]] += 1
         # a copy sits here exactly when the record is within the halo
@@ -273,24 +282,7 @@ def test_more_ranks_than_rows_rejected():
     spec = GridSpec(n_u=4, n_v=4, n_w=1, cell_size_lm=1e-3)
     chunk = random_chunk(10, 1, 0)
     with pytest.raises(ValueError, match="5 ranks exceed the mesh's 4 rows"):
-        exchange_to_space_order(visdata.split_records(chunk, 5), spec, Topology(1, 5), 1)
-
-
-def test_exchange_frees_the_records_it_prepared():
-    # The pipeline grids after the exchange; the read records must not
-    # outlive it.
-    spec = GridSpec(n_u=16, n_v=16, n_w=1, cell_size_lm=1e-3)
-    n = 20
-    rng = np.random.default_rng(2)
-    chunk = visdata.VisChunk(u=rng.random(n), v=rng.random(n), w=np.zeros(n),
-                             time_index=np.zeros(n), vis=np.ones((n, 1)),
-                             weight=np.ones((n, 1)))
-    parts = visdata.split_records(chunk, 2)
-    refs = [weakref.ref(p) for p in parts]
-    batches = exchange_to_space_order(parts, spec, Topology(1, 2), 1)
-    assert parts == [None, None]
-    assert [r() for r in refs] == [None, None]
-    assert sum(len(b) for b in batches) >= n
+        exchanged(visdata.split_records(chunk, 5), spec, Topology(1, 5), 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -52,10 +53,18 @@ def brute_force_grid(chunk, spec, kern):
     return grid, updates
 
 
+@dataclass
+class PlanedBatch(SectorBatch):
+    """A batch of records of several planes, each record's plane beside it:
+    the records before the exchange cuts them by plane."""
+
+    plane: np.ndarray = None
+
+
 def batch_for(gu, gv, plane, value):
-    return SectorBatch(gu=np.asarray(gu, float), gv=np.asarray(gv, float),
-                       plane=np.asarray(plane, np.uint32),
-                       value=np.asarray(value, np.complex128))
+    return PlanedBatch(gu=np.asarray(gu, float), gv=np.asarray(gv, float),
+                       value=np.asarray(value, np.complex128),
+                       plane=np.asarray(plane, np.uint32))
 
 
 def slab_grid(spec, slab):
@@ -66,14 +75,16 @@ def slab_grid(spec, slab):
 
 
 def grid_planes(batch, kern, out, v_start):
-    """Grid a batch of several planes into ``out``, a :func:`slab_grid`, one
-    ``grid_sector`` call per plane, after the exchange's stable sort by
-    plane; returns the cell updates."""
-    order = np.argsort(batch.plane, kind="stable")
-    ordered = SectorBatch(gu=batch.gu[order], gv=batch.gv[order], plane=batch.plane[order],
-                          value=batch.value[order])
-    return sum(grid_sector(plane, kern, out[p], v_start)
-               for p, plane in enumerate(ordered.plane_batches(len(out))))
+    """Grid a :class:`PlanedBatch` into ``out``, a :func:`slab_grid`, one
+    ``grid_sector`` call per plane on that plane's records in batch order,
+    as the exchange hands them; returns the cell updates."""
+    assert np.all(batch.plane < len(out))
+    updates = 0
+    for p in range(len(out)):
+        on = batch.plane == p
+        updates += grid_sector(SectorBatch(gu=batch.gu[on], gv=batch.gv[on],
+                                           value=batch.value[on]), kern, out[p], v_start)
+    return updates
 
 
 def checker_sign(spec, slab):
@@ -502,27 +513,6 @@ def test_grid_sector_temporaries_on_a_dense_plane():
     finally:
         tracemalloc.stop()
     assert peak <= 6.8 * unit, f"{peak / unit:.2f} units"
-
-
-@pytest.mark.parametrize("plane, n_w", [(4, 4), (1, 1), (2 ** 20, 4)])
-def test_plane_outside_mesh_rejected(plane, n_w):
-    # grid_sector's out holds one plane, so a second plane is outside it;
-    # a batch split into planes must hold none at or beyond n_w.
-    spec = GridSpec(n_u=16, n_v=16, n_w=n_w, cell_size_lm=1e-3)
-    batch = batch_for([3.5, 4.5], [3.5, 4.5], [0, plane], [1.0, 1.0])
-    with pytest.raises(ValueError, match="plane"):
-        grid_sector(batch, KernelSpec.gaussian(3, 1.0), slab_grid(spec, (0, 16))[0], 0)
-    with pytest.raises(ValueError, match="plane"):
-        batch.plane_batches(n_w)
-
-
-def test_plane_batches_are_the_sorted_batch_cut_by_plane():
-    batch = batch_for([1.0, 2.0, 3.0, 4.0, 5.0], [1.0] * 5, [0, 0, 2, 2, 2], [1.0] * 5)
-    planes = batch.plane_batches(4)
-    assert [list(p.gu) for p in planes] == [[1.0, 2.0], [], [3.0, 4.0, 5.0], []]
-    assert all(np.shares_memory(p.gu, batch.gu) for p in planes if len(p))
-    with pytest.raises(ValueError, match="not sorted"):
-        batch_for([1.0, 2.0], [1.0, 1.0], [1, 0], [1.0, 1.0]).plane_batches(2)
 
 
 @pytest.mark.parametrize("gu", [-0.5, 16.0 + 1e-9, math.nan])

@@ -9,7 +9,7 @@ import pytest
 
 from wstack import metrics, visdata
 from wstack.cli import EXIT_OK, main
-from wstack.comms import Topology
+from wstack.comms import REDUCE_KINDS, ReduceStrategy, Topology
 from wstack.gridder import KernelSpec
 from wstack.metrics import MeterError, PlatformCounterMeter, RunRecord
 from wstack.pipeline import run_pipeline
@@ -83,6 +83,24 @@ def test_live_run_total_is_watts_per_core_times_process_time(metered_run):
     run, cpu_s = metered_run
     assert metrics.WATTS_PER_CORE == 280.0 / 64
     assert run.total_joules == pytest.approx(metrics.WATTS_PER_CORE * cpu_s, rel=0.01)
+
+
+@pytest.mark.parametrize("kind", REDUCE_KINDS)
+@pytest.mark.parametrize("nodes, ranks", [(1, 1), (1, 2), (2, 2)])
+def test_phase_joules_never_exceed_the_total(tmp_path, nodes, ranks, kind):
+    # Every phase but write is the ranks' summed thread CPU and write is
+    # the process CPU while the coordinator writes, each within the run's
+    # process CPU, so no barrier is needed for the phases to stay within
+    # the total.
+    path = tmp_path / "d.rvis"
+    header, chunk = visdata.generate_synthetic(
+        visdata.SkyModel(sources=((0.0, 0.0, 1.0),)), 20_000, n_freq=2, seed=5)
+    visdata.write_dataset(chunk, header, path)
+    res = run_pipeline(path, 64, 64, 4, 1e-3, KernelSpec.gaussian(), Topology(nodes, ranks),
+                       ReduceStrategy(kind), out_dir=tmp_path / "out")
+    joules = res.run.energy_joules
+    assert set(joules) == set(res.run.phase_times) == {*metrics.PHASES, "total"}
+    assert sum(joules[p] for p in metrics.PHASES) <= joules["total"]
 
 
 def report(tmp_path, kind, trace, *argv):

@@ -3,12 +3,13 @@ import sys
 import threading
 import time
 import tracemalloc
+import weakref
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from wstack import bench, pipeline, transform, visdata
+from wstack import bench, comms, pipeline, transform, visdata
 from wstack.comms import REDUCE_KINDS, ReduceStrategy, Topology
 from wstack.gridder import KernelSpec
 from wstack.mesh import GridSpec, partition_1d
@@ -169,24 +170,35 @@ def reduce_traffic(kind, topo, n_u, n_v):
     return messages, nbytes
 
 
-@pytest.mark.parametrize("kind", REDUCE_KINDS)
-@pytest.mark.parametrize("nodes, ranks", [(1, 3), (2, 2)])
+# (nodes, ranks, kind, the function rank 1 is slow in)
+SLOW_RANK_CASES = [(nodes, ranks, kind, slow)
+                   for slow in ("grid_sector", "read_dataset")
+                   for kind in REDUCE_KINDS for nodes, ranks in [(1, 3), (2, 2)]]
+
+
+@pytest.mark.parametrize(
+    "nodes, ranks, kind, slow", SLOW_RANK_CASES,
+    ids=[f"{n}-{r}-{kind}" + ("" if slow == "grid_sector" else "-slow_read")
+         for n, r, kind, slow in SLOW_RANK_CASES])
 def test_slow_rank_leaves_the_image_and_the_reduce_traffic_as_they_are(
-        tmp_path, monkeypatch, nodes, ranks, kind):
+        tmp_path, monkeypatch, nodes, ranks, kind, slow):
     # Consecutive reduces share one Router, and direct's target takes its
     # payloads in arrival order. Rank 1 grids each plane late, so its
-    # peers reach each plane's reduce first, and a thread switch every
-    # 10 microseconds varies the rest; a payload of the next plane taken
-    # in place of one of this plane would change the image.
+    # peers reach each plane's reduce first, or it reads late, so its
+    # peers wait for it inside the exchange, with no barrier between read
+    # and exchange; a thread switch every 10 microseconds varies the rest.
+    # A payload of the next plane taken in place of one of this plane
+    # would change the image.
     path = write(tmp_path, ((0.008, -0.006, 1.0), (0.0, 0.0, 0.5)), 5000, seed=5)
-    grid_sector = pipeline.grid_sector
+    owner = pipeline if slow == "grid_sector" else visdata
+    original = getattr(owner, slow)
 
     def slow_on_rank_1(*args):
         if threading.current_thread().name == "rank-1":
             time.sleep(0.02)
-        return grid_sector(*args)
+        return original(*args)
 
-    monkeypatch.setattr(pipeline, "grid_sector", slow_on_rank_1)
+    monkeypatch.setattr(owner, slow, slow_on_rank_1)
     topo = Topology(nodes, ranks)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -199,6 +211,31 @@ def test_slow_rank_leaves_the_image_and_the_reduce_traffic_as_they_are(
     messages, nbytes = reduce_traffic(kind, topo, N, N)
     assert (res.ops["reduce_messages"], res.ops["reduce_bytes"]) == (N_W * messages,
                                                                       N_W * nbytes)
+
+
+def test_rank_program_holds_no_read_records_in_the_exchange(tmp_path, monkeypatch):
+    # Each rank prepares its records and drops them before the exchange,
+    # so they do not outlive it into the gridding.
+    path = write(tmp_path, ((0.0, 0.0, 1.0),), 200, seed=3)
+    read, exchange = visdata.read_dataset, comms.exchange_to_space_order
+    chunks, alive, lock = {}, {}, threading.Lock()
+
+    def read_dataset(*args):
+        header, chunk = read(*args)
+        with lock:
+            chunks[threading.current_thread().name] = weakref.ref(chunk)
+        return header, chunk
+
+    def exchange_to_space_order(*args):
+        name = threading.current_thread().name
+        with lock:
+            alive[name] = chunks[name]() is not None
+        return exchange(*args)
+
+    monkeypatch.setattr(visdata, "read_dataset", read_dataset)
+    monkeypatch.setattr(comms, "exchange_to_space_order", exchange_to_space_order)
+    run_pipeline(path, N, N, N_W, CELL, kernel=KERNELS[0], topo=Topology(1, 3))
+    assert alive == {"rank-0": False, "rank-1": False, "rank-2": False}
 
 
 # Whole-run tracemalloc peak, in planes of the mesh, at 256^2 with 2000
