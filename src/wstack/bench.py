@@ -58,7 +58,7 @@ class BenchPlan:
     strategies: list
     dataset: Path
     repeats: int = 4
-    counter: metrics.PlatformCounterMeter | None = None
+    counter: str | None = None
     output_dir: Path = Path("bench_out")
 
     def __post_init__(self):

@@ -15,12 +15,14 @@ The two choices a run is compared by are one key each: ``topo.layout``
 (``--strategy``), the reduce strategy. Both take a comma list: ``image``
 runs exactly one value of each, and ``bench`` sweeps every pair, one
 cell labelled ``<topo>_<kind>`` each. So a config file written for
-``image`` runs under ``bench`` as a one-cell sweep. ``image`` and
-``bench`` reject a setting they would ignore: ``image`` a ``gen.*``,
-``run.seed`` or ``bench.*`` value, and ``bench`` ``run.label``, or a
-``gen.*`` or ``run.seed`` value beside ``--dataset``. Exit codes: 0
-success, 1 verification or acceptance failure, 2 usage/config error, 3
-I/O error (a missing or malformed input file).
+``image`` runs under ``bench`` as a one-cell sweep. Each command
+rejects a setting it would ignore: ``gen`` any key but its flags'
+(``gen.*``, ``run.seed`` and ``grid.cell_size_lm``), ``image`` a
+``gen.*``, ``run.seed`` or ``bench.*`` value, and ``bench``
+``run.label``, or a ``gen.*`` or ``run.seed`` value beside
+``--dataset``. Exit codes: 0 success, 1 verification or acceptance
+failure, 2 usage/config error, 3 I/O error (a missing or malformed input
+file).
 
 The topology is the only parallelism: each rank is one thread. The image
 is bit-identical for any topology and reduce strategy because each plane
@@ -30,13 +32,14 @@ strategies differ only in their messages.
 Every run meters itself: a phase's joules are the CPU-seconds spent in it
 times ``metrics.WATTS_PER_CORE``, the ranks' summed thread CPU for every
 phase but write, and the process CPU for write. Setting
-``meter.counter_file`` or ``meter.counter_command`` reads an external
-energy counter around each run, and its reading replaces the total
-joules. ``image --out-dir D`` writes the run's phases to
-``D/trace.csv``, the trace format that ``report`` reads, so ``report gp
---trace D/trace.csv`` works on live runs as on the shipped
-``traces/*.csv``. ``bench`` rejects a topology or strategy listed twice,
-which would run its cells twice under one label.
+``meter.counter_command`` to a command that prints an energy counter in
+joules (see :func:`metrics.read_counter`) reads the counter around each
+run, and its change replaces the total joules; a counter file is read
+with a command such as ``cat PATH``. ``image --out-dir D`` writes the
+run's phases to ``D/trace.csv``, the trace format that ``report`` reads,
+so ``report gp --trace D/trace.csv`` works on live runs as on the
+shipped ``traces/*.csv``. ``bench`` rejects a topology or strategy
+listed twice, which would run its cells twice under one label.
 """
 
 from __future__ import annotations
@@ -48,8 +51,8 @@ from typing import NamedTuple
 
 from . import bench, metrics, visdata
 from .comms import REDUCE_KINDS, ReduceStrategy, Topology
-from .gridder import KERNEL_KINDS, DEFAULT_KB_BETA_PER_SUPPORT, KernelSpec
-from .metrics import FREQ_LEVELS, PlatformCounterMeter
+from .gridder import KERNEL_KINDS, KernelSpec
+from .metrics import FREQ_LEVELS
 from .pipeline import peak_pixel, run_pipeline
 
 __all__ = ["CONFIG_SCHEMA", "COMMAND_KEYS", "ConfigError", "load_config_file",
@@ -92,10 +95,9 @@ CONFIG_SCHEMA = {
                            "per rank; bench sweeps a comma list, e.g. 1x1,2x2", "--topo"),
     "reduce.kind": Setting(str, "direct", f"reduce strategy, one of {', '.join(REDUCE_KINDS)}; "
                            "bench sweeps a comma list", "--strategy"),
-    "meter.counter_file": Setting(str, "", "energy counter file holding joules; if set, its "
-                                  "change over a run replaces the CPU-seconds total"),
-    "meter.counter_command": Setting(str, "", "command printing an energy counter in joules "
-                                     "(run without a shell); used like meter.counter_file"),
+    "meter.counter_command": Setting(str, "", "command printing an energy counter in joules, "
+                                     "run without a shell; if set, its change over a run "
+                                     "replaces the CPU-seconds total"),
     "bench.repeats": Setting(int, 4, "repeats per configuration", "--repeats"),
     "bench.output_dir": Setting(str, "bench_out", "bench output directory", "--out-dir"),
     "run.seed": Setting(int, 1, "random seed", "--seed"),
@@ -126,6 +128,8 @@ SYNTHETIC_KEYS = tuple(key for key in CONFIG_SCHEMA if key.startswith("gen.")) +
 # Keys ``image`` never reads: the synthetic dataset's and the sweep's.
 IMAGE_UNREAD_KEYS = SYNTHETIC_KEYS + tuple(key for key in CONFIG_SCHEMA
                                            if key.startswith("bench."))
+# ``gen`` reads its flags' keys alone.
+GEN_UNREAD_KEYS = tuple(key for key in CONFIG_SCHEMA if key not in COMMAND_KEYS["gen"])
 
 
 def config_help() -> str:
@@ -210,22 +214,14 @@ def _sweep(cfg) -> tuple[list, list]:
 
 
 def _kernel_from(cfg) -> KernelSpec:
-    kind = cfg["kernel.kind"]
-    support = cfg["kernel.half_support"]
-    shape = cfg["kernel.shape_param"]
-    if shape == 0:
-        shape = 1.0 if kind == "gaussian" else DEFAULT_KB_BETA_PER_SUPPORT * support
+    """The kernel of the ``kernel.*`` keys; shape 0 takes the kind's
+    default from its :class:`KernelSpec` constructor."""
+    kind, support, shape = (cfg[f"kernel.{key}"] for key in
+                            ("kind", "half_support", "shape_param"))
+    defaults = {"gaussian": KernelSpec.gaussian, "kaiser_bessel": KernelSpec.kaiser_bessel}
+    if shape == 0 and kind in defaults:
+        return defaults[kind](support)
     return KernelSpec(kind=kind, half_support=support, shape_param=shape)
-
-
-def _counter_from(cfg) -> PlatformCounterMeter | None:
-    """The energy counter named by ``meter.counter_file`` or
-    ``meter.counter_command``; None when neither is set."""
-    counter_file, counter_command = cfg["meter.counter_file"], cfg["meter.counter_command"]
-    if not counter_file and not counter_command:
-        return None
-    return PlatformCounterMeter(counter_file=counter_file or None,
-                                counter_command=counter_command or None)
 
 
 def _write_synthetic(cfg, path) -> visdata.DatasetHeader:
@@ -245,16 +241,23 @@ def _write_synthetic(cfg, path) -> visdata.DatasetHeader:
 # Subcommands
 # ---------------------------------------------------------------------------
 
+def _reject_unread(command, keys, given, why=""):
+    """ConfigError naming the ``keys`` that are ``given`` but that
+    ``command`` would ignore."""
+    unread = [key for key in keys if key in given]
+    if unread:
+        raise ConfigError(f"{command} does not use {', '.join(unread)}{why}")
+
+
 def cmd_gen(args) -> int:
+    _reject_unread("gen", GEN_UNREAD_KEYS, _given_keys(args))
     header = _write_synthetic(_config(args), args.out)
     print(f"wrote {header.n_records} records ({header.n_freq} freq) to {args.out}")
     return EXIT_OK
 
 
 def cmd_image(args) -> int:
-    unread = [key for key in IMAGE_UNREAD_KEYS if key in _given_keys(args)]
-    if unread:
-        raise ConfigError(f"image does not use {', '.join(unread)}")
+    _reject_unread("image", IMAGE_UNREAD_KEYS, _given_keys(args))
     cfg = _config(args)
     dataset = Path(args.dataset)
     if not dataset.exists():
@@ -269,7 +272,7 @@ def cmd_image(args) -> int:
         dataset, cfg["grid.n_u"], cfg["grid.n_v"], cfg["grid.n_w"],
         cfg["grid.cell_size_lm"], kernel=_kernel_from(cfg), topo=topo,
         strategy=strategy, label=cfg["run.label"], out_dir=args.out_dir, pgm=args.pgm,
-        counter=_counter_from(cfg))
+        counter=cfg["meter.counter_command"] or None)
     i, j = peak_pixel(res.image)
     print(f"image written to {args.out_dir} (sha256 {res.image_sha256[:16]}...)")
     print(f"peak pixel: ({i}, {j}); "
@@ -286,10 +289,8 @@ def cmd_image(args) -> int:
 
 def cmd_bench(args) -> int:
     given = _given_keys(args)
-    unread = [key for key in BENCH_UNREAD_KEYS if key in given]
-    if unread:
-        raise ConfigError(f"bench does not use {', '.join(unread)}; "
-                          "it labels each run <topo>_<kind>/r<repeat>")
+    _reject_unread("bench", BENCH_UNREAD_KEYS, given,
+                   "; it labels each run <topo>_<kind>/r<repeat>")
     synthetic = [f"{key} ({CONFIG_SCHEMA[key].flag})" for key in SYNTHETIC_KEYS if key in given]
     if args.dataset and synthetic:
         raise ConfigError(f"bench images --dataset as it is, so {', '.join(synthetic)} "
@@ -305,7 +306,8 @@ def cmd_bench(args) -> int:
         n_u=cfg["grid.n_u"], n_v=cfg["grid.n_v"], n_w=cfg["grid.n_w"],
         cell_size_lm=cfg["grid.cell_size_lm"], kernel=_kernel_from(cfg),
         topologies=topologies, strategies=strategies, dataset=dataset,
-        repeats=cfg["bench.repeats"], counter=_counter_from(cfg), output_dir=output_dir)
+        repeats=cfg["bench.repeats"], counter=cfg["meter.counter_command"] or None,
+        output_dir=output_dir)
     if not args.dataset:
         output_dir.mkdir(parents=True, exist_ok=True)
         _write_synthetic(cfg, dataset)

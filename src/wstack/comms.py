@@ -269,8 +269,8 @@ class RankCtx:
     topo: Topology
     router: Router
 
-    def send(self, dst, tag, payload, phase, nbytes=None):
-        self.router.send(self.rank, dst, tag, payload, phase, nbytes)
+    def send(self, dst, tag, payload, phase):
+        self.router.send(self.rank, dst, tag, payload, phase)
 
     def recv(self, src, tag):
         return self.router.recv(self.rank, src, tag)
@@ -511,8 +511,7 @@ def exchange_to_space_order(ctx, prepared: np.ndarray, spec: GridSpec, halo_rows
         if d == r:
             own = prepared[mask]
         else:
-            ctx.send(d, ("exchange",), prepared[mask], phase="exchange",
-                     nbytes=int(mask.sum()) * PREPARED_RECORD_BYTES)
+            ctx.send(d, ("exchange",), prepared[mask], phase="exchange")
     held = np.concatenate([own if s == r else ctx.recv(s, ("exchange",)) for s in range(R)])
     # Planes are below n_w, so the narrowest type that holds them sorts
     # them fastest (a radix sort for 8- and 16-bit keys).

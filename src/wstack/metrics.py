@@ -10,13 +10,17 @@ i.e. speedup divided by the alpha-weighted relative energy consumption.
 A live run meters itself: a phase's joules are the CPU-seconds spent in
 it times :data:`WATTS_PER_CORE`, the ranks' summed thread CPU for every
 phase but write, and the process CPU for write; the total is the run's
-process CPU. Where a machine has an energy counter (a file or a command, :class:`PlatformCounterMeter`), its
-reading over the run replaces the total. Runs are exchanged as trace CSV
-files with columns ``label, n_nodes, freq_level, phase, seconds,
-joules``; one (label, n_nodes, freq_level) group forms a
-:class:`RunRecord`. Live runs carry the ``default`` frequency level; the
-other levels come from published-scale traces such as
-``traces/multinode.csv``.
+process CPU. Where a machine has an energy counter, a command that
+prints its joules (:func:`read_counter`) is read before and after the
+run, and the difference replaces the total. A counter file is read with
+a command too: ``cat PATH``, or a one-line ``python3 -c`` that converts,
+say, powercap's microjoules.
+
+Runs are exchanged as trace CSV files with columns ``label, n_nodes,
+freq_level, phase, seconds, joules``; one (label, n_nodes, freq_level)
+group forms a :class:`RunRecord`. Live runs carry the ``default``
+frequency level; the other levels come from published-scale traces such
+as ``traces/multinode.csv``.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ __all__ = [
     "WATTS_PER_CORE",
     "MeterError",
     "RunRecord",
-    "PlatformCounterMeter",
+    "read_counter",
     "green_productivity",
     "reduce_fraction",
     "energy_saving",
@@ -103,40 +107,18 @@ class RunRecord:
 # The counter
 # ---------------------------------------------------------------------------
 
-@dataclass
-class PlatformCounterMeter:
-    """Total joules read from an external counter before and after a run.
-
-    The counter is either a file holding one number or a command printing
-    one, split into an argument list and run without a shell; only the
-    total is available.
-    """
-
-    counter_file: Path | str | None = None
-    counter_command: str | None = None
-    _start: float | None = None
-
-    def read_counter(self) -> float:
-        try:
-            if self.counter_file is not None:
-                return float(Path(self.counter_file).read_text().strip())
-            argv = shlex.split(self.counter_command or "")
-            if argv:
-                res = subprocess.run(argv, check=True, capture_output=True, text=True)
-                return float(res.stdout.strip())
-        except (OSError, ValueError, subprocess.SubprocessError) as exc:
-            raise MeterError(f"counter source unavailable: {exc}") from exc
-        raise MeterError("platform counter has no configured source")
-
-    def start(self):
-        self._start = self.read_counter()
-
-    def joules(self) -> float:
-        """Joules counted since :meth:`start`."""
-        if self._start is None:
-            raise MeterError("platform counter read before it was started")
-        total, self._start = self.read_counter() - self._start, None
-        return total
+def read_counter(command: str) -> float:
+    """The joules that an energy counter command prints. The command is
+    split into an argument list and run without a shell; an empty command,
+    a failed run or output that is not one number raises MeterError."""
+    try:
+        argv = shlex.split(command)
+        if argv:
+            res = subprocess.run(argv, check=True, capture_output=True, text=True)
+            return float(res.stdout.strip())
+    except (OSError, ValueError, subprocess.SubprocessError) as exc:
+        raise MeterError(f"counter command {command!r} failed: {exc}") from exc
+    raise MeterError("empty counter command: no configured source")
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,10 @@ surrogates, and the message log. Each phase is also metered: its joules
 are its CPU-seconds times :data:`~wstack.metrics.WATTS_PER_CORE`, and the
 total is the whole run's process CPU. Both land in a
 :class:`~wstack.metrics.RunRecord` at the ``default`` frequency level.
-Given a platform counter, its reading over the run replaces the total
-joules.
+Given an energy counter command, it is read with
+:func:`~wstack.metrics.read_counter` before the run's clocks start and
+after they stop, and the difference replaces the total joules; the
+command's own time is outside the run's seconds and CPU.
 
 One rank program runs from the read to the stacked image, one
 :func:`~wstack.comms.run_ranks` call. Each rank reads its share of the
@@ -25,12 +27,13 @@ n_w. The coordinator only assembles the blocks, writes the image and
 builds the run record.
 
 Phase accounting, one rule: each rank charges its wall time and thread
-CPU to read (the geometry included), gridding (prepare and exchange
-included), reduce, fft or wcorrect (n, the step factor and the stacking
-included) as it goes. A phase's seconds are those of the rank whose
-charges sum highest, so the phases never sum to more than the run; its
-CPU is the ranks' summed thread CPU. Write, which the coordinator runs
-alone, is its process CPU.
+CPU to read (the thread's start and the geometry included), gridding
+(prepare and exchange included), reduce, fft or wcorrect (n, the step
+factor, the stacking and the frees of the rank's buffers included) as it
+goes. A phase's seconds are those of the rank whose charges sum highest,
+so the phases never sum to more than the run; its CPU is the ranks'
+summed thread CPU. Write, which the coordinator runs alone, is its
+process CPU.
 """
 
 from __future__ import annotations
@@ -77,7 +80,9 @@ def _rank_program(ctx, dataset_path, geometry: tuple, kernel: KernelSpec,
     n_v, n_w, cell_size_lm)``. Returns ``(GridSpec, records read, ImageBlock,
     cell updates, wall seconds and thread CPU per phase)``."""
     R, r = ctx.topo.n_ranks, ctx.rank
-    wall, cpu, last = Counter(), Counter(), [time.perf_counter(), time.thread_time()]
+    # run_ranks starts a thread for each rank, so its CPU clock starts at 0
+    # and the first charge includes the thread's start.
+    wall, cpu, last = Counter(), Counter(), [time.perf_counter(), 0.0]
 
     def charge(phase):
         now = time.perf_counter(), time.thread_time()
@@ -119,6 +124,8 @@ def _rank_program(ctx, dataset_path, geometry: tuple, kernel: KernelSpec,
         acc = transform.apply_w_correction(acc, plane, z)
         charge("wcorrect")
     block = transform.stack_planes(acc, n, spec)
+    # Free the buffers inside the phase, so that their frees are charged.
+    del planes, grid, cols, plane, zero, acc, n, z
     charge("wcorrect")
     return spec, n_records, block, updates, wall, cpu
 
@@ -136,12 +143,11 @@ def run_pipeline(
     out_dir=None,
     pgm: bool = False,
     seed: int | None = None,
-    counter: metrics.PlatformCounterMeter | None = None,
+    counter: str | None = None,
 ) -> PipelineResult:
     strategy = strategy or ReduceStrategy()
     log = MessageLog()
-    if counter is not None:
-        counter.start()
+    counter_begin = metrics.read_counter(counter) if counter is not None else None
     t_begin, c_begin = time.perf_counter(), time.process_time()
 
     # read ... wcorrect: one rank program (see the module docs)
@@ -178,7 +184,7 @@ def run_pipeline(
 
     energy = {phase: seconds * metrics.WATTS_PER_CORE for phase, seconds in cpu.items()}
     if counter is not None:
-        energy["total"] = counter.joules()
+        energy["total"] = metrics.read_counter(counter) - counter_begin
 
     ops = {
         "records": sum(records),

@@ -14,6 +14,7 @@ import pytest
 import wstack
 from wstack import bench, cli, metrics, visdata
 from wstack.cli import EXIT_CHECK_FAILED, EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from wstack.gridder import KernelSpec
 
 
 def test_module_entry_point_verify_passes():
@@ -118,9 +119,21 @@ def test_gen_image_and_bench_read_every_config_key(tmp_path, monkeypatch):
                      if a.dest in cli.CONFIG_SCHEMA}
         assert flag_keys <= read[command], command
     assert set().union(*read.values()) == set(cli.CONFIG_SCHEMA)
-    # image and bench reject exactly the keys they never read.
+    # Each command rejects exactly the keys it never reads.
+    assert set(cli.CONFIG_SCHEMA) - read["gen"] == set(cli.GEN_UNREAD_KEYS)
     assert set(cli.CONFIG_SCHEMA) - read["image"] == set(cli.IMAGE_UNREAD_KEYS)
     assert set(cli.CONFIG_SCHEMA) - read["bench"] == set(cli.BENCH_UNREAD_KEYS)
+
+
+def test_gen_rejects_keys_it_never_reads(tmp_path, capsys):
+    config = tmp_path / "gen.cfg"
+    config.write_text("topo.layout = 2x2\ngrid.n_u = 512\n"
+                      "meter.counter_command = nonexistent-cmd\n")
+    out = tmp_path / "g.rvis"
+    assert main(["gen", "--out", str(out), "--config", str(config)]) == EXIT_USAGE
+    assert ("gen does not use grid.n_u, topo.layout, meter.counter_command"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_bench_without_a_dataset_writes_what_gen_writes(tmp_path):
@@ -383,6 +396,21 @@ def test_gp_of_two_live_runs_from_one_trace(tmp_path):
     assert float(two["green_productivity"]) > 0
 
 
+def test_image_pgm_writes_the_preview(tmp_path):
+    header, chunk = visdata.generate_synthetic(
+        visdata.SkyModel(sources=((0.0, 0.0, 1.0),)), 500, n_freq=1, seed=2)
+    dataset, out = tmp_path / "d.rvis", tmp_path / "out"
+    visdata.write_dataset(chunk, header, dataset)
+    assert main(["image", "--dataset", str(dataset), "--out-dir", str(out), "--pgm",
+                 "--n-u", "32", "--n-v", "16", "--n-w", "2"]) == EXIT_OK
+    pixels = np.fromfile(out / "image.f64", dtype="<f8").reshape(16, 32)
+    data = (out / "image.pgm").read_bytes()
+    head = b"P5\n32 16\n255\n"
+    assert data[:len(head)] == head and len(data) == len(head) + 32 * 16
+    preview = np.frombuffer(data[len(head):], dtype=np.uint8).reshape(16, 32)
+    assert preview.flat[pixels.argmin()] == 0 and preview.flat[pixels.argmax()] == 255
+
+
 def test_counter_command_total_replaces_the_cpu_total(tmp_path):
     # Each call prints the counter and then advances it by 7 joules.
     script = tmp_path / "counter.py"
@@ -403,6 +431,7 @@ def test_counter_command_total_replaces_the_cpu_total(tmp_path):
 @pytest.mark.parametrize("line", [
     "topo.threads_per_rank = 2", "reduce.deterministic = false", "run.alpha = 1.0",
     "meter.kind = synthetic_model", "meter.trace_path = t.csv", "meter.trace_label = a",
+    "meter.counter_file = joules.txt",
     "meter.watts_high = 500", "meter.watts_default = 500", "meter.watts_medium = 375",
     "meter.watts_low = 350", "run.freq_level = high", "bench.freq_levels = high,low",
     "topo.n_nodes = 2", "topo.ranks_per_node = 2", "bench.topologies = 1x1",
@@ -468,6 +497,27 @@ def test_malformed_dataset_exits_3(tmp_path, capsys, command):
                  "--n-u", "16", "--n-v", "16", "--n-w", "2"])
     assert code == EXIT_IO
     assert "truncated header" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, shape, expected", [
+    ("gaussian", 0.0, ("gaussian", 4, 1.0)),
+    ("kaiser_bessel", 0.0, ("kaiser_bessel", 4, 2.34 * 4)),
+    ("kaiser_bessel", 5.0, ("kaiser_bessel", 4, 5.0)),
+])
+def test_shape_param_0_takes_the_kernel_default(kind, shape, expected):
+    cfg = cli.resolve_config(None, {"kernel.kind": kind, "kernel.half_support": 4,
+                                    "kernel.shape_param": shape})
+    assert cli._kernel_from(cfg) == KernelSpec(*expected)
+
+
+def test_unknown_kernel_kind_in_a_config_exits_2(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("kernel.kind = boxcar\n")
+    dataset = tmp_path / "d.rvis"
+    dataset.write_bytes(b"")
+    assert main(["image", "--dataset", str(dataset), "--config", str(config),
+                 "--out-dir", str(tmp_path / "out")]) == EXIT_USAGE
+    assert "kernel kind must be one of" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])

@@ -11,7 +11,7 @@ from wstack import metrics, visdata
 from wstack.cli import EXIT_OK, main
 from wstack.comms import REDUCE_KINDS, ReduceStrategy, Topology
 from wstack.gridder import KernelSpec
-from wstack.metrics import MeterError, PlatformCounterMeter, RunRecord
+from wstack.metrics import MeterError, RunRecord, read_counter
 from wstack.pipeline import run_pipeline
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -20,33 +20,22 @@ TRACES = ROOT / "traces"
 
 def test_counter_command_prints_the_reading():
     cmd = f"{shlex.quote(sys.executable)} -c 'print(12.5)'"
-    assert PlatformCounterMeter(counter_command=cmd).read_counter() == 12.5
+    assert read_counter(cmd) == 12.5
 
 
 def test_counter_command_runs_without_a_shell(tmp_path):
     marker = tmp_path / "marker"
-    meter = PlatformCounterMeter(counter_command=f"echo 3; touch {shlex.quote(str(marker))}")
+    cmd = f"echo 3; touch {shlex.quote(str(marker))}"
     # echo receives "3;", "touch" and the path as arguments and prints them.
     with pytest.raises(MeterError):
-        meter.read_counter()
+        read_counter(cmd)
     assert not marker.exists()
 
 
 @pytest.mark.parametrize("cmd", ["", "   "])
 def test_empty_counter_command_is_no_source(cmd):
     with pytest.raises(MeterError, match="no configured source"):
-        PlatformCounterMeter(counter_command=cmd).read_counter()
-
-
-def test_counter_read_before_start_is_an_error(tmp_path):
-    counter = tmp_path / "joules"
-    counter.write_text("5\n")
-    meter = PlatformCounterMeter(counter_file=counter)
-    with pytest.raises(MeterError, match="before it was started"):
-        meter.joules()
-    meter.start()
-    counter.write_text("12.5\n")
-    assert meter.joules() == 7.5
+        read_counter(cmd)
 
 
 def test_negative_seconds_are_rejected_beside_positive_joules():

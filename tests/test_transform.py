@@ -6,7 +6,7 @@ import pytest
 from wstack.comms import MessageLog, Topology, run_ranks
 from wstack.mesh import GridSpec, partition_1d, pixel_n_block, pixel_to_lm
 from wstack.transform import (FinalImage, apply_w_correction, fft2d_slab, stack_planes,
-                               w_phase_factor, write_image)
+                               w_phase_factor, write_image, write_pgm)
 
 N_V, N_U = 16, 32
 SPEC = GridSpec(n_u=N_U, n_v=N_V, n_w=1, cell_size_lm=1e-3)
@@ -188,3 +188,28 @@ def test_write_image_raw_file_holds_the_little_endian_pixels(tmp_path):
     img = FinalImage(SPEC, rng.standard_normal((N_V, N_U)))
     paths = write_image(img, tmp_path / "image")
     assert paths["raw"].read_bytes() == img.pixels.astype("<f8").tobytes()
+
+
+def pgm_pixels(path, n_u, n_v):
+    """The 8-bit pixels of a PGM preview, after checking its ``P5`` header
+    (width n_u, height n_v, maxval 255) and its size."""
+    data = path.read_bytes()
+    header = f"P5\n{n_u} {n_v}\n255\n".encode("ascii")
+    assert data[:len(header)] == header
+    assert len(data) == len(header) + n_u * n_v
+    return np.frombuffer(data[len(header):], dtype=np.uint8).reshape(n_v, n_u)
+
+
+def test_write_pgm_stretches_min_to_0_and_max_to_255(tmp_path):
+    rng = np.random.default_rng(6)
+    pixels = rng.standard_normal((N_V, N_U))
+    preview = pgm_pixels(write_pgm(pixels, tmp_path / "p.pgm"), N_U, N_V)
+    assert preview.flat[pixels.argmin()] == 0 and preview.flat[pixels.argmax()] == 255
+    # A linear stretch keeps the order of the pixels.
+    order = np.argsort(pixels, axis=None, kind="stable")
+    assert np.all(np.diff(preview.flat[order].astype(int)) >= 0)
+
+
+def test_write_pgm_writes_a_constant_image_as_zeros(tmp_path):
+    preview = pgm_pixels(write_pgm(np.full((N_V, N_U), 3.5), tmp_path / "p.pgm"), N_U, N_V)
+    assert not preview.any()
