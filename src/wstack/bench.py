@@ -15,6 +15,7 @@ reduce equivalence, and end-to-end point-source recovery.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import statistics
 import time
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import comms, metrics, transform, visdata
-from .comms import REDUCE_KINDS, ReduceStrategy, Topology, reduce_partials, run_ranks
+from .comms import REDUCE_KINDS, ReduceStrategy, Topology, reduce_slabs, run_ranks
 from .gridder import KernelSpec, grid_sector, kernel_value
 from .mesh import GridSpec, partition_1d, pixel_n_block
 from .pipeline import peak_pixel, run_pipeline
@@ -453,47 +454,59 @@ def verify_pipeline(scale: str = "small") -> VerifyReport:
     checks.append(CheckResult("Parseval identity (1 and 3 ranks)", "relative <= 1e-10",
                               f"relative {parseval:.3e}", parseval <= 1e-10))
 
-    # the reduce strategies deliver the rank-order sum into the target's own
-    # partial, leave the others as they were, and conserve the total; the
-    # target's partial receives the sum, so every call gets fresh partials
+    # the reduce strategies deliver the rank-order sum into each owner's own
+    # partial, leave every other partial as it was, and conserve the total,
+    # onto one target (every other slab empty) and as the full
+    # reduce-scatter; rows[r][t] is rank r's partial of rank t's slab. An
+    # owner's partial receives the sum, so every call gets fresh copies.
     topo = Topology(n_nodes=2, ranks_per_node=2)
-    target = 1
+    R, target = topo.n_ranks, 1
     datas = [rng.standard_normal((2, 32, 32)) + 1j * rng.standard_normal((2, 32, 32))
-             for _ in range(topo.n_ranks)]
-    total = datas[0].copy()
-    for d in datas[1:]:
-        total += d
+             for _ in range(R)]
+    srng = np.random.default_rng(8)
+    empty = np.empty(0, dtype=np.complex128)
+    cases = [[[d if t == target else empty for t in range(R)] for d in datas],
+             [[srng.standard_normal((8, 32)) + 1j * srng.standard_normal((8, 32))
+               for _ in range(R)] for _ in range(R)]]
 
-    def fresh_partials():
-        return [d.copy() for d in datas]
+    def reduce_case(kind, rows):
+        parts = [[p.copy() for p in row] for row in rows]
+        got = run_ranks(topo, lambda ctx: reduce_slabs(ctx, ReduceStrategy(kind),
+                                                        parts[ctx.rank]))
+        others = [(parts[r][t], rows[r][t]) for r in range(R) for t in range(R)
+                  if t != r and rows[r][t].size]
+        return got, others, all(got[r] is parts[r][r] for r in range(R))
 
-    outs, repeats, in_place, changed = {}, True, True, 0
+    exact, errs, repeats, in_place, others = {}, {}, True, True, []
     for kind in REDUCE_KINDS:
-        partials = fresh_partials()
-        red = reduce_partials(ReduceStrategy(kind), partials, target, topo)
-        again = reduce_partials(ReduceStrategy(kind), fresh_partials(), target, topo)
-        repeats &= red.tobytes() == again.tobytes()
-        in_place &= red is partials[target]
-        changed += sum(p.tobytes() != d.tobytes()
-                       for r, (p, d) in enumerate(zip(partials, datas)) if r != target)
-        outs[kind] = red
-    direct_exact = outs["direct"].tobytes() == total.tobytes()
-    ring_err = np.linalg.norm(outs["hybrid_ring"] - total) / np.linalg.norm(total)
+        pairs = []
+        for rows in cases:
+            got, case_others, own = reduce_case(kind, rows)
+            repeats &= ([g.tobytes() for g in got]
+                        == [g.tobytes() for g in reduce_case(kind, rows)[0]])
+            in_place &= own
+            others += case_others
+            pairs += [(got[t], functools.reduce(np.add, [row[t] for row in rows]))
+                      for t in range(R) if got[t].size]
+        exact[kind] = all(a.tobytes() == b.tobytes() for a, b in pairs)
+        errs[kind] = max(np.linalg.norm(a - b) / np.linalg.norm(b) for a, b in pairs)
+        if kind == "direct":
+            target_sum = pairs[0][0]
     checks.append(CheckResult(
-        "reduce strategies deliver the rank-order sum (2x2)",
+        "reduce strategies deliver the rank-order sum (2x2, one target and reduce-scatter)",
         "direct bit-identical, hybrid_ring relative <= 1e-15, each repeats bit for bit",
-        f"direct {'identical' if direct_exact else 'differs'}, hybrid_ring relative "
-        f"{ring_err:.3e}, {'repeats' if repeats else 'does not repeat'}",
-        direct_exact and ring_err <= 1e-15 and repeats))
-    n_others = len(REDUCE_KINDS) * (topo.n_ranks - 1)
+        f"direct {'identical' if exact['direct'] else 'differs'}, hybrid_ring relative "
+        f"{errs['hybrid_ring']:.3e}, {'repeats' if repeats else 'does not repeat'}",
+        exact["direct"] and errs["hybrid_ring"] <= 1e-15 and repeats))
+    changed = sum(a.tobytes() != b.tobytes() for a, b in others)
     checks.append(CheckResult(
         "reduce leaves partials untouched",
-        "non-target partials bit-identical, the sum in the target's partial",
-        f"{changed} of {n_others} non-target partials changed, the sum "
-        f"{'is' if in_place else 'is not'} the target's partial",
+        "other partials bit-identical, each sum in its owner's partial",
+        f"{changed} of {len(others)} other partials changed, the sums "
+        f"{'are' if in_place else 'are not'} the owners' partials",
         changed == 0 and in_place))
-    conservation = abs(outs["direct"].sum() - sum(d.sum() for d in datas))
-    conservation /= max(abs(outs["direct"].sum()), 1.0)
+    conservation = abs(target_sum.sum() - sum(d.sum() for d in datas))
+    conservation /= max(abs(target_sum.sum()), 1.0)
     checks.append(CheckResult("reduce conservation", "relative <= 1e-12",
                               f"relative {conservation:.3e}", conservation <= 1e-12))
 

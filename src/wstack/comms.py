@@ -3,34 +3,38 @@
 Ranks are in-process worker threads grouped into virtual nodes. All
 inter-rank traffic flows through a :class:`Router` of queues and is
 recorded in a :class:`MessageLog` with byte counts; "inter-node" transfers
-are tagged rather than crossing a real network. The two reduction
-strategies are the paper's:
+are tagged rather than crossing a real network.
+
+The reduce is a reduce-scatter, as at an ``MPI_Reduce_scatter``: each rank
+calls :func:`reduce_slabs` with its complex128 partial of every rank's
+slab, and ends with the sum over all ranks of its own slab, written into
+its own partial (the ``MPI_IN_PLACE`` buffer). Every message carries one
+slab's partial. The two strategies are the paper's; on N nodes of P ranks,
+with S the bytes of all the slabs together, they move:
 
 ``direct``
-    every rank sends its full partial slab to the target, which sums them
-    (plain MPI).
+    every rank sends its partial of each other rank's slab to that rank,
+    which sums them (plain MPI): (P-1)S bytes within nodes and (R-P)S
+    between them, in R(R-1) messages.
 ``hybrid_ring``
-    per node, a ring reduce-scatter over the node's ranks followed by a
-    gather of the segments: to the target on the target's node, to the
-    node master on every other node. The masters then accumulate the node
-    sums along a chain whose last hop goes to the target itself, which
-    adds it to its own node's sum (the SMP-aware reduce of Thakur,
-    Rabenseifner & Gropp 2005, IJHPCA 19:49, with no delivery hop).
+    a ring reduce-scatter over each node's P ranks, whose segment j holds
+    the node's partials of every slab with local index j, then a ring
+    reduce-scatter over the N nodes among the ranks that share a local
+    index, one slab per segment: P-1 + N-1 steps, N(P-1)S bytes within
+    nodes and (N-1)S between them (the bandwidth-optimal ring of Thakur,
+    Rabenseifner & Gropp 2005, IJHPCA 19:49, made SMP-aware).
 
-Each rank takes part in a reduce by calling :func:`reduce_slabs` with its
-own complex128 buffer, as at an ``MPI_Reduce``; :func:`reduce_partials`
-runs one reduce on ranks of its own, for callers outside a rank program.
-Both strategies write what their messages deliver into the target's own
-buffer, which is thus the result (the root's ``MPI_IN_PLACE`` buffer).
-``direct`` adds the payloads in rank order 0, 1, ..., R-1 whatever order
-they arrive in, so it is bit-identical to that rank-order sum on every
-topology. The ring adds in the order its segments and chain travel,
-which differs from rank order in the last bits once a segment sums three
-or more partials; each call repeats its result bit for bit. The
-pipeline's image is nonetheless one hash for every topology and
-strategy, because every rank but a plane's owner contributes a zero
-plane, and x + 0 = x in any order. That holds until the ranks grid real
-partials of each other's sectors.
+A part of size 0 is neither sent nor received, so :func:`reduce_partials`
+runs the single-target reduce, every part but the target's empty, on ranks
+of its own. ``direct`` adds the payloads in rank order 0, 1, ..., R-1
+whatever order they arrive in, so it is bit-identical to that rank-order
+sum on every topology. The ring adds in the order its segments travel,
+which differs from rank order in the last bits once a slab sums three or
+more partials; each call repeats its result bit for bit. The pipeline's
+image is nonetheless one hash for every topology and strategy, because
+every rank but a plane's owner contributes a zero plane, and x + 0 = x in
+any order. That holds until the ranks grid real partials of each other's
+sectors.
 
 The exchange is a collective too: each rank calls
 :func:`exchange_to_space_order` with the records it prepared and gets
@@ -39,23 +43,24 @@ back the records of its own row slab, one batch per w plane.
 Ordering. A rank program's collectives share one :class:`Router`, with
 no tag per call. The ``("exchange",)`` messages are received by source,
 one from each rank, so they cannot be taken for any other. Messages from
-one rank under one tag arrive in the order sent, so only ``direct``'s
-``recv_any`` could take a payload of a later reduce onto the same target.
-In the pipeline it cannot: a rank sends its block of plane k's ``fft``
-all-to-all only after it has sent its payloads of plane k and, as a
-target, taken all of its own, so no rank sends a payload of plane k - 1
-before every target has taken those of plane k.
+one rank under one tag arrive in the order sent, and the ring receives by
+source, so only ``direct``'s ``recv_any`` could take a payload of a later
+reduce. In the pipeline it cannot: every rank's plane-k ``fft`` all-to-all
+comes between its plane-k and plane-(k+1) reduces. A rank sends its plane
+k + 1 payloads only after it has received every rank's plane-k ``fft``
+block, and a rank sends that block only after it has taken all of its own
+plane-k payloads.
 
-Buffers and copies: a message costs the one copy :meth:`Router.send`
-makes, so that no rank aliases another's arrays. The non-target buffers
-are only read: ring segments are views of them, the P
-:func:`~wstack.mesh.partition_1d` shares of the flat buffer. The
-target's buffer is read until its own values have been added, then
-written: ``direct`` writes each add from the target's own rank-order
-step onward into it (the earlier adds go into a received buffer); in
-``hybrid_ring`` the target gathers its node's segments into it and adds
-the chain there, and the master of every other node gathers into one
-new full-length buffer. Every other sum goes into a buffer that arrived.
+Buffers and copies. :meth:`Router.send` copies a payload, so that no rank
+aliases another's arrays, unless sender and receiver share a node and the
+payload is a read-only array. That one is passed by reference, as a peer's
+buffer is read in place through an MPI-3 shared-memory window (Hoefler et
+al. 2013, "MPI+MPI", Computing 95:1121): its owner never writes it again,
+and the receiver cannot. The reduce only reads a rank's partials of other
+slabs; the pipeline's zero plane is read-only, so within a node it travels
+with no copy. Each add of a rank's own slab goes into its own partial
+(``direct``: from its own rank-order step on). Every other sum goes into
+the buffer that arrived, or a new one when that is read-only.
 """
 
 from __future__ import annotations
@@ -127,9 +132,6 @@ class Topology:
     def intra_index(self, rank: int) -> int:
         return rank % self.ranks_per_node
 
-    def master_of(self, node: int) -> int:
-        return node * self.ranks_per_node
-
     def ranks_of_node(self, node: int) -> range:
         base = node * self.ranks_per_node
         return range(base, base + self.ranks_per_node)
@@ -198,9 +200,8 @@ class MessageLog:
 class Router:
     """Point-to-point queues between ranks with byte accounting.
 
-    Payloads are copied on send; no rank ever aliases another rank's
-    arrays. ``recv`` is selective by source, ``recv_any`` pops messages in
-    genuine arrival order.
+    ``recv`` is selective by source, ``recv_any`` pops messages in genuine
+    arrival order.
     """
 
     def __init__(self, topo: Topology, log: MessageLog | None = None):
@@ -220,18 +221,27 @@ class Router:
             return q
 
     def send(self, src, dst, tag, payload, phase, nbytes=None):
-        payload = np.array(payload, copy=True)
+        """Queue ``payload`` for ``dst`` and log its bytes.
+
+        The payload is copied, so that the receiver does not alias the
+        sender's array, unless ``src`` and ``dst`` share a node and it is an
+        ndarray whose ``flags.writeable`` is False. That array is queued
+        itself, with no copy: the receiver cannot write it, and its owner
+        must never write it again."""
+        intra = self.topo.node_of(src) == self.topo.node_of(dst)
+        if not (intra and isinstance(payload, np.ndarray) and not payload.flags.writeable):
+            payload = np.array(payload, copy=True)
         if nbytes is None:
             nbytes = payload.nbytes
         if self.log is not None:
             self.log.append(Message(
                 phase=phase, src_rank=src, dst_rank=dst,
-                intra_node=self.topo.node_of(src) == self.topo.node_of(dst),
+                intra_node=intra,
                 nbytes=int(nbytes),
             ))
         self._queue((src, dst, tag)).put(payload)
-        # The receiver owns the copy now; holding it here would keep it
-        # alive after the receiver has freed it.
+        # The receiver holds the payload now; holding it here would keep it
+        # alive after the receiver has dropped it.
         del payload
         self._queue((dst, tag)).put(src)
 
@@ -311,141 +321,111 @@ def run_ranks(topo: Topology, fn, log: MessageLog | None = None):
 # ---------------------------------------------------------------------------
 
 def _checked(payload, length: int, ctx, src: int):
-    """A received segment or payload, which must hold ``length`` elements."""
+    """A received payload, which must hold ``length`` elements."""
     if payload.size != length:
         raise ValueError(f"rank {ctx.rank} received a partial of {payload.size} elements "
                          f"from rank {src}, expected {length}")
     return payload
 
 
-def _ring_reduce_scatter_ctx(ctx, group, my_flat):
-    """One rank's part of a ring reduce-scatter over ``group``.
+def _ring_reduce_scatter(ctx, group, segments, sums):
+    """One rank's part of a ring reduce-scatter over the ranks ``group``,
+    in ring order: ``segments[i]`` lists the slabs whose sum over the group
+    lands on ``group[i]``, and ``sums[t]`` is this rank's flat partial of
+    slab t.
 
-    The flat array is cut into its P :func:`~wstack.mesh.partition_1d`
-    shares, views of ``my_flat``, which is only read. At step s the rank
-    sends its accumulated segment ``(pos - 1 - s) mod P`` to the next group
-    member, receives segment ``(pos - 2 - s) mod P`` from the previous one
-    and adds its own into that received buffer, so after P-1 steps segment
-    ``pos`` holds the group's full sum. Returns the per-segment buffers.
+    At step s the rank sends segment ``(i - 1 - s) mod P`` to the next
+    member, one message per slab, receives segment ``(i - 2 - s) mod P``
+    from the previous one and adds its own partials into it, so after P - 1
+    steps ``sums`` holds the group's sum of every slab of its own segment
+    ``i``. The sum of the rank's own slab goes into its own partial, every
+    other into the received buffer, or a new one when that is read-only.
     """
-    P = len(group)
-    pos = group.index(ctx.rank)
-    if P == 1:
-        return [my_flat]
-    length = len(my_flat)
-    segs = [my_flat[start:start + count]
-            for start, count in (partition_1d(length, P, j) for j in range(P))]
-    nxt = group[(pos + 1) % P]
-    prv = group[(pos - 1) % P]
+    P, i = len(group), group.index(ctx.rank)
+    nxt, prv = group[(i + 1) % P], group[(i - 1) % P]
     for s in range(P - 1):
-        ctx.send(nxt, ("ring", s), segs[(pos - 1 - s) % P], "reduce")
-        j = (pos - 2 - s) % P
-        incoming = _checked(ctx.recv(prv, ("ring", s)), len(segs[j]), ctx, prv)
-        segs[j] = np.add(segs[j], incoming, out=incoming)
-    return segs
+        for t in segments[(i - 1 - s) % P]:
+            if sums[t].size:
+                ctx.send(nxt, ("ring",), sums[t], "reduce")
+        for t in segments[(i - 2 - s) % P]:
+            if sums[t].size:
+                got = _checked(ctx.recv(prv, ("ring",)), sums[t].size, ctx, prv)
+                sums[t] = np.add(sums[t], got, out=sums[t] if t == ctx.rank else
+                                 got if got.flags.writeable else None)
 
 
-def _gather_segments(ctx, group, segs, length, out=None):
-    """Assemble the node's P segments into one flat array of ``length``,
-    each at its :func:`~wstack.mesh.partition_1d` offset: the rank's own
-    from ``segs``, the others received from their owners under
-    ``("gather", p)``. They are written into ``out`` when given, else into
-    a new array; on one rank with no ``out``, the segment itself is
-    returned."""
-    P = len(group)
-    pos = group.index(ctx.rank)
-    if P == 1 and (out is None or segs[0] is out):
-        return segs[0]
-    if out is None:
-        out = np.empty(length, dtype=np.complex128)
-    for p in range(P):
-        start, count = partition_1d(length, P, p)
-        out[start:start + count] = (segs[p] if p == pos else
-                                    _checked(ctx.recv(group[p], ("gather", p)), count, ctx,
-                                             group[p]))
-    return out
+def reduce_slabs(ctx, strategy: ReduceStrategy, parts):
+    """This rank's part of one reduce-scatter of complex128 partials (see
+    the module docs): ``parts[t]`` is its partial of rank t's slab.
 
-
-def reduce_slabs(ctx, strategy: ReduceStrategy, buf: np.ndarray, target: int):
-    """This rank's part of one reduce of the ranks' complex128 buffers, of
-    one shape, onto ``target``'s (see the module docs).
-
-    The target's buffer receives the sum and is returned, so it must be
-    C-contiguous and writeable; every other rank's is only read, and the
-    call returns None there. A buffer that is not complex128, or a target's
-    that is not a receive buffer, raises ValueError on its rank, as does a
-    received segment or payload of another length than this rank's own;
+    The sum over all ranks of their ``parts[ctx.rank]`` is written into
+    this rank's own, which is returned, so it must be C-contiguous and
+    writeable; the other parts are only read. A list of another length
+    than the ranks, a part that is not complex128, or an own part that is
+    not a receive buffer raises ValueError on its rank, as does a received
+    payload of another length than this rank's part of that slab;
     :meth:`Router.fail` then stops the peers. The messages run in phase
     ``reduce``.
     """
-    topo, R = ctx.topo, ctx.topo.n_ranks
-    if not (0 <= target < R):
-        raise ValueError(f"target {target} outside range(0, {R})")
-    is_target = ctx.rank == target
-    if not (isinstance(buf, np.ndarray) and buf.dtype == np.complex128):
-        raise ValueError(f"rank {ctx.rank}'s partial must be a complex128 array")
-    if is_target and not (buf.flags.c_contiguous and buf.flags.writeable):
-        raise ValueError("the target's partial must be C-contiguous and writeable")
-    my_flat = buf.reshape(-1)
-    length = len(my_flat)
+    topo, R, r = ctx.topo, ctx.topo.n_ranks, ctx.rank
+    if len(parts) != R:
+        raise ValueError(f"rank {r} passed {len(parts)} partials for {R} ranks")
+    if not all(isinstance(p, np.ndarray) and p.dtype == np.complex128 for p in parts):
+        raise ValueError(f"rank {r}'s partials must be complex128 arrays")
+    own = parts[r]
+    if not (own.flags.c_contiguous and own.flags.writeable):
+        raise ValueError("a rank's own partial must be C-contiguous and writeable")
+    sums = [p.reshape(-1) for p in parts]
 
     if strategy.kind == "direct":
-        if not is_target:
-            ctx.send(target, ("direct",), my_flat, "reduce")
-            return None
+        for t in range(R):
+            if t != r and sums[t].size:
+                ctx.send(t, ("direct",), sums[t], "reduce")
+        if not own.size:
+            return own
         # Kept by source and added in rank order, so the sum does not
-        # depend on the order in which the payloads arrive. The adds before
-        # the target's own step go into a received buffer, the rest into
-        # the target's partial.
-        parts = [my_flat] * R
+        # depend on the order in which the payloads arrive.
+        got = [sums[r]] * R
         for _ in range(R - 1):
             src, payload = ctx.recv_any(("direct",))
-            parts[src] = _checked(payload, length, ctx, src)
-        acc = parts[0]
-        for r in range(1, R):
-            acc = np.add(acc, parts[r], out=my_flat if r >= target else acc)
-        return buf
+            got[src] = _checked(payload, own.size, ctx, src)
+        acc = got[0]
+        for s in range(1, R):
+            acc = np.add(acc, got[s], out=sums[r] if s >= r else
+                         acc if acc.flags.writeable else None)
+        return own
 
-    # hybrid_ring: the target gathers its own node's sum; every other node
-    # gathers at its master.
-    node = topo.node_of(ctx.rank)
-    group = list(topo.ranks_of_node(node))
-    pos = group.index(ctx.rank)
-    t_node = topo.node_of(target)
-    segs = _ring_reduce_scatter_ctx(ctx, group, my_flat)
-    head = target if node == t_node else group[0]
-    if ctx.rank != head:
-        ctx.send(head, ("gather", pos), segs[pos], "reduce")
-        return None
-    node_flat = _gather_segments(ctx, group, segs, length,
-                                 out=my_flat if is_target else None)
-    if topo.n_nodes > 1:
-        # masters chain the node sums; the last hop goes to the target
-        node_chain = [n for n in range(topo.n_nodes) if n != t_node] + [t_node]
-        heads = [topo.master_of(n) for n in node_chain[:-1]] + [target]
-        k = node_chain.index(node)
-        if k > 0:
-            incoming = _checked(ctx.recv(heads[k - 1], ("chain",)), length, ctx, heads[k - 1])
-            node_flat = np.add(incoming, node_flat,
-                               out=node_flat if is_target else incoming)
-        if k < len(node_chain) - 1:
-            ctx.send(heads[k + 1], ("chain",), node_flat, "reduce")
-    return buf if is_target else None
+    # hybrid_ring: within the node, segment j holds the slabs of local
+    # index j; then across the nodes, among the ranks of this local index.
+    by_index = [[t for t in range(R) if topo.intra_index(t) == j]
+                for j in range(topo.ranks_per_node)]
+    _ring_reduce_scatter(ctx, list(topo.ranks_of_node(topo.node_of(r))), by_index, sums)
+    peers = by_index[topo.intra_index(r)]
+    _ring_reduce_scatter(ctx, peers, [[t] for t in peers], sums)
+    return own
 
 
 def reduce_partials(strategy: ReduceStrategy, partials, target: int, topo: Topology,
                     log: MessageLog | None = None):
-    """One reduce on ranks of its own, rank r calling :func:`reduce_slabs`
-    with ``partials[r]``; returns ``partials[target]``, the sum."""
-    if len(partials) != topo.n_ranks:
-        raise ValueError(f"expected {topo.n_ranks} partials, got {len(partials)}")
-    run_ranks(topo, lambda ctx: reduce_slabs(ctx, strategy, partials[ctx.rank], target),
-              log=log)
+    """One single-target reduce on ranks of its own: rank r's part of
+    ``target``'s slab is ``partials[r]`` and its parts of every other slab
+    are empty (see :func:`reduce_slabs`). Returns ``partials[target]``,
+    the sum."""
+    R = topo.n_ranks
+    if len(partials) != R:
+        raise ValueError(f"expected {R} partials, got {len(partials)}")
+    if not (0 <= target < R):
+        raise ValueError(f"target {target} outside range(0, {R})")
+    empty = np.empty(0, dtype=np.complex128)
+    run_ranks(topo, lambda ctx: reduce_slabs(
+        ctx, strategy, [partials[ctx.rank] if t == target else empty for t in range(R)]),
+        log=log)
     return partials[target]
 
 
 def hybrid_reduce(partials, target: int, topo: Topology, log: MessageLog | None = None):
-    """Intra-node ring reduce plus inter-node master chain (see module docs)."""
+    """:func:`reduce_partials` by the two rings of ``hybrid_ring`` (see the
+    module docs)."""
     return reduce_partials(ReduceStrategy("hybrid_ring"), partials, target, topo, log=log)
 
 

@@ -18,9 +18,9 @@ records and drops them, and takes part in the exchange, which hands it
 the records that reach its row slab (its
 :func:`~wstack.mesh.partition_1d` share of the rows), one batch per w
 plane. It then streams the planes: for k = n_w - 1 ... 0, it grids plane
-k into one ``(rows, n_u)`` buffer it reuses, reduces the plane onto
-every owner in rank order (its buffer as the owner's, a never-written
-zero plane as everyone else's), transforms it in place with
+k into one ``(rows, n_u)`` buffer it reuses, reduces the plane with one
+reduce-scatter (its buffer as its partial of its own slab, a read-only
+zero plane as its partial of every other), transforms it in place with
 :func:`~wstack.transform.fft2d_slab` and adds it into its column block by
 Horner's rule; it then stacks the block. A rank holds one plane, not
 n_w. The coordinator only assembles the blocks, writes the image and
@@ -105,16 +105,18 @@ def _rank_program(ctx, dataset_path, geometry: tuple, kernel: KernelSpec,
     u0, uc = partition_1d(spec.n_u, R, r)
     grid = np.empty((rows, spec.n_u), dtype=np.complex128)
     cols = np.empty((uc, spec.n_v), dtype=np.complex128)
-    # Every other owner's partial: leading rows of one zero plane as tall as
-    # rank 0's slab, the tallest; np.zeros maps no pages, nor does reading.
+    # The partials of the other ranks' slabs: leading rows of one zero
+    # plane as tall as rank 0's slab, the tallest; np.zeros maps no pages,
+    # nor does reading. Read-only, so that it passes by reference within a
+    # node.
     zero = np.zeros((partition_1d(spec.n_v, R, 0)[1], spec.n_u), dtype=np.complex128)
+    zero.flags.writeable = False
+    parts = [grid if t == r else zero[:partition_1d(spec.n_v, R, t)[1]] for t in range(R)]
     updates, acc, z = 0, None, None
     for k in reversed(range(spec.n_w)):
         updates += grid_sector(planes[k], kernel, grid, v0)
         charge("gridding")
-        for t in range(R):
-            comms.reduce_slabs(ctx, strategy, grid if t == r else
-                               zero[:partition_1d(spec.n_v, R, t)[1]], t)
+        comms.reduce_slabs(ctx, strategy, parts)
         charge("reduce")
         plane = transform.fft2d_slab(ctx, grid, spec, out=cols)
         charge("fft")
@@ -125,7 +127,7 @@ def _rank_program(ctx, dataset_path, geometry: tuple, kernel: KernelSpec,
         charge("wcorrect")
     block = transform.stack_planes(acc, n, spec)
     # Free the buffers inside the phase, so that their frees are charged.
-    del planes, grid, cols, plane, zero, acc, n, z
+    del planes, grid, cols, plane, zero, parts, acc, n, z
     charge("wcorrect")
     return spec, n_records, block, updates, wall, cpu
 

@@ -44,30 +44,34 @@ def test_recv_still_times_out():
 # reduce message accounting
 # ---------------------------------------------------------------------------
 
-def expected_reduce_traffic(kind, topo, target, length):
-    """``{intra_node: (messages, bytes)}`` of one reduce of complex
-    partials of ``length`` elements, as ``reduce_slabs`` sends them. The ring cuts the slab into its P ``partition_1d`` shares,
-    so a message carries exactly its share: 32 elements on 1x3 make
-    segments of 11, 11 and 10."""
+TOPOLOGIES = [(1, 1), (1, 2), (2, 1), (2, 2), (4, 2), (1, 3)]
+
+
+def slab_hops(kind, topo):
+    """``{intra_node: messages}`` that carry one slab's partials in a
+    reduce, no part of it empty: in ``direct`` one from each of the P - 1
+    other ranks of its owner's node and of the R - P others; in
+    ``hybrid_ring`` P - 1 hops around each of the N nodes' rings, then
+    N - 1 around the ring of the nodes' ranks of its local index."""
     N, P, R = topo.n_nodes, topo.ranks_per_node, topo.n_ranks
-    full = 16 * length
-
-    def all_but(pos):
-        """Bytes of every segment but ``pos``: what the others send it."""
-        return full - 16 * partition_1d(length, P, pos)[1]
-
     if kind == "direct":
-        # every other rank sends its whole partial to the target
-        return {True: (P - 1, (P - 1) * full), False: (R - P, (R - P) * full)}
-    # reduce-scatter: P - 1 steps per rank, every node; each rank sends
-    # every segment but its own once
-    ring_msgs, ring_bytes = N * P * (P - 1), N * (P - 1) * full
-    # hybrid_ring: segments to the target on its node, to the master on
-    # every other; masters chain the whole node sum across the N nodes, the
-    # last hop to the target
-    return {True: (ring_msgs + N * (P - 1),
-                   ring_bytes + all_but(topo.intra_index(target)) + (N - 1) * all_but(0)),
-            False: (N - 1, (N - 1) * full)}
+        return {True: P - 1, False: R - P}
+    return {True: N * (P - 1), False: N - 1}
+
+
+def expected_reduce_traffic(kind, topo, length):
+    """``{intra_node: (messages, bytes)}`` of one single-target reduce of
+    complex partials of ``length`` elements, as ``reduce_partials`` runs it:
+    every other slab is empty, so every message carries a whole partial of
+    the target's slab."""
+    return {intra: (h, h * 16 * length) for intra, h in slab_hops(kind, topo).items()}
+
+
+def expected_scatter_traffic(kind, topo, nbytes):
+    """``{intra_node: (messages, bytes)}`` of one full reduce-scatter of R
+    slabs of ``nbytes`` together, no part empty."""
+    return {intra: (topo.n_ranks * h, h * nbytes)
+            for intra, h in slab_hops(kind, topo).items()}
 
 
 def rank_order_sum(partials):
@@ -85,12 +89,34 @@ def random_partials(topo, shape, seed):
 
 
 def small_partials(topo):
-    # 2 x 4 x 4: 32 elements, not a multiple of 3
+    # 2 x 4 x 4: 32 elements
     return random_partials(topo, (2, 4, 4), topo.n_nodes * 10 + topo.ranks_per_node)
 
 
+def scatter_parts(topo, seed, read_only=False):
+    """``parts[r][t]``, rank r's partial of rank t's slab: slab t is rank
+    t's ``partition_1d`` share of 13 rows of 3, so the slabs differ in
+    length. With ``read_only``, every part but a rank's own is read-only."""
+    rng = np.random.default_rng(seed)
+    R = topo.n_ranks
+    parts = [[rng.standard_normal((partition_1d(13, R, t)[1], 3))
+              + 1j * rng.standard_normal((partition_1d(13, R, t)[1], 3)) for t in range(R)]
+             for _ in range(R)]
+    for r in range(R):
+        for t in range(R):
+            parts[r][t].flags.writeable = not read_only or t == r
+    return parts
+
+
+def scatter(kind, topo, parts, log=None):
+    """One reduce-scatter on ranks of its own, rank r passing ``parts[r]``;
+    returns what each rank's call returned."""
+    return run_ranks(topo, lambda ctx: reduce_slabs(ctx, ReduceStrategy(kind), parts[ctx.rank]),
+                     log=log)
+
+
 @pytest.mark.parametrize("kind", REDUCE_KINDS)
-@pytest.mark.parametrize("nodes,ranks", [(1, 1), (1, 2), (2, 1), (2, 2), (4, 2), (1, 3)])
+@pytest.mark.parametrize("nodes,ranks", TOPOLOGIES)
 def test_reduce_message_counts_and_bytes_match_closed_form(kind, nodes, ranks):
     # The target's partial receives the sum, so every call gets fresh ones.
     topo = Topology(nodes, ranks)
@@ -112,7 +138,7 @@ def test_reduce_message_counts_and_bytes_match_closed_form(kind, nodes, ranks):
             assert again.tobytes() == red.tobytes(), target
         got = {intra: (log.count("reduce", intra), log.total_bytes("reduce", intra))
                for intra in (True, False)}
-        assert got == expected_reduce_traffic(kind, topo, target, length), target
+        assert got == expected_reduce_traffic(kind, topo, length), target
 
 
 @pytest.mark.parametrize("nodes,ranks", [(1, 3), (2, 2)])
@@ -131,6 +157,47 @@ def test_direct_sums_in_rank_order_whatever_the_arrival_order(nodes, ranks):
                 assert red.tobytes() == total, target
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("read_only", [False, True], ids=["writeable", "read_only"])
+@pytest.mark.parametrize("kind", REDUCE_KINDS)
+@pytest.mark.parametrize("nodes,ranks", TOPOLOGIES)
+def test_reduce_scatter_sums_each_slab_onto_its_owner(kind, nodes, ranks, read_only):
+    # Every part non-empty, as in the pipeline. Each rank's own part
+    # receives its slab's sum; every other part is only read, whether it
+    # is copied on send or, read-only, passed by reference within a node.
+    # A switch every microsecond varies the order in which direct's
+    # payloads arrive; its sums must not follow it.
+    topo = Topology(nodes, ranks)
+    R = topo.n_ranks
+    before = scatter_parts(topo, R)
+    totals = [rank_order_sum([before[r][t] for r in range(R)]) for t in range(R)]
+    exact = kind == "direct" or R <= 2
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            log = MessageLog()
+            parts = scatter_parts(topo, R, read_only)
+            got = scatter(kind, topo, parts, log)
+            assert all(got[r] is parts[r][r] for r in range(R))
+            assert all(parts[r][t].tobytes() == before[r][t].tobytes()
+                       for r in range(R) for t in range(R) if t != r)
+            traffic = {intra: (log.count("reduce", intra), log.total_bytes("reduce", intra))
+                       for intra in (True, False)}
+            nbytes = sum(p.nbytes for p in before[0])
+            assert traffic == expected_scatter_traffic(kind, topo, nbytes)
+            results.append(b"".join(g.tobytes() for g in got))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(set(results)) == 1
+    for t in range(R):
+        if exact:
+            assert got[t].tobytes() == totals[t].tobytes(), t
+        else:
+            err = np.linalg.norm(got[t] - totals[t]) / np.linalg.norm(totals[t])
+            assert err <= 1e-15, (t, err)
 
 
 def test_reduce_rejects_partials_it_cannot_sum_in_place():
@@ -154,26 +221,29 @@ def test_reduce_rejects_partials_it_cannot_sum_in_place():
         assert partials[0].tobytes() == a.tobytes(), name
     with pytest.raises(ValueError, match="complex128"):
         run_ranks(Topology(1, 1), lambda ctx: reduce_slabs(
-            ctx, ReduceStrategy("direct"), a.astype(np.complex64), 0))
+            ctx, ReduceStrategy("direct"), [a.astype(np.complex64)]))
+    with pytest.raises(ValueError, match="1 partials for 2 ranks"):
+        run_ranks(topo, lambda ctx: reduce_slabs(ctx, ReduceStrategy("direct"), [a.copy()]))
 
 
 @pytest.mark.parametrize("kind", REDUCE_KINDS)
 @pytest.mark.parametrize("nodes,ranks", [(1, 3), (2, 2)])
 def test_a_shorter_partial_fails_every_rank_at_once(kind, nodes, ranks):
-    # Every rank reduces onto each owner in turn, as the pipeline does; the
-    # last rank passes a partial of half the length. The rank that receives
-    # a payload or segment of the wrong length raises, and Router.fail
-    # stops the ranks waiting on it, long before RECV_TIMEOUT_S (120 s).
+    # Every rank runs two reduce-scatters, as the pipeline runs one per
+    # plane; the last rank passes parts of half the length. The rank that
+    # receives a payload of the wrong length raises, and Router.fail stops
+    # the ranks waiting on it, long before RECV_TIMEOUT_S (120 s).
     topo = Topology(nodes, ranks)
     R = topo.n_ranks
     outcome = [None] * R
 
     def fn(ctx):
         try:
-            for target in range(R):
-                buf = small_partials(topo)[ctx.rank]
-                reduce_slabs(ctx, ReduceStrategy(kind), buf[:1] if ctx.rank == R - 1 else buf,
-                             target)
+            for _ in range(2):
+                parts = scatter_parts(topo, 0)[ctx.rank]
+                if ctx.rank == R - 1:
+                    parts = [p.reshape(-1)[:p.size // 2] for p in parts]
+                reduce_slabs(ctx, ReduceStrategy(kind), parts)
         except BaseException as exc:
             outcome[ctx.rank] = exc
             raise
@@ -290,41 +360,69 @@ def test_more_ranks_than_rows_rejected():
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("kind", REDUCE_KINDS)
-@pytest.mark.parametrize("nodes,ranks", [(1, 1), (1, 2), (2, 1), (2, 2), (4, 2), (1, 3)])
+@pytest.mark.parametrize("nodes,ranks", TOPOLOGIES)
 def test_reduce_leaves_partials_untouched(kind, nodes, ranks):
-    # The target's partial is the receive buffer of the sum; the ring adds
-    # every other sum into received buffers and slices segments as views of
-    # the partials, which must stay as they were. 32 elements on 1x3 make
-    # segments of 11, 11 and 10.
+    # The target's partial is the receive buffer of the sum; every other
+    # sum goes into a received buffer, and every other partial must stay as
+    # it was. Within a node, read-only partials arrive by reference, so no
+    # add may go into one: direct adds the payloads before the target's own
+    # step, and the ring adds its own part to the one it receives.
     topo = Topology(nodes, ranks)
     for target in range(topo.n_ranks):
-        partials = small_partials(topo)
-        before = [p.tobytes() for p in partials]
-        total = rank_order_sum(partials)
-        red = reduce_partials(ReduceStrategy(kind), partials, target, topo)
-        assert red is partials[target], target
-        assert ([p.tobytes() for r, p in enumerate(partials) if r != target]
-                == [b for r, b in enumerate(before) if r != target]), target
-        err = np.linalg.norm(red - total) / np.linalg.norm(total)
-        assert err <= 1e-15, (target, err)
+        for read_only in (False, True):
+            partials = small_partials(topo)
+            before = [p.tobytes() for p in partials]
+            for r, p in enumerate(partials):
+                p.flags.writeable = not read_only or r == target
+            total = rank_order_sum(partials)
+            red = reduce_partials(ReduceStrategy(kind), partials, target, topo)
+            assert red is partials[target], target
+            assert ([p.tobytes() for r, p in enumerate(partials) if r != target]
+                    == [b for r, b in enumerate(before) if r != target]), target
+            err = np.linalg.norm(red - total) / np.linalg.norm(total)
+            assert err <= 1e-15, (target, err)
 
 
-# Peak allocation of one reduce_slabs call on 256^2 x 4 partials, in
-# partial sizes. Every message is one copy made by Router.send; the target
-# sums, or gathers, into its own partial and every other sum goes into a
-# received buffer, so nothing is allocated after the messages. direct on
-# 1x2 holds only the message it receives. Which ring buffers are alive at
-# once depends on how the rank threads interleave, so each target's least
-# of three calls is bounded. hybrid_ring on 2x2: the least of three stayed at or below 3.52 in 200
-# repeats, but single calls peaked at 4.02 in up to 17 of 100 on one
-# target, so 4.02 stays reachable as the least of three.
+def test_router_passes_read_only_intra_node_payloads_by_reference():
+    # 2x2: ranks 0 and 1 share a node, rank 2 is on the other. A read-only
+    # payload to a rank of the same node arrives as the sender's array
+    # itself; one to another node, and any writeable payload, as a copy.
+    # Every message's bytes are logged alike.
+    log = MessageLog()
+    router = Router(Topology(2, 2), log)
+    frozen = np.arange(6, dtype=np.complex128)
+    frozen.flags.writeable = False
+    live = np.arange(6, dtype=np.complex128)
+    for dst, payload in [(1, frozen), (2, frozen), (1, live)]:
+        router.send(0, dst, ("t",), payload, "reduce")
+    shared = router.recv(1, 0, ("t",))
+    assert np.shares_memory(shared, frozen) and not shared.flags.writeable
+    for dst, sent in [(2, frozen), (1, live)]:
+        got = router.recv(dst, 0, ("t",))
+        assert not np.shares_memory(got, sent) and got.flags.writeable
+        assert got.tobytes() == sent.tobytes()
+    assert [(m.dst_rank, m.intra_node, m.nbytes) for m in log.entries()] == [
+        (1, True, 96), (2, False, 96), (1, True, 96)]
+
+
+# Peak allocation of one single-target reduce on 256^2 x 4 partials, in
+# partial sizes. Every message is one copy made by Router.send, as these
+# partials are writeable; the target sums into its own partial and every
+# other sum goes into a received buffer, so nothing is allocated after the
+# messages. On 1x2 both strategies hold only the message the target
+# receives: 1.004. Which ring buffers are alive at once depends on how the
+# rank threads interleave, so each target's least of three calls is
+# bounded. On 2x2, direct peaked at 3.007; hybrid_ring's least of three
+# read 2.008-3.008 over 30 repeats, single calls up to 3.009: the other
+# node's received message, its copy sent on and the target's own message.
+# With the master gather and chain, 2x2 hybrid_ring read 3.52-4.02.
 # (The pipeline's image is one hash on every topology for another reason:
 # its non-owner partials are zero, see wstack.comms.)
 ALLOCATION_BOUNDS = {
     ((1, 2), "direct"): 1.25,
-    ((1, 2), "hybrid_ring"): 1.75,
+    ((1, 2), "hybrid_ring"): 1.25,
     ((2, 2), "direct"): 3.25,
-    ((2, 2), "hybrid_ring"): 4.25,
+    ((2, 2), "hybrid_ring"): 3.25,
 }
 
 
@@ -352,10 +450,10 @@ def test_reduce_peak_allocation_within_budget(topo_shape, kind):
 def test_hybrid_ring_target_peak_under_fine_thread_switching():
     # With a switch every microsecond, the rank threads interleave in ways
     # the least-of-three bound above absorbs. Router.send drops its copy
-    # once queued, and the target gathers its node's segments into its own
-    # partial, with no delivered full-length sum, so every call peaked at
-    # 1.51 partial sizes: the two ring messages and the gathered segment,
-    # half a partial each. A delivery to the target took 2.51-3.01.
+    # once queued, and the target adds the one message it receives into its
+    # own partial, so 120 calls peaked at 1.003-1.004 partial sizes. The
+    # ring of half-partial segments and their gather at the target took
+    # 1.51, a delivery of the whole sum to the target 2.51-3.01.
     topo = Topology(1, 2)
     shape = (4, 256, 256)
     nbytes = np.prod(shape) * 16
@@ -373,4 +471,4 @@ def test_hybrid_ring_target_peak_under_fine_thread_switching():
                 tracemalloc.stop()
     finally:
         sys.setswitchinterval(interval)
-    assert max(peaks) <= 1.75, peaks
+    assert max(peaks) <= 1.25, peaks

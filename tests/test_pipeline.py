@@ -12,7 +12,7 @@ import pytest
 from wstack import bench, comms, pipeline, transform, visdata
 from wstack.comms import REDUCE_KINDS, ReduceStrategy, Topology
 from wstack.gridder import KernelSpec
-from wstack.mesh import GridSpec, partition_1d
+from wstack.mesh import GridSpec
 from wstack.pipeline import peak_pixel, run_pipeline
 
 from perfbench import tracing
@@ -133,41 +133,30 @@ def test_image_matches_independent_oracle(tmp_path, kern, n_w, w_range):
 
 
 def test_hybrid_ring_reduce_traffic_on_one_node(tmp_path):
-    # 1x2: per sector and plane, the ring's two segments and the other
-    # rank's segment gathered at the target, each half of the sector's
-    # plane; no whole sector plane is delivered.
+    # 1x2: per plane, one ring step, each rank sending its partial of the
+    # other's slab whole; nothing is gathered or delivered after it.
     path = write(tmp_path, ((0.0, 0.0, 1.0),), 200, seed=3)
     topo = Topology(1, 2)
     res = run_pipeline(path, N, N, N_W, CELL, kernel=KERNELS[0], topo=topo,
                        strategy=ReduceStrategy("hybrid_ring"))
     R = topo.n_ranks
-    segment = (N // R) * N * 16 // 2
-    assert res.ops["reduce_messages"] == N_W * R * 3
-    assert res.ops["reduce_bytes"] == N_W * R * 3 * segment
-    assert {m.nbytes for m in res.log.entries(phase="reduce")} == {segment}
+    slab = (N // R) * N * 16
+    assert res.ops["reduce_messages"] == N_W * R * (R - 1)
+    assert res.ops["reduce_bytes"] == N_W * R * (R - 1) * slab
+    assert {m.nbytes for m in res.log.entries(phase="reduce")} == {slab}
 
 
 def reduce_traffic(kind, topo, n_u, n_v):
-    """``(messages, bytes)`` of reducing one plane onto each of its row
-    slabs' owners in turn, in closed form (see ``wstack.comms``)."""
+    """``{intra_node: (messages, bytes)}`` of one plane's reduce-scatter, in
+    closed form (see ``wstack.comms``), S being the plane's bytes. Each slab
+    moves R - 1 times: in ``direct`` from the P - 1 other ranks of its
+    owner's node and the R - P of the others; in ``hybrid_ring`` P - 1 hops
+    on each of the N nodes, then N - 1 hops between them."""
     N, P, R = topo.n_nodes, topo.ranks_per_node, topo.n_ranks
-    messages = nbytes = 0
-    for target in range(R):
-        length = partition_1d(n_v, R, target)[1] * n_u
-        full = 16 * length
-        if kind == "direct":
-            messages += R - 1
-            nbytes += (R - 1) * full
-            continue
-
-        def all_but(pos):
-            return full - 16 * partition_1d(length, P, pos)[1]
-        # ring steps, segments gathered at the target and at every other
-        # node's master, then the chain of node sums
-        messages += N * P * (P - 1) + N * (P - 1) + N - 1
-        nbytes += ((N * (P - 1) + N - 1) * full + all_but(topo.intra_index(target))
-                   + (N - 1) * all_but(0))
-    return messages, nbytes
+    S = 16 * n_u * n_v
+    hops = {True: P - 1, False: R - P} if kind == "direct" else {True: N * (P - 1),
+                                                                 False: N - 1}
+    return {intra: (R * h, h * S) for intra, h in hops.items()}
 
 
 # (nodes, ranks, kind, the function rank 1 is slow in)
@@ -208,9 +197,10 @@ def test_slow_rank_leaves_the_image_and_the_reduce_traffic_as_they_are(
     finally:
         sys.setswitchinterval(interval)
     assert res.image_sha256 == GOLDEN_SHA256["gaussian"]
-    messages, nbytes = reduce_traffic(kind, topo, N, N)
-    assert (res.ops["reduce_messages"], res.ops["reduce_bytes"]) == (N_W * messages,
-                                                                      N_W * nbytes)
+    got = {intra: (res.log.count("reduce", intra), res.log.total_bytes("reduce", intra))
+           for intra in (True, False)}
+    assert got == {intra: (N_W * m, N_W * b)
+                   for intra, (m, b) in reduce_traffic(kind, topo, N, N).items()}
 
 
 def test_rank_program_holds_no_read_records_in_the_exchange(tmp_path, monkeypatch):
