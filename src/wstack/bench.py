@@ -195,8 +195,7 @@ def direct_convolution_grid(chunk, spec: GridSpec, kern: KernelSpec):
     grid = np.zeros((spec.n_w, spec.n_v, spec.n_u), dtype=np.complex128)
     S = kern.half_support
     updates = 0
-    for rec in prep:
-        gu, gv, plane, value = rec["gu"], rec["gv"], int(rec["plane"]), rec["value"]
+    for gu, gv, plane, value in zip(prep.gu, prep.gv, prep.plane, prep.value):
         for j in range(int(np.ceil(gv - S)), int(np.floor(gv + S)) + 1):
             if not 0 <= j < spec.n_v:
                 continue
@@ -379,18 +378,18 @@ def verify_pipeline(scale: str = "small") -> VerifyReport:
         s2 = 2.0 * kern.shape_param ** 2
         su = np.zeros(len(prep))
         sv = np.zeros(len(prep))
-        flo_u = np.floor(prep["gu"]).astype(np.int64)
-        flo_v = np.floor(prep["gv"]).astype(np.int64)
+        flo_u = np.floor(prep.gu).astype(np.int64)
+        flo_v = np.floor(prep.gv).astype(np.int64)
         for a in range(-S, S + 1):
             i = flo_u + a
-            du = prep["gu"] - i
+            du = prep.gu - i
             su += np.where((np.abs(du) <= S) & (i >= 0) & (i < n_u),
                            (-1.0) ** i * np.exp(-du * du / s2), 0.0)
             j = flo_v + a
-            dv = prep["gv"] - j
+            dv = prep.gv - j
             sv += np.where((np.abs(dv) <= S) & (j >= 0) & (j < n_v),
                            (-1.0) ** j * np.exp(-dv * dv / s2), 0.0)
-        expected = np.sum(prep["value"] * su * sv)
+        expected = np.sum(prep.value * su * sv)
         total = g1.sum()
         err = abs(total - expected) / max(abs(total), 1.0)
         checks.append(CheckResult(

@@ -37,8 +37,11 @@ any order. That holds until the ranks grid real partials of each other's
 sectors.
 
 The exchange is a collective too: each rank calls
-:func:`exchange_to_space_order` with the records it prepared and gets
-back the records of its own row slab, one batch per w plane.
+:func:`exchange_to_space_order` with the records it prepared, plain
+columns (:class:`PreparedRecords`), and gets back the records of its own
+row slab, one batch per w plane. There is no wire record: a rank sends
+another the ``gu``, ``gv`` and ``value`` columns of the records bound
+there, 32 bytes per record, and their count per plane, four arrays.
 
 Ordering. A rank program's collectives share one :class:`Router`, with
 no tag per call. The ``("exchange",)`` messages are received by source,
@@ -56,11 +59,14 @@ aliases another's arrays, unless sender and receiver share a node and the
 payload is a read-only array. That one is passed by reference, as a peer's
 buffer is read in place through an MPI-3 shared-memory window (Hoefler et
 al. 2013, "MPI+MPI", Computing 95:1121): its owner never writes it again,
-and the receiver cannot. The reduce only reads a rank's partials of other
-slabs; the pipeline's zero plane is read-only, so within a node it travels
-with no copy. Each add of a rank's own slab goes into its own partial
-(``direct``: from its own rank-order step on). Every other sum goes into
-the buffer that arrived, or a new one when that is read-only.
+and the receiver cannot. The exchange makes every payload read-only: the
+receiver only copies slices of it into its per-plane columns, so within a
+node the records travel with no copy. The reduce only reads a rank's
+partials of other slabs; the pipeline's zero plane is read-only, so within
+a node it too travels with no copy. Each add of a rank's own slab goes
+into its own partial (``direct``: from its own rank-order step on). Every
+other sum goes into the buffer that arrived, or a new one when that is
+read-only.
 """
 
 from __future__ import annotations
@@ -89,8 +95,7 @@ __all__ = [
     "reduce_partials",
     "hybrid_reduce",
     "exchange_to_space_order",
-    "PREPARED_RECORD_BYTES",
-    "prepared_dtype",
+    "PreparedRecords",
     "prepare_chunk",
 ]
 
@@ -100,11 +105,6 @@ RECV_TIMEOUT_S = 120.0
 
 # How often a waiting receive checks whether another rank has failed.
 FAILURE_POLL_S = 0.05
-
-# Wire size of one prepared record: gu f64, gv f64, weighted complex value
-# c128, plane u32, padded to 40 so that gu, gv and value stay 8-byte aligned
-# in every record of an array.
-PREPARED_RECORD_BYTES = 40
 
 # Records per block of ``prepare_chunk``'s weighted channel sum, which
 # bounds its (records, channels) complex128 temporaries.
@@ -433,33 +433,40 @@ def hybrid_reduce(partials, target: int, topo: Topology, log: MessageLog | None 
 # Record-order to space-order redistribution
 # ---------------------------------------------------------------------------
 
-def prepared_dtype() -> np.dtype:
-    return np.dtype({
-        "names": ["gu", "gv", "value", "plane"],
-        "formats": ["<f8", "<f8", "<c16", "<u4"],
-        "offsets": [0, 8, 16, 32],
-        "itemsize": PREPARED_RECORD_BYTES,
-    })
+@dataclass
+class PreparedRecords:
+    """Gridding-ready records, one column per field, of one length:
+    fractional cell coordinates ``gu`` and ``gv`` (float64), the weighted
+    channel-summed ``value`` (complex128) and the nearest w ``plane``, in
+    the narrowest unsigned type that holds the mesh's planes."""
+
+    gu: np.ndarray
+    gv: np.ndarray
+    value: np.ndarray
+    plane: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.gu)
 
 
-def prepare_chunk(chunk, spec: GridSpec) -> np.ndarray:
-    """Turn records into gridding-ready rows: fractional cell coordinates,
-    nearest w plane, and the weighted channel-summed complex value."""
+def prepare_chunk(chunk, spec: GridSpec) -> PreparedRecords:
+    """Turn records into gridding-ready columns (see
+    :class:`PreparedRecords`)."""
     chunk.validate()
-    out = np.zeros(len(chunk), dtype=prepared_dtype())
-    out["gu"] = chunk.u * spec.n_u
-    out["gv"] = chunk.v * spec.n_v
-    out["plane"] = plane_of_w(spec, chunk.w)
+    value = np.empty(len(chunk), dtype=np.complex128)
     # Each record's sum depends on its own row alone, so the blocks give
     # the bits of the one-shot expression.
-    for r in range(0, len(out), PREPARE_BLOCK):
+    for r in range(0, len(chunk), PREPARE_BLOCK):
         rows = slice(r, r + PREPARE_BLOCK)
-        out["value"][rows] = (chunk.vis[rows].astype(np.complex128)
-                              * chunk.weight[rows]).sum(axis=1)
-    return out
+        value[rows] = (chunk.vis[rows].astype(np.complex128) * chunk.weight[rows]).sum(axis=1)
+    # The narrow type sorts fastest in the exchange (a radix sort for 8-
+    # and 16-bit keys).
+    plane = plane_of_w(spec, chunk.w).astype(np.min_scalar_type(spec.n_w - 1))
+    return PreparedRecords(gu=chunk.u * spec.n_u, gv=chunk.v * spec.n_v, value=value,
+                           plane=plane)
 
 
-def exchange_to_space_order(ctx, prepared: np.ndarray, spec: GridSpec, halo_rows: int):
+def exchange_to_space_order(ctx, prepared: PreparedRecords, spec: GridSpec, halo_rows: int):
     """This rank's part of moving the prepared records (see
     :func:`prepare_chunk`) to the ranks owning their rows, as each rank
     calls it with its own share.
@@ -468,10 +475,14 @@ def exchange_to_space_order(ctx, prepared: np.ndarray, spec: GridSpec, halo_rows
     ``n_v`` rows, so more ranks than rows raise ValueError. Every record
     lands on the rank whose slab contains ``floor(gv)``; a copy also goes
     to any neighbouring rank whose slab lies within ``halo_rows`` of gv.
-    The rank sends one (possibly empty) message to every other rank,
-    receives one from each by source, joins what it holds in source-rank
-    order, sorts it by plane, stably, and cuts it at the plane boundaries.
-    Shares that are contiguous runs of the records in rank order (see
+    For each destination the rank takes the records bound there once,
+    sorted by plane, stably, and sends them to every other rank as four
+    read-only messages: the ``gu``, ``gv`` and ``value`` columns and the
+    records per plane (int64, ``n_w`` of them), so ``32 n + 8 n_w`` bytes
+    for n records. Within a node they pass by reference (see
+    :meth:`Router.send`). It receives the same from each rank by source
+    and joins each plane's records in source-rank order. Shares that are
+    contiguous runs of the records in rank order (see
     :func:`~wstack.visdata.read_dataset`) thus stay in global record order
     within each plane, which sets the gridder's summation order (see
     :mod:`wstack.gridder`) for any rank count. Returns this rank's records
@@ -484,19 +495,23 @@ def exchange_to_space_order(ctx, prepared: np.ndarray, spec: GridSpec, halo_rows
     # A rank with no rows would have no sector to grid
     if R > spec.n_v:
         raise ValueError(f"{R} ranks exceed the mesh's {spec.n_v} rows")
-    gv = prepared["gv"]
+    lo, hi = prepared.gv - halo_rows, prepared.gv + halo_rows
     for d in range(R):
         start, count = partition_1d(spec.n_v, R, d)
-        mask = (gv + halo_rows >= start) & (gv - halo_rows <= start + count - 1)
+        index = np.flatnonzero((hi >= start) & (lo <= start + count - 1))
+        plane = prepared.plane[index]
+        index = index[np.argsort(plane, kind="stable")]
+        columns = [prepared.gu[index], prepared.gv[index], prepared.value[index],
+                   np.bincount(plane, minlength=spec.n_w)]
         if d == r:
-            own = prepared[mask]
-        else:
-            ctx.send(d, ("exchange",), prepared[mask], phase="exchange")
-    held = np.concatenate([own if s == r else ctx.recv(s, ("exchange",)) for s in range(R)])
-    # Planes are below n_w, so the narrowest type that holds them sorts
-    # them fastest (a radix sort for 8- and 16-bit keys).
-    order = np.argsort(held["plane"].astype(np.min_scalar_type(spec.n_w - 1)), kind="stable")
-    bounds = np.searchsorted(held["plane"][order], np.arange(spec.n_w + 1))
-    gu, gv, value = (held[name][order] for name in ("gu", "gv", "value"))
-    return [SectorBatch(gu=gu[a:b], gv=gv[a:b], value=value[a:b])
-            for a, b in zip(bounds[:-1], bounds[1:])]
+            own = columns
+            continue
+        for column in columns:
+            column.flags.writeable = False
+            ctx.send(d, ("exchange",), column, phase="exchange")
+    held = [own if s == r else [ctx.recv(s, ("exchange",)) for _ in range(4)]
+            for s in range(R)]
+    bounds = [np.concatenate(([0], np.cumsum(per_plane))) for *_, per_plane in held]
+    return [SectorBatch(*(np.concatenate([got[f][b[k]:b[k + 1]] for got, b in zip(held, bounds)])
+                          for f in range(3)))
+            for k in range(spec.n_w)]

@@ -13,11 +13,13 @@ command's own time is outside the run's seconds and CPU.
 
 One rank program runs from the read to the stacked image, one
 :func:`~wstack.comms.run_ranks` call. Each rank reads its share of the
-records, builds the mesh geometry from its own header, prepares its
-records and drops them, and takes part in the exchange, which hands it
-the records that reach its row slab (its
-:func:`~wstack.mesh.partition_1d` share of the rows), one batch per w
-plane. It then streams the planes: for k = n_w - 1 ... 0, it grids plane
+records into columns, builds the mesh geometry from its own header,
+prepares its records and drops the read columns, so that between the read
+and the exchange it holds only the prepared columns
+(:class:`~wstack.comms.PreparedRecords`), 33 bytes per record for up to
+256 planes. The exchange hands it the records that reach its row slab
+(its :func:`~wstack.mesh.partition_1d` share of the rows), one batch per
+w plane. It then streams the planes: for k = n_w - 1 ... 0, it grids plane
 k into one ``(rows, n_u)`` buffer it reuses, reduces the plane with one
 reduce-scatter (its buffer as its partial of its own slab, a read-only
 zero plane as its partial of every other), transforms it in place with

@@ -21,7 +21,12 @@ File layout (all little-endian)::
 Records must be sorted by time_index. Rank r of R reads the r-th
 :func:`~wstack.mesh.partition_1d` share of the records, a contiguous run, so
 the shares in rank order are the file in record order. Datasets are held in
-memory column-wise (:class:`VisChunk`).
+memory column-wise (:class:`VisChunk`). A rank reads its share in blocks of
+:data:`READ_BLOCK` records into one reused buffer and copies each block's
+fields into the share's columns, so the read holds the columns and one
+block. A read that yields fewer bytes than the header and the file's size
+promised, as when the file shrinks while it is read, is a
+:class:`FormatError`; a shorter share is never returned.
 """
 
 from __future__ import annotations
@@ -55,6 +60,9 @@ VERSION = 1
 HEADER_SIZE = 64
 _HEADER_STRUCT = struct.Struct("<4sIQIIIdd20s")
 assert _HEADER_STRUCT.size == HEADER_SIZE
+
+# Records per block of ``read_dataset``.
+READ_BLOCK = 16384
 
 
 class FormatError(OSError, ValueError):
@@ -251,32 +259,55 @@ def read_dataset(path, rank: int = 0, n_ranks: int = 1):
     :func:`~wstack.mesh.partition_1d` gives it of ``n_ranks``, in file
     order. A share may be empty.
 
-    One seek and one read take the share and, for a rank after the first,
-    the record before it, so that the time-order check also covers the
-    boundary with the previous rank's share. Raises :class:`FormatError`
-    for a bad header, a file whose size does not match it, or records out
-    of time order. Returns ``(header, VisChunk)``.
+    The share is read in blocks (see the module docs). A rank after the
+    first also reads the record before its share, so that the time-order
+    check covers the boundary with the previous rank's share. Raises
+    :class:`FormatError` for a bad header, a file whose size does not match
+    it, a read that ends short of that size, or records out of time order.
+    Returns ``(header, VisChunk)``.
     """
     with open(path, "rb") as fh:
         header = DatasetHeader.unpack(fh.read(HEADER_SIZE))
-        rec = record_nbytes(header.n_chan)
+        n_chan = header.n_chan
+        rec, dtype = record_nbytes(n_chan), _record_dtype(n_chan)
         payload = os.fstat(fh.fileno()).st_size - HEADER_SIZE
         expected = header.n_records * rec
         if payload != expected:
             raise FormatError(
                 f"truncated file: {payload} payload bytes, expected {expected}")
         lo, count = partition_1d(header.n_records, n_ranks, rank)
-        first = max(lo - 1, 0)
-        fh.seek(HEADER_SIZE + first * rec)
-        packed = np.frombuffer(fh.read((lo + count - first) * rec),
-                               dtype=_record_dtype(header.n_chan))
-    t = packed["time_index"]
-    if np.any(t[1:] < t[:-1]):
+        chunk = VisChunk(np.empty(count), np.empty(count), np.empty(count),
+                         np.empty(count, dtype=np.uint32),
+                         np.empty((count, n_chan), dtype=np.complex64),
+                         np.empty((count, n_chan), dtype=np.float32))
+        # (re, im) float32 pairs, as the file stores them
+        vis = chunk.vis.view(np.float32).reshape(count, n_chan, 2)
+        columns = (("u", chunk.u), ("v", chunk.v), ("w", chunk.w),
+                   ("time_index", chunk.time_index), ("vis", vis), ("weight", chunk.weight))
+        raw = np.empty(min(count, READ_BLOCK) * rec, dtype=np.uint8)
+        before = None
+        if lo and count:
+            fh.seek(HEADER_SIZE + (lo - 1) * rec)
+            before = _read_into(fh, raw[:rec]).view(dtype)["time_index"][0]
+        fh.seek(HEADER_SIZE + lo * rec)
+        for a in range(0, count, READ_BLOCK):
+            b = min(a + READ_BLOCK, count)
+            block = _read_into(fh, raw[:(b - a) * rec]).view(dtype)
+            for name, column in columns:
+                column[a:b] = block[name]
+    t = chunk.time_index
+    if np.any(t[1:] < t[:-1]) or (before is not None and t[0] < before):
         raise FormatError("records must be sorted by time_index")
-    packed = packed[lo - first:]
-    vis = np.ascontiguousarray(packed["vis"]).view(np.complex64)[..., 0]
-    return header, VisChunk(packed["u"], packed["v"], packed["w"],
-                            packed["time_index"], vis, packed["weight"])
+    return header, chunk
+
+
+def _read_into(fh, buf: np.ndarray) -> np.ndarray:
+    """``buf`` filled from ``fh``; a file that ends first raises
+    :class:`FormatError`."""
+    got = fh.readinto(buf)
+    if got != buf.nbytes:
+        raise FormatError(f"truncated file: read {got} of {buf.nbytes} bytes")
+    return buf
 
 
 def split_records(chunk: VisChunk, n_ranks: int) -> list[VisChunk]:

@@ -1,5 +1,7 @@
 import math
 import struct
+import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -249,6 +251,105 @@ def test_descent_at_a_share_boundary_is_caught_by_the_later_share(tmp_path):
     for rank, n_ranks in ((1, 2), (0, 1)):
         with pytest.raises(FormatError, match="sorted"):
             visdata.read_dataset(path, rank, n_ranks)
+
+
+def test_a_file_that_shrinks_after_the_size_check_is_rejected(tmp_path, monkeypatch):
+    # The file loses a whole record, or part of one, after read_dataset
+    # checked its size against the header: the read ends early, and no
+    # share comes back shorter than the header promised.
+    chunk = small_chunk(40)
+    path = tmp_path / "d.rvis"
+    visdata.write_dataset(chunk, header_for(chunk, 2, 1, 4), path)
+    size = path.stat().st_size
+    monkeypatch.setattr(visdata.os, "fstat", lambda fd: types.SimpleNamespace(st_size=size))
+    for cut in (visdata.record_nbytes(2), 7):
+        with open(path, "r+b") as fh:
+            fh.truncate(size - cut)
+        for rank, n_ranks in ((0, 1), (1, 2)):
+            with pytest.raises(FormatError, match="truncated"):
+                visdata.read_dataset(path, rank, n_ranks)
+        # The first half of the records is all there.
+        assert np.array_equal(visdata.read_dataset(path, 0, 2)[1].vis, chunk.vis[:20])
+
+
+def one_shot_columns(path, n_chan, lo, count):
+    """A share's columns from one read of the whole payload."""
+    packed = np.frombuffer(path.read_bytes()[visdata.HEADER_SIZE:],
+                           dtype=visdata._record_dtype(n_chan))[lo:lo + count]
+    vis = np.ascontiguousarray(packed["vis"]).view(np.complex64)[..., 0]
+    return {"u": packed["u"], "v": packed["v"], "w": packed["w"],
+            "time_index": packed["time_index"], "vis": vis, "weight": packed["weight"]}
+
+
+def test_block_reads_equal_the_one_shot_columns_bit_for_bit(tmp_path):
+    # Every share spans several read blocks, and no block divides the
+    # record count; signed zeros survive.
+    n = 6 * visdata.READ_BLOCK + 7
+    chunk = small_chunk(n, n_chan=3, seed=11)
+    chunk.u[::5] = -0.0
+    chunk.vis[::7] = complex(-0.0, -0.0)
+    path = tmp_path / "d.rvis"
+    visdata.write_dataset(chunk, header_for(chunk, 3, 1, 4), path)
+    for n_ranks in (1, 2, 3):
+        for r in range(n_ranks):
+            lo, count = partition_1d(n, n_ranks, r)
+            _, share = visdata.read_dataset(path, r, n_ranks)
+            for column, want in one_shot_columns(path, 3, lo, count).items():
+                got = getattr(share, column)
+                assert got.dtype == want.dtype and got.shape == want.shape, column
+                assert got.tobytes() == want.tobytes(), (n_ranks, r, column)
+
+
+def test_an_empty_share_has_empty_columns(tmp_path):
+    chunk = small_chunk(3, n_chan=2)
+    path = tmp_path / "d.rvis"
+    visdata.write_dataset(chunk, header_for(chunk, 2, 1, 4), path)
+    _, share = visdata.read_dataset(path, 4, 5)
+    assert len(share) == 0 and share.n_chan == 2
+    assert share.vis.shape == share.weight.shape == (0, 2)
+    assert (share.u.dtype, share.time_index.dtype, share.vis.dtype, share.weight.dtype) == (
+        np.float64, np.uint32, np.complex64, np.float32)
+
+
+@pytest.mark.parametrize("where", ["block", "share"])
+def test_descent_at_a_block_or_share_boundary_is_caught(tmp_path, where):
+    # The time index falls only between records p - 1 and p: the first
+    # record of the second read block of a one-rank read, or the first
+    # record of rank 1's share of two, whose record before is read alone.
+    n = 2 * visdata.READ_BLOCK + 101
+    p = visdata.READ_BLOCK if where == "block" else partition_1d(n, 2, 1)[0]
+    chunk = small_chunk(n)
+    chunk.time_index[:] = 2 * np.arange(n)
+    chunk.time_index[p - 1] = chunk.time_index[p] + 1
+    path = tmp_path / "d.rvis"
+    visdata.write_dataset(chunk, header_for(chunk, 2, 1, 4), path)
+    with pytest.raises(FormatError, match="sorted"):
+        visdata.read_dataset(path)
+    caught_by = 0 if where == "block" else 1
+    with pytest.raises(FormatError, match="sorted"):
+        visdata.read_dataset(path, caught_by, 2)
+    assert len(visdata.read_dataset(path, 1 - caught_by, 2)[1]) == partition_1d(n, 2, 1 - caught_by)[1]
+
+
+def test_read_peak_is_the_share_and_one_block(tmp_path):
+    # Rank 1 of 2 over 200k records x 4 channels: 100k records, 7.6 MB of
+    # columns. Filling them block by block peaked at 1.18 of their bytes:
+    # the columns, the 1.2 MB block buffer and the time-order check's mask.
+    # One read of the share and the column copies out of it took 2.00.
+    n = 200_000
+    chunk = small_chunk(n, n_chan=4, seed=2)
+    path = tmp_path / "d.rvis"
+    visdata.write_dataset(chunk, header_for(chunk, 4, 1, 4), path)
+    del chunk
+    tracemalloc.start()
+    try:
+        _, share = visdata.read_dataset(path, 1, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    columns = sum(getattr(share, c).nbytes for c in ("u", "v", "w", "time_index", "vis", "weight"))
+    assert columns == partition_1d(n, 2, 1)[1] * visdata.record_nbytes(4)
+    assert peak <= 1.2 * columns, f"{peak / columns:.3f} of the share's columns"
 
 
 # ---------------------------------------------------------------------------
