@@ -432,7 +432,10 @@ def verify_pipeline(scale: str = "small") -> VerifyReport:
 
         def fn(ctx):
             v0, vc = partition_1d(fspec.n_v, n_ranks, ctx.rank)
-            return transform.fft2d_slab(ctx, a[v0:v0 + vc].copy(), fspec)
+            blocks = []
+            transform.fft2d_slab(ctx, a[v0:v0 + vc].copy(), fspec,
+                                 lambda c0, block: blocks.append(block.copy()))
+            return np.concatenate(blocks, axis=0)
         return np.concatenate(run_ranks(Topology(1, n_ranks), fn), axis=0).T
 
     fft_ranks = (1, 3)
@@ -548,9 +551,9 @@ def verify_pipeline(scale: str = "small") -> VerifyReport:
             ref = sum(wplanes[k] * np.exp(2j * np.pi * wspec.plane_w_native(k) * (n_full - 1.0))
                       for k in range(nw)) / nw * n_full
             z = transform.w_phase_factor(n_pix, wspec.w_step_native)
-            acc = None
+            acc = np.empty(n_full.shape, dtype=np.complex128)
             for k in reversed(range(nw)):
-                acc = transform.apply_w_correction(acc, wplanes[k], z)
+                transform.apply_w_correction(acc, wplanes[k], z, first=k == nw - 1)
             got = transform.stack_planes(acc, n_pix, wspec).pixels
             horner_err = max(horner_err, _max_abs(got, ref.real.T) / np.max(np.abs(ref.real)))
             w0_factor = transform.w_phase_factor(n_pix, wspec.plane_w_native(0))

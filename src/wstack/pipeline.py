@@ -22,11 +22,13 @@ and the exchange it holds only the prepared columns
 w plane. It then streams the planes: for k = n_w - 1 ... 0, it grids plane
 k into one ``(rows, n_u)`` buffer it reuses, reduces the plane with one
 reduce-scatter (its buffer as its partial of its own slab, a read-only
-zero plane as its partial of every other), transforms it in place with
-:func:`~wstack.transform.fft2d_slab` and adds it into its column block by
-Horner's rule; it then stacks the block. A rank holds one plane, not
-n_w. The coordinator only assembles the blocks, writes the image and
-builds the run record.
+zero plane as its partial of every other) and transforms it in place with
+:func:`~wstack.transform.fft2d_slab`, whose column blocks it adds into its
+``(columns, n_v)`` sum by Horner's rule as each one is formed; it then
+stacks the sum. A rank holds its grid buffer, its sum, n, the step factor
+and one column block, not n_w planes nor a full column plane. The
+coordinator only assembles the blocks, writes the image and builds the
+run record.
 
 Phase accounting, one rule: each rank charges its wall time and thread
 CPU to read (the thread's start and the geometry included), gridding
@@ -106,7 +108,7 @@ def _rank_program(ctx, dataset_path, geometry: tuple, kernel: KernelSpec,
     v0, rows = partition_1d(spec.n_v, R, r)
     u0, uc = partition_1d(spec.n_u, R, r)
     grid = np.empty((rows, spec.n_u), dtype=np.complex128)
-    cols = np.empty((uc, spec.n_v), dtype=np.complex128)
+    acc = np.empty((uc, spec.n_v), dtype=np.complex128)
     # The partials of the other ranks' slabs: leading rows of one zero
     # plane as tall as rank 0's slab, the tallest; np.zeros maps no pages,
     # nor does reading. Read-only, so that it passes by reference within a
@@ -114,22 +116,31 @@ def _rank_program(ctx, dataset_path, geometry: tuple, kernel: KernelSpec,
     zero = np.zeros((partition_1d(spec.n_v, R, 0)[1], spec.n_u), dtype=np.complex128)
     zero.flags.writeable = False
     parts = [grid if t == r else zero[:partition_1d(spec.n_v, R, t)[1]] for t in range(R)]
-    updates, acc, z = 0, None, None
+    n = pixel_n_block(spec, u0, uc)
+    z = transform.w_phase_factor(n, spec.w_step_native)
+    charge("wcorrect")
+
+    def into(c0, block):
+        # Each column block is added into its rows of the sum while it is
+        # still in cache.
+        charge("fft")
+        cols = slice(c0, c0 + len(block))
+        transform.apply_w_correction(acc[cols], block, z[cols], first=k == spec.n_w - 1)
+        charge("wcorrect")
+
+    updates = 0
     for k in reversed(range(spec.n_w)):
         updates += grid_sector(planes[k], kernel, grid, v0)
         charge("gridding")
         comms.reduce_slabs(ctx, strategy, parts)
         charge("reduce")
-        plane = transform.fft2d_slab(ctx, grid, spec, out=cols)
+        transform.fft2d_slab(ctx, grid, spec, into)
         charge("fft")
-        if z is None:
-            n = pixel_n_block(spec, u0, uc)
-            z = transform.w_phase_factor(n, spec.w_step_native)
-        acc = transform.apply_w_correction(acc, plane, z)
-        charge("wcorrect")
+    # Free the buffers inside the phase, so that their frees are charged,
+    # and those of the plane loop before the stacking allocates its pixels.
+    del planes, grid, zero, parts
     block = transform.stack_planes(acc, n, spec)
-    # Free the buffers inside the phase, so that their frees are charged.
-    del planes, grid, cols, plane, zero, parts, acc, n, z
+    del acc, n, z
     charge("wcorrect")
     return spec, n_records, block, updates, wall, cpu
 

@@ -229,11 +229,14 @@ def test_rank_program_holds_no_read_records_in_the_exchange(tmp_path, monkeypatc
 
 
 # Whole-run tracemalloc peak, in planes of the mesh, at 256^2 with 2000
-# records. Streaming the planes peaked at 5.6-6.8 planes at n_w = 8 and
-# 5.7-6.9 at n_w = 32, over 35 runs of each cell (tracemalloc counts each
-# rank's untouched zero plane in full); holding every plane of every slab
-# from gridding to the image pass took 11.8-12.6 and 36.0-36.6.
-RUN_PEAK_PLANES = 7.5
+# records (tracemalloc counts each rank's untouched zero plane in full).
+# Streaming each plane's columns through one block of COL_BLOCK columns
+# peaked at 5.02-6.22 planes over 25 runs of each cell below (2x2 highest,
+# 1x2 lowest), the same under the AVX2 dispatch; the bound leaves half a
+# plane above that. A full column plane per rank peaked at 5.8-7.2,
+# holding every plane of every slab from gridding to the image pass at
+# 11.8-12.6 (n_w = 8) and 36.0-36.6 (n_w = 32).
+RUN_PEAK_PLANES = 6.75
 
 
 @pytest.mark.parametrize("n_w", [8, 32])
@@ -267,9 +270,12 @@ def test_image_stage_hooks_are_each_called(tmp_path, monkeypatch):
 
     for name in ("apply_w_correction", "stack_planes", "fft2d_slab"):
         monkeypatch.setattr(transform, name, counted(name, getattr(transform, name)))
-    R = 2
-    run_pipeline(path, N, N, N_W, CELL, kernel=KERNELS[0], topo=Topology(1, R))
-    assert calls == {"apply_w_correction": N_W * R, "stack_planes": R, "fft2d_slab": N_W * R}
+    # A mesh wide enough for four column blocks per rank: the Horner step
+    # runs once per block and plane.
+    R, n = 2, 8 * transform.COL_BLOCK
+    run_pipeline(path, n, n, N_W, CELL, kernel=KERNELS[0], topo=Topology(1, R))
+    assert calls == {"apply_w_correction": N_W * R * 4, "stack_planes": R,
+                     "fft2d_slab": N_W * R}
 
 
 @pytest.mark.parametrize("name", list(WORKLOADS))

@@ -5,8 +5,9 @@ import pytest
 
 from wstack.comms import MessageLog, Topology, run_ranks
 from wstack.mesh import GridSpec, partition_1d, pixel_n_block, pixel_to_lm
-from wstack.transform import (FinalImage, apply_w_correction, fft2d_slab, stack_planes,
-                               w_phase_factor, write_image, write_pgm)
+from wstack.transform import (COL_BLOCK, TRANSPOSE_BAND, FinalImage, apply_w_correction,
+                               fft2d_slab, stack_planes, transpose_into, w_phase_factor,
+                               write_image, write_pgm)
 
 N_V, N_U = 16, 32
 SPEC = GridSpec(n_u=N_U, n_v=N_V, n_w=1, cell_size_lm=1e-3)
@@ -14,13 +15,27 @@ SPEC = GridSpec(n_u=N_U, n_v=N_V, n_w=1, cell_size_lm=1e-3)
 TOPOLOGIES = [Topology(1, 1), Topology(1, 2), Topology(1, 3), Topology(2, 2)]
 
 
-def column_blocks(plane, topo, log=None):
+def collect(blocks):
+    """An ``into`` for :func:`fft2d_slab` that keeps a copy of each block
+    with its first column, in ``blocks``."""
+    return lambda c0, block: blocks.append((c0, block.copy()))
+
+
+def column_blocks(plane, topo, log=None, spec=SPEC):
     """Each rank's :func:`fft2d_slab` of a copy of its rows of ``plane``,
-    which the row transforms overwrite."""
+    which the row transforms overwrite, as the ``(first column, block)``
+    pairs handed to its consumer."""
     def fn(ctx):
-        v0, vc = partition_1d(N_V, topo.n_ranks, ctx.rank)
-        return fft2d_slab(ctx, plane[v0:v0 + vc].copy(), SPEC)
+        v0, vc = partition_1d(spec.n_v, topo.n_ranks, ctx.rank)
+        blocks = []
+        fft2d_slab(ctx, plane[v0:v0 + vc].copy(), spec, collect(blocks))
+        return blocks
     return run_ranks(topo, fn, log=log)
+
+
+def column_share(blocks):
+    """A rank's columns, joined from its ``(first column, block)`` pairs."""
+    return np.concatenate([block for _, block in blocks], axis=0)
 
 
 @pytest.fixture
@@ -35,9 +50,69 @@ def plane():
 @pytest.mark.parametrize("direction, oracle", [("inverse", np.fft.ifft2)])
 def test_slab_transform_matches_numpy(plane, topo, direction, oracle):
     R = topo.n_ranks
-    out = column_blocks(plane, topo)
+    out = [column_share(blocks) for blocks in column_blocks(plane, topo)]
     assert [b.shape for b in out] == [(partition_1d(N_U, R, r)[1], N_V) for r in range(R)]
     assert np.max(np.abs(np.concatenate(out, axis=0) - oracle(plane).T)) <= 1e-12
+
+
+@pytest.mark.parametrize("topo, n_u", [(Topology(1, 1), 2 * COL_BLOCK),
+                                       (Topology(1, 1), COL_BLOCK // 2),
+                                       (Topology(1, 3), 4 * COL_BLOCK)],
+                         ids=["1x1-two-blocks", "1x1-short-block", "1x3-uneven-tail"])
+def test_column_blocks_reach_the_consumer_in_order_once_each(topo, n_u):
+    # One rank: two full blocks, or one block shorter than COL_BLOCK; three
+    # ranks: uneven shares of 4 * COL_BLOCK columns, each ending in a short
+    # block. The blocks cover each rank's columns exactly once, in column
+    # order, and join to the one-rank transform bit for bit.
+    spec = GridSpec(n_u=n_u, n_v=16, n_w=1, cell_size_lm=1e-3)
+    rng = np.random.default_rng(12)
+    plane = rng.standard_normal((spec.n_v, spec.n_u)) + 1j * rng.standard_normal((spec.n_v, spec.n_u))
+    R = topo.n_ranks
+    got = column_blocks(plane, topo, spec=spec)
+    for r, blocks in enumerate(got):
+        uc = partition_1d(spec.n_u, R, r)[1]
+        starts = list(range(0, uc, COL_BLOCK))
+        assert [c0 for c0, _ in blocks] == starts
+        assert [len(b) for _, b in blocks] == [min(COL_BLOCK, uc - c0) for c0 in starts]
+        assert all(b.shape[1] == spec.n_v for _, b in blocks)
+        if R == 3:
+            assert 0 < uc % COL_BLOCK
+    shares = [column_share(blocks) for blocks in got]
+    whole = [column_share(blocks) for blocks in column_blocks(plane, Topology(1, 1), spec=spec)]
+    assert np.concatenate(shares).tobytes() == whole[0].tobytes()
+    assert np.max(np.abs(whole[0] - np.fft.ifft2(plane).T)) <= 1e-12
+
+
+def test_column_block_buffer_is_reused():
+    # Every block is a view of one buffer: a consumer that keeps a block
+    # without copying it sees it overwritten by the next.
+    spec = GridSpec(n_u=2 * COL_BLOCK, n_v=8, n_w=1, cell_size_lm=1e-3)
+    rng = np.random.default_rng(13)
+    rows = rng.standard_normal((spec.n_v, spec.n_u)) + 1j * rng.standard_normal((spec.n_v, spec.n_u))
+    kept, copies = [], []
+
+    def keep(c0, block):
+        kept.append(block)
+        copies.append(block.copy())
+
+    run_ranks(Topology(1, 1), lambda ctx: fft2d_slab(ctx, rows, spec, keep))
+    assert len(kept) == 2 and np.shares_memory(kept[0], kept[1])
+    assert kept[0].tobytes() == copies[1].tobytes() != copies[0].tobytes()
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 200), (TRANSPOSE_BAND + 7, 5),
+                                   (2 * TRANSPOSE_BAND + 1, 3 * TRANSPOSE_BAND - 2)])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_transpose_into_equals_transpose(shape, dtype):
+    # Shapes that are not a multiple of the band, on both sides; a real
+    # view of a complex array, as the stacking passes it.
+    rng = np.random.default_rng(14)
+    src = rng.standard_normal(shape).astype(dtype) + (1j * rng.standard_normal(shape)
+                                                      if dtype is np.complex128 else 0)
+    for s in (src, src.view(np.float64)[:, ::2] if dtype is np.complex128 else src[:, ::-1]):
+        dst = np.empty(s.shape[::-1], dtype=s.dtype)
+        transpose_into(dst, s)
+        assert dst.tobytes() == np.ascontiguousarray(s.T).tobytes()
 
 
 @pytest.mark.parametrize("topo", TOPOLOGIES, ids=lambda t: f"{t.n_nodes}x{t.ranks_per_node}")
@@ -61,35 +136,38 @@ def test_transpose_messages_and_bytes(plane, topo):
 @pytest.mark.parametrize("direction", ["inverse"])
 def test_transform_overwrites_only_its_own_rows(plane, topo, direction):
     # The row transforms go into each rank's rows in place, the column
-    # transforms into the out buffer it passes; the transpose sends column
-    # blocks as views, which Router.send copies, so no rank writes into
-    # another's rows.
+    # transforms into its own block buffer, handed to its consumer; the
+    # transpose sends column blocks as views, which Router.send copies, so
+    # no rank writes into another's rows, and each returns nothing.
     R = topo.n_ranks
     slabs = []
     for r in range(R):
         v0, vc = partition_1d(N_V, R, r)
         slabs.append(plane[v0:v0 + vc].copy())
-    outs = [np.empty((partition_1d(N_U, R, r)[1], N_V), dtype=np.complex128) for r in range(R)]
-    got = run_ranks(topo, lambda ctx: fft2d_slab(ctx, slabs[ctx.rank], SPEC, out=outs[ctx.rank]))
-    assert all(g is o for g, o in zip(got, outs, strict=True))
+    blocks = [[] for _ in range(R)]
+    got = run_ranks(topo, lambda ctx: fft2d_slab(ctx, slabs[ctx.rank], SPEC,
+                                                  collect(blocks[ctx.rank])))
+    assert got == [None] * R
+    assert all(not np.shares_memory(b, slab) for slab, rank_blocks in zip(slabs, blocks)
+               for _, b in rank_blocks)
     assert np.concatenate(slabs).tobytes() == np.fft.ifft(plane).tobytes()
+
+
+def ignore(c0, block):
+    pass
 
 
 def test_rows_of_wrong_shape_rejected(plane):
     with pytest.raises(ValueError, match="rows shape"):
-        run_ranks(Topology(1, 2), lambda ctx: fft2d_slab(ctx, plane, SPEC))
+        run_ranks(Topology(1, 2), lambda ctx: fft2d_slab(ctx, plane, SPEC, ignore))
 
 
-def test_rows_and_out_it_cannot_write_in_place_rejected(plane):
+def test_rows_it_cannot_write_in_place_rejected(plane):
     read_only = plane.copy()
     read_only.flags.writeable = False
     for rows in (read_only, plane.astype(np.complex64), np.asfortranarray(plane)):
         with pytest.raises(ValueError, match="rows shape .* must be"):
-            run_ranks(Topology(1, 1), lambda ctx: fft2d_slab(ctx, rows, SPEC))
-    for out in (np.empty((N_V, N_U), dtype=np.complex128),
-                np.empty((N_U, N_V), dtype=np.complex64)):
-        with pytest.raises(ValueError, match="out shape .* must be"):
-            run_ranks(Topology(1, 1), lambda ctx: fft2d_slab(ctx, plane.copy(), SPEC, out=out))
+            run_ranks(Topology(1, 1), lambda ctx: fft2d_slab(ctx, rows, SPEC, ignore))
 
 
 def mirrored(half):
@@ -140,9 +218,9 @@ def horner_stack(planes, spec, u_start):
     the step factor of the plane spacing, then the stacking."""
     n = pixel_n_block(spec, u_start, planes[0].shape[0])
     z = w_phase_factor(n, spec.w_step_native)
-    acc = None
-    for plane in reversed(planes):
-        acc = apply_w_correction(acc, plane, z)
+    acc = np.empty(planes[0].shape, dtype=np.complex128)
+    for k in reversed(range(len(planes))):
+        assert apply_w_correction(acc, planes[k], z, first=k == len(planes) - 1) is acc
     return stack_planes(acc, n, spec)
 
 
@@ -170,8 +248,12 @@ def test_accumulated_stack_matches_per_plane_form(n_w, w_range):
 def test_w_correction_rejects_plane_of_wrong_shape():
     spec = GridSpec(n_u=16, n_v=16, n_w=2, cell_size_lm=1e-3, w_max_native=5.0)
     z = w_phase_factor(pixel_n_block(spec, 0, 8), 5.0)
-    with pytest.raises(ValueError, match="plane shape"):
-        apply_w_correction(None, np.zeros((8, 8), dtype=np.complex128), z)
+    acc = np.zeros((8, 16), dtype=np.complex128)
+    for first in (True, False):
+        with pytest.raises(ValueError, match="plane shape"):
+            apply_w_correction(acc, np.zeros((8, 8), dtype=np.complex128), z, first)
+        with pytest.raises(ValueError, match="sum shape"):
+            apply_w_correction(acc[:4], np.zeros((8, 16), dtype=np.complex128), z, first)
 
 
 def test_stack_rejects_n_of_wrong_shape():
